@@ -78,6 +78,7 @@ from .trainer import (
     forecast_timepoints,
     train,
     train_all_node_base,
+    train_batch,
     training_timepoints,
     tune_lambda,
 )

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .baselines import BaselineChoice, es_forecast, ma_forecast, select_param
 from .hierarchy import HierarchySpec, aggregate_bottom
@@ -15,15 +15,18 @@ from .neuralnet import NetworkParams
 from .panel import Scaler, SeriesPanel
 from .reconcile import estimate_w_sample, mint_reconcile
 from .trainer import (
+    _forward,
     DEFAULT_LAMBDA_GRID,
     RegWeights,
     TrainConfig,
     TrainResult,
+    bottom_design,
     forecast_timepoints,
     predict_all_nodes,
     predict_bottom,
     train,
     train_all_node_base,
+    train_batch,
     training_timepoints,
     tune_lambda,
 )
@@ -89,7 +92,7 @@ class TrialSummary:
 def _mean_halfwidth(values: list[float]) -> tuple[float, float]:
     arr = np.asarray(values, dtype=np.float64)
     n = arr.shape[0]
-    hw = float(stats.t.ppf(0.975, n - 1) * arr.std(ddof=1) / np.sqrt(n))
+    hw = float(stdtrit(n - 1, 0.975) * arr.std(ddof=1) / np.sqrt(n))
     return float(arr.mean()), hw
 
 
@@ -121,12 +124,12 @@ def _level_rmses(h: HierarchySpec, actual: np.ndarray, forecast: np.ndarray) -> 
 
 def make_epoch_hook(panel: SeriesPanel, h: HierarchySpec, config: TrainConfig):
     """Hook recording per-level test RMSE of bottom-up forecasts after each epoch."""
-    tps = forecast_timepoints(panel)
+    x = bottom_design(panel, config.lag, forecast_timepoints(panel))
     actual = panel.values[:, panel.train_len:]
 
     def hook(epoch: int, params: NetworkParams) -> dict[str, float]:
-        coherent = aggregate_bottom(h, predict_bottom(params, panel, config, tps))
-        return _level_rmses(h, actual, coherent)
+        u3 = _forward(params, x, config.activation)[1]
+        return _level_rmses(h, actual, aggregate_bottom(h, u3.T))
 
     return hook
 
@@ -136,14 +139,6 @@ def epoch_trace(result: TrainResult) -> list[dict[str, float]]:
     if not result.epoch_eval:
         raise ValueError("training run recorded no epoch evaluations; train with an epoch hook")
     return list(result.epoch_eval)
-
-
-def _sr_trial_rmses(panel: SeriesPanel, h: HierarchySpec, lam: tuple[float, float],
-                    config: TrainConfig) -> dict[str, float]:
-    reg = RegWeights.build(h, *lam)
-    result = train(panel, h, reg, config)
-    coherent = aggregate_bottom(h, predict_bottom(result.params, panel, config, forecast_timepoints(panel)))
-    return _level_rmses(h, panel.values[:, panel.train_len:], coherent)
 
 
 SWEEP_MODES = ("(x,0)", "(0,x)", "(x,x)")
@@ -165,18 +160,19 @@ def reg_sweep(panel: SeriesPanel, h: HierarchySpec, x_grid: tuple | list,
         if mode not in SWEEP_MODES:
             raise ValueError(f"unknown sweep mode {mode!r}; choose from {SWEEP_MODES}")
 
+    points = [(mode, x_idx, {"(x,0)": (x, 0.0), "(0,x)": (0.0, x), "(x,x)": (x, x)}[mode])
+              for mode in modes for x_idx, x in enumerate(xs) if x != 0.0]
+    regs = [RegWeights.build(h, 0.0, 0.0)] + [RegWeights.build(h, *lam) for *_, lam in points]
+    tps, actual = forecast_timepoints(panel), panel.values[:, panel.train_len:]
     diffs = {mode: {lvl: np.zeros((len(seeds), len(xs))) for lvl in LEVELS} for mode in modes}
     for s_idx, seed in enumerate(seeds):
+        # One batch per seed: the (0, 0) run and every grid point share the design and init.
         cfg = replace(config, seed=seed)
-        base = _sr_trial_rmses(panel, h, (0.0, 0.0), cfg)
-        for mode in modes:
-            for x_idx, x in enumerate(xs):
-                if x == 0.0:
-                    continue  # self-subtraction is exactly zero
-                lam = {"(x,0)": (x, 0.0), "(0,x)": (0.0, x), "(x,x)": (x, x)}[mode]
-                point = _sr_trial_rmses(panel, h, lam, cfg)
-                for lvl in LEVELS:
-                    diffs[mode][lvl][s_idx, x_idx] = point[lvl] - base[lvl]
+        base, *rest = [_level_rmses(h, actual, aggregate_bottom(h, predict_bottom(r.params, panel, cfg, tps)))
+                       for r in train_batch(panel, h, regs, cfg)]
+        for (mode, x_idx, _), point in zip(points, rest):
+            for lvl in LEVELS:  # x = 0 stays exactly zero: no self-subtraction
+                diffs[mode][lvl][s_idx, x_idx] = point[lvl] - base[lvl]
     return {mode: {lvl: diffs[mode][lvl].mean(axis=0) for lvl in LEVELS} for mode in modes}
 
 

@@ -70,20 +70,20 @@ def init_params(dims: NetworkDims, seed: int, bias: bool = True) -> NetworkParam
 def activation(u: np.ndarray | float, kind: str) -> np.ndarray | float:
     """Elementwise sigmoid or rectifier.
 
-    The sigmoid branches on the sign of u so exp never overflows.
+    The sigmoid takes e = exp(-|u|), so exp never overflows, and returns
+    1 / (1 + e) for u >= 0 and e / (1 + e) below. -|u| is written as
+    min(u, -u), which also keeps the sign bit of a NaN input.
     """
-    arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
+    arr = np.asarray(u, dtype=np.float64)
     if kind == "sigmoid":
-        out = np.empty_like(arr)
-        pos = arr >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-        eu = np.exp(arr[~pos])
-        out[~pos] = eu / (1.0 + eu)
+        e = np.exp(np.minimum(arr, -arr))
+        den = 1.0 + e
+        out = np.where(arr >= 0, 1.0 / den, e / den)
     elif kind == "relu":
         out = np.maximum(arr, 0.0)
     else:
         raise ValueError(f"unknown activation kind {kind!r}")
-    return out.reshape(np.shape(u)) if np.ndim(u) else float(out[0])
+    return out if np.ndim(u) else float(out)
 
 
 def activation_prime(u: np.ndarray | float, kind: str) -> np.ndarray | float:

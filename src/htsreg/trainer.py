@@ -9,11 +9,14 @@ nonnegative weight per upper node. Training is full-batch gradient descent
 with a relative-improvement stopping rule: gradients are accumulated over
 every training timepoint, one update is applied per epoch, and the loop
 stops when the freshly evaluated objective fails to improve on the previous
-epoch by a factor of eps (or at the epoch cap).
+epoch by a factor of eps (or at the epoch cap). Models that share a design
+train together as one stack of weights; each comes out exactly as if
+trained alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable
@@ -33,6 +36,10 @@ from .neuralnet import (
 from .panel import SeriesPanel, lagged_input
 
 DEFAULT_LAMBDA_GRID: tuple[float, ...] = tuple(round(0.1 * i, 1) for i in range(31))
+# Models per stacked run in train_batch. Per-model epoch cost is flat up to
+# about 128 models and grows beyond (the stack outgrows the cache), so large
+# grids run as consecutive stacks, which also bounds memory.
+STACK_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -160,69 +167,116 @@ def gradients_at_t(params: NetworkParams, x: np.ndarray, y_t: np.ndarray,
     )
 
 
-def _forward_batch(params: NetworkParams, x: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    u2 = x @ params.w2.T + params.b2
-    z2 = activation(u2, kind)
-    u3 = z2 @ params.w3.T + params.b3
-    return u2, z2, u3
+def _forward(params: NetworkParams, x: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden activations and outputs for the rows of x.
+
+    The weights may carry a leading model axis (biases shaped (K, 1, n));
+    each model's slice then gives the same bits as a network of its own.
+    """
+    z2 = activation(x @ np.swapaxes(params.w2, -1, -2) + params.b2, kind)
+    return z2, z2 @ np.swapaxes(params.w3, -1, -2) + params.b3
 
 
-def _objective(u3: np.ndarray, yb: np.ndarray, yu: np.ndarray, lam: np.ndarray, H: np.ndarray) -> float:
-    res_b = yb - u3
-    res_u = (yu - u3 @ H.T) * lam
-    return 0.5 * float(np.sum(res_b * res_b)) + 0.5 * float(np.sum(res_u * res_u))
+def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lams: np.ndarray,
+         params: list[NetworkParams], config: TrainConfig,
+         epoch_hooks: list[Callable[[int, NetworkParams], object] | None] | None = None,
+         ) -> list[TrainResult]:
+    """Full-batch descent of K models on the shared rows of (x, yb, yu).
 
-
-def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lam: np.ndarray,
-         params: NetworkParams, config: TrainConfig,
-         epoch_hook: Callable[[int, NetworkParams], object] | None) -> TrainResult:
-    """Full-batch descent on rows of (x, yb, yu); mutates and returns ``params``."""
+    Model k starts from ``params[k]`` (updated in place) under the weight
+    row ``lams[k]``. The weights are stacked so each numpy call serves every
+    model, and a model leaves the stack at its own stopping epoch, so its
+    parameters, objective, epochs and stop reason are bit-identical to a
+    batch of one. A hook, if given, is called as ``hook(epoch, params)``
+    after each of its model's epochs. If models diverge, the error is the
+    one a model-by-model run would raise: that of the lowest-index one.
+    """
+    kind, eta, keep_rate = config.activation, config.eta, 1.0 - config.eps
+    hooks = list(epoch_hooks) if epoch_hooks is not None else [None] * len(params)
+    lam = np.asarray(lams, dtype=np.float64).reshape(len(params), 1, -1)
     lam2 = lam * lam
-    eta = config.eta
-    objective: list[float] = []
-    evals: list = []
-    e_prev = np.inf
-    reason = "max_epochs"
-    epochs = 0
+    net = NetworkParams(w2=np.stack([p.w2 for p in params]), b2=np.stack([p.b2 for p in params])[:, None],
+                        w3=np.stack([p.w3 for p in params]), b3=np.stack([p.b3 for p in params])[:, None])
+    live = list(range(len(params)))  # original index of each stacked model
+    e_prev = [np.inf] * len(params)
+    objective: list[list[float]] = [[] for _ in params]
+    evals: list[list] = [[] for _ in params]
+    results: list[TrainResult | None] = [None] * len(params)
+    diverged_at: int | None = None
 
-    u2, z2, u3 = _forward_batch(params, x, config.activation)
-    for epoch in range(1, config.max_epochs + 1):
-        # Gradients at the current parameters (forward values already cached).
-        d3 = (u3 - yb) - ((yu - u3 @ H.T) * lam2) @ H
-        d2 = (d3 @ params.w3) * activation_prime(u2, config.activation)
-        params.w2 -= eta * (d2.T @ x)
-        params.w3 -= eta * (d3.T @ z2)
+    def model(pos: int) -> NetworkParams:
+        return NetworkParams(net.w2[pos], net.b2[pos, 0], net.w3[pos], net.b3[pos, 0])
+
+    def finish(pos: int, epochs: int, reason: str) -> None:
+        k = live[pos]
+        p, done = params[k], model(pos)
+        p.w2[...], p.b2[...], p.w3[...], p.b3[...] = done.w2, done.b2, done.w3, done.b3
+        results[k] = TrainResult(params=p, objective=np.asarray(objective[k]), epochs=epochs,
+                                 reason=reason, epoch_eval=evals[k])
+
+    # Forward values and residuals at the current parameters; the objective's
+    # residuals are reused by the next epoch's output delta. Every stacked
+    # operation, the sums over axes (1, 2) included, visits each model's block
+    # in the order the 2-D operation would, which keeps the bits identical.
+    z2, u3 = _forward(net, x, kind)
+    res_b = u3 - yb
+    res_u = yu - u3 @ H.T
+    epoch = 0
+    while epoch < config.max_epochs and live:
+        epoch += 1
+        d3 = res_b - (res_u * lam2) @ H
+        d2 = (d3 @ net.w3) * (z2 * (1.0 - z2) if kind == "sigmoid" else z2 > 0)
+        net.w2 -= eta * (d2.transpose(0, 2, 1) @ x)
+        net.w3 -= eta * (d3.transpose(0, 2, 1) @ z2)
         if config.bias:
-            params.b2 -= eta * d2.sum(axis=0)
-            params.b3 -= eta * d3.sum(axis=0)
+            net.b2 -= eta * d2.sum(axis=1, keepdims=True)
+            net.b3 -= eta * d3.sum(axis=1, keepdims=True)
 
-        u2, z2, u3 = _forward_batch(params, x, config.activation)
-        e_new = _objective(u3, yb, yu, lam, H)
-        if not np.isfinite(e_new):
-            raise TrainingDiverged(epoch)
-        objective.append(e_new)
-        epochs = epoch
-        if epoch_hook is not None:
-            evals.append(epoch_hook(epoch, params))
-        if e_new > (1.0 - config.eps) * e_prev:
-            reason = "converged"
-            break
-        e_prev = e_new
+        z2, u3 = _forward(net, x, kind)
+        res_b = u3 - yb
+        res_u = yu - u3 @ H.T
+        upper = res_u * lam
+        e_new = 0.5 * (res_b * res_b).sum(axis=(1, 2)) + 0.5 * (upper * upper).sum(axis=(1, 2))
 
-    return TrainResult(
-        params=params,
-        objective=np.asarray(objective),
-        epochs=epochs,
-        reason=reason,
-        epoch_eval=evals,
-    )
+        leaving = []  # stack positions of models that stop this epoch
+        for pos, e in enumerate(e_new.tolist()):
+            k = live[pos]
+            if not math.isfinite(e):
+                # A model-by-model run never reaches the models after a diverged one.
+                diverged_at = epoch
+                leaving += range(pos, len(live))
+                break
+            objective[k].append(e)
+            if hooks[k] is not None:
+                evals[k].append(hooks[k](epoch, model(pos)))
+            if e > keep_rate * e_prev[k]:
+                finish(pos, epoch, "converged")
+                leaving.append(pos)
+            e_prev[k] = e
+        if leaving:
+            gone = set(leaving)
+            keep = [pos for pos in range(len(live)) if pos not in gone]
+            live = [live[pos] for pos in keep]
+            net = NetworkParams(net.w2[keep], net.b2[keep], net.w3[keep], net.b3[keep])
+            lam, lam2, z2, u3, res_b, res_u = lam[keep], lam2[keep], z2[keep], u3[keep], res_b[keep], res_u[keep]
+
+    for pos in range(len(live)):
+        finish(pos, epoch, "max_epochs")
+    if diverged_at is not None:
+        raise TrainingDiverged(diverged_at)
+    return results
+
+
+def bottom_design(panel: SeriesPanel, lag: int, timepoints: range | list[int]) -> np.ndarray:
+    """Stacked lagged bottom-level inputs, one row per timepoint."""
+    return np.stack([lagged_input(panel, t, lag) for t in timepoints])
 
 
 def _design_bottom(panel: SeriesPanel, lag: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     tps = training_timepoints(panel, lag)
     if len(tps) == 0:
         raise ValueError(f"training period of length {panel.train_len} leaves no usable timepoints at lag {lag}")
-    x = np.stack([lagged_input(panel, t, lag) for t in tps])
+    x = bottom_design(panel, lag, tps)
     n_upper = panel.n_nodes - panel.n_bottom
     cols = [t - 1 for t in tps]
     yu = panel.values[:n_upper][:, cols].T
@@ -239,6 +293,17 @@ def lagged_input_all(panel: SeriesPanel, t: int, lag: int) -> np.ndarray:
     return panel.values[:, t - 1 - lag: t - 1].T.reshape(-1).copy()
 
 
+def _bottom_problem(panel: SeriesPanel, h: HierarchySpec, config: TrainConfig
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, NetworkDims]:
+    if panel.node_ids != h.node_ids:
+        raise ValueError("panel node order does not match hierarchy")
+    x, yb, yu = _design_bottom(panel, config.lag)
+    input_dim = config.lag * h.n_bottom
+    hidden = config.hidden_dim if config.hidden_dim is not None else 2 * input_dim
+    dims = NetworkDims(input_dim=input_dim, hidden_dim=hidden, output_dim=h.n_bottom)
+    return x, yb, yu, np.asarray(structure_matrix(h)), dims
+
+
 def train(panel: SeriesPanel, h: HierarchySpec, reg: RegWeights, config: TrainConfig,
           epoch_hook: Callable[[int, NetworkParams], object] | None = None) -> TrainResult:
     """Train the bottom-level network under the structured objective.
@@ -247,24 +312,30 @@ def train(panel: SeriesPanel, h: HierarchySpec, reg: RegWeights, config: TrainCo
     bottom values; targets are the bottom and upper observations at each
     training timepoint. Deterministic for a fixed config seed.
     """
-    if panel.node_ids != h.node_ids:
-        raise ValueError("panel node order does not match hierarchy")
-    H = structure_matrix(h)
-    x, yb, yu = _design_bottom(panel, config.lag)
-    input_dim = config.lag * h.n_bottom
-    hidden = config.hidden_dim if config.hidden_dim is not None else 2 * input_dim
-    dims = NetworkDims(input_dim=input_dim, hidden_dim=hidden, output_dim=h.n_bottom)
+    x, yb, yu, H, dims = _bottom_problem(panel, h, config)
     params = init_params(dims, config.seed, bias=config.bias)
-    return _fit(x, yb, yu, np.asarray(H), reg.vec, params, config, epoch_hook)
+    return _fit(x, yb, yu, H, reg.vec[None], [params], config, [epoch_hook])[0]
 
 
-def train_all_node_base(panel: SeriesPanel, config: TrainConfig,
-                        epoch_hook: Callable[[int, NetworkParams], object] | None = None) -> TrainResult:
-    """Train an unregularized network forecasting every node from all-node lags.
+def train_batch(panel: SeriesPanel, h: HierarchySpec, regs: list[RegWeights],
+                config: TrainConfig) -> list[TrainResult]:
+    """Train one network per weight set on one design, all from the config seed.
 
-    Used to produce base forecasts for trace-minimization reconciliation:
-    same descent, same sizing rule, but plain squared error over all nodes.
+    Result k is bit-identical to ``train(panel, h, regs[k], config)``; the
+    models share each epoch's numpy calls, up to ``STACK_LIMIT`` at a time.
     """
+    x, yb, yu, H, dims = _bottom_problem(panel, h, config)
+    init = init_params(dims, config.seed, bias=config.bias)
+    results: list[TrainResult] = []
+    for start in range(0, len(regs), STACK_LIMIT):
+        chunk = regs[start: start + STACK_LIMIT]
+        results += _fit(x, yb, yu, H, np.stack([reg.vec for reg in chunk]),
+                        [init.copy() for _ in chunk], config)
+    return results
+
+
+def _all_node_problem(panel: SeriesPanel, config: TrainConfig
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, NetworkDims]:
     tps = training_timepoints(panel, config.lag)
     if len(tps) == 0:
         raise ValueError(f"training period of length {panel.train_len} leaves no usable timepoints at lag {config.lag}")
@@ -273,38 +344,33 @@ def train_all_node_base(panel: SeriesPanel, config: TrainConfig,
     input_dim = config.lag * panel.n_nodes
     hidden = config.hidden_dim if config.hidden_dim is not None else 2 * input_dim
     dims = NetworkDims(input_dim=input_dim, hidden_dim=hidden, output_dim=panel.n_nodes)
+    return x, y, np.zeros((x.shape[0], 0)), np.zeros((0, panel.n_nodes)), dims
+
+
+def train_all_node_base(panel: SeriesPanel, config: TrainConfig,
+                        epoch_hook: Callable[[int, NetworkParams], object] | None = None) -> TrainResult:
+    """Train an unregularized network forecasting every node from all-node lags.
+
+    Used to produce base forecasts for trace-minimization reconciliation:
+    the structured objective with no upper nodes (an empty H), so plain
+    squared error over all nodes, with the same descent and sizing rule.
+    """
+    x, y, yu, H, dims = _all_node_problem(panel, config)
     params = init_params(dims, config.seed, bias=config.bias)
-    empty_h = np.zeros((0, panel.n_nodes))
-    empty_lam = np.zeros(0)
-    yu = np.zeros((x.shape[0], 0))
-    return _fit(x, y, yu, empty_h, empty_lam, params, config, epoch_hook)
+    return _fit(x, y, yu, H, np.zeros((1, 0)), [params], config, [epoch_hook])[0]
 
 
 def predict_bottom(params: NetworkParams, panel: SeriesPanel, config: TrainConfig,
                    timepoints: range | list[int]) -> np.ndarray:
     """One-step bottom-level forecasts (|B| x len) from actual lagged inputs."""
-    x = np.stack([lagged_input(panel, t, config.lag) for t in timepoints])
-    _, _, u3 = _forward_batch(params, x, config.activation)
-    return u3.T
+    return _forward(params, bottom_design(panel, config.lag, timepoints), config.activation)[1].T
 
 
 def predict_all_nodes(params: NetworkParams, panel: SeriesPanel, config: TrainConfig,
                       timepoints: range | list[int]) -> np.ndarray:
     """One-step all-node forecasts (|N| x len) from the all-node base network."""
     x = np.stack([lagged_input_all(panel, t, config.lag) for t in timepoints])
-    _, _, u3 = _forward_batch(params, x, config.activation)
-    return u3.T
-
-
-def _validation_score(panel: SeriesPanel, h: HierarchySpec, fit_len: int,
-                      reg: RegWeights, config: TrainConfig) -> float:
-    fit_panel = panel.with_train_len(fit_len)
-    result = train(fit_panel, h, reg, config)
-    val_tps = range(fit_len + 1, panel.train_len + 1)
-    coherent = aggregate_bottom(h, predict_bottom(result.params, fit_panel, config, val_tps))
-    actual = panel.values[:, [t - 1 for t in val_tps]]
-    per_node = np.sqrt(np.mean((actual - coherent) ** 2, axis=1))
-    return float(np.mean(per_node))
+    return _forward(params, x, config.activation)[1].T
 
 
 def tune_lambda(panel: SeriesPanel, h: HierarchySpec,
@@ -314,18 +380,24 @@ def tune_lambda(panel: SeriesPanel, h: HierarchySpec,
     """Hold-out selection of (lambda_root, lambda_mid).
 
     The first 75% of the training period fits the model, the rest scores
-    coherent bottom-up forecasts by average all-node RMSE. Ties break
-    toward smaller lambda_root + lambda_mid, then smaller lambda_root.
+    coherent bottom-up forecasts by average all-node RMSE. Every grid point
+    is fitted in one batch from the config seed. Ties break toward smaller
+    lambda_root + lambda_mid, then smaller lambda_root.
     """
     if not grid_root or not grid_mid:
         raise ValueError("lambda grids must be nonempty")
     fit_len = int(0.75 * panel.train_len)
     if fit_len <= config.lag or fit_len >= panel.train_len:
         raise ValueError(f"training period of {panel.train_len} timepoints cannot be split for hold-out validation")
+    grid = list(product(sorted(grid_root), sorted(grid_mid)))
+    fit_panel = panel.with_train_len(fit_len)
+    results = train_batch(fit_panel, h, [RegWeights.build(h, *lam) for lam in grid], config)
+    val_tps = range(fit_len + 1, panel.train_len + 1)
+    actual = panel.values[:, [t - 1 for t in val_tps]]
     best: tuple[float, float, float, float] | None = None
-    for l_root, l_mid in product(sorted(grid_root), sorted(grid_mid)):
-        reg = RegWeights.build(h, l_root, l_mid)
-        score = _validation_score(panel, h, fit_len, reg, config)
+    for (l_root, l_mid), result in zip(grid, results):
+        coherent = aggregate_bottom(h, predict_bottom(result.params, fit_panel, config, val_tps))
+        score = float(np.mean(np.sqrt(np.mean((actual - coherent) ** 2, axis=1))))
         key = (score, l_root + l_mid, l_root, l_mid)
         if best is None or key < best:
             best = key

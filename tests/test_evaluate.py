@@ -163,14 +163,19 @@ def test_sweep_modes_agree_at_zero_and_single_trial_is_raw_diff(tree, panel):
     curves = reg_sweep(panel, tree, [0.0, 0.4], [7], cfg)
     for mode in ("(x,0)", "(0,x)", "(x,x)"):
         assert curves[mode]["average"][0] == 0.0
-    # single trial: curves equal the raw per-seed differences
-    from htsreg.evaluate import _sr_trial_rmses
+    # single trial: curves equal the raw per-seed differences of separate runs
     from dataclasses import replace
 
+    from htsreg.trainer import forecast_timepoints, predict_bottom
+
     cfg7 = replace(cfg, seed=7)
-    base = _sr_trial_rmses(panel, tree, (0.0, 0.0), cfg7)
-    point = _sr_trial_rmses(panel, tree, (0.4, 0.0), cfg7)
-    assert curves["(x,0)"]["average"][1] == pytest.approx(point["average"] - base["average"], abs=1e-15)
+
+    def average_rmse(lam):
+        result = train(panel, tree, RegWeights.build(tree, *lam), cfg7)
+        coherent = aggregate_bottom(tree, predict_bottom(result.params, panel, cfg7, forecast_timepoints(panel)))
+        return float(np.sqrt(np.mean((panel.values[:, panel.train_len:] - coherent) ** 2, axis=1)).mean())
+
+    assert curves["(x,0)"]["average"][1] == average_rmse((0.4, 0.0)) - average_rmse((0.0, 0.0))
 
 
 def test_sweep_requires_zero_in_grid(tree, panel):
