@@ -13,7 +13,6 @@ from .evaluate import (
     EvalReport,
     MethodSpec,
     TrialSummary,
-    epoch_trace,
     make_epoch_hook,
     node_report,
     reg_sweep,
@@ -33,21 +32,18 @@ from .hierarchy import (
     write_hierarchy_json,
 )
 from .neuralnet import (
-    ForwardTrace,
     NetworkDims,
     NetworkParams,
     activation,
-    activation_prime,
     forward,
     init_params,
     load_checkpoint,
     save_checkpoint,
 )
-from .panel import Scaler, SeriesPanel, lagged_input, load_panel_csv, standardize, write_panel_csv
+from .panel import Scaler, SeriesPanel, lagged_design, load_panel_csv, standardize, write_panel_csv
 from .reconcile import (
     MintInfo,
     UnbiasednessCheck,
-    bottom_up,
     check_unbiasedness,
     estimate_w_sample,
     historical_proportions,
@@ -64,15 +60,11 @@ from .synthgen import (
     preset_params,
 )
 from .trainer import (
-    Gradients,
     RegWeights,
     TrainConfig,
     TrainResult,
     TrainingDiverged,
-    error_at_t,
-    gradients_at_t,
-    hidden_delta,
-    output_delta,
+    loss_and_grads,
     predict_all_nodes,
     predict_bottom,
     forecast_timepoints,

@@ -19,14 +19,14 @@ from .evaluate import (
 )
 from .hierarchy import (
     HierarchySpec,
+    aggregate_bottom,
     check_coherence,
     load_hierarchy_json,
     summing_matrix,
 )
 from .neuralnet import save_checkpoint
-from .panel import SeriesPanel, load_panel_csv, standardize, write_panel_csv
+from .panel import SeriesPanel, _read_wide_csv, _write_wide_csv, load_panel_csv, standardize, write_panel_csv
 from .reconcile import (
-    bottom_up,
     check_unbiasedness,
     historical_proportions,
     mint_reconcile,
@@ -124,44 +124,16 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- reconcile
 
-def _read_base_csv(path: str, h: HierarchySpec) -> tuple[dict[int, np.ndarray], int]:
-    """Wide base-forecast CSV; only the columns a method needs must be present."""
-    with open(path, encoding="utf-8", newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows or not rows[0] or rows[0][0] != "t":
-        raise ConfigError(f"{path}: first column must be 't'")
-    try:
-        nodes = [int(c) for c in rows[0][1:]]
-    except ValueError as exc:
-        raise ConfigError(f"{path}: non-integer column name: {exc}") from exc
-    body = [r for r in rows[1:] if r]
-    for j, r in enumerate(body):
-        if len(r) != len(rows[0]):
-            raise ConfigError(f"{path}: row {j + 2} has {len(r)} fields, expected {len(rows[0])}")
-    data = {
-        node: np.array([float(r[i + 1]) for r in body])
-        for i, node in enumerate(nodes)
-    }
-    return data, len(body)
-
-
-def _write_wide_csv(node_ids: tuple[int, ...], values: np.ndarray, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["t"] + [str(n) for n in node_ids])
-        for j in range(values.shape[1]):
-            writer.writerow([str(j + 1)] + [f"{v:.17g}" for v in values[:, j]])
-
-
 def cmd_reconcile(args: argparse.Namespace) -> int:
     h = load_hierarchy_json(args.hierarchy)
-    base, _ = _read_base_csv(args.base, h)
+    nodes, data = _read_wide_csv(args.base)  # only the columns a method needs must be present
+    base = dict(zip(nodes, data))
     s = summing_matrix(h)
 
     if args.method == "bu":
         for b in h.bottom_ids:
             _need(b in base, "base", f"bottom-up needs a column for bottom node {b}")
-        coherent = bottom_up(h, np.vstack([base[b] for b in h.bottom_ids]))
+        coherent = aggregate_bottom(h, np.vstack([base[b] for b in h.bottom_ids]))
         n_bottom = h.n_bottom
         p = np.hstack([np.zeros((n_bottom, h.n_nodes - n_bottom)), np.eye(n_bottom)])
         gamma, w_cond = None, None
@@ -184,7 +156,7 @@ def cmd_reconcile(args: argparse.Namespace) -> int:
         coherent, info = mint_reconcile(h, all_base, w, return_info=True)
         p, gamma, w_cond = info.p_matrix, info.gamma, info.w_condition
 
-    _write_wide_csv(h.node_ids, coherent, args.out)
+    _write_wide_csv(args.out, h.node_ids, coherent)
     diag = {
         "method": args.method,
         "sps_max_deviation": check_unbiasedness(p, s).max_deviation,

@@ -11,16 +11,13 @@ from scipy.special import stdtrit
 
 from .baselines import BaselineChoice, es_forecast, ma_forecast, select_param
 from .hierarchy import HierarchySpec, aggregate_bottom
-from .neuralnet import NetworkParams
-from .panel import Scaler, SeriesPanel
+from .neuralnet import NetworkParams, forward
+from .panel import Scaler, SeriesPanel, lagged_design
 from .reconcile import estimate_w_sample, mint_reconcile
 from .trainer import (
-    _forward,
     DEFAULT_LAMBDA_GRID,
     RegWeights,
     TrainConfig,
-    TrainResult,
-    bottom_design,
     forecast_timepoints,
     predict_all_nodes,
     predict_bottom,
@@ -124,21 +121,14 @@ def _level_rmses(h: HierarchySpec, actual: np.ndarray, forecast: np.ndarray) -> 
 
 def make_epoch_hook(panel: SeriesPanel, h: HierarchySpec, config: TrainConfig):
     """Hook recording per-level test RMSE of bottom-up forecasts after each epoch."""
-    x = bottom_design(panel, config.lag, forecast_timepoints(panel))
+    x = lagged_design(panel.bottom_values, config.lag, forecast_timepoints(panel))
     actual = panel.values[:, panel.train_len:]
 
     def hook(epoch: int, params: NetworkParams) -> dict[str, float]:
-        u3 = _forward(params, x, config.activation)[1]
+        u3 = forward(params, x, config.activation)[1]
         return _level_rmses(h, actual, aggregate_bottom(h, u3.T))
 
     return hook
-
-
-def epoch_trace(result: TrainResult) -> list[dict[str, float]]:
-    """Per-epoch level RMSEs captured by the trace hook during training."""
-    if not result.epoch_eval:
-        raise ValueError("training run recorded no epoch evaluations; train with an epoch hook")
-    return list(result.epoch_eval)
 
 
 SWEEP_MODES = ("(x,0)", "(0,x)", "(x,x)")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
@@ -51,16 +52,11 @@ class HierarchySpec:
         """Direct children of ``node``, ascending."""
         return tuple(sorted(c for c, p in self.parent.items() if p == node))
 
-    def bottom_descendants(self, node: int) -> tuple[int, ...]:
-        """Bottom-level descendants of ``node``, ascending.
-
-        For a bottom node this is the node itself.
-        """
-        if self.level[node] == 2:
-            return (node,)
-        if self.level[node] == 1:
-            return self.children(node)
-        return self.bottom_ids
+    @cached_property
+    def upper_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Positions of the bottom rows summed into each upper node (root, then mids), ascending."""
+        pos = {b: i for i, b in enumerate(self.bottom_ids)}
+        return (tuple(range(self.n_bottom)),) + tuple(tuple(pos[c] for c in self.children(m)) for m in self.mid_ids)
 
 
 def build_hierarchy(parent_map: Mapping[int, int]) -> HierarchySpec:
@@ -143,7 +139,7 @@ def summing_matrix(h: HierarchySpec) -> np.ndarray:
     return _readonly(np.vstack([structure_matrix(h), np.eye(h.n_bottom)]))
 
 
-def _ordered_sum(rows: np.ndarray, indices: list[int]) -> np.ndarray:
+def _ordered_sum(rows: np.ndarray, indices: tuple[int, ...]) -> np.ndarray:
     # Left-to-right accumulation in ascending node order keeps upper-level
     # sums bit-reproducible; check_coherence relies on the identical order.
     acc = rows[indices[0]].copy()
@@ -169,10 +165,8 @@ def aggregate_bottom(h: HierarchySpec, y_bottom: np.ndarray) -> np.ndarray:
         )
     if yb.shape[1] < 1:
         raise ValueError("need at least one column")
-    bottom_pos = {b: i for i, b in enumerate(h.bottom_ids)}
     out = np.empty((h.n_nodes, yb.shape[1]), dtype=yb.dtype)
-    for r, node in enumerate(h.upper_ids):
-        idx = [bottom_pos[b] for b in h.bottom_descendants(node)]
+    for r, idx in enumerate(h.upper_rows):
         out[r] = _ordered_sum(yb, idx)
     out[len(h.upper_ids):] = yb
     return out[:, 0] if squeeze else out
@@ -212,12 +206,9 @@ def check_coherence(h: HierarchySpec, panel: np.ndarray, tol: float = 0.0) -> Co
         raise ValueError(f"expected {h.n_nodes} rows, got {vals.shape[0]}")
     n_upper = len(h.upper_ids)
     bottom = vals[n_upper:]
-    bottom_pos = {b: i for i, b in enumerate(h.bottom_ids)}
     violations: dict[int, float] = {}
-    for r, node in enumerate(h.upper_ids):
-        idx = [bottom_pos[b] for b in h.bottom_descendants(node)]
-        expected = _ordered_sum(bottom, idx)
-        violations[node] = float(np.max(np.abs(vals[r] - expected)))
+    for r, (node, idx) in enumerate(zip(h.upper_ids, h.upper_rows)):
+        violations[node] = float(np.max(np.abs(vals[r] - _ordered_sum(bottom, idx))))
     flagged = tuple(n for n, v in violations.items() if v > tol)
     return CoherenceReport(violations=violations, flagged=flagged, tol=tol)
 

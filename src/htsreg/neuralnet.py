@@ -19,11 +19,6 @@ class NetworkDims:
         if min(self.input_dim, self.hidden_dim, self.output_dim) < 1:
             raise ValueError(f"all dimensions must be positive, got {self}")
 
-    @classmethod
-    def for_input(cls, input_dim: int, output_dim: int) -> "NetworkDims":
-        """Default sizing: hidden layer twice as wide as the input."""
-        return cls(input_dim=input_dim, hidden_dim=2 * input_dim, output_dim=output_dim)
-
 
 @dataclass
 class NetworkParams:
@@ -40,16 +35,6 @@ class NetworkParams:
 
     def copy(self) -> "NetworkParams":
         return NetworkParams(self.w2.copy(), self.b2.copy(), self.w3.copy(), self.b3.copy())
-
-
-@dataclass(frozen=True)
-class ForwardTrace:
-    """Intermediate values of one forward pass, kept for backpropagation."""
-
-    z1: np.ndarray  # input
-    u2: np.ndarray  # hidden pre-activation
-    z2: np.ndarray  # hidden activation
-    u3: np.ndarray  # output
 
 
 def init_params(dims: NetworkDims, seed: int, bias: bool = True) -> NetworkParams:
@@ -86,29 +71,14 @@ def activation(u: np.ndarray | float, kind: str) -> np.ndarray | float:
     return out if np.ndim(u) else float(out)
 
 
-def activation_prime(u: np.ndarray | float, kind: str) -> np.ndarray | float:
-    """Derivative of :func:`activation`; the rectifier uses f'(0) = 0."""
-    if kind == "sigmoid":
-        s = activation(u, "sigmoid")
-        return s * (1.0 - s)
-    if kind == "relu":
-        arr = np.asarray(u, dtype=np.float64)
-        out = np.where(arr > 0, 1.0, 0.0)
-        return out if np.ndim(u) else float(out)
-    raise ValueError(f"unknown activation kind {kind!r}")
+def forward(params: NetworkParams, x: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden activations z2 = f(x W2' + b2) and linear outputs u3 = z2 W3' + b3 for the rows of x.
 
-
-def forward(params: NetworkParams, x: np.ndarray, kind: str = "sigmoid") -> ForwardTrace:
-    """u2 = W2 x + b2;  z2 = f(u2);  u3 = W3 z2 + b3 (linear output)."""
-    z1 = np.asarray(x, dtype=np.float64)
-    if z1.shape != (params.w2.shape[1],):
-        raise ValueError(
-            f"input shape {z1.shape} does not match network input dim {params.w2.shape[1]}"
-        )
-    u2 = params.w2 @ z1 + params.b2
-    z2 = activation(u2, kind)
-    u3 = params.w3 @ z2 + params.b3
-    return ForwardTrace(z1=z1, u2=u2, z2=z2, u3=u3)
+    The weights may carry a leading model axis (biases shaped (K, 1, n));
+    each model's slice then gives the same bits as a network of its own.
+    """
+    z2 = activation(x @ np.swapaxes(params.w2, -1, -2) + params.b2, kind)
+    return z2, z2 @ np.swapaxes(params.w3, -1, -2) + params.b3
 
 
 def save_checkpoint(params: NetworkParams, path: str | Path, seed: int | None = None) -> None:

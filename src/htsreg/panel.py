@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -125,31 +126,32 @@ def standardize(panel: SeriesPanel) -> tuple[SeriesPanel, Scaler]:
     return scaler.transform(panel), scaler
 
 
-def lagged_input(panel: SeriesPanel, t: int, lag: int) -> np.ndarray:
-    """Concatenated bottom-level lags (y_{t-lag}, ..., y_{t-1}).
+def lagged_design(rows: np.ndarray, lag: int, timepoints: range | list[int]) -> np.ndarray:
+    """One input row (y_{t-lag}, ..., y_{t-1}) of the series ``rows`` per timepoint t.
 
-    ``t`` is a 1-based timepoint; t = n_time + 1 addresses the first point
-    past the panel. Oldest lag first, bottom nodes in canonical order
-    within each lag block.
+    ``rows`` is a series-by-time matrix and ``t`` a 1-based timepoint;
+    t = n_time + 1 addresses the first point past the data. Oldest lag
+    first, series in row order within each lag block.
     """
     if lag < 1:
         raise ValueError("lag must be >= 1")
-    if t <= lag:
-        raise ValueError(f"timepoint {t} has fewer than {lag} preceding observations")
-    if t > panel.n_time + 1:
-        raise ValueError(f"timepoint {t} beyond panel horizon {panel.n_time + 1}")
-    block = panel.bottom_values[:, t - 1 - lag: t - 1]
-    return block.T.reshape(-1).copy()
+    tps = np.asarray(timepoints, dtype=np.intp)
+    n_time = rows.shape[1]
+    if tps.size and tps.min() <= lag:
+        raise ValueError(f"timepoint {tps.min()} has fewer than {lag} preceding observations")
+    if tps.size and tps.max() > n_time + 1:
+        raise ValueError(f"timepoint {tps.max()} beyond panel horizon {n_time + 1}")
+    # windows[:, s] holds columns s .. s + lag - 1, the lags of timepoint s + lag + 1.
+    windows = np.lib.stride_tricks.sliding_window_view(rows, lag, axis=1)
+    return windows[:, tps - 1 - lag].transpose(1, 2, 0).reshape(len(tps), -1)
 
 
-def load_panel_csv(path: str | Path, h: HierarchySpec, train_len: int | None = None) -> SeriesPanel:
-    """Read a wide CSV (column ``t`` plus one column per node id).
+def _read_wide_csv(path: str | Path) -> tuple[list[int], np.ndarray]:
+    """Column node ids and the node-by-time matrix of a wide CSV.
 
-    Bottom-level columns are mandatory; missing upper-level columns are
-    synthesized by aggregation, present ones are kept verbatim. Timestamps
-    must be strictly increasing integers; they are validated and then
-    replaced by positions 1..T. ``train_len`` defaults to 70% of T
-    (floored, clamped to [1, T-1]).
+    The first column is ``t``, the others are distinct integer node ids.
+    Timestamps must be strictly increasing integers and every cell a
+    finite number; the timestamps are then dropped.
     """
     with open(path, encoding="utf-8", newline="") as f:
         rows = list(csv.reader(f))
@@ -160,19 +162,10 @@ def load_panel_csv(path: str | Path, h: HierarchySpec, train_len: int | None = N
         col_nodes = [int(c) for c in header[1:]]
     except ValueError as exc:
         raise ValueError(f"{path}: non-integer column name in header: {exc}") from exc
-    known = set(h.node_ids)
-    for c in col_nodes:
-        if c not in known:
-            raise ValueError(f"{path}: column {c} is not a node of the hierarchy")
     if len(set(col_nodes)) != len(col_nodes):
         raise ValueError(f"{path}: duplicate node column")
-    for b in h.bottom_ids:
-        if b not in col_nodes:
-            raise ValueError(f"{path}: missing required bottom-level column for node {b}")
 
     body = [r for r in rows[1:] if r]
-    if len(body) < 2:
-        raise ValueError(f"{path}: need at least 2 data rows")
     times: list[int] = []
     data = np.empty((len(col_nodes), len(body)), dtype=np.float64)
     for j, row in enumerate(body):
@@ -190,11 +183,45 @@ def load_panel_csv(path: str | Path, h: HierarchySpec, train_len: int | None = N
         times.append(tval)
         for i, cell in enumerate(row[1:]):
             try:
-                data[i, j] = float(cell)
+                value = float(cell)
             except ValueError as exc:
                 raise ValueError(
                     f"{path}: non-numeric cell {cell!r} in row {j + 2}, column {header[i + 1]}"
                 ) from exc
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: non-finite cell {cell!r} in row {j + 2}, column {header[i + 1]}")
+            data[i, j] = value
+    return col_nodes, data
+
+
+def _write_wide_csv(path: str | Path, node_ids: tuple[int, ...], values: np.ndarray) -> None:
+    """Write a node-by-time matrix as a wide CSV with t = 1..T; reading it back is bitwise."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["t"] + [str(n) for n in node_ids])
+        for j in range(values.shape[1]):
+            writer.writerow([str(j + 1)] + [f"{v:.17g}" for v in values[:, j]])
+
+
+def load_panel_csv(path: str | Path, h: HierarchySpec, train_len: int | None = None) -> SeriesPanel:
+    """Read a wide CSV (column ``t`` plus one column per node id).
+
+    Bottom-level columns are mandatory; missing upper-level columns are
+    synthesized by aggregation, present ones are kept verbatim. Timestamps
+    must be strictly increasing integers; they are validated and then
+    replaced by positions 1..T. ``train_len`` defaults to 70% of T
+    (floored, clamped to [1, T-1]).
+    """
+    col_nodes, data = _read_wide_csv(path)
+    known = set(h.node_ids)
+    for c in col_nodes:
+        if c not in known:
+            raise ValueError(f"{path}: column {c} is not a node of the hierarchy")
+    for b in h.bottom_ids:
+        if b not in col_nodes:
+            raise ValueError(f"{path}: missing required bottom-level column for node {b}")
+    if data.shape[1] < 2:
+        raise ValueError(f"{path}: need at least 2 data rows")
 
     col_pos = {c: i for i, c in enumerate(col_nodes)}
     bottom = np.vstack([data[col_pos[b]] for b in h.bottom_ids])
@@ -211,8 +238,4 @@ def load_panel_csv(path: str | Path, h: HierarchySpec, train_len: int | None = N
 
 def write_panel_csv(panel: SeriesPanel, path: str | Path) -> None:
     """Write the panel as a wide CSV; re-loading restores it bitwise."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["t"] + [str(n) for n in panel.node_ids])
-        for j in range(panel.n_time):
-            writer.writerow([str(j + 1)] + [f"{v:.17g}" for v in panel.values[:, j]])
+    _write_wide_csv(path, panel.node_ids, panel.values)

@@ -13,14 +13,6 @@ from .panel import SeriesPanel
 _GAMMA_LADDER = tuple(1e-8 * 10.0 ** k for k in range(7))  # 1e-8 .. 1e-2
 
 
-def bottom_up(h: HierarchySpec, base_bottom: np.ndarray) -> np.ndarray:
-    """Keep bottom base forecasts and aggregate them upward (exactly coherent)."""
-    yb = np.asarray(base_bottom, dtype=np.float64)
-    if yb.ndim not in (1, 2) or yb.shape[0] != h.n_bottom:
-        raise ValueError(f"expected {h.n_bottom} bottom rows, got shape {yb.shape}")
-    return aggregate_bottom(h, yb)
-
-
 def historical_proportions(panel: SeriesPanel, train_len: int | None = None) -> np.ndarray:
     """p_i = (training total of bottom node i) / (training total of the root).
 

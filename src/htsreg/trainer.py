@@ -24,16 +24,8 @@ from typing import Callable
 import numpy as np
 
 from .hierarchy import HierarchySpec, aggregate_bottom, structure_matrix
-from .neuralnet import (
-    ForwardTrace,
-    NetworkDims,
-    NetworkParams,
-    activation,
-    activation_prime,
-    forward,
-    init_params,
-)
-from .panel import SeriesPanel, lagged_input
+from .neuralnet import NetworkDims, NetworkParams, activation, forward, init_params
+from .panel import SeriesPanel, lagged_design
 
 DEFAULT_LAMBDA_GRID: tuple[float, ...] = tuple(round(0.1 * i, 1) for i in range(31))
 # Models per stacked run in train_batch. Per-model epoch cost is flat up to
@@ -93,14 +85,6 @@ class TrainResult:
     epoch_eval: list = field(default_factory=list)  # hook outputs, one per epoch
 
 
-@dataclass(frozen=True)
-class Gradients:
-    w2: np.ndarray
-    b2: np.ndarray
-    w3: np.ndarray
-    b3: np.ndarray
-
-
 class TrainingDiverged(RuntimeError):
     """Objective became non-finite during training."""
 
@@ -121,60 +105,34 @@ def forecast_timepoints(panel: SeriesPanel) -> range:
     return range(panel.train_len + 1, panel.n_time + 1)
 
 
-def _split_targets(y_t: np.ndarray, n_upper: int, n_bottom: int) -> tuple[np.ndarray, np.ndarray]:
-    y = np.asarray(y_t, dtype=np.float64)
-    if y.shape != (n_upper + n_bottom,):
-        raise ValueError(f"expected observation vector of length {n_upper + n_bottom}, got {y.shape}")
-    return y[:n_upper], y[n_upper:]
+def loss_and_grads(params: NetworkParams, x: np.ndarray, yb: np.ndarray, yu: np.ndarray,
+                   H: np.ndarray, lam: np.ndarray, kind: str) -> tuple[np.ndarray, NetworkParams]:
+    """Objective sum_t E_t over the rows of (x, yb, yu) and its gradient.
 
+    Row t holds a network input and its bottom and upper targets; ``lam``
+    is the weight vector. The weights may carry a leading model axis,
+    with biases shaped (K, 1, n) and ``lam`` (K, 1, |U|): the objective is
+    then one value per model, and each model's objective and gradient
+    have the bits of a call on that model alone. The gradient comes from
+    the closed-form deltas
 
-def error_from_output(u3: np.ndarray, y_upper: np.ndarray, y_bottom: np.ndarray,
-                      lam: np.ndarray, H: np.ndarray) -> float:
-    res_b = y_bottom - u3
-    res_u = lam * (y_upper - H @ u3)
-    return 0.5 * float(res_b @ res_b) + 0.5 * float(res_u @ res_u)
+        d3 = (u3 - y^B) - Lambda^2 (y^U - H u3) H,   d2 = (d3 W3) * f'(u2),
 
-
-def error_at_t(trace: ForwardTrace, y_t: np.ndarray, reg: RegWeights, H: np.ndarray) -> float:
-    """Weighted squared error of one forecast against the full observation vector."""
-    y_upper, y_bottom = _split_targets(y_t, H.shape[0], H.shape[1])
-    return error_from_output(trace.u3, y_upper, y_bottom, reg.vec, H)
-
-
-def output_delta(u3: np.ndarray, y_t: np.ndarray, reg: RegWeights, H: np.ndarray) -> np.ndarray:
-    """dE_t/du3 = -[H' Lam^2, I] y_t + (I + H' Lam^2 H) u3."""
-    y_upper, y_bottom = _split_targets(y_t, H.shape[0], H.shape[1])
-    ht_lam2 = H.T * (reg.vec * reg.vec)
-    return -(ht_lam2 @ y_upper + y_bottom) + (u3 + ht_lam2 @ (H @ u3))
-
-
-def hidden_delta(delta3: np.ndarray, params: NetworkParams, trace: ForwardTrace, kind: str) -> np.ndarray:
-    """dE_t/du2 = (W3' delta3) * f'(u2)."""
-    return (params.w3.T @ delta3) * activation_prime(trace.u2, kind)
-
-
-def gradients_at_t(params: NetworkParams, x: np.ndarray, y_t: np.ndarray,
-                   reg: RegWeights, H: np.ndarray, kind: str = "sigmoid") -> Gradients:
-    """Per-parameter gradients of E_t: outer products of the deltas with the layer inputs."""
-    trace = forward(params, x, kind)
-    d3 = output_delta(trace.u3, y_t, reg, H)
-    d2 = hidden_delta(d3, params, trace, kind)
-    return Gradients(
-        w2=np.outer(d2, trace.z1),
-        b2=d2,
-        w3=np.outer(d3, trace.z2),
-        b3=d3,
-    )
-
-
-def _forward(params: NetworkParams, x: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden activations and outputs for the rows of x.
-
-    The weights may carry a leading model axis (biases shaped (K, 1, n));
-    each model's slice then gives the same bits as a network of its own.
+    summed over rows as outer products with each layer's input.
     """
+    # neuralnet.forward, written out so that this module calls activation through its own
+    # import: perfbench/tests/test_trace.py needs such a call to show that its tracer counts it.
     z2 = activation(x @ np.swapaxes(params.w2, -1, -2) + params.b2, kind)
-    return z2, z2 @ np.swapaxes(params.w3, -1, -2) + params.b3
+    u3 = z2 @ np.swapaxes(params.w3, -1, -2) + params.b3
+    res_b = u3 - yb
+    res_u = yu - u3 @ H.T
+    upper = res_u * lam
+    objective = 0.5 * (res_b * res_b).sum(axis=(-2, -1)) + 0.5 * (upper * upper).sum(axis=(-2, -1))
+    d3 = res_b - (res_u * (lam * lam)) @ H  # not (res_u * lam) * lam, which rounds differently
+    d2 = (d3 @ params.w3) * (z2 * (1.0 - z2) if kind == "sigmoid" else z2 > 0)
+    grads = NetworkParams(w2=np.swapaxes(d2, -1, -2) @ x, b2=d2.sum(axis=-2).reshape(params.b2.shape),
+                          w3=np.swapaxes(d3, -1, -2) @ z2, b3=d3.sum(axis=-2).reshape(params.b3.shape))
+    return objective, grads
 
 
 def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lams: np.ndarray,
@@ -194,7 +152,6 @@ def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lams: np.
     kind, eta, keep_rate = config.activation, config.eta, 1.0 - config.eps
     hooks = list(epoch_hooks) if epoch_hooks is not None else [None] * len(params)
     lam = np.asarray(lams, dtype=np.float64).reshape(len(params), 1, -1)
-    lam2 = lam * lam
     net = NetworkParams(w2=np.stack([p.w2 for p in params]), b2=np.stack([p.b2 for p in params])[:, None],
                         w3=np.stack([p.w3 for p in params]), b3=np.stack([p.b3 for p in params])[:, None])
     live = list(range(len(params)))  # original index of each stacked model
@@ -203,6 +160,9 @@ def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lams: np.
     evals: list[list] = [[] for _ in params]
     results: list[TrainResult | None] = [None] * len(params)
     diverged_at: int | None = None
+
+    def take(p: NetworkParams, keep: list[int]) -> NetworkParams:
+        return NetworkParams(p.w2[keep], p.b2[keep], p.w3[keep], p.b3[keep])
 
     def model(pos: int) -> NetworkParams:
         return NetworkParams(net.w2[pos], net.b2[pos, 0], net.w3[pos], net.b3[pos, 0])
@@ -214,29 +174,16 @@ def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lams: np.
         results[k] = TrainResult(params=p, objective=np.asarray(objective[k]), epochs=epochs,
                                  reason=reason, epoch_eval=evals[k])
 
-    # Forward values and residuals at the current parameters; the objective's
-    # residuals are reused by the next epoch's output delta. Every stacked
-    # operation, the sums over axes (1, 2) included, visits each model's block
-    # in the order the 2-D operation would, which keeps the bits identical.
-    z2, u3 = _forward(net, x, kind)
-    res_b = u3 - yb
-    res_u = yu - u3 @ H.T
+    _, grads = loss_and_grads(net, x, yb, yu, H, lam, kind)
     epoch = 0
     while epoch < config.max_epochs and live:
         epoch += 1
-        d3 = res_b - (res_u * lam2) @ H
-        d2 = (d3 @ net.w3) * (z2 * (1.0 - z2) if kind == "sigmoid" else z2 > 0)
-        net.w2 -= eta * (d2.transpose(0, 2, 1) @ x)
-        net.w3 -= eta * (d3.transpose(0, 2, 1) @ z2)
+        net.w2 -= eta * grads.w2
+        net.w3 -= eta * grads.w3
         if config.bias:
-            net.b2 -= eta * d2.sum(axis=1, keepdims=True)
-            net.b3 -= eta * d3.sum(axis=1, keepdims=True)
-
-        z2, u3 = _forward(net, x, kind)
-        res_b = u3 - yb
-        res_u = yu - u3 @ H.T
-        upper = res_u * lam
-        e_new = 0.5 * (res_b * res_b).sum(axis=(1, 2)) + 0.5 * (upper * upper).sum(axis=(1, 2))
+            net.b2 -= eta * grads.b2
+            net.b3 -= eta * grads.b3
+        e_new, grads = loss_and_grads(net, x, yb, yu, H, lam, kind)
 
         leaving = []  # stack positions of models that stop this epoch
         for pos, e in enumerate(e_new.tolist()):
@@ -257,8 +204,7 @@ def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lams: np.
             gone = set(leaving)
             keep = [pos for pos in range(len(live)) if pos not in gone]
             live = [live[pos] for pos in keep]
-            net = NetworkParams(net.w2[keep], net.b2[keep], net.w3[keep], net.b3[keep])
-            lam, lam2, z2, u3, res_b, res_u = lam[keep], lam2[keep], z2[keep], u3[keep], res_b[keep], res_u[keep]
+            net, grads, lam = take(net, keep), take(grads, keep), lam[keep]
 
     for pos in range(len(live)):
         finish(pos, epoch, "max_epochs")
@@ -267,40 +213,30 @@ def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lams: np.
     return results
 
 
-def bottom_design(panel: SeriesPanel, lag: int, timepoints: range | list[int]) -> np.ndarray:
-    """Stacked lagged bottom-level inputs, one row per timepoint."""
-    return np.stack([lagged_input(panel, t, lag) for t in timepoints])
+def _design(panel: SeriesPanel, n_upper: int, config: TrainConfig
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, NetworkDims]:
+    """Training rows of a network forecasting the panel rows from ``n_upper`` on from their own lags.
 
-
-def _design_bottom(panel: SeriesPanel, lag: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    tps = training_timepoints(panel, lag)
+    Returns the lagged inputs, the targets of those rows and of the rows
+    above them, and the network size (hidden width from the config, or
+    twice the input width).
+    """
+    tps = training_timepoints(panel, config.lag)
     if len(tps) == 0:
-        raise ValueError(f"training period of length {panel.train_len} leaves no usable timepoints at lag {lag}")
-    x = bottom_design(panel, lag, tps)
-    n_upper = panel.n_nodes - panel.n_bottom
-    cols = [t - 1 for t in tps]
-    yu = panel.values[:n_upper][:, cols].T
-    yb = panel.values[n_upper:][:, cols].T
-    return x, yb, yu
-
-
-def lagged_input_all(panel: SeriesPanel, t: int, lag: int) -> np.ndarray:
-    """All-node lag vector (every node, not just bottoms), oldest lag first."""
-    if t <= lag:
-        raise ValueError(f"timepoint {t} has fewer than {lag} preceding observations")
-    if t > panel.n_time + 1:
-        raise ValueError(f"timepoint {t} beyond panel horizon {panel.n_time + 1}")
-    return panel.values[:, t - 1 - lag: t - 1].T.reshape(-1).copy()
+        raise ValueError(f"training period of length {panel.train_len} leaves no usable timepoints at lag {config.lag}")
+    rows = panel.values[n_upper:]
+    targets = panel.values[:, [t - 1 for t in tps]].T
+    input_dim = config.lag * rows.shape[0]
+    hidden = config.hidden_dim if config.hidden_dim is not None else 2 * input_dim
+    dims = NetworkDims(input_dim=input_dim, hidden_dim=hidden, output_dim=rows.shape[0])
+    return lagged_design(rows, config.lag, tps), targets[:, n_upper:], targets[:, :n_upper], dims
 
 
 def _bottom_problem(panel: SeriesPanel, h: HierarchySpec, config: TrainConfig
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, NetworkDims]:
     if panel.node_ids != h.node_ids:
         raise ValueError("panel node order does not match hierarchy")
-    x, yb, yu = _design_bottom(panel, config.lag)
-    input_dim = config.lag * h.n_bottom
-    hidden = config.hidden_dim if config.hidden_dim is not None else 2 * input_dim
-    dims = NetworkDims(input_dim=input_dim, hidden_dim=hidden, output_dim=h.n_bottom)
+    x, yb, yu, dims = _design(panel, panel.n_nodes - panel.n_bottom, config)
     return x, yb, yu, np.asarray(structure_matrix(h)), dims
 
 
@@ -336,15 +272,8 @@ def train_batch(panel: SeriesPanel, h: HierarchySpec, regs: list[RegWeights],
 
 def _all_node_problem(panel: SeriesPanel, config: TrainConfig
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, NetworkDims]:
-    tps = training_timepoints(panel, config.lag)
-    if len(tps) == 0:
-        raise ValueError(f"training period of length {panel.train_len} leaves no usable timepoints at lag {config.lag}")
-    x = np.stack([lagged_input_all(panel, t, config.lag) for t in tps])
-    y = panel.values[:, [t - 1 for t in tps]].T
-    input_dim = config.lag * panel.n_nodes
-    hidden = config.hidden_dim if config.hidden_dim is not None else 2 * input_dim
-    dims = NetworkDims(input_dim=input_dim, hidden_dim=hidden, output_dim=panel.n_nodes)
-    return x, y, np.zeros((x.shape[0], 0)), np.zeros((0, panel.n_nodes)), dims
+    x, y, yu, dims = _design(panel, 0, config)
+    return x, y, yu, np.zeros((0, panel.n_nodes)), dims
 
 
 def train_all_node_base(panel: SeriesPanel, config: TrainConfig,
@@ -363,14 +292,13 @@ def train_all_node_base(panel: SeriesPanel, config: TrainConfig,
 def predict_bottom(params: NetworkParams, panel: SeriesPanel, config: TrainConfig,
                    timepoints: range | list[int]) -> np.ndarray:
     """One-step bottom-level forecasts (|B| x len) from actual lagged inputs."""
-    return _forward(params, bottom_design(panel, config.lag, timepoints), config.activation)[1].T
+    return forward(params, lagged_design(panel.bottom_values, config.lag, timepoints), config.activation)[1].T
 
 
 def predict_all_nodes(params: NetworkParams, panel: SeriesPanel, config: TrainConfig,
                       timepoints: range | list[int]) -> np.ndarray:
     """One-step all-node forecasts (|N| x len) from the all-node base network."""
-    x = np.stack([lagged_input_all(panel, t, config.lag) for t in timepoints])
-    return _forward(params, x, config.activation)[1].T
+    return forward(params, lagged_design(panel.values, config.lag, timepoints), config.activation)[1].T
 
 
 def tune_lambda(panel: SeriesPanel, h: HierarchySpec,

@@ -21,10 +21,9 @@ from htsreg.hierarchy import (
     structure_matrix,
     summing_matrix,
 )
-from htsreg.neuralnet import NetworkDims, forward, init_params
+from htsreg.neuralnet import NetworkDims, init_params
 from htsreg.panel import SeriesPanel, standardize
 from htsreg.reconcile import (
-    bottom_up,
     check_unbiasedness,
     estimate_w_sample,
     mint_reconcile,
@@ -33,8 +32,7 @@ from htsreg.synthgen import generate_dataset, generate_factors, preset_hierarchy
 from htsreg.trainer import (
     RegWeights,
     TrainConfig,
-    error_from_output,
-    gradients_at_t,
+    loss_and_grads,
     predict_all_nodes,
     forecast_timepoints,
     train,
@@ -76,7 +74,11 @@ def paired_trials(ngtvc_panel):
 
 
 def test_criterion_01_gradient_correctness():
-    """Analytic gradients match central finite differences at 1e-5/1e-8."""
+    """Training's analytic gradients match central finite differences at 1e-5/1e-8.
+
+    Both sides come from trainer.loss_and_grads, the function every
+    training epoch calls, on a batch of three timepoints.
+    """
     t0 = time.perf_counter()
     h = build_hierarchy(SMALL_PARENTS)
     hm = structure_matrix(h)
@@ -87,19 +89,19 @@ def test_criterion_01_gradient_correctness():
     for lam in (0.0, 0.7, 2.4):
         reg = RegWeights.build(h, lam, lam)
         params = init_params(dims, seed=int(10 * lam) + 1)
-        x = rng.standard_normal(4)
-        y = rng.standard_normal(7)
-        yu, yb = y[:3], y[3:]
-        g = gradients_at_t(params, x, y, reg, hm)
+        x = rng.standard_normal((3, 4))
+        y = rng.standard_normal((3, 7))
+        yu, yb = y[:, :3], y[:, 3:]
+        _, g = loss_and_grads(params, x, yb, yu, hm, reg.vec, "sigmoid")
         for arr, ga in ((params.w2, g.w2), (params.b2, g.b2), (params.w3, g.w3), (params.b3, g.b3)):
             it = np.nditer(arr, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + eps
-                e_up = error_from_output(forward(params, x).u3, yu, yb, reg.vec, hm)
+                e_up = loss_and_grads(params, x, yb, yu, hm, reg.vec, "sigmoid")[0]
                 arr[idx] = orig - eps
-                e_dn = error_from_output(forward(params, x).u3, yu, yb, reg.vec, hm)
+                e_dn = loss_and_grads(params, x, yb, yu, hm, reg.vec, "sigmoid")[0]
                 arr[idx] = orig
                 fd = (e_up - e_dn) / (2 * eps)
                 ok = ok and abs(ga[idx] - fd) <= max(1e-5 * abs(fd), 1e-8)
@@ -144,7 +146,7 @@ def test_criterion_03_coherence(ngtvc_panel):
     """Bottom-up exact; trace-minimized within 1e-9; SPS = S within 1e-8."""
     h = preset_hierarchy()
     rng = np.random.default_rng(1)
-    bu_report = check_coherence(h, bottom_up(h, rng.standard_normal((9, 30))), tol=0.0)
+    bu_report = check_coherence(h, aggregate_bottom(h, rng.standard_normal((9, 30))), tol=0.0)
 
     cfg = TrainConfig(max_epochs=50, seed=2)
     base_run = train_all_node_base(ngtvc_panel, cfg)

@@ -13,13 +13,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import htsreg
 from htsreg import trainer
 from htsreg.cli import main
 from htsreg.evaluate import make_epoch_hook
-from htsreg.hierarchy import aggregate_bottom, build_hierarchy
-from htsreg.neuralnet import activation, init_params
+from htsreg.hierarchy import aggregate_bottom, build_hierarchy, structure_matrix
+from htsreg.neuralnet import NetworkDims, NetworkParams, activation, init_params
 from htsreg.panel import SeriesPanel, standardize
 from htsreg.trainer import (
     RegWeights,
@@ -29,6 +31,7 @@ from htsreg.trainer import (
     _bottom_problem,
     _fit,
     forecast_timepoints,
+    loss_and_grads,
     predict_bottom,
     train,
     train_all_node_base,
@@ -141,6 +144,27 @@ def test_per_model_hooks_see_single_run_params(tree):
         for (ea, w2a, b3a), (eb, w2b, b3b) in zip(store, own):
             assert ea == eb
             assert np.array_equal(bits(w2a), bits(w2b)) and np.array_equal(bits(b3a), bits(b3b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 5), rows=st.integers(1, 8), input_dim=st.integers(1, 6), hidden=st.integers(1, 9),
+       upper=st.booleans(), kind=st.sampled_from(["sigmoid", "relu"]), seed=st.integers(0, 2**32 - 1))
+def test_stacked_loss_and_grads_slices_equal_single_calls(tree, k, rows, input_dim, hidden, upper, kind, seed):
+    """Model j's slice of a stacked call has the bits of a 2-D call on model j alone."""
+    rng = np.random.default_rng(seed)
+    H = structure_matrix(tree) if upper else np.zeros((0, 4))
+    x, yb, yu = (rng.standard_normal(shape) for shape in ((rows, input_dim), (rows, 4), (rows, H.shape[0])))
+    lams = rng.uniform(0.0, 3.0, (k, H.shape[0]))
+    models = [init_params(NetworkDims(input_dim, hidden, 4), int(s)) for s in rng.integers(0, 2**31, k)]
+    stacked = NetworkParams(*(np.stack([getattr(m, n) for m in models]) for n in ("w2", "b2", "w3", "b3")))
+    stacked.b2, stacked.b3 = stacked.b2[:, None], stacked.b3[:, None]
+    objective, grads = loss_and_grads(stacked, x, yb, yu, H, lams[:, None], kind)
+    assert objective.shape == (k,)
+    for j, model in enumerate(models):
+        e, g = loss_and_grads(model, x, yb, yu, H, lams[j], kind)
+        assert np.float64(e).tobytes() == objective[j].tobytes()
+        for n in ("w2", "b2", "w3", "b3"):
+            assert np.array_equal(bits(getattr(g, n)), bits(getattr(grads, n)[j].reshape(getattr(model, n).shape))), n
 
 
 # ------------------------------------------------------------- divergence

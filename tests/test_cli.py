@@ -117,6 +117,45 @@ def test_reconcile_bottom_up(tmp_path, small_setup):
     assert diag["coherence_max_violation"] == 0.0
 
 
+def bad_base(tmp_path, pcsv, edit):
+    """The panel CSV with ``edit(header, rows)`` applied, as a base-forecast file."""
+    lines = [ln.split(",") for ln in pcsv.read_text().splitlines()]
+    header, rows = lines[0], lines[1:]
+    edit(header, rows)
+    path = tmp_path / "base.csv"
+    path.write_text("\n".join(",".join(r) for r in [header] + rows) + "\n")
+    return path
+
+
+def set_nan(header, rows):
+    rows[4][3] = "nan"
+
+
+def duplicate_column(header, rows):
+    header.append(header[4])
+    for r in rows:
+        r.append(r[4])
+
+
+def swap_timestamps(header, rows):
+    rows[2][0], rows[3][0] = rows[3][0], rows[2][0]
+
+
+@pytest.mark.parametrize("edit, message", [(set_nan, "non-finite cell 'nan'"),
+                                           (duplicate_column, "duplicate node column"),
+                                           (swap_timestamps, "strictly increasing")],
+                         ids=["nan_cell", "duplicate_column", "timestamps_out_of_order"])
+def test_reconcile_rejects_bad_base_file(tmp_path, small_setup, capsys, edit, message):
+    """NaN cells, repeated node columns and out-of-order timestamps end with exit 2, not output."""
+    _, hier, pcsv = small_setup
+    out = tmp_path / "coherent.csv"
+    code = main(["reconcile", "--method", "bu", "--hierarchy", str(hier),
+                 "--base", str(bad_base(tmp_path, pcsv, edit)), "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reconcile_mint_identity_weights(tmp_path, small_setup):
     h, hier, pcsv = small_setup
     out = tmp_path / "coherent.csv"

@@ -6,7 +6,6 @@ import pytest
 from htsreg.evaluate import (
     MethodSpec,
     baseline_forecast_matrix,
-    epoch_trace,
     make_epoch_hook,
     node_report,
     reg_sweep,
@@ -121,7 +120,7 @@ def test_epoch_trace_length_matches_epochs(tree, panel):
     cfg = TrainConfig(max_epochs=17, seed=1)
     result = train(panel, tree, RegWeights.build(tree, 0.0, 0.0), cfg,
                    epoch_hook=make_epoch_hook(panel, tree, cfg))
-    trace = epoch_trace(result)
+    trace = result.epoch_eval
     assert len(trace) == result.epochs
     assert set(trace[0]) == {"root", "mid", "bottom", "average"}
 
@@ -132,20 +131,20 @@ def test_epoch_trace_zero_reg_equals_bottom_up_run(tree, panel):
               epoch_hook=make_epoch_hook(panel, tree, cfg))
     b = train(panel, tree, RegWeights.build(tree, 0.0, 0.0), cfg,
               epoch_hook=make_epoch_hook(panel, tree, cfg))
-    assert epoch_trace(a) == epoch_trace(b)
+    assert a.epoch_eval == b.epoch_eval
 
 
 def test_epoch_trace_emitted_for_single_epoch(tree, panel):
     cfg = TrainConfig(max_epochs=1, seed=3)
     result = train(panel, tree, RegWeights.build(tree, 0.0, 0.0), cfg,
                    epoch_hook=make_epoch_hook(panel, tree, cfg))
-    assert len(epoch_trace(result)) == 1
+    assert len(result.epoch_eval) == 1
 
 
 def test_epoch_trace_requires_hook(tree, panel):
+    """Without a hook a run records no epoch evaluations."""
     result = train(panel, tree, RegWeights.build(tree, 0.0, 0.0), TrainConfig(max_epochs=2, seed=4))
-    with pytest.raises(ValueError, match="epoch"):
-        epoch_trace(result)
+    assert result.epochs == 2 and result.epoch_eval == []
 
 
 # ------------------------------------------------------------- sweeps

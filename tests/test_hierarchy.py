@@ -136,9 +136,10 @@ def test_structure_matrix_properties(parents):
 
 
 def test_aggregate_unit_vector():
-    """Unit bottom values sum to (4, 2, 2, 1, 1, 1, 1)."""
+    """Unit bottom values sum to (4, 2, 2, 1, 1, 1, 1); (1, 2, 3, 4) to (10, 3, 7, 1, 2, 3, 4)."""
     h = build_hierarchy(SMALL_PARENTS)
     assert np.array_equal(aggregate_bottom(h, np.ones(4)), [4, 2, 2, 1, 1, 1, 1])
+    assert np.array_equal(aggregate_bottom(h, np.array([1.0, 2.0, 3.0, 4.0])), [10, 3, 7, 1, 2, 3, 4])
 
 
 def test_aggregate_zero():

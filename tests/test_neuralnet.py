@@ -6,7 +6,6 @@ import pytest
 from htsreg.neuralnet import (
     NetworkDims,
     activation,
-    activation_prime,
     forward,
     init_params,
     load_checkpoint,
@@ -45,15 +44,11 @@ def test_dims_reject_zero_hidden():
 
 def test_sigmoid_at_zero():
     assert activation(0.0, "sigmoid") == 0.5
-    assert activation_prime(0.0, "sigmoid") == 0.25
 
 
 def test_relu_values():
     assert activation(-3.0, "relu") == 0.0
     assert activation(3.0, "relu") == 3.0
-    assert activation_prime(-1.0, "relu") == 0.0
-    assert activation_prime(2.0, "relu") == 1.0
-    assert activation_prime(0.0, "relu") == 0.0
 
 
 def test_sigmoid_matches_extended_precision():
@@ -81,9 +76,9 @@ def test_forward_zero_params():
     """All-zero weights: hidden sigmoid outputs 0.5, network output 0."""
     p = init_params(NetworkDims(3, 5, 2), seed=0)
     p.w2[:] = 0; p.b2[:] = 0; p.w3[:] = 0; p.b3[:] = 0
-    trace = forward(p, np.ones(3), "sigmoid")
-    assert np.array_equal(trace.z2, np.full(5, 0.5))
-    assert np.array_equal(trace.u3, np.zeros(2))
+    z2, u3 = forward(p, np.ones((1, 3)), "sigmoid")
+    assert np.array_equal(z2, np.full((1, 5), 0.5))
+    assert np.array_equal(u3, np.zeros((1, 2)))
 
 
 def test_forward_bias_only_output():
@@ -91,43 +86,45 @@ def test_forward_bias_only_output():
     p = init_params(NetworkDims(3, 5, 2), seed=3)
     p.w3[:] = 0
     p.b3[:] = [1.5, -2.5]
-    for x in (np.zeros(3), np.arange(3.0), np.full(3, -9.0)):
-        assert np.array_equal(forward(p, x, "sigmoid").u3, [1.5, -2.5])
+    x = np.vstack([np.zeros(3), np.arange(3.0), np.full(3, -9.0)])
+    assert np.array_equal(forward(p, x, "sigmoid")[1], np.tile([1.5, -2.5], (3, 1)))
 
 
 def test_forward_matches_triple_loop_oracle():
-    """Vectorized forward agrees with naive loops to 1e-12."""
+    """Vectorized forward agrees with naive loops to 1e-12, row by row."""
     rng = np.random.default_rng(5)
     p = init_params(NetworkDims(4, 7, 3), seed=5)
-    x = rng.standard_normal(4)
-    trace = forward(p, x, "sigmoid")
+    x = rng.standard_normal((2, 4))
+    got = forward(p, x, "sigmoid")[1]
 
-    u2 = np.zeros(7)
-    for j in range(7):
-        for i in range(4):
-            u2[j] += p.w2[j, i] * x[i]
-        u2[j] += p.b2[j]
-    z2 = 1.0 / (1.0 + np.exp(-u2))
-    u3 = np.zeros(3)
-    for k in range(3):
+    for r in range(2):
+        u2 = np.zeros(7)
         for j in range(7):
-            u3[k] += p.w3[k, j] * z2[j]
-        u3[k] += p.b3[k]
-    assert np.allclose(trace.u3, u3, rtol=1e-12, atol=1e-12)
+            for i in range(4):
+                u2[j] += p.w2[j, i] * x[r, i]
+            u2[j] += p.b2[j]
+        z2 = 1.0 / (1.0 + np.exp(-u2))
+        u3 = np.zeros(3)
+        for k in range(3):
+            for j in range(7):
+                u3[k] += p.w3[k, j] * z2[j]
+            u3[k] += p.b3[k]
+        assert np.allclose(got[r], u3, rtol=1e-12, atol=1e-12)
 
 
 def test_forward_rejects_shape_mismatch():
     p = init_params(NetworkDims(4, 7, 3), seed=1)
-    with pytest.raises(ValueError, match="input shape"):
-        forward(p, np.ones(5), "sigmoid")
+    with pytest.raises(ValueError):
+        forward(p, np.ones((2, 5)), "sigmoid")
 
 
 def test_forward_is_pure():
     p = init_params(NetworkDims(4, 8, 4), seed=9)
-    x = np.random.default_rng(9).standard_normal(4)
-    a = forward(p, x, "sigmoid")
-    b = forward(p, x, "sigmoid")
-    assert np.array_equal(a.u3, b.u3) and np.array_equal(a.u2, b.u2)
+    x = np.random.default_rng(9).standard_normal((3, 4))
+    before = p.copy()
+    (za, ua), (zb, ub) = forward(p, x, "sigmoid"), forward(p, x, "sigmoid")
+    assert np.array_equal(ua, ub) and np.array_equal(za, zb)
+    assert all(np.array_equal(getattr(p, n), getattr(before, n)) for n in ("w2", "b2", "w3", "b3"))
 
 
 def test_relu_monotone_smoke():
@@ -136,15 +133,17 @@ def test_relu_monotone_smoke():
     p = init_params(NetworkDims(4, 6, 3), seed=10)
     p.w2[:] = np.abs(p.w2); p.b2[:] = np.abs(p.b2)
     p.w3[:] = np.abs(p.w3); p.b3[:] = np.abs(p.b3)
-    trace = forward(p, np.abs(rng.standard_normal(4)), "relu")
-    assert np.all(trace.u3 >= 0)
+    _, u3 = forward(p, np.abs(rng.standard_normal((3, 4))), "relu")
+    assert np.all(u3 >= 0)
 
 
 def test_trace_activation_consistency():
-    """Recomputing z2 from the stored u2 reproduces the stored z2 exactly."""
+    """z2 is the activation of u2 = x W2' + b2 exactly, and u3 = z2 W3' + b3."""
     p = init_params(NetworkDims(5, 9, 2), seed=11)
-    trace = forward(p, np.random.default_rng(11).standard_normal(5), "sigmoid")
-    assert np.array_equal(activation(trace.u2, "sigmoid"), trace.z2)
+    x = np.random.default_rng(11).standard_normal((4, 5))
+    z2, u3 = forward(p, x, "sigmoid")
+    assert np.array_equal(activation(x @ p.w2.T + p.b2, "sigmoid"), z2)
+    assert np.array_equal(z2 @ p.w3.T + p.b3, u3)
 
 
 def test_checkpoint_round_trip(tmp_path):

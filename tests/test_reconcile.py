@@ -6,7 +6,6 @@ import pytest
 from htsreg.hierarchy import aggregate_bottom, build_hierarchy, check_coherence, summing_matrix
 from htsreg.panel import SeriesPanel, standardize
 from htsreg.reconcile import (
-    bottom_up,
     check_unbiasedness,
     estimate_w_sample,
     historical_proportions,
@@ -33,28 +32,6 @@ def random_w(n, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n + 4))
     return scale * (a @ a.T) / (n + 4)
-
-
-# ------------------------------------------------------------- bottom-up
-
-def test_bottom_up_zero(tree):
-    assert np.array_equal(bottom_up(tree, np.zeros((4, 3))), np.zeros((7, 3)))
-
-
-def test_bottom_up_known_sums(tree):
-    got = bottom_up(tree, np.array([1.0, 2.0, 3.0, 4.0]))
-    assert np.array_equal(got, [10, 3, 7, 1, 2, 3, 4])
-
-
-def test_bottom_up_matches_dense_multiply(wide):
-    rng = np.random.default_rng(0)
-    base = rng.standard_normal((9, 12))
-    assert np.allclose(bottom_up(wide, base), summing_matrix(wide) @ base, rtol=1e-13)
-
-
-def test_bottom_up_exactly_coherent(wide):
-    base = np.random.default_rng(1).standard_normal((9, 8)) * 2.3
-    assert check_coherence(wide, bottom_up(wide, base), tol=0.0).ok
 
 
 # ------------------------------------------------------------- top-down
@@ -214,7 +191,7 @@ def test_mint_approaches_bottom_up_with_heavy_upper_weights(tree):
     base = rng.standard_normal((7, 5))
     w = np.diag([1e8, 1e8, 1e8, 1.0, 1.0, 1.0, 1.0])
     got = mint_reconcile(tree, base, w)
-    assert np.allclose(got, bottom_up(tree, base[3:]), atol=1e-4)
+    assert np.allclose(got, aggregate_bottom(tree, base[3:]), atol=1e-4)
 
 
 def test_mint_rejects_hopeless_w(tree):

@@ -4,19 +4,15 @@ import numpy as np
 import pytest
 
 from htsreg.hierarchy import aggregate_bottom, build_hierarchy, structure_matrix
-from htsreg.neuralnet import NetworkDims, activation, forward, init_params
-from htsreg.panel import SeriesPanel, standardize
+from htsreg.neuralnet import NetworkDims, forward, init_params
+from htsreg.panel import SeriesPanel, lagged_design, standardize
 from htsreg.synthgen import generate_dataset, preset_hierarchy
 from htsreg.trainer import (
     DEFAULT_LAMBDA_GRID,
     RegWeights,
     TrainConfig,
     TrainingDiverged,
-    error_at_t,
-    error_from_output,
-    gradients_at_t,
-    hidden_delta,
-    output_delta,
+    loss_and_grads,
     predict_bottom,
     train,
     train_all_node_base,
@@ -37,8 +33,19 @@ def h_matrix(tree):
     return structure_matrix(tree)
 
 
-def split(y, n_upper=3):
-    return y[:n_upper], y[n_upper:]
+def loss(params, x, y, reg, h_matrix, kind="sigmoid"):
+    """loss_and_grads on observation rows y = (upper | bottom), one row per input row."""
+    x, y = np.atleast_2d(x), np.atleast_2d(y)
+    n_upper = h_matrix.shape[0]
+    return loss_and_grads(params, x, y[:, n_upper:], y[:, :n_upper], h_matrix, reg.vec, kind)
+
+
+def fixed_output(u3):
+    """A 4-8-4 network whose output is u3 whatever the input (zero W3, bias u3)."""
+    params = init_params(NetworkDims(4, 8, 4), 0)
+    params.w3[:] = 0.0
+    params.b3[:] = u3
+    return params
 
 
 # ------------------------------------------------------------- objective
@@ -56,103 +63,103 @@ def test_reg_weights_reject_negative(tree):
 
 def test_error_reduces_to_rss_at_lambda_zero(tree, h_matrix):
     rng = np.random.default_rng(0)
-    y = rng.standard_normal(7)
-    u3 = rng.standard_normal(4)
-    reg = RegWeights.build(tree, 0.0, 0.0)
-    trace = forward(init_params(NetworkDims(4, 8, 4), 0), rng.standard_normal(4))
-    object.__setattr__(trace, "u3", u3)
-    expected = 0.5 * np.sum((y[3:] - u3) ** 2)
-    assert error_at_t(trace, y, reg, h_matrix) == pytest.approx(expected, rel=1e-15)
+    y = rng.standard_normal((3, 7))
+    x = rng.standard_normal((3, 4))
+    params = init_params(NetworkDims(4, 8, 4), 0)
+    u3 = forward(params, x, "sigmoid")[1]
+    expected = 0.5 * np.sum((y[:, 3:] - u3) ** 2)
+    objective, _ = loss(params, x, y, RegWeights.build(tree, 0.0, 0.0), h_matrix)
+    assert objective == pytest.approx(expected, rel=1e-15)
 
 
 def test_error_zero_at_exact_coherent_fit(tree, h_matrix):
     yb = np.array([1.0, 2.0, 3.0, 4.0])
     y = aggregate_bottom(tree, yb)
-    reg = RegWeights.build(tree, 1.0, 1.0)
-    yu, yb_target = split(y)
-    assert error_from_output(yb, yu, yb_target, reg.vec, h_matrix) == 0.0
+    objective, _ = loss(fixed_output(yb), np.ones(4), y, RegWeights.build(tree, 1.0, 1.0), h_matrix)
+    assert objective == 0.0
 
 
 def test_error_hand_value(tree, h_matrix):
     """y = (4,2,2,1,1,1,1), output 0, unit weights: 2 + 12 = 14."""
     y = np.array([4.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.0])
-    reg = RegWeights.build(tree, 1.0, 1.0)
-    yu, yb = split(y)
-    assert error_from_output(np.zeros(4), yu, yb, reg.vec, h_matrix) == pytest.approx(14.0)
+    objective, _ = loss(fixed_output(0.0), np.ones(4), y, RegWeights.build(tree, 1.0, 1.0), h_matrix)
+    assert objective == pytest.approx(14.0)
 
 
 # ------------------------------------------------------------- deltas
+# With one input row the bias gradients are the deltas: b3 gets d3, b2 gets d2.
 
 def test_output_delta_lambda_zero_is_residual(tree, h_matrix):
     rng = np.random.default_rng(1)
     y = rng.standard_normal(7)
-    u3 = rng.standard_normal(4)
-    reg = RegWeights.build(tree, 0.0, 0.0)
-    assert np.array_equal(output_delta(u3, y, reg, h_matrix), u3 - y[3:])
+    x = rng.standard_normal(4)
+    params = init_params(NetworkDims(4, 8, 4), 1)
+    _, g = loss(params, x, y, RegWeights.build(tree, 0.0, 0.0), h_matrix)
+    u3 = forward(params, x[None], "sigmoid")[1][0]
+    assert np.array_equal(g.b3, u3 - y[3:])
 
 
 def test_output_delta_zero_at_perfect_coherent_fit(tree, h_matrix):
     yb = np.array([0.5, -1.5, 2.0, 3.0])
     y = aggregate_bottom(tree, yb)
-    reg = RegWeights.build(tree, 0.7, 1.3)
-    assert np.allclose(output_delta(yb, y, reg, h_matrix), 0.0, atol=1e-12)
+    _, g = loss(fixed_output(yb), np.ones(4), y, RegWeights.build(tree, 0.7, 1.3), h_matrix)
+    assert np.allclose(g.b3, 0.0, atol=1e-12)
+
+
+def fd_check(params, arr, got, x, y, reg, h_matrix, eps=1e-7, rel=1e-7, abs_=1e-9):
+    """Central differences of the objective over every entry of ``arr`` match ``got``."""
+    for k in range(arr.size):
+        orig = arr[k]
+        arr[k] = orig + eps
+        e_up = loss(params, x, y, reg, h_matrix)[0]
+        arr[k] = orig - eps
+        e_dn = loss(params, x, y, reg, h_matrix)[0]
+        arr[k] = orig
+        assert got[k] == pytest.approx((e_up - e_dn) / (2 * eps), rel=rel, abs=abs_)
 
 
 def test_output_delta_matches_finite_differences(tree, h_matrix):
+    """d3 = dE/du3, perturbing u3 through the output bias."""
     rng = np.random.default_rng(2)
     y = rng.standard_normal(7)
-    u3 = rng.standard_normal(4)
+    x = rng.standard_normal(4)
+    params = init_params(NetworkDims(4, 8, 4), 2)
     reg = RegWeights.build(tree, 0.9, 1.7)
-    yu, yb = split(y)
-    got = output_delta(u3, y, reg, h_matrix)
-    eps = 1e-7
-    for k in range(4):
-        up, dn = u3.copy(), u3.copy()
-        up[k] += eps
-        dn[k] -= eps
-        fd = (error_from_output(up, yu, yb, reg.vec, h_matrix)
-              - error_from_output(dn, yu, yb, reg.vec, h_matrix)) / (2 * eps)
-        assert got[k] == pytest.approx(fd, rel=1e-7, abs=1e-9)
+    _, g = loss(params, x, y, reg, h_matrix)
+    fd_check(params, params.b3, g.b3, x, y, reg, h_matrix)
 
 
-def test_hidden_delta_zero_incoming(tree):
+def test_hidden_delta_zero_incoming(tree, h_matrix):
+    """Targets equal to the output give d3 = 0, hence d2 = 0."""
     params = init_params(NetworkDims(4, 8, 4), 3)
-    trace = forward(params, np.random.default_rng(3).standard_normal(4))
-    assert np.array_equal(hidden_delta(np.zeros(4), params, trace, "sigmoid"), np.zeros(8))
+    x = np.random.default_rng(3).standard_normal((1, 4))
+    u3 = forward(params, x, "sigmoid")[1]
+    y = np.hstack([u3 @ h_matrix.T, u3])
+    _, g = loss(params, x, y, RegWeights.build(tree, 0.5, 0.5), h_matrix)
+    assert np.array_equal(g.b3, np.zeros(4))
+    assert np.array_equal(g.b2, np.zeros(8))
 
 
-def test_hidden_delta_dead_relu_units(tree):
+def test_hidden_delta_dead_relu_units(tree, h_matrix):
+    """Hidden pre-activations at or below 0 pass no gradient (the rectifier takes f'(0) = 0)."""
     params = init_params(NetworkDims(4, 8, 4), 4)
     params.w2[:] = 0.0
-    params.b2[:] = -1.0  # every hidden pre-activation negative
-    trace = forward(params, np.ones(4), "relu")
-    d2 = hidden_delta(np.ones(4), params, trace, "relu")
-    assert np.array_equal(d2, np.zeros(8))
+    for bias in (-1.0, 0.0):
+        params.b2[:] = bias
+        _, g = loss(params, np.ones(4), np.ones(7), RegWeights.build(tree, 0.5, 0.5), h_matrix, "relu")
+        assert np.array_equal(g.b2, np.zeros(8))
+        assert np.array_equal(g.w2, np.zeros((8, 4)))
 
 
 def test_hidden_delta_matches_finite_differences(tree, h_matrix):
+    """d2 = dE/du2, perturbing u2 through the hidden bias."""
     rng = np.random.default_rng(5)
     params = init_params(NetworkDims(4, 8, 4), 5)
     x = rng.standard_normal(4)
     y = rng.standard_normal(7)
     reg = RegWeights.build(tree, 0.6, 1.1)
-    yu, yb = split(y)
-    trace = forward(params, x, "sigmoid")
-    d3 = output_delta(trace.u3, y, reg, h_matrix)
-    got = hidden_delta(d3, params, trace, "sigmoid")
-
-    def error_given_u2(u2):
-        z2 = activation(u2, "sigmoid")
-        u3 = params.w3 @ z2 + params.b3
-        return error_from_output(u3, yu, yb, reg.vec, h_matrix)
-
-    eps = 1e-7
-    for j in range(8):
-        up, dn = trace.u2.copy(), trace.u2.copy()
-        up[j] += eps
-        dn[j] -= eps
-        fd = (error_given_u2(up) - error_given_u2(dn)) / (2 * eps)
-        assert got[j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+    _, g = loss(params, x, y, reg, h_matrix)
+    fd_check(params, params.b2, g.b2, x, y, reg, h_matrix, rel=1e-6)
 
 
 # ------------------------------------------------------------- gradients
@@ -160,7 +167,8 @@ def test_hidden_delta_matches_finite_differences(tree, h_matrix):
 def test_gradients_zero_input_zero_w2_gradient(tree, h_matrix):
     params = init_params(NetworkDims(4, 8, 4), 6)
     reg = RegWeights.build(tree, 0.5, 0.5)
-    g = gradients_at_t(params, np.zeros(4), np.random.default_rng(6).standard_normal(7), reg, h_matrix)
+    y = np.random.default_rng(6).standard_normal((3, 7))
+    _, g = loss(params, np.zeros((3, 4)), y, reg, h_matrix)
     assert np.array_equal(g.w2, np.zeros((8, 4)))
 
 
@@ -168,12 +176,11 @@ def grad_check(params, x, y, reg, h_matrix, kind="sigmoid", eps=1e-6,
                rel_tol=1e-5, abs_tol=1e-8):
     """Worst deviation between analytic and central-difference gradients.
 
-    Each entry must satisfy |analytic - fd| <= max(rel_tol * |fd|, abs_tol);
-    the return value is the largest ratio against that bound (< 1 passes).
+    Both come from loss_and_grads, the function training runs. Each entry
+    must satisfy |analytic - fd| <= max(rel_tol * |fd|, abs_tol); the
+    return value is the largest ratio against that bound (< 1 passes).
     """
-    g = gradients_at_t(params, x, y, reg, h_matrix, kind)
-    n_upper = h_matrix.shape[0]
-    yu, yb = y[:n_upper], y[n_upper:]
+    _, g = loss(params, x, y, reg, h_matrix, kind)
     worst = 0.0
     for arr, ga in ((params.w2, g.w2), (params.b2, g.b2), (params.w3, g.w3), (params.b3, g.b3)):
         it = np.nditer(arr, flags=["multi_index"])
@@ -181,9 +188,9 @@ def grad_check(params, x, y, reg, h_matrix, kind="sigmoid", eps=1e-6,
             idx = it.multi_index
             orig = arr[idx]
             arr[idx] = orig + eps
-            e_up = error_from_output(forward(params, x, kind).u3, yu, yb, reg.vec, h_matrix)
+            e_up = loss(params, x, y, reg, h_matrix, kind)[0]
             arr[idx] = orig - eps
-            e_dn = error_from_output(forward(params, x, kind).u3, yu, yb, reg.vec, h_matrix)
+            e_dn = loss(params, x, y, reg, h_matrix, kind)[0]
             arr[idx] = orig
             fd = (e_up - e_dn) / (2 * eps)
             worst = max(worst, abs(ga[idx] - fd) / max(rel_tol * abs(fd), abs_tol))
@@ -192,11 +199,11 @@ def grad_check(params, x, y, reg, h_matrix, kind="sigmoid", eps=1e-6,
 
 @pytest.mark.parametrize("lam", [0.0, 0.7, 2.4])
 def test_gradients_match_finite_differences(tree, h_matrix, lam):
-    """The primary correctness gate: every partial within 1e-5 rel / 1e-8 abs."""
+    """The primary correctness gate: every partial within 1e-5 rel / 1e-8 abs, over three rows."""
     rng = np.random.default_rng(7)
     params = init_params(NetworkDims(4, 8, 4), 7)
-    x = rng.standard_normal(4)
-    y = rng.standard_normal(7)
+    x = rng.standard_normal((3, 4))
+    y = rng.standard_normal((3, 7))
     reg = RegWeights.build(tree, lam, lam)
     assert grad_check(params, x, y, reg, h_matrix) < 1.0
 
@@ -207,14 +214,14 @@ def test_lambda_zero_gradients_equal_plain_rss(tree, h_matrix):
     params = init_params(NetworkDims(4, 8, 4), 8)
     x = rng.standard_normal(4)
     y = rng.standard_normal(7)
-    g = gradients_at_t(params, x, y, RegWeights.build(tree, 0.0, 0.0), h_matrix)
+    _, g = loss(params, x, y, RegWeights.build(tree, 0.0, 0.0), h_matrix)
 
-    trace = forward(params, x, "sigmoid")
-    d3 = trace.u3 - y[3:]
-    d2 = (params.w3.T @ d3) * (trace.z2 * (1 - trace.z2))
-    assert np.array_equal(g.w3, np.outer(d3, trace.z2))
+    z2, u3 = (v[0] for v in forward(params, x[None], "sigmoid"))
+    d3 = u3 - y[3:]
+    d2 = (params.w3.T @ d3) * (z2 * (1 - z2))
+    assert np.array_equal(g.w3, np.outer(d3, z2))
     assert np.array_equal(g.b3, d3)
-    assert np.array_equal(g.w2, np.outer(d2, trace.z1))
+    assert np.array_equal(g.w2, np.outer(d2, x))
     assert np.array_equal(g.b2, d2)
 
 
@@ -225,7 +232,7 @@ def test_gradient_symmetry_under_bottom_permutation(tree, h_matrix):
     x = rng.standard_normal(4)
     y = rng.standard_normal(7)
     reg = RegWeights.build(tree, 0.8, 1.4)
-    g = gradients_at_t(params, x, y, reg, h_matrix)
+    _, g = loss(params, x, y, reg, h_matrix)
 
     perm = np.array([2, 0, 3, 1])
     params_p = params.copy()
@@ -233,7 +240,7 @@ def test_gradient_symmetry_under_bottom_permutation(tree, h_matrix):
     params_p.w3 = params.w3[perm, :]
     params_p.b3 = params.b3[perm]
     y_p = np.concatenate([y[:3], y[3:][perm]])
-    g_p = gradients_at_t(params_p, x[perm], y_p, reg, h_matrix[:, perm])
+    _, g_p = loss(params_p, x[perm], y_p, reg, h_matrix[:, perm])
 
     assert np.allclose(g_p.w3, g.w3[perm, :], rtol=1e-12, atol=1e-14)
     assert np.allclose(g_p.b3, g.b3[perm], rtol=1e-12, atol=1e-14)
@@ -292,22 +299,12 @@ def test_first_update_equals_sum_of_pointwise_gradients(tree, h_matrix):
     result = train(panel, tree, reg, cfg)
 
     params0 = init_params(NetworkDims(8, 16, 4), 13)
-    from htsreg.panel import lagged_input
-
-    total_w2 = np.zeros_like(params0.w2)
-    total_b2 = np.zeros_like(params0.b2)
-    total_w3 = np.zeros_like(params0.w3)
-    total_b3 = np.zeros_like(params0.b3)
-    for t in training_timepoints(panel, cfg.lag):
-        g = gradients_at_t(params0, lagged_input(panel, t, cfg.lag), panel.values[:, t - 1], reg, h_matrix)
-        total_w2 += g.w2
-        total_b2 += g.b2
-        total_w3 += g.w3
-        total_b3 += g.b3
-    assert np.allclose(result.params.w2, params0.w2 - cfg.eta * total_w2, rtol=1e-12, atol=1e-14)
-    assert np.allclose(result.params.b2, params0.b2 - cfg.eta * total_b2, rtol=1e-12, atol=1e-14)
-    assert np.allclose(result.params.w3, params0.w3 - cfg.eta * total_w3, rtol=1e-12, atol=1e-14)
-    assert np.allclose(result.params.b3, params0.b3 - cfg.eta * total_b3, rtol=1e-12, atol=1e-14)
+    grads = [loss(params0, lagged_design(panel.bottom_values, cfg.lag, [t]), panel.values[:, t - 1], reg, h_matrix)[1]
+             for t in training_timepoints(panel, cfg.lag)]
+    for name in ("w2", "b2", "w3", "b3"):
+        total = sum(getattr(g, name) for g in grads)
+        want = getattr(params0, name) - cfg.eta * total
+        assert np.allclose(getattr(result.params, name), want, rtol=1e-12, atol=1e-14), name
 
 
 def test_objective_monotone_on_preset_panel():
@@ -361,10 +358,9 @@ def test_predict_bottom_matches_single_forward(tree):
     panel = std_panel(tree, seed=8)
     cfg = TrainConfig(max_epochs=5, seed=4)
     result = train(panel, tree, RegWeights.build(tree, 0.0, 0.0), cfg)
-    from htsreg.panel import lagged_input
 
     fc = predict_bottom(result.params, panel, cfg, [10, 11])
-    one = forward(result.params, lagged_input(panel, 10, cfg.lag), cfg.activation).u3
+    one = forward(result.params, lagged_design(panel.bottom_values, cfg.lag, [10]), cfg.activation)[1][0]
     assert np.allclose(fc[:, 0], one, rtol=1e-13)
 
 
