@@ -16,7 +16,6 @@ from .evaluate import (
     make_epoch_hook,
     node_report,
     reg_sweep,
-    rmse,
     run_benchmark,
     summarize_trials,
 )
@@ -26,7 +25,9 @@ from .hierarchy import (
     aggregate_bottom,
     build_hierarchy,
     check_coherence,
+    level_means,
     load_hierarchy_json,
+    rmse,
     structure_matrix,
     summing_matrix,
     write_hierarchy_json,
@@ -51,7 +52,6 @@ from .reconcile import (
     top_down,
 )
 from .synthgen import (
-    FactorPaths,
     SynthParams,
     generate_bottom,
     generate_dataset,

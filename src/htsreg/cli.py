@@ -18,6 +18,7 @@ from .evaluate import (
     run_benchmark,
 )
 from .hierarchy import (
+    LEVELS,
     HierarchySpec,
     aggregate_bottom,
     check_coherence,
@@ -126,7 +127,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_reconcile(args: argparse.Namespace) -> int:
     h = load_hierarchy_json(args.hierarchy)
-    nodes, data = _read_wide_csv(args.base)  # only the columns a method needs must be present
+    nodes, data = _read_wide_csv(args.base, h)  # only the columns a method needs must be present
     base = dict(zip(nodes, data))
     s = summing_matrix(h)
 
@@ -218,15 +219,7 @@ def _train_config_from(cfg: dict) -> TrainConfig:
     for key in tc:
         _need(key in known, f"train.{key}", "unknown training option")
     try:
-        return TrainConfig(
-            eta=float(tc.get("eta", 1e-5)),
-            eps=float(tc.get("eps", 5e-5)),
-            max_epochs=int(tc.get("max_epochs", 10_000)),
-            activation=str(tc.get("activation", "sigmoid")),
-            lag=int(tc.get("lag", 2)),
-            bias=bool(tc.get("bias", True)),
-            hidden_dim=tc.get("hidden_dim"),
-        )
+        return TrainConfig(**tc)
     except ValueError as exc:
         raise ConfigError(f"train: {exc}") from exc
 
@@ -256,21 +249,19 @@ def _methods_from_config(cfg: dict) -> list[MethodSpec]:
 
 
 def _seeds_from_config(cfg: dict) -> list[int]:
-    _need("trial_seeds" in cfg and isinstance(cfg["trial_seeds"], list) and cfg["trial_seeds"],
+    seeds = cfg.get("trial_seeds")
+    _need(isinstance(seeds, list) and seeds and all(isinstance(s, int) and not isinstance(s, bool) for s in seeds),
           "trial_seeds", "must be a nonempty list of integers")
-    seeds = [int(s) for s in cfg["trial_seeds"]]
     _need(len(set(seeds)) == len(seeds), "trial_seeds", "seeds must be distinct")
     return seeds
 
 
 def _write_table(result: BenchmarkResult, h: HierarchySpec, path: Path) -> None:
-    level_attr = {"root": "root", "mid": "mid_mean", "bottom": "bottom_mean", "average": "all_mean"}
-
     def cell(label: str, node=None, level=None) -> str:
         summary = result.summaries.get(label)
         if summary is None:
             rep = result.reports[label][0]
-            val = rep.per_node[node] if node is not None else getattr(rep, level_attr[level])
+            val = rep.per_node[node] if node is not None else rep.levels[level]
             return f"{val:.2f}"
         mean, hw = summary.per_node[node] if node is not None else summary.levels[level]
         return f"{mean:.2f}±{hw:.2f}"
@@ -299,10 +290,8 @@ def _write_trials(result: BenchmarkResult, h: HierarchySpec, path: Path) -> None
                         "seed": rep.params.get("seed"),
                         "params": rep.params,
                         "per_node": {str(n): v for n, v in rep.per_node.items()},
-                        "root": rep.root,
-                        "mid_mean": rep.mid_mean,
-                        "bottom_mean": rep.bottom_mean,
-                        "all_mean": rep.all_mean,
+                        **{key: rep.levels[lvl]
+                           for key, lvl in zip(("root", "mid_mean", "bottom_mean", "all_mean"), LEVELS)},
                     }
                     for rep in result.reports[label]
                 ]
@@ -395,6 +384,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- parser
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="htsreg",
@@ -413,12 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--hierarchy", required=True)
     t.add_argument("--lambda1", type=float, default=0.0)
     t.add_argument("--lambdaM", type=float, default=0.0)
-    t.add_argument("--eta", type=float, default=1e-5)
-    t.add_argument("--eps", type=float, default=5e-5)
-    t.add_argument("--max-epochs", type=int, default=10_000)
-    t.add_argument("--lag", type=int, default=2)
-    t.add_argument("--activation", choices=("sigmoid", "relu"), default="sigmoid")
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--eta", type=float, default=TrainConfig.eta)
+    t.add_argument("--eps", type=float, default=TrainConfig.eps)
+    t.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
+    t.add_argument("--lag", type=int, default=TrainConfig.lag)
+    t.add_argument("--activation", choices=("sigmoid", "relu"), default=TrainConfig.activation)
+    t.add_argument("--seed", type=int, default=TrainConfig.seed)
     t.add_argument("--train-len", type=int, default=None)
     t.add_argument("--no-bias", action="store_true")
     t.add_argument("--no-standardize", action="store_true")
@@ -439,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     ru = sub.add_parser("run", help="run a full benchmark from a JSON config")
     ru.add_argument("--config", required=True)
     ru.add_argument("--out-dir", required=True)
-    ru.add_argument("--jobs", type=int, default=1)
+    ru.add_argument("--jobs", type=_positive_int, default=1)
     ru.set_defaults(func=cmd_run)
 
     sw = sub.add_parser("sweep", help="relative-RMSE regularization sweep")

@@ -1,4 +1,4 @@
-"""RMSE metrics, trial aggregation, epoch traces, sweeps, and the benchmark runner."""
+"""Per-node and per-level reports, trial aggregation, epoch traces, sweeps, and the benchmark runner."""
 
 from __future__ import annotations
 
@@ -9,8 +9,8 @@ from functools import partial
 import numpy as np
 from scipy.special import stdtrit
 
-from .baselines import BaselineChoice, es_forecast, ma_forecast, select_param
-from .hierarchy import HierarchySpec, aggregate_bottom
+from .baselines import BaselineChoice, select_param
+from .hierarchy import LEVELS, HierarchySpec, aggregate_bottom, level_means, rmse
 from .neuralnet import NetworkParams, forward
 from .panel import Scaler, SeriesPanel, lagged_design
 from .reconcile import estimate_w_sample, mint_reconcile
@@ -28,30 +28,14 @@ from .trainer import (
     tune_lambda,
 )
 
-LEVELS = ("root", "mid", "bottom", "average")
-
-
-def rmse(actual: np.ndarray, forecast: np.ndarray) -> float:
-    """Root-mean-squared error over a test period."""
-    a = np.asarray(actual, dtype=np.float64)
-    f = np.asarray(forecast, dtype=np.float64)
-    if a.shape != f.shape or a.ndim != 1 or a.shape[0] < 1:
-        raise ValueError(f"actual {a.shape} and forecast {f.shape} must be equal-length nonempty rows")
-    err = a - f
-    return float(np.sqrt(np.mean(err * err)))
-
-
 @dataclass(frozen=True)
 class EvalReport:
-    """Per-node RMSEs of one method run plus level aggregates."""
+    """Per-node RMSEs of one method run plus their level means, keyed by ``LEVELS``."""
 
     method: str
     params: dict
     per_node: dict[int, float]
-    root: float
-    mid_mean: float
-    bottom_mean: float
-    all_mean: float
+    levels: dict[str, float]
 
 
 def node_report(h: HierarchySpec, actual: np.ndarray, forecast: np.ndarray,
@@ -63,18 +47,9 @@ def node_report(h: HierarchySpec, actual: np.ndarray, forecast: np.ndarray,
     if scaler is not None:
         a = scaler.inverse_values(a)
         f = scaler.inverse_values(f)
-    per_node = {node: rmse(a[i], f[i]) for i, node in enumerate(h.node_ids)}
-    mids = [per_node[m] for m in h.mid_ids]
-    bottoms = [per_node[b] for b in h.bottom_ids]
-    return EvalReport(
-        method=method,
-        params=dict(params or {}),
-        per_node=per_node,
-        root=per_node[h.root],
-        mid_mean=float(np.mean(mids)),
-        bottom_mean=float(np.mean(bottoms)),
-        all_mean=float(np.mean(list(per_node.values()))),
-    )
+    per_node = rmse(a, f)
+    return EvalReport(method=method, params=dict(params or {}),
+                      per_node=dict(zip(h.node_ids, per_node.tolist())), levels=level_means(h, per_node))
 
 
 @dataclass(frozen=True)
@@ -99,24 +74,8 @@ def summarize_trials(reports: list[EvalReport]) -> TrialSummary:
         raise ValueError("need at least 2 trial reports to summarize")
     nodes = list(reports[0].per_node)
     per_node = {n: _mean_halfwidth([r.per_node[n] for r in reports]) for n in nodes}
-    levels = {
-        "root": _mean_halfwidth([r.root for r in reports]),
-        "mid": _mean_halfwidth([r.mid_mean for r in reports]),
-        "bottom": _mean_halfwidth([r.bottom_mean for r in reports]),
-        "average": _mean_halfwidth([r.all_mean for r in reports]),
-    }
+    levels = {lvl: _mean_halfwidth([r.levels[lvl] for r in reports]) for lvl in LEVELS}
     return TrialSummary(n_trials=len(reports), per_node=per_node, levels=levels)
-
-
-def _level_rmses(h: HierarchySpec, actual: np.ndarray, forecast: np.ndarray) -> dict[str, float]:
-    per_node = np.sqrt(np.mean((actual - forecast) ** 2, axis=1))
-    n_mid = len(h.mid_ids)
-    return {
-        "root": float(per_node[0]),
-        "mid": float(per_node[1: 1 + n_mid].mean()),
-        "bottom": float(per_node[1 + n_mid:].mean()),
-        "average": float(per_node.mean()),
-    }
 
 
 def make_epoch_hook(panel: SeriesPanel, h: HierarchySpec, config: TrainConfig):
@@ -126,7 +85,7 @@ def make_epoch_hook(panel: SeriesPanel, h: HierarchySpec, config: TrainConfig):
 
     def hook(epoch: int, params: NetworkParams) -> dict[str, float]:
         u3 = forward(params, x, config.activation)[1]
-        return _level_rmses(h, actual, aggregate_bottom(h, u3.T))
+        return level_means(h, rmse(actual, aggregate_bottom(h, u3.T)))
 
     return hook
 
@@ -158,7 +117,7 @@ def reg_sweep(panel: SeriesPanel, h: HierarchySpec, x_grid: tuple | list,
     for s_idx, seed in enumerate(seeds):
         # One batch per seed: the (0, 0) run and every grid point share the design and init.
         cfg = replace(config, seed=seed)
-        base, *rest = [_level_rmses(h, actual, aggregate_bottom(h, predict_bottom(r.params, panel, cfg, tps)))
+        base, *rest = [level_means(h, rmse(actual, aggregate_bottom(h, predict_bottom(r.params, panel, cfg, tps))))
                        for r in train_batch(panel, h, regs, cfg)]
         for (mode, x_idx, _), point in zip(points, rest):
             for lvl in LEVELS:  # x = 0 stays exactly zero: no self-subtraction
@@ -195,11 +154,7 @@ def _fmt_lambda(v: float) -> str:
 
 def baseline_forecast_matrix(panel: SeriesPanel, choice: BaselineChoice) -> np.ndarray:
     """Per-node one-step baseline forecasts over the test period (|N| x test_len)."""
-    rows = []
-    for row in panel.values:
-        fc = ma_forecast(row, int(choice.param)) if choice.method == "MA" else es_forecast(row, choice.param)
-        rows.append(fc[panel.train_len: panel.n_time])
-    return np.vstack(rows)
+    return choice.forecast(panel.values)[:, panel.train_len: panel.n_time]
 
 
 def _nn_trial(panel: SeriesPanel, h: HierarchySpec, config: TrainConfig, label: str,

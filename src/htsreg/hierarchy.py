@@ -1,4 +1,4 @@
-"""Two-level tree hierarchies and their aggregation algebra.
+"""Two-level tree hierarchies, their aggregation algebra, and per-level RMSE.
 
 A hierarchy has one root (level 0), mid-level nodes (level 1), and
 bottom-level nodes (level 2). Every series attached to an upper node is
@@ -15,6 +15,8 @@ from typing import Mapping
 
 import numpy as np
 
+LEVELS = ("root", "mid", "bottom", "average")
+
 
 @dataclass(frozen=True)
 class HierarchySpec:
@@ -27,7 +29,6 @@ class HierarchySpec:
 
     node_ids: tuple[int, ...]
     parent: dict[int, int]
-    level: dict[int, int]
     root: int
     mid_ids: tuple[int, ...]
     bottom_ids: tuple[int, ...]
@@ -57,6 +58,12 @@ class HierarchySpec:
         """Positions of the bottom rows summed into each upper node (root, then mids), ascending."""
         pos = {b: i for i, b in enumerate(self.bottom_ids)}
         return (tuple(range(self.n_bottom)),) + tuple(tuple(pos[c] for c in self.children(m)) for m in self.mid_ids)
+
+    @cached_property
+    def level_rows(self) -> tuple[range, range, range]:
+        """Row ranges of the root, the mid-level and the bottom-level nodes in canonical order."""
+        n_upper = len(self.upper_rows)
+        return range(0, 1), range(1, n_upper), range(n_upper, self.n_nodes)
 
 
 def build_hierarchy(parent_map: Mapping[int, int]) -> HierarchySpec:
@@ -100,13 +107,9 @@ def build_hierarchy(parent_map: Mapping[int, int]) -> HierarchySpec:
         if m not in parents_of_bottoms:
             raise ValueError(f"mid-level node {m} has no children")
 
-    level = {root: 0}
-    level.update({m: 1 for m in mids})
-    level.update({b: 2 for b in bottoms})
     return HierarchySpec(
         node_ids=(root,) + mids + bottoms,
         parent=parent,
-        level=level,
         root=root,
         mid_ids=mids,
         bottom_ids=bottoms,
@@ -125,12 +128,9 @@ def structure_matrix(h: HierarchySpec) -> np.ndarray:
     node order. Entry (k, i) is 1 iff upper node k is an ancestor of
     bottom node i.
     """
-    mat = np.zeros((1 + len(h.mid_ids), h.n_bottom), dtype=np.float64)
-    mat[0, :] = 1.0
-    for r, mid in enumerate(h.mid_ids, start=1):
-        for c, bot in enumerate(h.bottom_ids):
-            if h.parent[bot] == mid:
-                mat[r, c] = 1.0
+    mat = np.zeros((len(h.upper_rows), h.n_bottom), dtype=np.float64)
+    for r, idx in enumerate(h.upper_rows):
+        mat[r, list(idx)] = 1.0
     return _readonly(mat)
 
 
@@ -170,6 +170,31 @@ def aggregate_bottom(h: HierarchySpec, y_bottom: np.ndarray) -> np.ndarray:
         out[r] = _ordered_sum(yb, idx)
     out[len(h.upper_ids):] = yb
     return out[:, 0] if squeeze else out
+
+
+def rmse(actual: np.ndarray, forecast: np.ndarray) -> np.ndarray | float:
+    """Root-mean-squared error along the last (time) axis.
+
+    Two rows give a float; two |N| x T matrices give one value per row,
+    each with the bits of the call on that row pair alone.
+    """
+    a = np.asarray(actual, dtype=np.float64)
+    f = np.asarray(forecast, dtype=np.float64)
+    if a.shape != f.shape or a.ndim not in (1, 2) or a.shape[-1] < 1:
+        raise ValueError(f"actual {a.shape} and forecast {f.shape} must be equal-shape nonempty rows or matrices")
+    err = a - f
+    out = np.sqrt(np.mean(err * err, axis=-1))
+    return float(out) if a.ndim == 1 else out
+
+
+def level_means(h: HierarchySpec, per_node: np.ndarray) -> dict[str, float]:
+    """Per-level means of one value per node in canonical order, keyed by :data:`LEVELS`.
+
+    The root's level mean is its own value; ``average`` is over all nodes.
+    """
+    v = np.asarray(per_node, dtype=np.float64)
+    rows = h.level_rows + (range(h.n_nodes),)
+    return {lvl: float(v[r.start: r.stop].mean()) for lvl, r in zip(LEVELS, rows)}
 
 
 @dataclass(frozen=True)

@@ -146,10 +146,10 @@ def lagged_design(rows: np.ndarray, lag: int, timepoints: range | list[int]) -> 
     return windows[:, tps - 1 - lag].transpose(1, 2, 0).reshape(len(tps), -1)
 
 
-def _read_wide_csv(path: str | Path) -> tuple[list[int], np.ndarray]:
+def _read_wide_csv(path: str | Path, h: HierarchySpec) -> tuple[list[int], np.ndarray]:
     """Column node ids and the node-by-time matrix of a wide CSV.
 
-    The first column is ``t``, the others are distinct integer node ids.
+    The first column is ``t``, the others are distinct node ids of ``h``.
     Timestamps must be strictly increasing integers and every cell a
     finite number; the timestamps are then dropped.
     """
@@ -164,6 +164,9 @@ def _read_wide_csv(path: str | Path) -> tuple[list[int], np.ndarray]:
         raise ValueError(f"{path}: non-integer column name in header: {exc}") from exc
     if len(set(col_nodes)) != len(col_nodes):
         raise ValueError(f"{path}: duplicate node column")
+    for c in col_nodes:
+        if c not in h.node_ids:
+            raise ValueError(f"{path}: column {c} is not a node of the hierarchy")
 
     body = [r for r in rows[1:] if r]
     times: list[int] = []
@@ -212,11 +215,7 @@ def load_panel_csv(path: str | Path, h: HierarchySpec, train_len: int | None = N
     replaced by positions 1..T. ``train_len`` defaults to 70% of T
     (floored, clamped to [1, T-1]).
     """
-    col_nodes, data = _read_wide_csv(path)
-    known = set(h.node_ids)
-    for c in col_nodes:
-        if c not in known:
-            raise ValueError(f"{path}: column {c} is not a node of the hierarchy")
+    col_nodes, data = _read_wide_csv(path, h)
     for b in h.bottom_ids:
         if b not in col_nodes:
             raise ValueError(f"{path}: missing required bottom-level column for node {b}")

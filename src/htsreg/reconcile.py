@@ -71,9 +71,11 @@ def mint_reconcile(h: HierarchySpec, base_all: np.ndarray, w: np.ndarray,
                    return_info: bool = False) -> np.ndarray | tuple[np.ndarray, MintInfo]:
     """Trace-minimizing reconciliation  y~ = S (S' W^-1 S)^-1 S' W^-1 y^.
 
-    ``w`` is conditioned with a ridge of gamma * mean(diag(w)) before each
-    factorization attempt, escalating gamma tenfold from 1e-8 to 1e-2;
-    solves go through Cholesky factorizations, never an explicit inverse.
+    ``w`` must be symmetric to 1e-12 of its largest entry, since the
+    factorization reads one triangle. It is conditioned with a ridge of
+    gamma * mean(diag(w)) before each factorization attempt, escalating
+    gamma tenfold from 1e-8 to 1e-2; solves go through Cholesky
+    factorizations, never an explicit inverse.
     Scaling w by a positive constant leaves the output unchanged.
     """
     base = np.asarray(base_all, dtype=np.float64)
@@ -87,6 +89,8 @@ def mint_reconcile(h: HierarchySpec, base_all: np.ndarray, w: np.ndarray,
         raise ValueError(f"W must be {h.n_nodes} x {h.n_nodes}, got {w.shape}")
     if not np.all(np.isfinite(w)):
         raise ValueError("W contains non-finite values")
+    if np.max(np.abs(w - w.T)) > 1e-12 * np.max(np.abs(w)):
+        raise ValueError("W must be symmetric")
 
     s = np.asarray(summing_matrix(h))
     ridge_unit = float(np.mean(np.diag(w)))

@@ -70,21 +70,6 @@ class SynthParams:
             raise ValueError("burn_in must be >= 0")
 
 
-@dataclass(frozen=True)
-class FactorPaths:
-    """Common-factor sample paths for the root and mid-level nodes."""
-
-    node_ids: tuple[int, ...]
-    psi: np.ndarray
-
-    def __post_init__(self) -> None:
-        psi = np.asarray(self.psi, dtype=np.float64)
-        if psi.shape[0] != len(self.node_ids):
-            raise ValueError("psi row count must match node_ids")
-        psi.setflags(write=False)
-        object.__setattr__(self, "psi", psi)
-
-
 def preset_params(name: str, *, t_total: int = 100, burn_in: int = 50, seed: int = 0) -> SynthParams:
     """Parameter set for one of the named presets."""
     if name not in _PRESET_LOADINGS:
@@ -122,8 +107,8 @@ def _ar1_path(phi: float, shocks: np.ndarray) -> np.ndarray:
     return path
 
 
-def generate_factors(params: SynthParams, h: HierarchySpec, *, keep_burn_in: bool = False) -> FactorPaths:
-    """AR(1) common-factor paths for the root and each mid node.
+def generate_factors(params: SynthParams, h: HierarchySpec, *, keep_burn_in: bool = False) -> np.ndarray:
+    """AR(1) common-factor paths, one row per upper node of ``h`` (root, then mids).
 
     Paths start from zero, run for burn_in + t_total steps, and by default
     the burn-in prefix is discarded. ``keep_burn_in=True`` returns the full
@@ -136,37 +121,33 @@ def generate_factors(params: SynthParams, h: HierarchySpec, *, keep_burn_in: boo
         shocks = params.sigma[node] * rng.standard_normal(n_steps)
         rows.append(_ar1_path(params.phi[node], shocks))
     psi = np.vstack(rows)
-    if not keep_burn_in:
-        psi = psi[:, params.burn_in:]
-    return FactorPaths(node_ids=h.upper_ids, psi=psi)
+    return psi if keep_burn_in else psi[:, params.burn_in:]
 
 
-def generate_bottom(params: SynthParams, factors: FactorPaths, mid_of: Mapping[int, int]) -> np.ndarray:
-    """Bottom-level series driven by the root factor, a mid factor, and AR noise.
+def generate_bottom(params: SynthParams, psi: np.ndarray, h: HierarchySpec) -> np.ndarray:
+    """Bottom-level series driven by the root factor, their mid's factor, and AR noise.
 
-    ``factors`` must cover burn_in + t_total steps (see
-    :func:`generate_factors` with ``keep_burn_in=True``); the burn-in
-    prefix of the output is discarded. Rows are ascending bottom node ids.
+    ``psi`` holds the factor paths of :func:`generate_factors` with
+    ``keep_burn_in=True``: row 0 drives every bottom node, row r the
+    children of mid r. The burn-in prefix of the output is discarded.
+    Rows follow ``h.bottom_ids``.
     """
     n_steps = params.burn_in + params.t_total
-    if factors.psi.shape[1] != n_steps:
+    if psi.shape != (len(h.upper_rows), n_steps):
         raise ValueError(
-            f"factor paths must cover burn_in + t_total = {n_steps} steps, got {factors.psi.shape[1]}"
+            f"factor paths must be {len(h.upper_rows)} rows over burn_in + t_total = {n_steps} steps, "
+            f"got shape {psi.shape}"
         )
-    bottoms = sorted(params.rho)
-    factor_pos = {n: i for i, n in enumerate(factors.node_ids)}
-    root_path = factors.psi[0]
-    out = np.empty((len(bottoms), params.t_total), dtype=np.float64)
-    for r, node in enumerate(bottoms):
-        if node not in mid_of:
-            raise ValueError(f"no mid-level parent defined for bottom node {node}")
-        mid = mid_of[node]
-        if mid not in factor_pos:
-            raise ValueError(f"mid node {mid} has no factor path")
-        rng = _node_stream(params.seed, _BOTTOM_ROLE, node)
-        noise = params.sigma[node] * rng.standard_normal(n_steps)
-        drive = params.rho[node] * root_path + params.theta[node] * factors.psi[factor_pos[mid]] + noise
-        out[r] = _ar1_path(params.phi[node], drive)[params.burn_in:]
+    if set(params.rho) != set(h.bottom_ids):
+        raise ValueError("loadings must cover exactly the bottom nodes of the hierarchy")
+    out = np.empty((h.n_bottom, params.t_total), dtype=np.float64)
+    for r, rows in enumerate(h.upper_rows[1:], start=1):
+        for i in rows:
+            node = h.bottom_ids[i]
+            rng = _node_stream(params.seed, _BOTTOM_ROLE, node)
+            noise = params.sigma[node] * rng.standard_normal(n_steps)
+            drive = params.rho[node] * psi[0] + params.theta[node] * psi[r] + noise
+            out[i] = _ar1_path(params.phi[node], drive)[params.burn_in:]
     return out
 
 
@@ -192,14 +173,11 @@ def generate_dataset(
         params = preset if seed is None else replace(preset, seed=seed)
         if h is None:
             raise ValueError("custom SynthParams require an explicit hierarchy")
-    if set(params.rho) != set(h.bottom_ids):
-        raise ValueError("loadings must cover exactly the bottom nodes of the hierarchy")
     for node in h.node_ids:
         if node not in params.phi or node not in params.sigma:
             raise ValueError(f"phi/sigma missing for node {node}")
 
-    factors = generate_factors(params, h, keep_burn_in=True)
-    y_bottom = generate_bottom(params, factors, mid_of={b: h.parent[b] for b in h.bottom_ids})
+    y_bottom = generate_bottom(params, generate_factors(params, h, keep_burn_in=True), h)
     values = aggregate_bottom(h, y_bottom)
     train_len = min(max(int(round(0.7 * params.t_total)), 1), params.t_total - 1)
     return SeriesPanel.from_values(h, values, train_len)

@@ -19,11 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
+from numbers import Integral, Real
 from typing import Callable
 
 import numpy as np
 
-from .hierarchy import HierarchySpec, aggregate_bottom, structure_matrix
+from .hierarchy import HierarchySpec, aggregate_bottom, rmse, structure_matrix
 from .neuralnet import NetworkDims, NetworkParams, activation, forward, init_params
 from .panel import SeriesPanel, lagged_design
 
@@ -54,6 +55,10 @@ class RegWeights:
         return cls(lambda_by_node=by_node, vec=vec)
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     eta: float = 1e-5
@@ -66,10 +71,17 @@ class TrainConfig:
     hidden_dim: int | None = None  # default: twice the input width
 
     def __post_init__(self) -> None:
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        for name in ("eta", "eps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) or not value > 0:
+                raise ValueError(f"{name} must be a positive number, got {value!r}")
+        for name in ("max_epochs", "lag", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.hidden_dim is not None and not (_is_int(self.hidden_dim) and self.hidden_dim >= 1):
+            raise ValueError(f"hidden_dim must be a positive integer or null, got {self.hidden_dim!r}")
+        if not isinstance(self.bias, bool):
+            raise ValueError(f"bias must be true or false, got {self.bias!r}")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be >= 0")
         if self.lag < 1:
@@ -325,7 +337,7 @@ def tune_lambda(panel: SeriesPanel, h: HierarchySpec,
     best: tuple[float, float, float, float] | None = None
     for (l_root, l_mid), result in zip(grid, results):
         coherent = aggregate_bottom(h, predict_bottom(result.params, fit_panel, config, val_tps))
-        score = float(np.mean(np.sqrt(np.mean((actual - coherent) ** 2, axis=1))))
+        score = float(rmse(actual, coherent).mean())
         key = (score, l_root + l_mid, l_root, l_mid)
         if best is None or key < best:
             best = key

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from htsreg.baselines import (
     DEFAULT_ES_GRID,
@@ -73,6 +75,23 @@ def test_ma1_equals_es1_from_second_step():
     rng = np.random.default_rng(2)
     y = rng.standard_normal(30)
     assert np.array_equal(ma_forecast(y, 1)[1:], es_forecast(y, 1.0)[1:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(2, 40), st.integers(0, 2**32 - 1), st.data())
+def test_matrix_forecasts_equal_row_by_row_loops(n_rows, n_time, seed, data):
+    """A series-by-time matrix gives, row for row, the bits of a per-row, per-step loop."""
+    values = np.random.default_rng(seed).standard_normal((n_rows, n_time)) * 5.0
+    n = data.draw(st.integers(1, n_time - 1))
+    alpha = data.draw(st.floats(0.0, 1.0))
+    ma_loop, es_loop = np.full((n_rows, n_time + 1), np.nan), np.empty((n_rows, n_time + 1))
+    for i, row in enumerate(values):
+        ma_loop[i, n:] = [row[p - n: p].mean() for p in range(n, n_time + 1)]
+        es_loop[i, 0] = row[0]
+        for p in range(1, n_time + 1):
+            es_loop[i, p] = alpha * row[p - 1] + (1.0 - alpha) * es_loop[i, p - 1]
+    assert ma_forecast(values, n).tobytes() == ma_loop.tobytes()
+    assert es_forecast(values, alpha).tobytes() == es_loop.tobytes()
 
 
 def test_select_prefers_persistence_on_ramp():

@@ -141,12 +141,19 @@ def swap_timestamps(header, rows):
     rows[2][0], rows[3][0] = rows[3][0], rows[2][0]
 
 
+def foreign_column(header, rows):
+    header.append("99")
+    for r in rows:
+        r.append(r[4])
+
+
 @pytest.mark.parametrize("edit, message", [(set_nan, "non-finite cell 'nan'"),
                                            (duplicate_column, "duplicate node column"),
-                                           (swap_timestamps, "strictly increasing")],
-                         ids=["nan_cell", "duplicate_column", "timestamps_out_of_order"])
+                                           (swap_timestamps, "strictly increasing"),
+                                           (foreign_column, "column 99 is not a node of the hierarchy")],
+                         ids=["nan_cell", "duplicate_column", "timestamps_out_of_order", "foreign_column"])
 def test_reconcile_rejects_bad_base_file(tmp_path, small_setup, capsys, edit, message):
-    """NaN cells, repeated node columns and out-of-order timestamps end with exit 2, not output."""
+    """NaN cells, repeated or foreign node columns and out-of-order timestamps end with exit 2, not output."""
     _, hier, pcsv = small_setup
     out = tmp_path / "coherent.csv"
     code = main(["reconcile", "--method", "bu", "--hierarchy", str(hier),
@@ -231,6 +238,31 @@ def test_run_missing_panel_fails_fast(tmp_path):
 def test_run_rejects_bad_method(tmp_path):
     cfg = run_config(tmp_path, methods=[{"name": "ARIMA"}])
     assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("option", [{"hidden_dim": "8"}, {"hidden_dim": 2.5}, {"hidden_dim": True},
+                                    {"bias": "no"}],
+                         ids=["hidden_dim_string", "hidden_dim_fraction", "hidden_dim_bool", "bias_string"])
+def test_run_rejects_mistyped_train_option(tmp_path, capsys, option):
+    cfg = run_config(tmp_path, train={"max_epochs": 5, **option})
+    out_dir = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+    assert f"train: {next(iter(option))} must be" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("seed", [1.7, True], ids=["fraction", "bool"])
+def test_run_rejects_non_integer_trial_seed(tmp_path, seed):
+    cfg = run_config(tmp_path, trial_seeds=[seed, 2])
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_run_rejects_nonpositive_jobs(tmp_path, jobs):
+    cfg = run_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o"), "--jobs", jobs])
+    assert exc.value.code == 2
 
 
 def test_run_parallel_jobs_match_serial(tmp_path):

@@ -72,10 +72,11 @@ def test_report_aggregates_are_means(tree):
     forecast = rng.standard_normal((7, 10))
     rep = node_report(tree, actual, forecast, "demo")
     values = [rep.per_node[n] for n in tree.node_ids]
-    assert rep.root == rep.per_node[1]
-    assert rep.mid_mean == pytest.approx(np.mean(values[1:3]), abs=1e-12)
-    assert rep.bottom_mean == pytest.approx(np.mean(values[3:]), abs=1e-12)
-    assert rep.all_mean == pytest.approx(np.mean(values), abs=1e-12)
+    assert list(rep.levels) == ["root", "mid", "bottom", "average"]
+    assert rep.levels["root"] == rep.per_node[1]
+    assert rep.levels["mid"] == pytest.approx(np.mean(values[1:3]), abs=1e-12)
+    assert rep.levels["bottom"] == pytest.approx(np.mean(values[3:]), abs=1e-12)
+    assert rep.levels["average"] == pytest.approx(np.mean(values), abs=1e-12)
 
 
 def test_summary_of_identical_reports_has_zero_halfwidth(tree):

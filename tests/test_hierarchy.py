@@ -4,12 +4,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from htsreg.hierarchy import (
+    LEVELS,
     aggregate_bottom,
     build_hierarchy,
     check_coherence,
+    level_means,
     load_hierarchy_json,
+    rmse,
     structure_matrix,
     summing_matrix,
     write_hierarchy_json,
@@ -39,7 +44,7 @@ def test_build_small_tree():
     assert h.root == 1
     assert h.mid_ids == (2, 3)
     assert h.bottom_ids == (4, 5, 6, 7)
-    assert h.level == {1: 0, 2: 1, 3: 1, 4: 2, 5: 2, 6: 2, 7: 2}
+    assert h.level_rows == (range(0, 1), range(1, 3), range(3, 7))
 
 
 def test_build_wide_tree():
@@ -209,3 +214,44 @@ def test_coherence_violated_by_independent_standardization():
     report = check_coherence(h, std.values, tol=1e-9)
     assert not report.ok
     assert report.max_violation > 0.1
+
+
+@st.composite
+def depth_two_trees(draw):
+    """A child -> parent map of a random depth-2 tree whose node ids are shuffled distinct integers."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))  # children per mid
+    n = 1 + len(sizes) + sum(sizes)
+    ids = draw(st.lists(st.integers(0, 500), min_size=n, max_size=n, unique=True))
+    root, mids, bottoms = ids[0], ids[1: 1 + len(sizes)], iter(ids[1 + len(sizes):])
+    parents = {m: root for m in mids}
+    for m, k in zip(mids, sizes):
+        parents.update({next(bottoms): m for _ in range(k)})
+    return parents
+
+
+@settings(max_examples=60, deadline=None)
+@given(depth_two_trees(), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_tree_layout_and_scorer_on_random_trees(parents, n_time, seed):
+    """Level rows, S, aggregation, coherence and the row-wise scorer all agree on one tree layout."""
+    h = build_hierarchy(parents)
+    depth = {n: 0 if n not in parents else 1 if parents[n] not in parents else 2 for n in h.node_ids}
+    assert [i for rows in h.level_rows for i in rows] == list(range(h.n_nodes))
+    for d, rows in enumerate(h.level_rows):
+        assert sorted(h.node_ids[i] for i in rows) == sorted(n for n in h.node_ids if depth[n] == d)
+
+    assert np.array_equal(structure_matrix(h), ancestor_oracle(parents, list(h.upper_ids), list(h.bottom_ids)))
+    rng = np.random.default_rng(seed)
+    yb = rng.standard_normal((h.n_bottom, n_time)) * 10.0
+    full = aggregate_bottom(h, yb)
+    assert np.allclose(full, summing_matrix(h) @ yb, rtol=1e-13, atol=1e-13)
+    assert check_coherence(h, full, tol=0.0).ok
+
+    forecast = full + rng.standard_normal(full.shape)
+    per_node = rmse(full, forecast)
+    rows = [rmse(a, f) for a, f in zip(full, forecast)]
+    assert per_node.tolist() == rows
+    means = level_means(h, per_node)
+    assert list(means) == list(LEVELS)
+    for lvl, d in zip(LEVELS, (0, 1, 2)):
+        assert means[lvl] == float(np.mean([r for n, r in zip(h.node_ids, rows) if depth[n] == d]))
+    assert means["average"] == float(np.mean(rows))

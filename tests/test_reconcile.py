@@ -233,3 +233,16 @@ def test_unbiasedness_top_down_fails(tree):
     assert not check.within_tol
     # S(PS) turns identity rows into constant-quarter rows: deviation 0.75
     assert check.max_deviation == pytest.approx(0.75)
+
+
+def test_mint_rejects_asymmetric_w(wide):
+    """The Cholesky factorization reads one triangle, so an asymmetric W is an error, not a silent half."""
+    base = np.random.default_rng(9).standard_normal((13, 4))
+    w = random_w(13, 8)
+    skewed = w.copy()
+    skewed[0, 5] += 1e-6
+    with pytest.raises(ValueError, match="symmetric"):
+        mint_reconcile(wide, base, skewed)
+    rounded = w.copy()
+    rounded[0, 5] *= 1.0 + 1e-15  # rounding-level asymmetry stays accepted
+    assert np.allclose(mint_reconcile(wide, base, rounded), mint_reconcile(wide, base, w), rtol=0, atol=1e-12)

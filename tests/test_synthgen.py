@@ -36,8 +36,8 @@ def test_zero_noise_gives_zero_factors(wide_tree):
         phi=params.phi, sigma={n: 0.0 for n in params.sigma},
         rho=params.rho, theta=params.theta, t_total=50, seed=1,
     )
-    factors = generate_factors(params, wide_tree)
-    assert np.array_equal(factors.psi, np.zeros((4, 50)))
+    psi = generate_factors(params, wide_tree)
+    assert np.array_equal(psi, np.zeros((4, 50)))
 
 
 def test_iid_factor_matches_noise_sd(wide_tree):
@@ -47,17 +47,16 @@ def test_iid_factor_matches_noise_sd(wide_tree):
         phi={n: 0.0 for n in params.phi}, sigma=params.sigma,
         rho=params.rho, theta=params.theta, t_total=100_000, seed=3,
     )
-    factors = generate_factors(params, wide_tree)
-    sd = factors.psi[0].std()
+    sd = generate_factors(params, wide_tree)[0].std()
     assert abs(sd - 0.3) / 0.3 < 0.05
 
 
 def test_ar_factor_matches_stationary_variance(wide_tree):
     """phi=0.3, sigma=0.3: long-run variance near sigma^2/(1-phi^2)."""
     params = long_params("WeakC", t_total=100_000, seed=5)
-    factors = generate_factors(params, wide_tree)
+    psi = generate_factors(params, wide_tree)
     target = 0.3 ** 2 / (1 - 0.3 ** 2)
-    for row in factors.psi:
+    for row in psi:
         assert abs(row.var() - target) / target < 0.05
 
 
@@ -69,8 +68,7 @@ def test_unloaded_bottoms_are_uncorrelated(wide_tree):
         rho={n: 0.0 for n in base.rho}, theta={n: 0.0 for n in base.theta},
         t_total=10_000, seed=7,
     )
-    factors = generate_factors(params, wide_tree, keep_burn_in=True)
-    yb = generate_bottom(params, factors, {b: wide_tree.parent[b] for b in wide_tree.bottom_ids})
+    yb = generate_bottom(params, generate_factors(params, wide_tree, keep_burn_in=True), wide_tree)
     corr = np.corrcoef(yb)
     off = corr[~np.eye(9, dtype=bool)]
     assert np.max(np.abs(off)) < 0.05
@@ -79,8 +77,7 @@ def test_unloaded_bottoms_are_uncorrelated(wide_tree):
 def test_pstvc_bottoms_positively_correlated(wide_tree):
     """Unit loadings on shared factors push pairwise correlations above 0.3."""
     params = long_params("PstvC", t_total=10_000, seed=11)
-    factors = generate_factors(params, wide_tree, keep_burn_in=True)
-    yb = generate_bottom(params, factors, {b: wide_tree.parent[b] for b in wide_tree.bottom_ids})
+    yb = generate_bottom(params, generate_factors(params, wide_tree, keep_burn_in=True), wide_tree)
     corr = np.corrcoef(yb)
     off = corr[~np.eye(9, dtype=bool)]
     assert np.min(off) > 0.3
@@ -89,8 +86,7 @@ def test_pstvc_bottoms_positively_correlated(wide_tree):
 def test_ngtvc_sibling_pair_negatively_correlated(wide_tree):
     """Nodes 5 and 6 share a mid factor with opposite unit loadings."""
     params = long_params("NgtvC", t_total=10_000, seed=13)
-    factors = generate_factors(params, wide_tree, keep_burn_in=True)
-    yb = generate_bottom(params, factors, {b: wide_tree.parent[b] for b in wide_tree.bottom_ids})
+    yb = generate_bottom(params, generate_factors(params, wide_tree, keep_burn_in=True), wide_tree)
     corr = np.corrcoef(yb[0], yb[1])[0, 1]  # rows for nodes 5 and 6
     assert corr < -0.1
 
@@ -100,16 +96,18 @@ def test_generate_bottom_needs_untrimmed_factors(wide_tree):
     params = preset_params("WeakC", t_total=60, seed=1)
     trimmed = generate_factors(params, wide_tree)  # burn-in discarded
     with pytest.raises(ValueError, match="burn_in"):
-        generate_bottom(params, trimmed, {b: wide_tree.parent[b] for b in wide_tree.bottom_ids})
+        generate_bottom(params, trimmed, wide_tree)
 
 
-def test_generate_bottom_rejects_missing_parent(wide_tree):
+def test_generate_bottom_rejects_loadings_off_the_tree(wide_tree, small_tree):
+    """Loadings must name exactly the tree's bottom nodes: none missing, none extra."""
     params = preset_params("WeakC", t_total=60, seed=1)
-    factors = generate_factors(params, wide_tree, keep_burn_in=True)
-    mid_of = {b: wide_tree.parent[b] for b in wide_tree.bottom_ids}
-    del mid_of[9]
-    with pytest.raises(ValueError, match="bottom node 9"):
-        generate_bottom(params, factors, mid_of)
+    rho = {n: v for n, v in params.rho.items() if n != 9}
+    missing = SynthParams(phi=params.phi, sigma=params.sigma, rho=rho, theta=params.theta, t_total=60, seed=1)
+    with pytest.raises(ValueError, match="loadings"):
+        generate_bottom(missing, generate_factors(missing, wide_tree, keep_burn_in=True), wide_tree)
+    with pytest.raises(ValueError, match="loadings"):  # the 13-node loadings on the 7-node tree
+        generate_bottom(params, generate_factors(params, small_tree, keep_burn_in=True), small_tree)
 
 
 def test_dataset_is_deterministic():
@@ -166,8 +164,7 @@ def test_adding_nodes_preserves_existing_streams(wide_tree):
     b_theta = dict(a.theta)
     b_rho[13] = 0.77  # perturb a different node
     b = SynthParams(phi=a.phi, sigma=a.sigma, rho=b_rho, theta=b_theta, t_total=80, seed=29)
-    mid_of = {bn: wide_tree.parent[bn] for bn in wide_tree.bottom_ids}
-    ya = generate_bottom(a, generate_factors(a, wide_tree, keep_burn_in=True), mid_of)
-    yb = generate_bottom(b, generate_factors(b, wide_tree, keep_burn_in=True), mid_of)
+    ya = generate_bottom(a, generate_factors(a, wide_tree, keep_burn_in=True), wide_tree)
+    yb = generate_bottom(b, generate_factors(b, wide_tree, keep_burn_in=True), wide_tree)
     assert np.array_equal(ya[0], yb[0])      # node 5 untouched
     assert not np.array_equal(ya[8], yb[8])  # node 13 changed
