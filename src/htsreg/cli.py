@@ -187,16 +187,25 @@ def _load_config(path: str) -> tuple[dict, Path]:
     return raw, Path(path).resolve().parent
 
 
+def _panel_int(pc: dict, key: str, default: int | None) -> int | None:
+    """``panel.<key>``: a JSON integer, or the default if absent (or null where the default is)."""
+    value = pc.get(key, default)
+    _need(value is default or (isinstance(value, int) and not isinstance(value, bool)),
+          f"panel.{key}", f"must be an integer, got {value!r}")
+    return value
+
+
 def _panel_from_config(cfg: dict, base_dir: Path) -> tuple[SeriesPanel, HierarchySpec]:
     _need("panel" in cfg, "panel", "missing key")
     pc = cfg["panel"]
     _need(isinstance(pc, dict), "panel", "must be an object")
+    train_len = _panel_int(pc, "train_len", None)
     if "preset" in pc:
         _need(pc["preset"] in PRESET_NAMES, "panel.preset", f"unknown preset; choose from {PRESET_NAMES}")
         h = preset_hierarchy()
-        panel = generate_dataset(pc["preset"], seed=int(pc.get("seed", 0)))
-        if "train_len" in pc:
-            panel = panel.with_train_len(int(pc["train_len"]))
+        panel = generate_dataset(pc["preset"], seed=_panel_int(pc, "seed", 0))
+        if train_len is not None:
+            panel = panel.with_train_len(train_len)
     elif "csv" in pc:
         _need("hierarchy" in cfg, "hierarchy", "a csv panel needs a hierarchy file")
         hier_path = base_dir / cfg["hierarchy"]
@@ -204,7 +213,7 @@ def _panel_from_config(cfg: dict, base_dir: Path) -> tuple[SeriesPanel, Hierarch
         h = load_hierarchy_json(hier_path)
         csv_path = base_dir / pc["csv"]
         _need(csv_path.exists(), "panel.csv", f"file not found: {csv_path}")
-        panel = load_panel_csv(csv_path, h, train_len=pc.get("train_len"))
+        panel = load_panel_csv(csv_path, h, train_len=train_len)
     else:
         raise ConfigError("panel: needs either 'preset' or 'csv'")
     if cfg.get("standardize", True):
@@ -309,10 +318,11 @@ def _write_traces(result: BenchmarkResult, path: Path) -> None:
         writer = csv.writer(f)
         writer.writerow(["method", "trial_seed", "epoch", "level", "rmse"])
         for label in result.labels:
-            for seed in sorted(result.traces.get(label, {})):
-                for epoch, levels in enumerate(result.traces[label][seed], start=1):
-                    for level, value in levels.items():
-                        writer.writerow([label, seed, epoch, level, f"{value:.17g}"])
+            for seed, fit in sorted(result.fits.get(label, {}).items()):
+                if fit.epoch_eval is not None:
+                    writer.writerows([label, seed, epoch, level, f"{value:.17g}"]
+                                     for epoch, row in enumerate(fit.epoch_eval.tolist(), start=1)
+                                     for level, value in zip(LEVELS, row))
 
 
 def _slug(label: str) -> str:
@@ -339,9 +349,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     _write_traces(result, out_dir / "epoch_trace.csv")
     ckpt_dir = out_dir / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
-    for label, by_seed in result.checkpoints.items():
-        for seed, params in by_seed.items():
-            save_checkpoint(params, ckpt_dir / f"{_slug(label)}_seed{seed}.json", seed=seed)
+    for label, by_seed in result.fits.items():
+        for seed, fit in by_seed.items():
+            save_checkpoint(fit.params, ckpt_dir / f"{_slug(label)}_seed{seed}.json", seed=seed)
     manifest = {
         "artifact_version": __version__,
         "command": "run",

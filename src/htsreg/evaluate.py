@@ -18,11 +18,12 @@ from .trainer import (
     DEFAULT_LAMBDA_GRID,
     RegWeights,
     TrainConfig,
+    TrainingDiverged,
+    TrainResult,
     forecast_timepoints,
     predict_all_nodes,
     predict_bottom,
-    train,
-    train_all_node_base,
+    train_all_node_batch,
     train_batch,
     training_timepoints,
     tune_lambda,
@@ -48,8 +49,8 @@ def node_report(h: HierarchySpec, actual: np.ndarray, forecast: np.ndarray,
         a = scaler.inverse_values(a)
         f = scaler.inverse_values(f)
     per_node = rmse(a, f)
-    return EvalReport(method=method, params=dict(params or {}),
-                      per_node=dict(zip(h.node_ids, per_node.tolist())), levels=level_means(h, per_node))
+    return EvalReport(method=method, params=dict(params or {}), per_node=dict(zip(h.node_ids, per_node.tolist())),
+                      levels=dict(zip(LEVELS, level_means(h, per_node).tolist())))
 
 
 @dataclass(frozen=True)
@@ -79,13 +80,18 @@ def summarize_trials(reports: list[EvalReport]) -> TrialSummary:
 
 
 def make_epoch_hook(panel: SeriesPanel, h: HierarchySpec, config: TrainConfig):
-    """Hook recording per-level test RMSE of bottom-up forecasts after each epoch."""
+    """Stack hook for training: per-level test RMSE of bottom-up forecasts.
+
+    ``hook(first_epoch, nets)`` takes bottom-network weights with leading
+    (epoch, model) axes and returns their level means over the test period,
+    shaped (epochs, models, 4) in :data:`LEVELS` order.
+    """
     x = lagged_design(panel.bottom_values, config.lag, forecast_timepoints(panel))
     actual = panel.values[:, panel.train_len:]
 
-    def hook(epoch: int, params: NetworkParams) -> dict[str, float]:
-        u3 = forward(params, x, config.activation)[1]
-        return level_means(h, rmse(actual, aggregate_bottom(h, u3.T)))
+    def hook(first_epoch: int, nets: NetworkParams) -> np.ndarray:
+        u3 = forward(nets, x, config.activation)[1]
+        return level_means(h, rmse(actual, aggregate_bottom(h, np.swapaxes(u3, -1, -2))))
 
     return hook
 
@@ -120,8 +126,8 @@ def reg_sweep(panel: SeriesPanel, h: HierarchySpec, x_grid: tuple | list,
         base, *rest = [level_means(h, rmse(actual, aggregate_bottom(h, predict_bottom(r.params, panel, cfg, tps))))
                        for r in train_batch(panel, h, regs, cfg)]
         for (mode, x_idx, _), point in zip(points, rest):
-            for lvl in LEVELS:  # x = 0 stays exactly zero: no self-subtraction
-                diffs[mode][lvl][s_idx, x_idx] = point[lvl] - base[lvl]
+            for j, lvl in enumerate(LEVELS):  # x = 0 stays exactly zero: no self-subtraction
+                diffs[mode][lvl][s_idx, x_idx] = point[j] - base[j]
     return {mode: {lvl: diffs[mode][lvl].mean(axis=0) for lvl in LEVELS} for mode in modes}
 
 
@@ -144,8 +150,8 @@ class BenchmarkResult:
     seeds: list[int]
     reports: dict[str, list[EvalReport]]
     summaries: dict[str, TrialSummary | None]
-    traces: dict[str, dict[int, list[dict[str, float]]]] = field(default_factory=dict)
-    checkpoints: dict[str, dict[int, NetworkParams]] = field(default_factory=dict)
+    # Network trials by label and seed: parameters, stop and epoch trace ((epochs, 4) or None).
+    fits: dict[str, dict[int, TrainResult]] = field(default_factory=dict)
 
 
 def _fmt_lambda(v: float) -> str:
@@ -157,26 +163,38 @@ def baseline_forecast_matrix(panel: SeriesPanel, choice: BaselineChoice) -> np.n
     return choice.forecast(panel.values)[:, panel.train_len: panel.n_time]
 
 
-def _nn_trial(panel: SeriesPanel, h: HierarchySpec, config: TrainConfig, label: str,
-              kind: str, lam: tuple[float, float], collect_trace: bool,
-              seed: int) -> tuple[EvalReport, list | None, NetworkParams]:
-    cfg = replace(config, seed=seed)
-    actual = panel.values[:, panel.train_len:]
-    if kind == "mint":
-        result = train_all_node_base(panel, cfg)
-        fit_tps = training_timepoints(panel, cfg.lag)
-        base_fit = predict_all_nodes(result.params, panel, cfg, fit_tps)
-        w = estimate_w_sample(base_fit, panel.values[:, [t - 1 for t in fit_tps]])
-        base_test = predict_all_nodes(result.params, panel, cfg, forecast_timepoints(panel))
-        coherent = mint_reconcile(h, base_test, w)
-        trace = None
-    else:
-        hook = make_epoch_hook(panel, h, cfg) if collect_trace else None
-        result = train(panel, h, RegWeights.build(h, *lam), cfg, epoch_hook=hook)
-        coherent = aggregate_bottom(h, predict_bottom(result.params, panel, cfg, forecast_timepoints(panel)))
-        trace = result.epoch_eval if collect_trace else None
-    report = node_report(h, actual, coherent, label, params={"seed": seed})
-    return report, trace, result.params
+def _nn_trials(panel: SeriesPanel, h: HierarchySpec, config: TrainConfig,
+               trials: list[tuple[str, str, tuple[float, float], int]], collect_traces: bool) -> list:
+    """Train network trials (label, kind, lam, seed): the bottom networks in one set of stacks, MinT's bases in another.
+
+    Returns a (coherent test forecast, fit) pair per trial. The bottom
+    networks share one epoch hook. A diverged stack leaves its trials
+    None and puts its error at the trial it names, so the first error in
+    trial order is the one a trial-by-trial run would raise.
+    """
+    out: list = [None] * len(trials)
+    sr = [i for i, t in enumerate(trials) if t[1] == "sr"]
+    mint = [i for i, t in enumerate(trials) if t[1] == "mint"]
+    test_tps, fit_tps = forecast_timepoints(panel), training_timepoints(panel, config.lag)
+    if sr:
+        hook = make_epoch_hook(panel, h, config) if collect_traces else None
+        try:
+            fits = train_batch(panel, h, [RegWeights.build(h, *trials[i][2]) for i in sr], config,
+                               seeds=[trials[i][3] for i in sr], hook=hook)
+        except TrainingDiverged as exc:
+            out[sr[exc.model]], fits = exc, []
+        for i, fit in zip(sr, fits):
+            out[i] = aggregate_bottom(h, predict_bottom(fit.params, panel, config, test_tps)), fit
+    if mint:
+        try:
+            fits = train_all_node_batch(panel, config, [trials[i][3] for i in mint])
+        except TrainingDiverged as exc:
+            out[mint[exc.model]], fits = exc, []
+        for i, fit in zip(mint, fits):
+            base_fit = predict_all_nodes(fit.params, panel, config, fit_tps)
+            w = estimate_w_sample(base_fit, panel.values[:, [t - 1 for t in fit_tps]])
+            out[i] = mint_reconcile(h, predict_all_nodes(fit.params, panel, config, test_tps), w), fit
+    return out
 
 
 def run_benchmark(panel: SeriesPanel, h: HierarchySpec, methods: list[MethodSpec],
@@ -185,16 +203,18 @@ def run_benchmark(panel: SeriesPanel, h: HierarchySpec, methods: list[MethodSpec
     """Evaluate every requested method on the panel's test period.
 
     Baselines are deterministic and produce a single report; network
-    methods produce one report per seed plus a trial summary. Fully
-    deterministic given the seed list; ``jobs`` parallelizes across
-    network trials only.
+    methods produce one report per seed plus a trial summary. Every
+    network trains in a stack with the others of its kind (see
+    :func:`_nn_trials`); ``jobs`` > 1 splits the seeds into that many
+    contiguous shards trained as their own stacks in parallel processes.
+    Fully deterministic given the seed list, whatever ``jobs``.
     """
     if len(set(seeds)) != len(seeds):
         raise ValueError("trial seeds must be distinct")
     result = BenchmarkResult(labels=[], seeds=list(seeds), reports={}, summaries={})
     actual = panel.values[:, panel.train_len:]
 
-    nn_tasks: list[tuple[str, str, tuple[float, float], bool]] = []
+    nn_tasks: list[tuple[str, str, tuple[float, float]]] = []
     for spec in methods:
         if spec.name in ("MA", "ES"):
             choice = select_param(panel, spec.name, spec.grid)
@@ -204,9 +224,9 @@ def run_benchmark(panel: SeriesPanel, h: HierarchySpec, methods: list[MethodSpec
             result.reports[choice.label] = [report]
             result.summaries[choice.label] = None
         elif spec.name == "NN+BU":
-            nn_tasks.append(("NN+BU", "sr", (0.0, 0.0), collect_traces))
+            nn_tasks.append(("NN+BU", "sr", (0.0, 0.0)))
         elif spec.name == "NN+MinT":
-            nn_tasks.append(("NN+MinT", "mint", (0.0, 0.0), False))
+            nn_tasks.append(("NN+MinT", "mint", (0.0, 0.0)))
         elif spec.name == "NN+SR":
             if spec.tune:
                 lam = tune_lambda(
@@ -220,39 +240,38 @@ def run_benchmark(panel: SeriesPanel, h: HierarchySpec, methods: list[MethodSpec
                     raise ValueError("NN+SR needs lambda_root and lambda_mid (or tune=True)")
                 lam = (float(spec.lambda_root), float(spec.lambda_mid))
             label = f"NN+SR({_fmt_lambda(lam[0])}, {_fmt_lambda(lam[1])})"
-            nn_tasks.append((label, "sr", lam, collect_traces))
+            nn_tasks.append((label, "sr", lam))
         else:
             raise ValueError(f"unknown method {spec.name!r}")
 
-    trial_args = [(label, kind, lam, trace, seed)
-                  for label, kind, lam, trace in nn_tasks for seed in seeds]
-    if jobs > 1 and trial_args:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            outcomes = list(ex.map(
-                partial(_trial_entry, panel, h, config),
-                trial_args,
-            ))
+    trials = [(label, kind, lam, seed) for label, kind, lam in nn_tasks for seed in seeds]
+    shards = min(jobs, len(seeds)) if trials else 1
+    if shards > 1:  # contiguous seed ranges, each trained as its own stacks
+        parts = [[i for i in range(len(trials)) if shards * (i % len(seeds)) // len(seeds) == s]
+                 for s in range(shards)]
+        outcomes: list = [None] * len(trials)
+        with ProcessPoolExecutor(max_workers=shards) as ex:
+            done = ex.map(partial(_nn_trials, panel, h, config, collect_traces=collect_traces),
+                          [[trials[i] for i in part] for part in parts])
+            for part, part_out in zip(parts, done):
+                for i, outcome in zip(part, part_out):
+                    outcomes[i] = outcome
     else:
-        outcomes = [_trial_entry(panel, h, config, args) for args in trial_args]
+        outcomes = _nn_trials(panel, h, config, trials, collect_traces)
+    diverged = next((o for o in outcomes if isinstance(o, TrainingDiverged)), None)
+    if diverged is not None:
+        raise diverged
 
-    for (label, kind, lam, trace_on, seed), (report, trace, params) in zip(trial_args, outcomes):
+    for (label, _, _, seed), (coherent, fit) in zip(trials, outcomes):
         if label not in result.reports:
             result.labels.append(label)
             result.reports[label] = []
-            result.traces[label] = {}
-            result.checkpoints[label] = {}
-        result.reports[label].append(report)
-        result.checkpoints[label][seed] = params
-        if trace is not None:
-            result.traces[label][seed] = trace
+            result.fits[label] = {}
+        result.reports[label].append(node_report(h, actual, coherent, label, params={"seed": seed}))
+        result.fits[label][seed] = fit
     for label, *_ in nn_tasks:
         result.summaries[label] = (
             summarize_trials(result.reports[label]) if len(result.reports[label]) >= 2 else None
         )
     return result
 
-
-def _trial_entry(panel: SeriesPanel, h: HierarchySpec, config: TrainConfig,
-                 args: tuple[str, str, tuple[float, float], bool, int]):
-    label, kind, lam, collect_trace, seed = args
-    return _nn_trial(panel, h, config, label, kind, lam, collect_trace, seed)

@@ -142,9 +142,10 @@ def summing_matrix(h: HierarchySpec) -> np.ndarray:
 def _ordered_sum(rows: np.ndarray, indices: tuple[int, ...]) -> np.ndarray:
     # Left-to-right accumulation in ascending node order keeps upper-level
     # sums bit-reproducible; check_coherence relies on the identical order.
-    acc = rows[indices[0]].copy()
+    # Rows are the second-to-last axis; leading axes are carried along.
+    acc = rows[..., indices[0], :].copy()
     for i in indices[1:]:
-        acc = acc + rows[i]
+        acc = acc + rows[..., i, :]
     return acc
 
 
@@ -153,48 +154,51 @@ def aggregate_bottom(h: HierarchySpec, y_bottom: np.ndarray) -> np.ndarray:
 
     Each upper row is the sum of its descendant bottom rows; bottom rows
     are copied verbatim. A 1-D input is treated as a single timepoint and
-    returned 1-D.
+    returned 1-D. Leading axes (a stack of matrices) are kept, and each
+    matrix gets the bits of a call on it alone.
     """
     yb = np.asarray(y_bottom)
     squeeze = yb.ndim == 1
     if squeeze:
         yb = yb[:, None]
-    if yb.ndim != 2 or yb.shape[0] != h.n_bottom:
+    if yb.ndim < 2 or yb.shape[-2] != h.n_bottom:
         raise ValueError(
             f"expected {h.n_bottom} bottom rows, got array of shape {np.shape(y_bottom)}"
         )
-    if yb.shape[1] < 1:
+    if yb.shape[-1] < 1:
         raise ValueError("need at least one column")
-    out = np.empty((h.n_nodes, yb.shape[1]), dtype=yb.dtype)
+    out = np.empty(yb.shape[:-2] + (h.n_nodes, yb.shape[-1]), dtype=yb.dtype)
     for r, idx in enumerate(h.upper_rows):
-        out[r] = _ordered_sum(yb, idx)
-    out[len(h.upper_ids):] = yb
+        out[..., r, :] = _ordered_sum(yb, idx)
+    out[..., len(h.upper_ids):, :] = yb
     return out[:, 0] if squeeze else out
 
 
 def rmse(actual: np.ndarray, forecast: np.ndarray) -> np.ndarray | float:
     """Root-mean-squared error along the last (time) axis.
 
-    Two rows give a float; two |N| x T matrices give one value per row,
-    each with the bits of the call on that row pair alone.
+    Two rows give a float; matrices give one value per row, each with the
+    bits of the call on that row pair alone. The forecast may carry
+    leading axes that ``actual`` lacks (a stack of forecast matrices).
     """
     a = np.asarray(actual, dtype=np.float64)
     f = np.asarray(forecast, dtype=np.float64)
-    if a.shape != f.shape or a.ndim not in (1, 2) or a.shape[-1] < 1:
+    if a.ndim < 1 or a.shape != f.shape[f.ndim - a.ndim:] or a.shape[-1] < 1:
         raise ValueError(f"actual {a.shape} and forecast {f.shape} must be equal-shape nonempty rows or matrices")
     err = a - f
     out = np.sqrt(np.mean(err * err, axis=-1))
-    return float(out) if a.ndim == 1 else out
+    return float(out) if f.ndim == 1 else out
 
 
-def level_means(h: HierarchySpec, per_node: np.ndarray) -> dict[str, float]:
-    """Per-level means of one value per node in canonical order, keyed by :data:`LEVELS`.
+def level_means(h: HierarchySpec, per_node: np.ndarray) -> np.ndarray:
+    """Per-level means of one value per node in canonical order, in :data:`LEVELS` order.
 
     The root's level mean is its own value; ``average`` is over all nodes.
+    Values of shape (..., |N|) give means of shape (..., 4).
     """
     v = np.asarray(per_node, dtype=np.float64)
     rows = h.level_rows + (range(h.n_nodes),)
-    return {lvl: float(v[r.start: r.stop].mean()) for lvl, r in zip(LEVELS, rows)}
+    return np.stack([v[..., r.start: r.stop].mean(axis=-1) for r in rows], axis=-1)
 
 
 @dataclass(frozen=True)

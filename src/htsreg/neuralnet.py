@@ -33,8 +33,11 @@ class NetworkParams:
     def dims(self) -> NetworkDims:
         return NetworkDims(self.w2.shape[1], self.w2.shape[0], self.w3.shape[0])
 
+    def __iter__(self):
+        return iter((self.w2, self.b2, self.w3, self.b3))
+
     def copy(self) -> "NetworkParams":
-        return NetworkParams(self.w2.copy(), self.b2.copy(), self.w3.copy(), self.b3.copy())
+        return NetworkParams(*(a.copy() for a in self))
 
 
 def init_params(dims: NetworkDims, seed: int, bias: bool = True) -> NetworkParams:
@@ -55,15 +58,14 @@ def init_params(dims: NetworkDims, seed: int, bias: bool = True) -> NetworkParam
 def activation(u: np.ndarray | float, kind: str) -> np.ndarray | float:
     """Elementwise sigmoid or rectifier.
 
-    The sigmoid takes e = exp(-|u|), so exp never overflows, and returns
-    1 / (1 + e) for u >= 0 and e / (1 + e) below. -|u| is written as
+    The sigmoid is exp(min(u, 0)) / (1 + e) with e = exp(-|u|), so exp
+    never overflows: the numerator is exactly 1 for u >= 0 and e below, the
+    two branches of the textbook form, without a branch. -|u| is written as
     min(u, -u), which also keeps the sign bit of a NaN input.
     """
     arr = np.asarray(u, dtype=np.float64)
     if kind == "sigmoid":
-        e = np.exp(np.minimum(arr, -arr))
-        den = 1.0 + e
-        out = np.where(arr >= 0, 1.0 / den, e / den)
+        out = np.exp(np.minimum(arr, 0.0)) / (1.0 + np.exp(np.minimum(arr, -arr)))
     elif kind == "relu":
         out = np.maximum(arr, 0.0)
     else:

@@ -17,7 +17,7 @@ trained alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from numbers import Integral, Real
 from typing import Callable
@@ -33,6 +33,9 @@ DEFAULT_LAMBDA_GRID: tuple[float, ...] = tuple(round(0.1 * i, 1) for i in range(
 # about 128 models and grows beyond (the stack outgrows the cache), so large
 # grids run as consecutive stacks, which also bounds memory.
 STACK_LIMIT = 64
+# Model-epochs of weights _fit buffers before its hook scores them in one call:
+# fewer, larger hook calls, with the buffer bounded whatever the stack size.
+TRACE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -94,18 +97,19 @@ class TrainResult:
     objective: np.ndarray  # E(theta) after each epoch's update
     epochs: int
     reason: str  # "converged" or "max_epochs"
-    epoch_eval: list = field(default_factory=list)  # hook outputs, one per epoch
+    epoch_eval: np.ndarray | None = None  # hook rows, one per epoch; None if no hook ran
 
 
 class TrainingDiverged(RuntimeError):
     """Objective became non-finite during training."""
 
-    def __init__(self, epoch: int):
+    def __init__(self, epoch: int, model: int = 0):
         super().__init__(f"objective became non-finite at epoch {epoch}")
         self.epoch = epoch
+        self.model = model  # index of the diverged model in its batch
 
-    def __reduce__(self):  # keep the epoch across process boundaries
-        return (TrainingDiverged, (self.epoch,))
+    def __reduce__(self):  # keep both fields across process boundaries
+        return (TrainingDiverged, (self.epoch, self.model))
 
 
 def training_timepoints(panel: SeriesPanel, lag: int) -> range:
@@ -149,42 +153,77 @@ def loss_and_grads(params: NetworkParams, x: np.ndarray, yb: np.ndarray, yu: np.
 
 def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lams: np.ndarray,
          params: list[NetworkParams], config: TrainConfig,
-         epoch_hooks: list[Callable[[int, NetworkParams], object] | None] | None = None,
-         ) -> list[TrainResult]:
+         hook: Callable[[int, NetworkParams], np.ndarray] | None = None) -> list[TrainResult]:
     """Full-batch descent of K models on the shared rows of (x, yb, yu).
 
     Model k starts from ``params[k]`` (updated in place) under the weight
     row ``lams[k]``. The weights are stacked so each numpy call serves every
     model, and a model leaves the stack at its own stopping epoch, so its
     parameters, objective, epochs and stop reason are bit-identical to a
-    batch of one. A hook, if given, is called as ``hook(epoch, params)``
-    after each of its model's epochs. If models diverge, the error is the
-    one a model-by-model run would raise: that of the lowest-index one.
+    batch of one. If models diverge, the error is the one a model-by-model
+    run would raise: that of the lowest-index one.
+
+    A hook, if given, scores the weights after each epoch. They are
+    buffered, about ``TRACE_ROWS`` model-epochs at a time, and scored in
+    one call ``hook(first_epoch, nets)`` whose weights carry (epoch, model)
+    axes in front: E consecutive epochs of the models in the stack, in
+    stack order, as views of a reused buffer. It returns one row per epoch
+    and model, (E, K_live, ...), and model k's rows form its ``epoch_eval``.
     """
     kind, eta, keep_rate = config.activation, config.eta, 1.0 - config.eps
-    hooks = list(epoch_hooks) if epoch_hooks is not None else [None] * len(params)
     lam = np.asarray(lams, dtype=np.float64).reshape(len(params), 1, -1)
     net = NetworkParams(w2=np.stack([p.w2 for p in params]), b2=np.stack([p.b2 for p in params])[:, None],
                         w3=np.stack([p.w3 for p in params]), b3=np.stack([p.b3 for p in params])[:, None])
     live = list(range(len(params)))  # original index of each stacked model
     e_prev = [np.inf] * len(params)
     objective: list[list[float]] = [[] for _ in params]
-    evals: list[list] = [[] for _ in params]
     results: list[TrainResult | None] = [None] * len(params)
-    diverged_at: int | None = None
+    diverged: tuple[int, int] | None = None  # (epoch, model) of the lowest-index divergence
+    block, filled, first = None, 0, 0  # buffered weights of epochs first.. for the hook
+    trace: np.ndarray | None = None  # hook rows, (epoch, original model index, ...)
 
     def take(p: NetworkParams, keep: list[int]) -> NetworkParams:
-        return NetworkParams(p.w2[keep], p.b2[keep], p.w3[keep], p.b3[keep])
+        return NetworkParams(*(a[keep] for a in p))
 
-    def model(pos: int) -> NetworkParams:
-        return NetworkParams(net.w2[pos], net.b2[pos, 0], net.w3[pos], net.b3[pos, 0])
+    def flush() -> None:
+        nonlocal filled, trace
+        if not filled:
+            return
+        rows = hook(first, NetworkParams(*(a[:filled] for a in block)))
+        end = first - 1 + filled
+        if trace is None or end > len(trace):  # grow to the epoch cap at most, doubling
+            grown = np.empty((min(config.max_epochs, max(2 * end, 256)), len(params)) + rows.shape[2:])
+            if trace is not None:
+                grown[:len(trace)] = trace
+            trace = grown
+        trace[first - 1:end, live] = rows
+        filled = 0
+
+    def record(epoch: int) -> None:
+        nonlocal block, filled, first
+        if block is None or block.w2.shape[1] != len(live):
+            block = NetworkParams(*(np.empty((max(1, TRACE_ROWS // len(live)),) + a.shape) for a in net))
+        if not filled:
+            first = epoch
+        for buf, a in zip(block, net):
+            buf[filled] = a
+        filled += 1
+        if filled == len(block.w2):
+            flush()
 
     def finish(pos: int, epochs: int, reason: str) -> None:
         k = live[pos]
-        p, done = params[k], model(pos)
-        p.w2[...], p.b2[...], p.w3[...], p.b3[...] = done.w2, done.b2, done.w3, done.b3
-        results[k] = TrainResult(params=p, objective=np.asarray(objective[k]), epochs=epochs,
-                                 reason=reason, epoch_eval=evals[k])
+        p = params[k]
+        for dst, src in zip(p, net):
+            dst[...] = src[pos].reshape(dst.shape)
+        results[k] = TrainResult(params=p, objective=np.asarray(objective[k]), epochs=epochs, reason=reason,
+                                 epoch_eval=None if trace is None else trace[:epochs, k].copy())
+
+    def drop(gone: list[int]) -> None:
+        nonlocal live, net, grads, lam
+        keep = [pos for pos in range(len(live)) if pos not in gone]
+        live = [live[pos] for pos in keep]
+        net, grads, lam = take(net, keep), take(grads, keep), lam[keep]
 
     _, grads = loss_and_grads(net, x, yb, yu, H, lam, kind)
     epoch = 0
@@ -197,31 +236,35 @@ def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lams: np.
             net.b3 -= eta * grads.b3
         e_new, grads = loss_and_grads(net, x, yb, yu, H, lam, kind)
 
-        leaving = []  # stack positions of models that stop this epoch
-        for pos, e in enumerate(e_new.tolist()):
+        e_list = e_new.tolist()
+        bad = next((pos for pos, e in enumerate(e_list) if not math.isfinite(e)), len(live))
+        if bad < len(live):
+            # A model-by-model run never reaches the models after a diverged one,
+            # so they leave before this epoch is recorded.
+            diverged = (epoch, live[bad])
+            flush()
+            drop(list(range(bad, len(live))))
+        stopping = []
+        for pos, e in enumerate(e_list[:bad]):
             k = live[pos]
-            if not math.isfinite(e):
-                # A model-by-model run never reaches the models after a diverged one.
-                diverged_at = epoch
-                leaving += range(pos, len(live))
-                break
             objective[k].append(e)
-            if hooks[k] is not None:
-                evals[k].append(hooks[k](epoch, model(pos)))
             if e > keep_rate * e_prev[k]:
-                finish(pos, epoch, "converged")
-                leaving.append(pos)
+                stopping.append(pos)
             e_prev[k] = e
-        if leaving:
-            gone = set(leaving)
-            keep = [pos for pos in range(len(live)) if pos not in gone]
-            live = [live[pos] for pos in keep]
-            net, grads, lam = take(net, keep), take(grads, keep), lam[keep]
+        if hook is not None and live:
+            record(epoch)
+            if stopping:
+                flush()
+        for pos in stopping:
+            finish(pos, epoch, "converged")
+        if stopping:
+            drop(stopping)
 
+    flush()
     for pos in range(len(live)):
         finish(pos, epoch, "max_epochs")
-    if diverged_at is not None:
-        raise TrainingDiverged(diverged_at)
+    if diverged is not None:
+        raise TrainingDiverged(*diverged)
     return results
 
 
@@ -252,34 +295,43 @@ def _bottom_problem(panel: SeriesPanel, h: HierarchySpec, config: TrainConfig
     return x, yb, yu, np.asarray(structure_matrix(h)), dims
 
 
-def train(panel: SeriesPanel, h: HierarchySpec, reg: RegWeights, config: TrainConfig,
-          epoch_hook: Callable[[int, NetworkParams], object] | None = None) -> TrainResult:
-    """Train the bottom-level network under the structured objective.
+def _stacks(problem: tuple, lams: np.ndarray, seeds: list[int], config: TrainConfig,
+            hook: Callable[[int, NetworkParams], np.ndarray] | None = None) -> list[TrainResult]:
+    """Model k, initialized from ``seeds[k]`` under weight row ``lams[k]``, in stacks of ``STACK_LIMIT``."""
+    x, yb, yu, H, dims = problem
+    results: list[TrainResult] = []
+    for start in range(0, len(seeds), STACK_LIMIT):
+        params = [init_params(dims, seed, bias=config.bias) for seed in seeds[start: start + STACK_LIMIT]]
+        try:
+            results += _fit(x, yb, yu, H, lams[start: start + STACK_LIMIT], params, config, hook)
+        except TrainingDiverged as exc:  # later stacks hold higher indices only
+            raise TrainingDiverged(exc.epoch, start + exc.model) from None
+    return results
+
+
+def train_batch(panel: SeriesPanel, h: HierarchySpec, regs: list[RegWeights], config: TrainConfig,
+                seeds: list[int] | None = None,
+                hook: Callable[[int, NetworkParams], np.ndarray] | None = None) -> list[TrainResult]:
+    """Train one bottom-level network per weight set on one design.
 
     The panel is expected to be standardized. Inputs are actual lagged
     bottom values; targets are the bottom and upper observations at each
-    training timepoint. Deterministic for a fixed config seed.
+    training timepoint. Network k starts from ``seeds[k]`` (default: the
+    config seed); result k is bit-identical to training it alone, as the
+    networks share each epoch's numpy calls, up to ``STACK_LIMIT`` at a
+    time. ``hook`` is the stack hook of :func:`_fit`.
     """
-    x, yb, yu, H, dims = _bottom_problem(panel, h, config)
-    params = init_params(dims, config.seed, bias=config.bias)
-    return _fit(x, yb, yu, H, reg.vec[None], [params], config, [epoch_hook])[0]
+    seeds = [config.seed] * len(regs) if seeds is None else list(seeds)
+    if len(seeds) != len(regs):
+        raise ValueError(f"{len(regs)} weight sets but {len(seeds)} seeds")
+    lams = np.array([reg.vec for reg in regs])
+    return _stacks(_bottom_problem(panel, h, config), lams, seeds, config, hook)
 
 
-def train_batch(panel: SeriesPanel, h: HierarchySpec, regs: list[RegWeights],
-                config: TrainConfig) -> list[TrainResult]:
-    """Train one network per weight set on one design, all from the config seed.
-
-    Result k is bit-identical to ``train(panel, h, regs[k], config)``; the
-    models share each epoch's numpy calls, up to ``STACK_LIMIT`` at a time.
-    """
-    x, yb, yu, H, dims = _bottom_problem(panel, h, config)
-    init = init_params(dims, config.seed, bias=config.bias)
-    results: list[TrainResult] = []
-    for start in range(0, len(regs), STACK_LIMIT):
-        chunk = regs[start: start + STACK_LIMIT]
-        results += _fit(x, yb, yu, H, np.stack([reg.vec for reg in chunk]),
-                        [init.copy() for _ in chunk], config)
-    return results
+def train(panel: SeriesPanel, h: HierarchySpec, reg: RegWeights, config: TrainConfig,
+          epoch_hook: Callable[[int, NetworkParams], np.ndarray] | None = None) -> TrainResult:
+    """Train the bottom-level network from the config seed (a batch of one; see :func:`train_batch`)."""
+    return train_batch(panel, h, [reg], config, hook=epoch_hook)[0]
 
 
 def _all_node_problem(panel: SeriesPanel, config: TrainConfig
@@ -288,17 +340,19 @@ def _all_node_problem(panel: SeriesPanel, config: TrainConfig
     return x, y, yu, np.zeros((0, panel.n_nodes)), dims
 
 
-def train_all_node_base(panel: SeriesPanel, config: TrainConfig,
-                        epoch_hook: Callable[[int, NetworkParams], object] | None = None) -> TrainResult:
-    """Train an unregularized network forecasting every node from all-node lags.
+def train_all_node_batch(panel: SeriesPanel, config: TrainConfig, seeds: list[int]) -> list[TrainResult]:
+    """Train unregularized networks forecasting every node from all-node lags, one per seed.
 
     Used to produce base forecasts for trace-minimization reconciliation:
     the structured objective with no upper nodes (an empty H), so plain
     squared error over all nodes, with the same descent and sizing rule.
     """
-    x, y, yu, H, dims = _all_node_problem(panel, config)
-    params = init_params(dims, config.seed, bias=config.bias)
-    return _fit(x, y, yu, H, np.zeros((1, 0)), [params], config, [epoch_hook])[0]
+    return _stacks(_all_node_problem(panel, config), np.zeros((len(seeds), 0)), list(seeds), config)
+
+
+def train_all_node_base(panel: SeriesPanel, config: TrainConfig) -> TrainResult:
+    """The all-node base network from the config seed (a batch of one; see :func:`train_all_node_batch`)."""
+    return train_all_node_batch(panel, config, [config.seed])[0]
 
 
 def predict_bottom(params: NetworkParams, panel: SeriesPanel, config: TrainConfig,

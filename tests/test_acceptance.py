@@ -1,7 +1,8 @@
 """Acceptance suite: one test per exit criterion, each printing a verdict line.
 
-Criteria 6 and 7 share a 30-trial experiment on a fixed synthetic panel and
-dominate the runtime (a few minutes); everything else is fast. Run with
+Criteria 6 and 7 share a 30-trial experiment on a fixed synthetic panel,
+trained as one stack of 60 networks, and dominate the runtime (under a
+minute on two cores); everything else is fast. Run with
 ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 """
 
@@ -13,8 +14,9 @@ from scipy import stats
 
 from htsreg.baselines import es_forecast, ma_forecast, select_param
 from htsreg.cli import main
-from htsreg.evaluate import make_epoch_hook
+from htsreg.evaluate import MethodSpec, make_epoch_hook, run_benchmark
 from htsreg.hierarchy import (
+    LEVELS,
     aggregate_bottom,
     build_hierarchy,
     check_coherence,
@@ -58,21 +60,23 @@ def ngtvc_panel():
     return panel
 
 
+PUBLISHED = TrainConfig(eta=1e-5, eps=5e-5, max_epochs=10_000, activation="sigmoid", lag=2)
+
+
 @pytest.fixture(scope="module")
 def paired_trials(ngtvc_panel):
-    """30 paired NN+SR(0.0, 2.1) / NN+BU runs at the published settings."""
-    h = preset_hierarchy()
+    """30 paired NN+SR(0.0, 2.1) / NN+BU runs at the published settings.
+
+    They run through the benchmark runner, which trains all 60 networks
+    as one stack with the epoch-trace hook on, as ``htsreg run`` does.
+    """
+    methods = [MethodSpec(name="NN+SR", lambda_root=0.0, lambda_mid=2.1), MethodSpec(name="NN+BU")]
     t0 = time.perf_counter()
-    runs = {"sr": [], "bu": []}
-    for seed in TRIAL_SEEDS:
-        cfg = TrainConfig(eta=1e-5, eps=5e-5, max_epochs=10_000, activation="sigmoid", lag=2, seed=seed)
-        for key, lam in (("sr", (0.0, 2.1)), ("bu", (0.0, 0.0))):
-            result = train(ngtvc_panel, h, RegWeights.build(h, *lam), cfg,
-                           epoch_hook=make_epoch_hook(ngtvc_panel, h, cfg))
-            runs[key].append(result)
+    result = run_benchmark(ngtvc_panel, preset_hierarchy(), methods, TRIAL_SEEDS, PUBLISHED)
     elapsed = time.perf_counter() - t0
     print(f"[paired trials] 30 seeds x 2 methods in {elapsed:.0f}s")
-    return runs
+    return {key: [result.fits[label][seed] for seed in TRIAL_SEEDS]
+            for key, label in (("sr", "NN+SR(0.0, 2.1)"), ("bu", "NN+BU"))}
 
 
 def test_criterion_01_gradient_correctness():
@@ -124,14 +128,14 @@ def test_criterion_02_zero_lambda_reduction(ngtvc_panel):
     cfg = TrainConfig(max_epochs=100, seed=12)
     x, yb, yu, H, dims = _bottom_problem(ngtvc_panel, h, cfg)
     hook = make_epoch_hook(ngtvc_panel, h, cfg)
-    plain = _fit(x, yb, yu[:, :0], H[:0], np.zeros((1, 0)), [init_params(dims, cfg.seed)], cfg, [hook])[0]
+    plain = _fit(x, yb, yu[:, :0], H[:0], np.zeros((1, 0)), [init_params(dims, cfg.seed)], cfg, hook)[0]
 
     def equals_plain(lam):
         res = train(ngtvc_panel, h, RegWeights.build(h, *lam), cfg, epoch_hook=hook)
         same_params = all(np.array_equal(getattr(res.params, k), getattr(plain.params, k))
                           for k in ("w2", "b2", "w3", "b3"))
         return (res.epochs == plain.epochs == 100 and same_params
-                and np.array_equal(res.objective, plain.objective) and res.epoch_eval == plain.epoch_eval)
+                and np.array_equal(res.objective, plain.objective) and np.array_equal(res.epoch_eval, plain.epoch_eval))
 
     ok = equals_plain((0.0, 0.0)) and not equals_plain((0.0, 2.1))
     elapsed = time.perf_counter() - t0
@@ -208,8 +212,9 @@ def test_criterion_05_generator_statistics():
 
 def test_criterion_06_regularization_beats_bottom_up(paired_trials):
     """Mean all-node RMSE: NN+SR(0.0, 2.1) below NN+BU, paired CI excludes 0."""
-    sr = np.array([r.epoch_eval[-1]["average"] for r in paired_trials["sr"]])
-    bu = np.array([r.epoch_eval[-1]["average"] for r in paired_trials["bu"]])
+    average = LEVELS.index("average")
+    sr = np.array([r.epoch_eval[-1, average] for r in paired_trials["sr"]])
+    bu = np.array([r.epoch_eval[-1, average] for r in paired_trials["bu"]])
     diff = sr - bu
     hw = float(stats.t.ppf(0.975, len(diff) - 1) * diff.std(ddof=1) / np.sqrt(len(diff)))
     ok = sr.mean() < bu.mean() and diff.mean() + hw < 0.0
@@ -220,7 +225,7 @@ def test_criterion_07_regularization_converges_no_later(paired_trials):
     """SR's mid-level test RMSE reaches 5% of final no later than BU, >= 20/30 seeds."""
 
     def first_within(result):
-        trace = np.array([e["mid"] for e in result.epoch_eval])
+        trace = result.epoch_eval[:, LEVELS.index("mid")]
         final = trace[-1]
         hits = np.abs(trace - final) <= 0.05 * abs(final)
         return int(np.argmax(hits)) + 1
@@ -230,6 +235,13 @@ def test_criterion_07_regularization_converges_no_later(paired_trials):
         if first_within(r_sr) <= first_within(r_bu)
     )
     report(7, f"SR mid-level RMSE converged no later than BU in {wins}/30 seeds", wins >= 20)
+
+
+def test_published_models_run_to_the_epoch_cap(paired_trials):
+    """At the published eta, eps and epoch cap the stopping rule never fires: every model runs 10 000 epochs."""
+    fits = paired_trials["sr"] + paired_trials["bu"]
+    assert len(fits) == 60
+    assert {(r.reason, r.epochs, r.epoch_eval.shape) for r in fits} == {("max_epochs", 10_000, (10_000, 4))}
 
 
 def test_criterion_08_baseline_identities():

@@ -9,6 +9,7 @@ epoch count and stop reason.
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,14 +28,12 @@ from htsreg.trainer import (
     RegWeights,
     TrainConfig,
     TrainingDiverged,
-    _all_node_problem,
-    _bottom_problem,
-    _fit,
     forecast_timepoints,
     loss_and_grads,
     predict_bottom,
     train,
     train_all_node_base,
+    train_all_node_batch,
     train_batch,
 )
 
@@ -109,41 +108,66 @@ def test_stacked_all_node_models_match_single_runs(tree):
     """The all-node base (empty H) stacked over seeds equals its one-model runs."""
     panel = std_panel(tree, seed=8)
     cfg = TrainConfig(eta=1e-3, eps=1e-3, max_epochs=200, seed=0)
-    x, y, yu, H, dims = _all_node_problem(panel, cfg)
     seeds = [1, 2, 3, 4]
-    batch = _fit(x, y, yu, H, np.zeros((len(seeds), 0)),
-                 [init_params(dims, s, bias=cfg.bias) for s in seeds], cfg)
+    batch = train_all_node_batch(panel, cfg, seeds)
     singles = [train_all_node_base(panel, TrainConfig(eta=1e-3, eps=1e-3, max_epochs=200, seed=s))
                for s in seeds]
     for b, s in zip(batch, singles):
         assert_same_result(b, s)
 
 
-def test_per_model_hooks_see_single_run_params(tree):
-    """A hook in a batch sees exactly the parameters of its model's own run."""
-    panel = std_panel(tree, seed=9)
-    cfg = TrainConfig(eta=5e-4, eps=1e-2, max_epochs=300, seed=4)
-
-    def recorder(store):
-        def hook(epoch, params):
-            store.append((epoch, params.w2.copy(), params.b3.copy()))
-            return epoch
-        return hook
-
-    x, yb, yu, H, dims = _bottom_problem(panel, tree, cfg)
+def test_batch_with_per_model_seeds_matches_single_runs(tree):
+    panel = std_panel(tree, seed=3)
+    cfg = TrainConfig(eta=5e-4, eps=3e-3, max_epochs=300)
+    seeds = [4, 9, 1, 7, 2]
     regs = [RegWeights.build(tree, *lam) for lam in LAMBDAS]
-    stores = [[] for _ in regs]
-    batch = _fit(x, yb, yu, H, np.stack([r.vec for r in regs]),
-                 [init_params(dims, cfg.seed) for _ in regs], cfg, [recorder(s) for s in stores])
-    for reg, store, b in zip(regs, stores, batch):
-        own = []
-        single = train(panel, tree, reg, cfg, epoch_hook=recorder(own))
-        assert_same_result(b, single)
-        assert b.epoch_eval == single.epoch_eval == list(range(1, single.epochs + 1))
-        assert len(store) == len(own)
-        for (ea, w2a, b3a), (eb, w2b, b3b) in zip(store, own):
-            assert ea == eb
-            assert np.array_equal(bits(w2a), bits(w2b)) and np.array_equal(bits(b3a), bits(b3b))
+    for b, reg, seed in zip(train_batch(panel, tree, regs, cfg, seeds=seeds), regs, seeds):
+        assert_same_result(b, train(panel, tree, reg, replace(cfg, seed=seed)))
+
+
+def snapshot_hook(calls):
+    """Stack hook whose row for a model and epoch is the epoch and the model's weights; logs block shapes."""
+    def hook(first_epoch, nets):
+        e, k = nets.w2.shape[:2]
+        calls.append((first_epoch, e, k))
+        epochs = np.broadcast_to(np.arange(first_epoch, first_epoch + e, dtype=np.float64)[:, None, None], (e, k, 1))
+        return np.concatenate([epochs] + [a.reshape(e, k, -1) for a in nets], axis=-1)
+    return hook
+
+
+def test_per_model_hooks_see_single_run_params(tree, monkeypatch):
+    """The stack hook's rows for a model of a batch are that model's own run, epoch by epoch.
+
+    Models stop at staggered epochs, and blocks of at most TRACE_ROWS
+    model-epochs (one epoch when the stack is larger) are scored at once.
+    """
+    panel = std_panel(tree, seed=3)
+    cfg = TrainConfig(eta=5e-4, eps=3e-3, max_epochs=300, seed=4)
+    regs = [RegWeights.build(tree, *lam) for lam in LAMBDAS]
+    for trace_rows in (trainer.TRACE_ROWS, 7, 1):
+        monkeypatch.setattr(trainer, "TRACE_ROWS", trace_rows)
+        calls = []
+        batch = train_batch(panel, tree, regs, cfg, hook=snapshot_hook(calls))
+        assert all(e * k <= max(trace_rows, k) for _, e, k in calls)
+        assert sum(e * k for _, e, k in calls) == sum(b.epochs for b in batch)
+        for reg, b in zip(regs, batch):
+            single = train(panel, tree, reg, cfg, epoch_hook=snapshot_hook([]))
+            assert_same_result(b, single)
+            assert np.array_equal(b.epoch_eval[:, 0], np.arange(1, b.epochs + 1))
+            assert np.array_equal(bits(b.epoch_eval), bits(single.epoch_eval))
+            assert np.array_equal(bits(b.epoch_eval[-1, 1:]), bits(np.concatenate([a.ravel() for a in b.params])))
+    assert len({b.epochs for b in batch}) > 2
+
+
+def test_hook_sees_no_diverged_weights(tree):
+    """Models that diverge leave the stack before their last epoch reaches the hook."""
+    panel = std_panel(tree, seed=10)
+    calls = []
+    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as err:
+        train_batch(panel, tree, [RegWeights.build(tree, *lam) for lam in DIVERGING_LAMBDAS], DIVERGING,
+                    hook=lambda first, nets: calls.append(np.isfinite(nets.w3).all()) or np.zeros(nets.w2.shape[:2]))
+    assert err.value.epoch == 2 and err.value.model == 0
+    assert calls == [True]  # epoch 1 of the (0, 0) model, the only one still finite
 
 
 @settings(max_examples=60, deadline=None)
@@ -213,6 +237,21 @@ def masked_sigmoid(u):
     return out.reshape(np.shape(u))
 
 
+float64_bits = st.builds(lambda sign, exponent, mantissa: (sign << 63) | (exponent << 52) | mantissa,
+                         st.integers(0, 1), st.one_of(st.just(0), st.just(2047), st.integers(0, 2047)),
+                         st.one_of(st.just(0), st.just(1), st.integers(0, 2**52 - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(float64_bits, min_size=1, max_size=40))
+def test_sigmoid_is_bit_equal_to_masked_formula_on_any_bit_pattern(patterns):
+    """Zeros, subnormals, infinities and NaN payloads of either sign included."""
+    u = np.array(patterns, dtype=np.uint64).view(np.float64)
+    with np.errstate(all="ignore"):
+        assert np.array_equal(bits(activation(u, "sigmoid")), bits(masked_sigmoid(u)))
+        assert bits(np.float64(activation(float(u[0]), "sigmoid"))) == bits(masked_sigmoid(u[:1]))[0]
+
+
 def test_sigmoid_is_bit_equal_to_masked_formula():
     special = [0.0, 1e-300, 5e-324, 0.5, 1.0, 36.7, 700.0, 709.8, 745.0, 745.2, 800.0, np.inf]
     grid = np.array(special + [-v for v in special] + [np.nan, -np.nan])
@@ -223,26 +262,31 @@ def test_sigmoid_is_bit_equal_to_masked_formula():
 
 
 def test_epoch_hook_matches_predict_bottom_formula(tree):
-    """The precomputed-design hook equals the per-call prediction bit for bit."""
+    """The stack hook's rows equal the per-model, per-epoch prediction formula bit for bit."""
     panel = std_panel(tree, seed=11)
-    cfg = TrainConfig(eta=1e-3, max_epochs=6, seed=2)
+    cfg = TrainConfig(eta=1e-3, max_epochs=40)
     hook = make_epoch_hook(panel, tree, cfg)
     tps = forecast_timepoints(panel)
     actual = panel.values[:, panel.train_len:]
 
-    def reference(epoch, params):
+    def reference(params):
         coherent = aggregate_bottom(tree, predict_bottom(params, panel, cfg, tps))
         per_node = np.sqrt(np.mean((actual - coherent) ** 2, axis=1))
-        return {"root": float(per_node[0]), "mid": float(per_node[1:3].mean()),
-                "bottom": float(per_node[3:].mean()), "average": float(per_node.mean())}
+        return [per_node[0], per_node[1:3].mean(), per_node[3:].mean(), per_node.mean()]
 
-    pairs = []
-    train(panel, tree, RegWeights.build(tree, 0.5, 1.0), cfg,
-          epoch_hook=lambda epoch, params: pairs.append((hook(epoch, params), reference(epoch, params))))
-    assert len(pairs) == 6
-    for got, want in pairs:
-        assert got.keys() == want.keys()
-        assert all(np.float64(got[k]).view(np.int64) == np.float64(want[k]).view(np.int64) for k in want)
+    seen = []
+
+    def recording(first_epoch, nets):
+        seen.append((first_epoch, NetworkParams(*(a.copy() for a in nets))))
+        return hook(first_epoch, nets)
+
+    regs = [RegWeights.build(tree, *lam) for lam in LAMBDAS[:3]]
+    batch = train_batch(panel, tree, regs, cfg, seeds=[2, 3, 4], hook=recording)
+    assert [b.epoch_eval.shape for b in batch] == [(40, 4)] * 3
+    for first_epoch, nets in seen:
+        for e, k in np.ndindex(nets.w2.shape[:2]):
+            params = NetworkParams(nets.w2[e, k], nets.b2[e, k, 0], nets.w3[e, k], nets.b3[e, k, 0])
+            assert np.array_equal(bits(batch[k].epoch_eval[first_epoch - 1 + e]), bits(reference(params)))
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -1,13 +1,16 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import htsreg
 from htsreg.cli import main
 from htsreg.hierarchy import build_hierarchy, write_hierarchy_json
 from htsreg.panel import load_panel_csv
@@ -265,12 +268,81 @@ def test_run_rejects_nonpositive_jobs(tmp_path, jobs):
     assert exc.value.code == 2
 
 
+ALL_METHODS = [{"name": "MA", "grid": [1, 2]}, {"name": "NN+BU"}, {"name": "NN+MinT"},
+               {"name": "NN+SR", "lambda1": 0.0, "lambdaM": 2.1}]
+
+
+def run_files(out_dir):
+    """Every file a run wrote (table, trials, epoch trace, manifest, checkpoints), by relative path."""
+    files = {str(p.relative_to(out_dir)): p.read_bytes() for p in sorted(out_dir.rglob("*")) if p.is_file()}
+    assert {"table.csv", "trials.json", "epoch_trace.csv", "checkpoints/nn_mint_seed3.json"} <= set(files)
+    return files
+
+
 def test_run_parallel_jobs_match_serial(tmp_path):
-    cfg = run_config(tmp_path)
+    """Seeds split into two shards give the bytes of one process, checkpoints and traces included."""
+    cfg = run_config(tmp_path, methods=ALL_METHODS, trial_seeds=[1, 2, 3], train={"max_epochs": 40})
     d1, d2 = tmp_path / "o1", tmp_path / "o2"
-    main(["run", "--config", str(cfg), "--out-dir", str(d1)])
-    main(["run", "--config", str(cfg), "--out-dir", str(d2), "--jobs", "2"])
-    assert (d1 / "trials.json").read_bytes() == (d2 / "trials.json").read_bytes()
+    assert main(["run", "--config", str(cfg), "--out-dir", str(d1)]) == 0
+    assert main(["run", "--config", str(cfg), "--out-dir", str(d2), "--jobs", "2"]) == 0
+    assert run_files(d1) == run_files(d2)
+
+
+def test_run_is_byte_identical_across_blas_threads(tmp_path):
+    cfg = run_config(tmp_path, methods=ALL_METHODS, trial_seeds=[1, 2, 3], train={"max_epochs": 40})
+    src = str(Path(htsreg.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out_dir = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "htsreg.cli", "run", "--config", str(cfg), "--out-dir", str(out_dir)],
+                       env=env, check=True, capture_output=True)
+        runs.append(run_files(out_dir))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("first", ["NN+BU", "NN+MinT"])
+def test_run_divergence_exits_3_with_first_trial_epoch(tmp_path, capsys, jobs, first):
+    """The first trial in task order (NN+BU or NN+MinT, seed 1) overflows at epoch 2; NN+SR seed 1 at epoch 1.
+
+    A trial-by-trial run reports epoch 2, and so must the stacked run, whichever
+    trial overflows first in time, whichever stack it is in and however the
+    seeds are sharded.
+    """
+    nets = [{"name": first}, {"name": "NN+SR", "lambda1": 0.0, "lambdaM": 2.1}]
+    cfg = run_config(tmp_path, panel={"preset": "NgtvC", "seed": 7}, methods=[{"name": "MA"}, {"name": "ES"}] + nets,
+                     train={"eta": 1e148, "max_epochs": 50})
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o"), "--jobs", jobs])
+    assert code == 3
+    assert capsys.readouterr().err.splitlines()[-1] == "training diverged: objective became non-finite at epoch 2"
+
+
+def test_run_out_dir_below_a_regular_file_exits_4(tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    assert main(["run", "--config", str(run_config(tmp_path)), "--out-dir", str(blocker / "out")]) == 4
+
+
+@pytest.mark.parametrize("key,value", [("seed", 1.7), ("seed", True), ("seed", "3"), ("train_len", 69.9),
+                                       ("train_len", True)],
+                         ids=["seed_fraction", "seed_bool", "seed_string", "train_len_fraction", "train_len_bool"])
+def test_run_rejects_non_integer_panel_option(tmp_path, capsys, key, value):
+    cfg = run_config(tmp_path, panel={"preset": "NgtvC", "seed": 3, key: value})
+    out_dir = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+    assert f"panel.{key}: must be an integer, got {value!r}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_run_rejects_non_integer_csv_train_len(tmp_path, small_setup, capsys):
+    _, hier, pcsv = small_setup
+    cfg = run_config(tmp_path, panel={"csv": pcsv.name, "train_len": 20.5}, hierarchy=hier.name)
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "panel.train_len: must be an integer" in capsys.readouterr().err
 
 
 def test_bundled_config_has_experiment_shape():

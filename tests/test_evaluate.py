@@ -1,5 +1,7 @@
 """Tests for metrics, trial summaries, epoch traces, sweeps, and the benchmark."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,8 @@ from htsreg.evaluate import (
 )
 from htsreg.hierarchy import aggregate_bottom, build_hierarchy
 from htsreg.panel import SeriesPanel, standardize
-from htsreg.trainer import RegWeights, TrainConfig, train
+from htsreg import trainer
+from htsreg.trainer import RegWeights, TrainConfig, train, train_all_node_base
 
 SMALL_PARENTS = {2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 3}
 
@@ -121,9 +124,7 @@ def test_epoch_trace_length_matches_epochs(tree, panel):
     cfg = TrainConfig(max_epochs=17, seed=1)
     result = train(panel, tree, RegWeights.build(tree, 0.0, 0.0), cfg,
                    epoch_hook=make_epoch_hook(panel, tree, cfg))
-    trace = result.epoch_eval
-    assert len(trace) == result.epochs
-    assert set(trace[0]) == {"root", "mid", "bottom", "average"}
+    assert result.epoch_eval.shape == (result.epochs, 4)  # one column per LEVELS entry
 
 
 def test_epoch_trace_zero_reg_equals_bottom_up_run(tree, panel):
@@ -132,7 +133,7 @@ def test_epoch_trace_zero_reg_equals_bottom_up_run(tree, panel):
               epoch_hook=make_epoch_hook(panel, tree, cfg))
     b = train(panel, tree, RegWeights.build(tree, 0.0, 0.0), cfg,
               epoch_hook=make_epoch_hook(panel, tree, cfg))
-    assert a.epoch_eval == b.epoch_eval
+    assert np.array_equal(a.epoch_eval, b.epoch_eval)
 
 
 def test_epoch_trace_emitted_for_single_epoch(tree, panel):
@@ -145,7 +146,7 @@ def test_epoch_trace_emitted_for_single_epoch(tree, panel):
 def test_epoch_trace_requires_hook(tree, panel):
     """Without a hook a run records no epoch evaluations."""
     result = train(panel, tree, RegWeights.build(tree, 0.0, 0.0), TrainConfig(max_epochs=2, seed=4))
-    assert result.epochs == 2 and result.epoch_eval == []
+    assert result.epochs == 2 and result.epoch_eval is None
 
 
 # ------------------------------------------------------------- sweeps
@@ -231,6 +232,35 @@ def test_benchmark_parallel_matches_serial(tree, panel):
     for label in a.labels:
         for ra, rb in zip(a.reports[label], b.reports[label]):
             assert ra.per_node == rb.per_node
+
+
+def test_benchmark_stacks_match_trial_by_trial_runs(tree, panel, monkeypatch):
+    """Stacked training (several stacks, blocks of hook rows, shards) equals one train() per trial."""
+    monkeypatch.setattr(trainer, "STACK_LIMIT", 4)
+    monkeypatch.setattr(trainer, "TRACE_ROWS", 5)
+    cfg = TrainConfig(eta=1e-3, eps=5e-3, max_epochs=150)
+    seeds = [4, 1, 3]
+    methods = [MethodSpec(name="NN+SR", lambda_root=1.0, lambda_mid=0.0), MethodSpec(name="NN+MinT"),
+               MethodSpec(name="NN+BU"), MethodSpec(name="NN+SR", lambda_root=0.0, lambda_mid=3.0)]
+    lams = {"NN+SR(1.0, 0.0)": (1.0, 0.0), "NN+BU": (0.0, 0.0), "NN+SR(0.0, 3.0)": (0.0, 3.0)}
+    for jobs in (1, 2):
+        result = run_benchmark(panel, tree, methods, seeds, cfg, jobs=jobs)
+        assert result.labels == ["NN+SR(1.0, 0.0)", "NN+MinT", "NN+BU", "NN+SR(0.0, 3.0)"]
+        for label in result.labels:
+            assert [rep.params["seed"] for rep in result.reports[label]] == seeds
+            for seed, fit in result.fits[label].items():
+                one = replace(cfg, seed=seed)
+                if label == "NN+MinT":
+                    alone = train_all_node_base(panel, one)
+                    assert fit.epoch_eval is None
+                else:
+                    alone = train(panel, tree, RegWeights.build(tree, *lams[label]), one,
+                                  epoch_hook=make_epoch_hook(panel, tree, one))
+                    assert np.array_equal(fit.epoch_eval, alone.epoch_eval)
+                assert (fit.epochs, fit.reason) == (alone.epochs, alone.reason)
+                assert np.array_equal(fit.objective, alone.objective)
+                assert all(np.array_equal(a, b) for a, b in zip(fit.params, alone.params))
+    assert len({fit.epochs for fits in result.fits.values() for fit in fits.values()}) > 2
 
 
 def test_benchmark_rejects_duplicate_seeds(tree, panel):

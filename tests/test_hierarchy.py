@@ -251,7 +251,18 @@ def test_tree_layout_and_scorer_on_random_trees(parents, n_time, seed):
     rows = [rmse(a, f) for a, f in zip(full, forecast)]
     assert per_node.tolist() == rows
     means = level_means(h, per_node)
-    assert list(means) == list(LEVELS)
-    for lvl, d in zip(LEVELS, (0, 1, 2)):
-        assert means[lvl] == float(np.mean([r for n, r in zip(h.node_ids, rows) if depth[n] == d]))
-    assert means["average"] == float(np.mean(rows))
+    assert means.shape == (len(LEVELS),)
+    for j, d in enumerate((0, 1, 2)):
+        assert means[j] == float(np.mean([r for n, r in zip(h.node_ids, rows) if depth[n] == d]))
+    assert means[LEVELS.index("average")] == float(np.mean(rows))
+
+    # Leading axes, as the epoch hook passes them (time-major forecasts, transposed):
+    # every slice scores with the bits of a call on it alone.
+    stack = np.swapaxes(rng.standard_normal((2, 3, n_time, h.n_bottom)), -1, -2)
+    agg = aggregate_bottom(h, stack)
+    scores = level_means(h, rmse(full, agg))
+    assert agg.shape == (2, 3, h.n_nodes, n_time) and scores.shape == (2, 3, len(LEVELS))
+    for idx in np.ndindex(2, 3):
+        one = aggregate_bottom(h, stack[idx])
+        assert np.array_equal(agg[idx].view(np.int64), one.view(np.int64))
+        assert np.array_equal(scores[idx].view(np.int64), level_means(h, rmse(full, one)).view(np.int64))
