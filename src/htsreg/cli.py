@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -109,12 +111,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "epochs": result.epochs,
         "reason": result.reason,
         "objective": result.objective.tolist(),
-        "params": {
-            "w2": result.params.w2.tolist(),
-            "b2": result.params.b2.tolist(),
-            "w3": result.params.w3.tolist(),
-            "b3": result.params.b3.tolist(),
-        },
+        "params": result.params.to_lists(),
     }
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(payload, f)
@@ -195,6 +192,13 @@ def _panel_int(pc: dict, key: str, default: int | None) -> int | None:
     return value
 
 
+def _flag(cfg: dict, key: str) -> bool:
+    """A top-level on/off option: a JSON boolean, true if absent."""
+    value = cfg.get(key, True)
+    _need(isinstance(value, bool), key, f"must be true or false, got {value!r}")
+    return value
+
+
 def _panel_from_config(cfg: dict, base_dir: Path) -> tuple[SeriesPanel, HierarchySpec]:
     _need("panel" in cfg, "panel", "missing key")
     pc = cfg["panel"]
@@ -216,7 +220,7 @@ def _panel_from_config(cfg: dict, base_dir: Path) -> tuple[SeriesPanel, Hierarch
         panel = load_panel_csv(csv_path, h, train_len=train_len)
     else:
         raise ConfigError("panel: needs either 'preset' or 'csv'")
-    if cfg.get("standardize", True):
+    if _flag(cfg, "standardize"):
         panel, _ = standardize(panel)
     return panel, h
 
@@ -233,6 +237,26 @@ def _train_config_from(cfg: dict) -> TrainConfig:
         raise ConfigError(f"train: {exc}") from exc
 
 
+def _is_number(value: object) -> bool:
+    """A finite JSON number: not true or false (Python ints), nor the NaN and Infinity that json reads."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_number_list(value: object) -> bool:
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
+# The optional fields of a method: a check of the JSON value and its wording in the error.
+_METHOD_FIELDS = {
+    "tune": (lambda v: isinstance(v, bool), "true or false"),
+    "lambda1": (_is_number, "a finite number"),
+    "lambdaM": (_is_number, "a finite number"),
+    "grid": (_is_number_list, "a list of finite numbers"),
+    "tune_grid1": (_is_number_list, "a list of finite numbers"),
+    "tune_gridM": (_is_number_list, "a list of finite numbers"),
+}
+
+
 def _methods_from_config(cfg: dict) -> list[MethodSpec]:
     _need("methods" in cfg and isinstance(cfg["methods"], list) and cfg["methods"],
           "methods", "must be a nonempty list")
@@ -242,6 +266,9 @@ def _methods_from_config(cfg: dict) -> list[MethodSpec]:
         name = m["name"]
         _need(name in ("MA", "ES", "NN+BU", "NN+MinT", "NN+SR"), f"methods[{i}].name",
               f"unknown method {name!r}")
+        for key, (ok, kind) in _METHOD_FIELDS.items():
+            if key in m:
+                _need(ok(m[key]), f"methods[{i}].{key}", f"must be {kind}, got {m[key]!r}")
         if name == "NN+SR" and not m.get("tune", False):
             _need("lambda1" in m and "lambdaM" in m, f"methods[{i}]",
                   "NN+SR needs lambda1 and lambdaM (or tune=true)")
@@ -250,7 +277,7 @@ def _methods_from_config(cfg: dict) -> list[MethodSpec]:
             grid=tuple(m["grid"]) if "grid" in m else None,
             lambda_root=m.get("lambda1"),
             lambda_mid=m.get("lambdaM"),
-            tune=bool(m.get("tune", False)),
+            tune=m.get("tune", False),
             tune_grid_root=tuple(m["tune_grid1"]) if "tune_grid1" in m else None,
             tune_grid_mid=tuple(m["tune_gridM"]) if "tune_gridM" in m else None,
         ))
@@ -314,15 +341,18 @@ def _write_trials(result: BenchmarkResult, h: HierarchySpec, path: Path) -> None
 
 
 def _write_traces(result: BenchmarkResult, path: Path) -> None:
+    """``epoch_trace.csv``: one row per fit, epoch and level, in the csv module's excel dialect."""
     with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["method", "trial_seed", "epoch", "level", "rmse"])
+        csv.writer(f).writerow(["method", "trial_seed", "epoch", "level", "rmse"])
         for label in result.labels:
             for seed, fit in sorted(result.fits.get(label, {}).items()):
                 if fit.epoch_eval is not None:
-                    writer.writerows([label, seed, epoch, level, f"{value:.17g}"]
-                                     for epoch, row in enumerate(fit.epoch_eval.tolist(), start=1)
-                                     for level, value in zip(LEVELS, row))
+                    buf = io.StringIO()
+                    csv.writer(buf, lineterminator=",").writerow([label, seed])  # quotes the label as needed
+                    head = buf.getvalue()
+                    f.writelines(f"{head}{epoch},{level},{value:.17g}\r\n"
+                                 for epoch, row in enumerate(fit.epoch_eval.tolist(), start=1)
+                                 for level, value in zip(LEVELS, row))
 
 
 def _slug(label: str) -> str:
@@ -335,14 +365,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     methods = _methods_from_config(cfg)
     seeds = _seeds_from_config(cfg)
     config = _train_config_from(cfg)
+    collect_traces = _flag(cfg, "epoch_trace")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    result = run_benchmark(
-        panel, h, methods, seeds, config,
-        collect_traces=bool(cfg.get("epoch_trace", True)),
-        jobs=args.jobs,
-    )
+    result = run_benchmark(panel, h, methods, seeds, config, collect_traces=collect_traces, jobs=args.jobs)
 
     _write_table(result, h, out_dir / "table.csv")
     _write_trials(result, h, out_dir / "trials.json")
@@ -371,8 +398,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     panel, h = _panel_from_config(cfg, base_dir)
     seeds = _seeds_from_config(cfg)
     config = _train_config_from(cfg)
-    _need("x_grid" in cfg and isinstance(cfg["x_grid"], list) and cfg["x_grid"],
-          "x_grid", "must be a nonempty list")
+    _need("x_grid" in cfg and _is_number_list(cfg["x_grid"]) and cfg["x_grid"],
+          "x_grid", "must be a nonempty list of finite numbers")
     xs = sorted(float(x) for x in cfg["x_grid"])
     _need(0.0 in xs, "x_grid", "must include 0")
     modes = tuple(cfg.get("modes", ["(x,0)", "(0,x)", "(x,x)"]))

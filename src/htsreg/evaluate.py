@@ -11,7 +11,6 @@ from scipy.special import stdtrit
 
 from .baselines import BaselineChoice, select_param
 from .hierarchy import LEVELS, HierarchySpec, aggregate_bottom, level_means, rmse
-from .neuralnet import NetworkParams, forward
 from .panel import Scaler, SeriesPanel, lagged_design
 from .reconcile import estimate_w_sample, mint_reconcile
 from .trainer import (
@@ -82,17 +81,18 @@ def summarize_trials(reports: list[EvalReport]) -> TrialSummary:
 def make_epoch_hook(panel: SeriesPanel, h: HierarchySpec, config: TrainConfig):
     """Stack hook for training: per-level test RMSE of bottom-up forecasts.
 
-    ``hook(first_epoch, nets)`` takes bottom-network weights with leading
-    (epoch, model) axes and returns their level means over the test period,
+    ``hook.x`` holds the lagged inputs of the test period. Training forwards
+    them with its own rows each epoch (see ``trainer._fit``) and calls
+    ``hook(first_epoch, forecasts)`` with their bottom forecasts, shaped
+    (epochs, models, test_len, |B|). The hook returns their level means,
     shaped (epochs, models, 4) in :data:`LEVELS` order.
     """
-    x = lagged_design(panel.bottom_values, config.lag, forecast_timepoints(panel))
     actual = panel.values[:, panel.train_len:]
 
-    def hook(first_epoch: int, nets: NetworkParams) -> np.ndarray:
-        u3 = forward(nets, x, config.activation)[1]
-        return level_means(h, rmse(actual, aggregate_bottom(h, np.swapaxes(u3, -1, -2))))
+    def hook(first_epoch: int, forecasts: np.ndarray) -> np.ndarray:
+        return level_means(h, rmse(actual, aggregate_bottom(h, np.swapaxes(forecasts, -1, -2))))
 
+    hook.x = lagged_design(panel.bottom_values, config.lag, forecast_timepoints(panel))
     return hook
 
 

@@ -39,6 +39,10 @@ class NetworkParams:
     def copy(self) -> "NetworkParams":
         return NetworkParams(*(a.copy() for a in self))
 
+    def to_lists(self) -> dict[str, list]:
+        """The arrays as nested lists keyed w2, b2, w3, b3: the JSON form of checkpoints and train records."""
+        return dict(zip(("w2", "b2", "w3", "b3"), (a.tolist() for a in self)))
+
 
 def init_params(dims: NetworkDims, seed: int, bias: bool = True) -> NetworkParams:
     """Draw every weight (and bias, unless disabled) i.i.d. standard normal.
@@ -55,22 +59,30 @@ def init_params(dims: NetworkDims, seed: int, bias: bool = True) -> NetworkParam
     return NetworkParams(w2=w2, b2=b2, w3=w3, b3=b3)
 
 
-def activation(u: np.ndarray | float, kind: str) -> np.ndarray | float:
-    """Elementwise sigmoid or rectifier.
+def activation(u: np.ndarray | float, kind: str, out: np.ndarray | None = None) -> np.ndarray | float:
+    """Elementwise sigmoid or rectifier, written to ``out`` if given (which may be ``u`` itself).
 
     The sigmoid is exp(min(u, 0)) / (1 + e) with e = exp(-|u|), so exp
     never overflows: the numerator is exactly 1 for u >= 0 and e below, the
     two branches of the textbook form, without a branch. -|u| is written as
-    min(u, -u), which also keeps the sign bit of a NaN input.
+    min(u, -u), which also keeps the sign bit of a NaN input. The
+    denominator takes the one temporary array.
     """
     arr = np.asarray(u, dtype=np.float64)
+    res = np.empty_like(arr) if out is None else out
     if kind == "sigmoid":
-        out = np.exp(np.minimum(arr, 0.0)) / (1.0 + np.exp(np.minimum(arr, -arr)))
+        den = np.negative(arr, out=np.empty_like(arr))
+        np.minimum(arr, den, out=den)
+        np.exp(den, out=den)
+        np.add(den, 1.0, out=den)
+        np.minimum(arr, 0.0, out=res)
+        np.exp(res, out=res)
+        np.divide(res, den, out=res)
     elif kind == "relu":
-        out = np.maximum(arr, 0.0)
+        np.maximum(arr, 0.0, out=res)
     else:
         raise ValueError(f"unknown activation kind {kind!r}")
-    return out if np.ndim(u) else float(out)
+    return res if np.ndim(u) else float(res)
 
 
 def forward(params: NetworkParams, x: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
@@ -89,10 +101,7 @@ def save_checkpoint(params: NetworkParams, path: str | Path, seed: int | None = 
     payload = {
         "dims": {"input_dim": d.input_dim, "hidden_dim": d.hidden_dim, "output_dim": d.output_dim},
         "seed": seed,
-        "w2": params.w2.tolist(),
-        "b2": params.b2.tolist(),
-        "w3": params.w3.tolist(),
-        "b3": params.b3.tolist(),
+        **params.to_lists(),
     }
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f)

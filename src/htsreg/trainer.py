@@ -101,15 +101,16 @@ class TrainResult:
 
 
 class TrainingDiverged(RuntimeError):
-    """Objective became non-finite during training."""
+    """Objective became non-finite, or rose, during training."""
 
-    def __init__(self, epoch: int, model: int = 0):
-        super().__init__(f"objective became non-finite at epoch {epoch}")
+    def __init__(self, epoch: int, model: int = 0, rose: bool = False):
+        super().__init__(f"objective {'rose' if rose else 'became non-finite'} at epoch {epoch}")
         self.epoch = epoch
         self.model = model  # index of the diverged model in its batch
+        self.rose = rose  # finite but above the previous epoch's objective
 
-    def __reduce__(self):  # keep both fields across process boundaries
-        return (TrainingDiverged, (self.epoch, self.model))
+    def __reduce__(self):  # keep every field across process boundaries
+        return (TrainingDiverged, (self.epoch, self.model, self.rose))
 
 
 def training_timepoints(panel: SeriesPanel, lag: int) -> range:
@@ -121,129 +122,213 @@ def forecast_timepoints(panel: SeriesPanel) -> range:
     return range(panel.train_len + 1, panel.n_time + 1)
 
 
+def _flat(params: NetworkParams) -> np.ndarray:
+    """One flat row [w2 | w3 | b2 | b3] per model of weights with a leading model axis (or of one model)."""
+    k = len(params.w2) if params.w2.ndim == 3 else 1
+    return np.concatenate([np.reshape(a, (k, -1)) for a in (params.w2, params.w3, params.b2, params.b3)], axis=1)
+
+
+def _views(flat: np.ndarray, dims: NetworkDims) -> NetworkParams:
+    """Stacked w2, b2, w3, b3 views of flat rows (biases shaped (K, 1, n))."""
+    k, i, hd, o = len(flat), dims.input_dim, dims.hidden_dim, dims.output_dim
+    w2, w3, b2, b3 = np.split(flat, np.cumsum([hd * i, o * hd, hd]), axis=1)
+    return NetworkParams(w2=w2.reshape((k, hd, i), copy=False), b2=b2.reshape((k, 1, hd), copy=False),
+                         w3=w3.reshape((k, o, hd), copy=False), b3=b3.reshape((k, 1, o), copy=False))
+
+
+class _Workspace:
+    """Preallocated buffers of one epoch of K stacked models on shared rows.
+
+    ``theta`` and ``grad`` hold a flat row per model (see :func:`_flat`), so
+    the weights come before the biases; ``net`` and ``grads`` are stacked
+    views of them, biases shaped (K, 1, n). The first ``len(yb)`` rows of
+    ``x`` are fitted; the rows after them are forwarded only, and after each
+    :meth:`loss_and_grads` their outputs are ``u3[:, len(yb):]``.
+    """
+
+    def __init__(self, theta: np.ndarray, dims: NetworkDims, x: np.ndarray, yb: np.ndarray, yu: np.ndarray,
+                 H: np.ndarray, lam: np.ndarray, kind: str):
+        k, n, hd, out, n_upper = len(theta), len(yb), dims.hidden_dim, dims.output_dim, H.shape[0]
+        self.dims, self.theta, self.grad = dims, theta, np.empty_like(theta)
+        self.net, self.grads = _views(theta, dims), _views(self.grad, dims)
+        self.n_weights = hd * (dims.input_dim + out)
+        self.x, self.x_fit, self.yb, self.yu, self.H, self.HT, self.kind = x, x[:n], yb, yu, H, H.T, kind
+        # At some sizes a BLAS product rounds a row differently when it has more rows, so
+        # fitted and watch rows go through separate products, each with the bits of its rows alone.
+        self.row_blocks = [slice(0, n)] + ([slice(n, len(x))] if len(x) > n else [])
+        self.lam, self.lam2 = lam, lam * lam  # lam * lam, not lam applied twice, which rounds differently
+        self.w2T, self.w3T = np.swapaxes(self.net.w2, 1, 2), np.swapaxes(self.net.w3, 1, 2)
+        self.z2, self.u3 = np.empty((k, len(x), hd)), np.empty((k, len(x), out))
+        self.res_b, self.sq, self.fp, self.d2 = (np.empty((k, n, m)) for m in (out, out, hd, hd))
+        self.res_u, self.upper = np.empty((k, n, n_upper)), np.empty((k, n, n_upper))
+        self.d3 = np.empty((k, n, out)) if n_upper else self.res_b  # an empty upper block adds exact zeros
+        self.d3T, self.d2T = np.swapaxes(self.d3, 1, 2), np.swapaxes(self.d2, 1, 2)
+        self.objective, self.objective_u = np.empty(k), np.empty(k)
+
+    def loss_and_grads(self) -> np.ndarray:
+        """The objective of each model at ``theta`` (a reused buffer); its gradient goes to ``grad``."""
+        n, net, grads, z2, u3 = len(self.yb), self.net, self.grads, self.z2, self.u3
+        for rows in self.row_blocks:
+            np.matmul(self.x[rows], self.w2T, out=z2[:, rows])
+        np.add(z2, net.b2, out=z2)
+        activation(z2, self.kind, out=z2)
+        for rows in self.row_blocks:
+            np.matmul(z2[:, rows], self.w3T, out=u3[:, rows])
+        np.add(u3, net.b3, out=u3)
+        z2, u3 = z2[:, :n], u3[:, :n]
+        np.subtract(u3, self.yb, out=self.res_b)
+        np.multiply(self.res_b, self.res_b, out=self.sq)
+        objective = np.add.reduce(self.sq, axis=(1, 2), out=self.objective)
+        objective *= 0.5
+        if self.H.shape[0]:
+            res_u, upper = self.res_u, self.upper
+            np.matmul(u3, self.HT, out=res_u)
+            np.subtract(self.yu, res_u, out=res_u)
+            np.multiply(res_u, self.lam, out=upper)
+            np.multiply(upper, upper, out=upper)
+            np.add.reduce(upper, axis=(1, 2), out=self.objective_u)
+            self.objective_u *= 0.5
+            objective += self.objective_u
+            np.multiply(res_u, self.lam2, out=res_u)
+            np.matmul(res_u, self.H, out=self.d3)
+            np.subtract(self.res_b, self.d3, out=self.d3)
+        np.matmul(self.d3T, z2, out=grads.w3)
+        np.add.reduce(self.d3, axis=1, keepdims=True, out=grads.b3)
+        np.matmul(self.d3, net.w3, out=self.d2)
+        if self.kind == "sigmoid":
+            np.subtract(1.0, z2, out=self.fp)
+            np.multiply(z2, self.fp, out=self.fp)
+        else:
+            np.greater(z2, 0.0, out=self.fp)
+        np.multiply(self.d2, self.fp, out=self.d2)
+        np.matmul(self.d2T, self.x_fit, out=grads.w2)
+        np.add.reduce(self.d2, axis=1, keepdims=True, out=grads.b2)
+        return objective
+
+    def keep(self, models: list[int]) -> "_Workspace":
+        """A workspace of the given models only, carrying over their weights and gradients."""
+        ws = _Workspace(self.theta[models], self.dims, self.x, self.yb, self.yu, self.H, self.lam[models], self.kind)
+        ws.grad[...] = self.grad[models]
+        return ws
+
+    def step(self, eta: float, bias: bool) -> None:
+        """theta -= eta * grad, scaling ``grad`` in place; without ``bias`` the biases stay as they are."""
+        cols = slice(None) if bias else slice(self.n_weights)
+        step, theta = self.grad[:, cols], self.theta[:, cols]
+        np.multiply(step, eta, out=step)
+        np.subtract(theta, step, out=theta)
+
+
 def loss_and_grads(params: NetworkParams, x: np.ndarray, yb: np.ndarray, yu: np.ndarray,
                    H: np.ndarray, lam: np.ndarray, kind: str) -> tuple[np.ndarray, NetworkParams]:
-    """Objective sum_t E_t over the rows of (x, yb, yu) and its gradient.
+    """Objective sum_t E_t over the fitted rows of (x, yb, yu) and its gradient.
 
     Row t holds a network input and its bottom and upper targets; ``lam``
-    is the weight vector. The weights may carry a leading model axis,
-    with biases shaped (K, 1, n) and ``lam`` (K, 1, |U|): the objective is
-    then one value per model, and each model's objective and gradient
-    have the bits of a call on that model alone. The gradient comes from
-    the closed-form deltas
+    is the weight vector. Rows of ``x`` past ``len(yb)`` are forwarded but
+    not fitted, and leave the result unchanged. The weights may carry a
+    leading model axis, with biases shaped (K, 1, n) and ``lam`` (K, 1,
+    |U|): the objective is then one value per model, and each model's
+    objective and gradient have the bits of a call on that model alone. The
+    gradient comes from the closed-form deltas
 
         d3 = (u3 - y^B) - Lambda^2 (y^U - H u3) H,   d2 = (d3 W3) * f'(u2),
 
-    summed over rows as outer products with each layer's input.
+    summed over rows as outer products with each layer's input. Training
+    runs the same computation in a :class:`_Workspace` it keeps across
+    epochs.
     """
-    # neuralnet.forward, written out so that this module calls activation through its own
-    # import: perfbench/tests/test_trace.py needs such a call to show that its tracer counts it.
-    z2 = activation(x @ np.swapaxes(params.w2, -1, -2) + params.b2, kind)
-    u3 = z2 @ np.swapaxes(params.w3, -1, -2) + params.b3
-    res_b = u3 - yb
-    res_u = yu - u3 @ H.T
-    upper = res_u * lam
-    objective = 0.5 * (res_b * res_b).sum(axis=(-2, -1)) + 0.5 * (upper * upper).sum(axis=(-2, -1))
-    d3 = res_b - (res_u * (lam * lam)) @ H  # not (res_u * lam) * lam, which rounds differently
-    d2 = (d3 @ params.w3) * (z2 * (1.0 - z2) if kind == "sigmoid" else z2 > 0)
-    grads = NetworkParams(w2=np.swapaxes(d2, -1, -2) @ x, b2=d2.sum(axis=-2).reshape(params.b2.shape),
-                          w3=np.swapaxes(d3, -1, -2) @ z2, b3=d3.sum(axis=-2).reshape(params.b3.shape))
-    return objective, grads
+    stacked = params.w2.ndim == 3
+    theta = _flat(params)
+    dims = NetworkDims(params.w2.shape[-1], params.w2.shape[-2], params.w3.shape[-2])
+    ws = _Workspace(theta, dims, x, yb, yu, H, np.reshape(lam, (len(theta), 1, -1)), kind)
+    objective = ws.loss_and_grads()
+    grads = NetworkParams(*(g.reshape(p.shape) for g, p in zip(ws.grads, params)))
+    return (objective if stacked else objective[0]), grads
 
 
 def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lams: np.ndarray,
          params: list[NetworkParams], config: TrainConfig,
-         hook: Callable[[int, NetworkParams], np.ndarray] | None = None) -> list[TrainResult]:
+         hook: Callable[[int, np.ndarray], np.ndarray] | None = None) -> list[TrainResult]:
     """Full-batch descent of K models on the shared rows of (x, yb, yu).
 
     Model k starts from ``params[k]`` (updated in place) under the weight
-    row ``lams[k]``. The weights are stacked so each numpy call serves every
-    model, and a model leaves the stack at its own stopping epoch, so its
-    parameters, objective, epochs and stop reason are bit-identical to a
-    batch of one. If models diverge, the error is the one a model-by-model
+    row ``lams[k]``. The models train as one stack in a :class:`_Workspace`,
+    so each numpy call serves every model, and a model leaves the stack at
+    its own stopping epoch (the workspace is then rebuilt for the rest), so
+    its parameters, objective, epochs and stop reason are bit-identical to
+    a batch of one. An objective that becomes non-finite or rises is a
+    divergence; if models diverge, the error is the one a model-by-model
     run would raise: that of the lowest-index one.
 
-    A hook, if given, scores the weights after each epoch. They are
-    buffered, about ``TRACE_ROWS`` model-epochs at a time, and scored in
-    one call ``hook(first_epoch, nets)`` whose weights carry (epoch, model)
-    axes in front: E consecutive epochs of the models in the stack, in
-    stack order, as views of a reused buffer. It returns one row per epoch
-    and model, (E, K_live, ...), and model k's rows form its ``epoch_eval``.
+    A hook, if given, scores the models after each epoch. Its input rows
+    ``hook.x`` are appended to ``x`` and forwarded with the training rows
+    by every epoch's objective evaluation, and their bottom outputs are
+    buffered, about ``TRACE_ROWS`` model-epochs at a time, then scored in
+    one call ``hook(first_epoch, forecasts)``. The forecasts are shaped
+    (E, K_live, len(hook.x), |B|): E consecutive epochs of the models in the
+    stack, in stack order, as a view of a reused buffer. The hook returns
+    one row per epoch and model, (E, K_live, ...), and model k's rows form
+    its ``epoch_eval``. A model that diverges leaves before its last epoch
+    is buffered.
     """
-    kind, eta, keep_rate = config.activation, config.eta, 1.0 - config.eps
-    lam = np.asarray(lams, dtype=np.float64).reshape(len(params), 1, -1)
-    net = NetworkParams(w2=np.stack([p.w2 for p in params]), b2=np.stack([p.b2 for p in params])[:, None],
-                        w3=np.stack([p.w3 for p in params]), b3=np.stack([p.b3 for p in params])[:, None])
+    eta, keep_rate, n = config.eta, 1.0 - config.eps, len(yb)
+    ws = _Workspace(_flat(NetworkParams(*(np.stack(a) for a in zip(*params)))), params[0].dims,
+                    x if hook is None else np.concatenate([x, hook.x]), yb, yu, H,
+                    np.asarray(lams, dtype=np.float64).reshape(len(params), 1, -1), config.activation)
     live = list(range(len(params)))  # original index of each stacked model
     e_prev = [np.inf] * len(params)
     objective: list[list[float]] = [[] for _ in params]
     results: list[TrainResult | None] = [None] * len(params)
-    diverged: tuple[int, int] | None = None  # (epoch, model) of the lowest-index divergence
-    block, filled, first = None, 0, 0  # buffered weights of epochs first.. for the hook
+    diverged: tuple[int, int, bool] | None = None  # (epoch, model, rose) of the lowest-index divergence
+    block, block_models, filled, first = None, [], 0, 0  # buffered forecasts of epochs first.. for the hook
     trace: np.ndarray | None = None  # hook rows, (epoch, original model index, ...)
-
-    def take(p: NetworkParams, keep: list[int]) -> NetworkParams:
-        return NetworkParams(*(a[keep] for a in p))
 
     def flush() -> None:
         nonlocal filled, trace
         if not filled:
             return
-        rows = hook(first, NetworkParams(*(a[:filled] for a in block)))
+        scores = hook(first, block[:filled])
         end = first - 1 + filled
         if trace is None or end > len(trace):  # grow to the epoch cap at most, doubling
-            grown = np.empty((min(config.max_epochs, max(2 * end, 256)), len(params)) + rows.shape[2:])
+            grown = np.empty((min(config.max_epochs, max(2 * end, 256)), len(params)) + scores.shape[2:])
             if trace is not None:
                 grown[:len(trace)] = trace
             trace = grown
-        trace[first - 1:end, live] = rows
+        trace[first - 1:end, block_models] = scores
         filled = 0
 
-    def record(epoch: int) -> None:
-        nonlocal block, filled, first
-        if block is None or block.w2.shape[1] != len(live):
-            block = NetworkParams(*(np.empty((max(1, TRACE_ROWS // len(live)),) + a.shape) for a in net))
+    def record(epoch: int, forecasts: np.ndarray) -> None:
+        nonlocal block, block_models, filled, first
+        if block is None or block.shape[1] != len(forecasts):
+            block = np.empty((max(1, TRACE_ROWS // len(forecasts)),) + forecasts.shape)
         if not filled:
-            first = epoch
-        for buf, a in zip(block, net):
-            buf[filled] = a
+            first, block_models = epoch, live[:len(forecasts)]
+        block[filled] = forecasts
         filled += 1
-        if filled == len(block.w2):
+        if filled == len(block):
             flush()
 
     def finish(pos: int, epochs: int, reason: str) -> None:
         k = live[pos]
         p = params[k]
-        for dst, src in zip(p, net):
+        for dst, src in zip(p, ws.net):
             dst[...] = src[pos].reshape(dst.shape)
         results[k] = TrainResult(params=p, objective=np.asarray(objective[k]), epochs=epochs, reason=reason,
                                  epoch_eval=None if trace is None else trace[:epochs, k].copy())
 
-    def drop(gone: list[int]) -> None:
-        nonlocal live, net, grads, lam
-        keep = [pos for pos in range(len(live)) if pos not in gone]
-        live = [live[pos] for pos in keep]
-        net, grads, lam = take(net, keep), take(grads, keep), lam[keep]
-
-    _, grads = loss_and_grads(net, x, yb, yu, H, lam, kind)
+    ws.loss_and_grads()
     epoch = 0
     while epoch < config.max_epochs and live:
         epoch += 1
-        net.w2 -= eta * grads.w2
-        net.w3 -= eta * grads.w3
-        if config.bias:
-            net.b2 -= eta * grads.b2
-            net.b3 -= eta * grads.b3
-        e_new, grads = loss_and_grads(net, x, yb, yu, H, lam, kind)
-
-        e_list = e_new.tolist()
-        bad = next((pos for pos, e in enumerate(e_list) if not math.isfinite(e)), len(live))
+        ws.step(eta, config.bias)
+        e_list = ws.loss_and_grads().tolist()
+        bad = next((pos for pos, e in enumerate(e_list) if not math.isfinite(e) or e > e_prev[live[pos]]),
+                   len(live))
         if bad < len(live):
             # A model-by-model run never reaches the models after a diverged one,
             # so they leave before this epoch is recorded.
-            diverged = (epoch, live[bad])
+            diverged = (epoch, live[bad], math.isfinite(e_list[bad]))
             flush()
-            drop(list(range(bad, len(live))))
         stopping = []
         for pos, e in enumerate(e_list[:bad]):
             k = live[pos]
@@ -251,14 +336,16 @@ def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lams: np.
             if e > keep_rate * e_prev[k]:
                 stopping.append(pos)
             e_prev[k] = e
-        if hook is not None and live:
-            record(epoch)
+        if hook is not None and bad:
+            record(epoch, ws.u3[:bad, n:])
             if stopping:
                 flush()
         for pos in stopping:
             finish(pos, epoch, "converged")
-        if stopping:
-            drop(stopping)
+        if stopping or bad < len(live):
+            keep = [pos for pos in range(bad) if pos not in stopping]
+            live = [live[pos] for pos in keep]
+            ws = ws.keep(keep)
 
     flush()
     for pos in range(len(live)):
@@ -296,7 +383,7 @@ def _bottom_problem(panel: SeriesPanel, h: HierarchySpec, config: TrainConfig
 
 
 def _stacks(problem: tuple, lams: np.ndarray, seeds: list[int], config: TrainConfig,
-            hook: Callable[[int, NetworkParams], np.ndarray] | None = None) -> list[TrainResult]:
+            hook: Callable[[int, np.ndarray], np.ndarray] | None = None) -> list[TrainResult]:
     """Model k, initialized from ``seeds[k]`` under weight row ``lams[k]``, in stacks of ``STACK_LIMIT``."""
     x, yb, yu, H, dims = problem
     results: list[TrainResult] = []
@@ -305,13 +392,13 @@ def _stacks(problem: tuple, lams: np.ndarray, seeds: list[int], config: TrainCon
         try:
             results += _fit(x, yb, yu, H, lams[start: start + STACK_LIMIT], params, config, hook)
         except TrainingDiverged as exc:  # later stacks hold higher indices only
-            raise TrainingDiverged(exc.epoch, start + exc.model) from None
+            raise TrainingDiverged(exc.epoch, start + exc.model, exc.rose) from None
     return results
 
 
 def train_batch(panel: SeriesPanel, h: HierarchySpec, regs: list[RegWeights], config: TrainConfig,
                 seeds: list[int] | None = None,
-                hook: Callable[[int, NetworkParams], np.ndarray] | None = None) -> list[TrainResult]:
+                hook: Callable[[int, np.ndarray], np.ndarray] | None = None) -> list[TrainResult]:
     """Train one bottom-level network per weight set on one design.
 
     The panel is expected to be standardized. Inputs are actual lagged
@@ -329,7 +416,7 @@ def train_batch(panel: SeriesPanel, h: HierarchySpec, regs: list[RegWeights], co
 
 
 def train(panel: SeriesPanel, h: HierarchySpec, reg: RegWeights, config: TrainConfig,
-          epoch_hook: Callable[[int, NetworkParams], np.ndarray] | None = None) -> TrainResult:
+          epoch_hook: Callable[[int, np.ndarray], np.ndarray] | None = None) -> TrainResult:
     """Train the bottom-level network from the config seed (a batch of one; see :func:`train_batch`)."""
     return train_batch(panel, h, [reg], config, hook=epoch_hook)[0]
 

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import csv
 import json
 import os
 import subprocess
@@ -11,10 +12,12 @@ import numpy as np
 import pytest
 
 import htsreg
-from htsreg.cli import main
-from htsreg.hierarchy import build_hierarchy, write_hierarchy_json
+from htsreg.cli import _write_traces, main
+from htsreg.evaluate import BenchmarkResult
+from htsreg.hierarchy import LEVELS, build_hierarchy, write_hierarchy_json
 from htsreg.panel import load_panel_csv
 from htsreg.synthgen import preset_hierarchy
+from htsreg.trainer import TrainResult
 
 SMALL_PARENTS = {2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 3}
 
@@ -319,6 +322,93 @@ def test_run_divergence_exits_3_with_first_trial_epoch(tmp_path, capsys, jobs, f
         code = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o"), "--jobs", jobs])
     assert code == 3
     assert capsys.readouterr().err.splitlines()[-1] == "training diverged: objective became non-finite at epoch 2"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_exits_3_when_the_objective_rises(tmp_path, capsys, jobs):
+    """At eta 10 the objective jumps from about 2e14 to 1.5e24 at epoch 2: a divergence, not convergence."""
+    cfg = run_config(tmp_path, panel={"preset": "NgtvC", "seed": 7}, trial_seeds=[1, 2],
+                     methods=[{"name": "NN+SR", "lambda1": 0.0, "lambdaM": 2.1}], train={"eta": 10.0, "max_epochs": 50})
+    out_dir = tmp_path / "o"
+    with np.errstate(all="ignore"):
+        code = main(["run", "--config", str(cfg), "--out-dir", str(out_dir), "--jobs", jobs])
+    assert code == 3
+    assert capsys.readouterr().err.splitlines()[-1] == "training diverged: objective rose at epoch 2"
+    assert not (out_dir / "table.csv").exists()
+
+
+def test_train_exits_3_when_the_objective_rises(tmp_path, small_setup, capsys):
+    _, hier, pcsv = small_setup
+    out = tmp_path / "run.json"
+    code = main(["train", "--panel", str(pcsv), "--hierarchy", str(hier), "--eta", "10", "--max-epochs", "50",
+                 "--train-len", "20", "--out", str(out)])
+    assert code == 3
+    assert "training diverged: objective rose at epoch" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, method", [
+    ("tune", {"name": "NN+SR", "tune": "false", "tune_grid1": [0.0], "tune_gridM": [0.0]}),
+    ("lambda1", {"name": "NN+SR", "lambda1": True, "lambdaM": 0.0}),
+    ("lambdaM", {"name": "NN+SR", "lambda1": 0.0, "lambdaM": "2.1"}),
+    ("grid", {"name": "MA", "grid": "357"}),
+    ("tune_grid1", {"name": "NN+SR", "tune": True, "tune_grid1": [0.0, "1"], "tune_gridM": [0.0]}),
+    ("tune_gridM", {"name": "NN+SR", "tune": True, "tune_grid1": [0.0], "tune_gridM": "0"}),
+    ("lambda1", {"name": "NN+SR", "lambda1": float("inf"), "lambdaM": 0.0}),
+    ("tune_grid1", {"name": "NN+SR", "tune": True, "tune_grid1": [float("nan")], "tune_gridM": [0.0]}),
+], ids=["tune_string", "lambda1_bool", "lambdaM_string", "grid_string", "tune_grid1_item", "tune_gridM_string",
+        "lambda1_infinity", "tune_grid1_nan"])
+def test_run_rejects_mistyped_method_field(tmp_path, capsys, field, method):
+    cfg = run_config(tmp_path, methods=[{"name": "NN+BU"}, method])
+    out_dir = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+    assert f"methods[1].{field}: must be" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("key, value", [("standardize", "false"), ("epoch_trace", "no"), ("epoch_trace", 0)],
+                         ids=["standardize_string", "epoch_trace_string", "epoch_trace_int"])
+def test_run_rejects_non_boolean_switch(tmp_path, capsys, key, value):
+    cfg = run_config(tmp_path, **{key: value})
+    out_dir = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+    assert f"{key}: must be true or false, got {value!r}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("x_grid", [["0", 2.1], [0.0, True], [0.0, float("inf")]], ids=["string", "bool", "infinity"])
+def test_sweep_rejects_non_numeric_grid(tmp_path, capsys, x_grid):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"panel": {"preset": "NgtvC", "seed": 3}, "trial_seeds": [1], "x_grid": x_grid,
+                               "train": {"max_epochs": 2}}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 2
+    assert "x_grid: must be a nonempty list of finite numbers" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_write_traces_matches_csv_writer(tmp_path):
+    """The streamed trace rows have the bytes the csv module writes, a label that needs quoting included."""
+    rng = np.random.default_rng(3)
+    special = np.array([[np.nan, np.inf, -0.0, 5e-324], [1e-300, 0.1, 2.0, 1e17]])
+    traces = {"NN+SR(0.0, 2.1)": {2: np.vstack([special, rng.random((3, 4))]), 1: rng.random((2, 4))},
+              'NN "BU"': {1: rng.random((1, 4))}, "NN+MinT": {1: None}}
+    result = BenchmarkResult(labels=["MA(3)", *traces], seeds=[1, 2], reports={}, summaries={},
+                             fits={label: {seed: TrainResult(params=None, objective=np.zeros(0), epochs=0,
+                                                             reason="max_epochs", epoch_eval=trace)
+                                           for seed, trace in by_seed.items()}
+                                   for label, by_seed in traces.items()})
+    _write_traces(result, tmp_path / "trace.csv")
+    with open(tmp_path / "oracle.csv", "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["method", "trial_seed", "epoch", "level", "rmse"])
+        for label in result.labels:
+            for seed, fit in sorted(result.fits.get(label, {}).items()):
+                if fit.epoch_eval is not None:
+                    writer.writerows([label, seed, epoch, level, f"{value:.17g}"]
+                                     for epoch, row in enumerate(fit.epoch_eval.tolist(), start=1)
+                                     for level, value in zip(LEVELS, row))
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    assert b'"NN+SR(0.0, 2.1)",1,1,root,' in (tmp_path / "trace.csv").read_bytes()
 
 
 def test_run_out_dir_below_a_regular_file_exits_4(tmp_path):

@@ -238,7 +238,7 @@ def test_benchmark_stacks_match_trial_by_trial_runs(tree, panel, monkeypatch):
     """Stacked training (several stacks, blocks of hook rows, shards) equals one train() per trial."""
     monkeypatch.setattr(trainer, "STACK_LIMIT", 4)
     monkeypatch.setattr(trainer, "TRACE_ROWS", 5)
-    cfg = TrainConfig(eta=1e-3, eps=5e-3, max_epochs=150)
+    cfg = TrainConfig(eta=5e-4, eps=5e-3, max_epochs=150)
     seeds = [4, 1, 3]
     methods = [MethodSpec(name="NN+SR", lambda_root=1.0, lambda_mid=0.0), MethodSpec(name="NN+MinT"),
                MethodSpec(name="NN+BU"), MethodSpec(name="NN+SR", lambda_root=0.0, lambda_mid=3.0)]

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_hierarchy import depth_two_trees
 
 from htsreg.hierarchy import aggregate_bottom, build_hierarchy, check_coherence, summing_matrix
 from htsreg.panel import SeriesPanel, standardize
@@ -246,3 +249,19 @@ def test_mint_rejects_asymmetric_w(wide):
     rounded = w.copy()
     rounded[0, 5] *= 1.0 + 1e-15  # rounding-level asymmetry stays accepted
     assert np.allclose(mint_reconcile(wide, base, rounded), mint_reconcile(wide, base, w), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(parents=depth_two_trees(), seed=st.integers(0, 2**32 - 1))
+def test_mint_keeps_sps_equal_s_and_coherent_input_on_random_trees(parents, seed):
+    """For a random SPD W on a random tree, S P S = S and coherent base forecasts come back unchanged."""
+    h = build_hierarchy(parents)
+    rng = np.random.default_rng(seed)
+    n = h.n_nodes
+    a = rng.standard_normal((n, n + 3))
+    w = a @ a.T / (n + 3) + 0.1 * np.eye(n)
+    coherent = aggregate_bottom(h, rng.standard_normal((h.n_bottom, 5)))
+    got, info = mint_reconcile(h, coherent, w, return_info=True)
+    assert check_unbiasedness(info.p_matrix, summing_matrix(h), tol=1e-9).within_tol
+    assert np.allclose(got, coherent, rtol=1e-9, atol=1e-9)
+    assert check_coherence(h, got, tol=1e-9).ok

@@ -12,6 +12,7 @@ from htsreg.trainer import (
     RegWeights,
     TrainConfig,
     TrainingDiverged,
+    forecast_timepoints,
     loss_and_grads,
     predict_bottom,
     train,
@@ -269,27 +270,30 @@ def test_zero_epoch_budget_returns_initial_params(tree):
     assert result.reason == "max_epochs"
 
 
-def capture_hook(store):
-    """Stack hook keeping a copy of the one model's weights after every epoch."""
-    def hook(first_epoch, nets):
-        store.extend(tuple(a[e, 0].copy() for a in nets) for e in range(len(nets.w2)))
-        return np.zeros(nets.w2.shape[:2])
+def capture_hook(store, x):
+    """Stack hook on the rows of x keeping a copy of the one model's forecasts after every epoch."""
+    def hook(first_epoch, forecasts):
+        store.extend(forecasts[:, 0].copy())
+        return np.zeros(forecasts.shape[:2])
 
+    hook.x = x
     return hook
 
 
 def test_lambda_zero_training_is_bitwise_identical(tree):
-    """Two zero-weight runs with the same seed share every parameter bit."""
+    """Two zero-weight runs with the same seed share every parameter and forecast bit."""
     panel = std_panel(tree, seed=1)
     cfg = TrainConfig(max_epochs=30, seed=11)
+    x = lagged_design(panel.bottom_values, cfg.lag, forecast_timepoints(panel))
     snaps_a, snaps_b = [], []
-    ra = train(panel, tree, RegWeights.build(tree, 0.0, 0.0), cfg, epoch_hook=capture_hook(snaps_a))
-    rb = train(panel, tree, RegWeights.build(tree, 0.0, 0.0), cfg, epoch_hook=capture_hook(snaps_b))
+    ra = train(panel, tree, RegWeights.build(tree, 0.0, 0.0), cfg, epoch_hook=capture_hook(snaps_a, x))
+    rb = train(panel, tree, RegWeights.build(tree, 0.0, 0.0), cfg, epoch_hook=capture_hook(snaps_b, x))
     assert np.array_equal(ra.objective, rb.objective)
-    assert len(snaps_a) == len(snaps_b)
+    assert len(snaps_a) == len(snaps_b) == ra.epochs == 30
     for sa, sb in zip(snaps_a, snaps_b):
-        for arr_a, arr_b in zip(sa, sb):
-            assert np.array_equal(arr_a, arr_b)
+        assert np.array_equal(sa, sb)
+    for arr_a, arr_b in zip(ra.params, rb.params):
+        assert np.array_equal(arr_a, arr_b)
 
 
 def test_first_update_equals_sum_of_pointwise_gradients(tree, h_matrix):
