@@ -14,6 +14,7 @@ import numpy as np
 
 from . import __version__
 from .evaluate import (
+    SWEEP_MODES,
     BenchmarkResult,
     MethodSpec,
     reg_sweep,
@@ -36,7 +37,7 @@ from .reconcile import (
     top_down,
 )
 from .synthgen import PRESET_NAMES, PRNG_IDENTITY, generate_dataset, preset_hierarchy
-from .trainer import RegWeights, TrainConfig, TrainingDiverged, train
+from .trainer import RegWeights, TrainConfig, TrainingDiverged, train_batch
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -92,7 +93,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         bias=not args.no_bias,
     )
     reg = RegWeights.build(h, args.lambda1, args.lambdaM)
-    result = train(panel, h, reg, config)
+    result = train_batch(panel, h, [reg], config)[0]
     payload = {
         "config": {
             "panel": args.panel,
@@ -172,16 +173,26 @@ def cmd_reconcile(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- run / sweep
 
-def _load_config(path: str) -> tuple[dict, Path]:
+_COMMON_KEYS = {"panel", "hierarchy", "standardize", "train", "trial_seeds"}
+
+
+def _load_config(path: str, keys: set[str]) -> tuple[dict, Path]:
+    """A run or sweep config (or a run manifest) whose top-level keys are all in ``keys``."""
     try:
         with open(path, encoding="utf-8") as f:
             raw = json.load(f)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    _need(isinstance(raw, dict), path, "config must be a JSON object")
-    if "config" in raw and "artifact_version" in raw:  # manifest re-run
+    if isinstance(raw, dict) and "config" in raw and "artifact_version" in raw:  # manifest re-run
         raw = raw["config"]
+    _need(isinstance(raw, dict), path, "config must be a JSON object")
+    _check_keys(raw, keys, "", "unknown config key")
     return raw, Path(path).resolve().parent
+
+
+def _check_keys(obj: dict, known: set[str], prefix: str, what: str) -> None:
+    for key in obj:
+        _need(key in known, f"{prefix}{key}", what)
 
 
 def _panel_int(pc: dict, key: str, default: int | None) -> int | None:
@@ -203,6 +214,7 @@ def _panel_from_config(cfg: dict, base_dir: Path) -> tuple[SeriesPanel, Hierarch
     _need("panel" in cfg, "panel", "missing key")
     pc = cfg["panel"]
     _need(isinstance(pc, dict), "panel", "must be an object")
+    _check_keys(pc, {"preset", "csv", "seed", "train_len"}, "panel.", "unknown panel option")
     train_len = _panel_int(pc, "train_len", None)
     if "preset" in pc:
         _need(pc["preset"] in PRESET_NAMES, "panel.preset", f"unknown preset; choose from {PRESET_NAMES}")
@@ -212,6 +224,8 @@ def _panel_from_config(cfg: dict, base_dir: Path) -> tuple[SeriesPanel, Hierarch
             panel = panel.with_train_len(train_len)
     elif "csv" in pc:
         _need("hierarchy" in cfg, "hierarchy", "a csv panel needs a hierarchy file")
+        _need(isinstance(cfg["hierarchy"], str), "hierarchy", f"must be a file path, got {cfg['hierarchy']!r}")
+        _need(isinstance(pc["csv"], str), "panel.csv", f"must be a file path, got {pc['csv']!r}")
         hier_path = base_dir / cfg["hierarchy"]
         _need(hier_path.exists(), "hierarchy", f"file not found: {hier_path}")
         h = load_hierarchy_json(hier_path)
@@ -228,9 +242,8 @@ def _panel_from_config(cfg: dict, base_dir: Path) -> tuple[SeriesPanel, Hierarch
 def _train_config_from(cfg: dict) -> TrainConfig:
     tc = cfg.get("train", {})
     _need(isinstance(tc, dict), "train", "must be an object")
-    known = {"eta", "eps", "max_epochs", "activation", "lag", "bias", "hidden_dim"}
-    for key in tc:
-        _need(key in known, f"train.{key}", "unknown training option")
+    _check_keys(tc, {"eta", "eps", "max_epochs", "activation", "lag", "bias", "hidden_dim"}, "train.",
+                "unknown training option")
     try:
         return TrainConfig(**tc)
     except ValueError as exc:
@@ -263,24 +276,14 @@ def _methods_from_config(cfg: dict) -> list[MethodSpec]:
     specs = []
     for i, m in enumerate(cfg["methods"]):
         _need(isinstance(m, dict) and "name" in m, f"methods[{i}]", "must be an object with 'name'")
-        name = m["name"]
-        _need(name in ("MA", "ES", "NN+BU", "NN+MinT", "NN+SR"), f"methods[{i}].name",
-              f"unknown method {name!r}")
+        _check_keys(m, {"name", *_METHOD_FIELDS}, f"methods[{i}].", "unknown method option")
         for key, (ok, kind) in _METHOD_FIELDS.items():
             if key in m:
                 _need(ok(m[key]), f"methods[{i}].{key}", f"must be {kind}, got {m[key]!r}")
-        if name == "NN+SR" and not m.get("tune", False):
-            _need("lambda1" in m and "lambdaM" in m, f"methods[{i}]",
-                  "NN+SR needs lambda1 and lambdaM (or tune=true)")
-        specs.append(MethodSpec(
-            name=name,
-            grid=tuple(m["grid"]) if "grid" in m else None,
-            lambda_root=m.get("lambda1"),
-            lambda_mid=m.get("lambdaM"),
-            tune=m.get("tune", False),
-            tune_grid_root=tuple(m["tune_grid1"]) if "tune_grid1" in m else None,
-            tune_grid_mid=tuple(m["tune_gridM"]) if "tune_gridM" in m else None,
-        ))
+        try:
+            specs.append(MethodSpec(**m))
+        except ValueError as exc:
+            raise ConfigError(f"methods[{i}]: {exc}") from exc
     return specs
 
 
@@ -360,7 +363,7 @@ def _slug(label: str) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg, base_dir = _load_config(args.config)
+    cfg, base_dir = _load_config(args.config, _COMMON_KEYS | {"methods", "epoch_trace"})
     panel, h = _panel_from_config(cfg, base_dir)
     methods = _methods_from_config(cfg)
     seeds = _seeds_from_config(cfg)
@@ -394,15 +397,15 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg, base_dir = _load_config(args.config)
+    cfg, base_dir = _load_config(args.config, _COMMON_KEYS | {"x_grid", "modes"})
     panel, h = _panel_from_config(cfg, base_dir)
     seeds = _seeds_from_config(cfg)
     config = _train_config_from(cfg)
     _need("x_grid" in cfg and _is_number_list(cfg["x_grid"]) and cfg["x_grid"],
           "x_grid", "must be a nonempty list of finite numbers")
     xs = sorted(float(x) for x in cfg["x_grid"])
-    _need(0.0 in xs, "x_grid", "must include 0")
-    modes = tuple(cfg.get("modes", ["(x,0)", "(0,x)", "(x,x)"]))
+    modes = cfg.get("modes", list(SWEEP_MODES))
+    _need(isinstance(modes, list), "modes", f"must be a list of sweep modes, got {modes!r}")
 
     try:
         curves = reg_sweep(panel, h, xs, seeds, config, modes=modes)

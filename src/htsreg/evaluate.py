@@ -5,16 +5,17 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import product
 
 import numpy as np
 from scipy.special import stdtrit
 
 from .baselines import BaselineChoice, select_param
 from .hierarchy import LEVELS, HierarchySpec, aggregate_bottom, level_means, rmse
+from .neuralnet import forward
 from .panel import Scaler, SeriesPanel, lagged_design
 from .reconcile import estimate_w_sample, mint_reconcile
 from .trainer import (
-    DEFAULT_LAMBDA_GRID,
     RegWeights,
     TrainConfig,
     TrainingDiverged,
@@ -25,8 +26,9 @@ from .trainer import (
     train_all_node_batch,
     train_batch,
     training_timepoints,
-    tune_lambda,
 )
+
+DEFAULT_LAMBDA_GRID: tuple[float, ...] = tuple(round(0.1 * i, 1) for i in range(31))
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -96,6 +98,14 @@ def make_epoch_hook(panel: SeriesPanel, h: HierarchySpec, config: TrainConfig):
     return hook
 
 
+def _held_out_levels(panel: SeriesPanel, h: HierarchySpec, regs: list[RegWeights], config: TrainConfig,
+                     seeds: list[int] | None = None) -> np.ndarray:
+    """Test RMSEs per level, (K, 4), of a network per weight set trained as one batch, scored by the epoch hook."""
+    hook = make_epoch_hook(panel, h, config)
+    fits = train_batch(panel, h, regs, config, seeds=seeds)
+    return hook(1, np.stack([forward(fit.params, hook.x, config.activation)[1] for fit in fits])[None])[0]
+
+
 SWEEP_MODES = ("(x,0)", "(0,x)", "(x,x)")
 
 
@@ -111,37 +121,70 @@ def reg_sweep(panel: SeriesPanel, h: HierarchySpec, x_grid: tuple | list,
     xs = sorted(float(x) for x in x_grid)
     if 0.0 not in xs:
         raise ValueError("x_grid must include 0")
-    for mode in modes:
-        if mode not in SWEEP_MODES:
-            raise ValueError(f"unknown sweep mode {mode!r}; choose from {SWEEP_MODES}")
+    if not modes or any(mode not in SWEEP_MODES for mode in modes):
+        raise ValueError(f"modes must be a nonempty list of sweep modes {list(SWEEP_MODES)}, got {list(modes)!r}")
 
     points = [(mode, x_idx, {"(x,0)": (x, 0.0), "(0,x)": (0.0, x), "(x,x)": (x, x)}[mode])
               for mode in modes for x_idx, x in enumerate(xs) if x != 0.0]
     regs = [RegWeights.build(h, 0.0, 0.0)] + [RegWeights.build(h, *lam) for *_, lam in points]
-    tps, actual = forecast_timepoints(panel), panel.values[:, panel.train_len:]
+    # Seed-major: the (0, 0) run and every grid point of a seed share its initialization.
+    scores = _held_out_levels(panel, h, regs * len(seeds), config, seeds=[s for s in seeds for _ in regs])
+    scores = scores.reshape(len(seeds), len(regs), len(LEVELS))
+    rel = scores[:, 1:] - scores[:, :1]  # x = 0 stays exactly zero: no self-subtraction
     diffs = {mode: {lvl: np.zeros((len(seeds), len(xs))) for lvl in LEVELS} for mode in modes}
-    for s_idx, seed in enumerate(seeds):
-        # One batch per seed: the (0, 0) run and every grid point share the design and init.
-        cfg = replace(config, seed=seed)
-        base, *rest = [level_means(h, rmse(actual, aggregate_bottom(h, predict_bottom(r.params, panel, cfg, tps))))
-                       for r in train_batch(panel, h, regs, cfg)]
-        for (mode, x_idx, _), point in zip(points, rest):
-            for j, lvl in enumerate(LEVELS):  # x = 0 stays exactly zero: no self-subtraction
-                diffs[mode][lvl][s_idx, x_idx] = point[j] - base[j]
+    for p, (mode, x_idx, _) in enumerate(points):
+        for j, lvl in enumerate(LEVELS):
+            diffs[mode][lvl][:, x_idx] = rel[:, p, j]
     return {mode: {lvl: diffs[mode][lvl].mean(axis=0) for lvl in LEVELS} for mode in modes}
+
+
+def tune_lambda(panel: SeriesPanel, h: HierarchySpec,
+                grid_root: tuple | list = DEFAULT_LAMBDA_GRID,
+                grid_mid: tuple | list = DEFAULT_LAMBDA_GRID,
+                config: TrainConfig = TrainConfig()) -> tuple[float, float]:
+    """Hold-out selection of (lambda_root, lambda_mid).
+
+    The first 75% of the training period fits the model, the rest scores
+    coherent bottom-up forecasts by average all-node RMSE. Every grid point
+    is fitted in one batch from the config seed. Ties break toward smaller
+    lambda_root + lambda_mid, then smaller lambda_root.
+    """
+    if not grid_root or not grid_mid:
+        raise ValueError("lambda grids must be nonempty")
+    fit_len = int(0.75 * panel.train_len)
+    if fit_len <= config.lag or fit_len >= panel.train_len:
+        raise ValueError(f"training period of {panel.train_len} timepoints cannot be split for hold-out validation")
+    grid = list(product(sorted(grid_root), sorted(grid_mid)))
+    # A panel whose test period is exactly the validation window.
+    val = SeriesPanel(panel.node_ids, panel.values[:, :panel.train_len], fit_len, panel.n_bottom)
+    scores = _held_out_levels(val, h, [RegWeights.build(h, *lam) for lam in grid], config)
+    best = min((float(score), l_root + l_mid, l_root, l_mid)
+               for (l_root, l_mid), score in zip(grid, scores[:, LEVELS.index("average")]))
+    return best[2], best[3]
+
+
+METHOD_NAMES = ("MA", "ES", "NN+BU", "NN+MinT", "NN+SR")
 
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """One column of the benchmark table."""
+    """One column of the benchmark table, with the fields of a run config's ``methods`` entry."""
 
-    name: str  # "MA" | "ES" | "NN+BU" | "NN+MinT" | "NN+SR"
-    grid: tuple | None = None
-    lambda_root: float | None = None
-    lambda_mid: float | None = None
+    name: str
+    grid: tuple | list | None = None
+    lambda1: float | None = None
+    lambdaM: float | None = None
     tune: bool = False
-    tune_grid_root: tuple | None = None
-    tune_grid_mid: tuple | None = None
+    tune_grid1: tuple | list = DEFAULT_LAMBDA_GRID
+    tune_gridM: tuple | list = DEFAULT_LAMBDA_GRID
+
+    def __post_init__(self) -> None:
+        if self.name not in METHOD_NAMES:
+            raise ValueError(f"unknown method {self.name!r}; choose from {METHOD_NAMES}")
+        if self.name == "NN+SR" and not self.tune and (self.lambda1 is None or self.lambdaM is None):
+            raise ValueError("NN+SR needs lambda1 and lambdaM (or tune=true)")
+        if self.tune and not (self.tune_grid1 and self.tune_gridM):
+            raise ValueError("tune_grid1 and tune_gridM must be nonempty")
 
 
 @dataclass
@@ -227,22 +270,10 @@ def run_benchmark(panel: SeriesPanel, h: HierarchySpec, methods: list[MethodSpec
             nn_tasks.append(("NN+BU", "sr", (0.0, 0.0)))
         elif spec.name == "NN+MinT":
             nn_tasks.append(("NN+MinT", "mint", (0.0, 0.0)))
-        elif spec.name == "NN+SR":
-            if spec.tune:
-                lam = tune_lambda(
-                    panel, h,
-                    spec.tune_grid_root or DEFAULT_LAMBDA_GRID,
-                    spec.tune_grid_mid or DEFAULT_LAMBDA_GRID,
-                    replace(config, seed=seeds[0]),
-                )
-            else:
-                if spec.lambda_root is None or spec.lambda_mid is None:
-                    raise ValueError("NN+SR needs lambda_root and lambda_mid (or tune=True)")
-                lam = (float(spec.lambda_root), float(spec.lambda_mid))
-            label = f"NN+SR({_fmt_lambda(lam[0])}, {_fmt_lambda(lam[1])})"
-            nn_tasks.append((label, "sr", lam))
-        else:
-            raise ValueError(f"unknown method {spec.name!r}")
+        else:  # NN+SR
+            lam = (tune_lambda(panel, h, spec.tune_grid1, spec.tune_gridM, replace(config, seed=seeds[0]))
+                   if spec.tune else (float(spec.lambda1), float(spec.lambdaM)))
+            nn_tasks.append((f"NN+SR({_fmt_lambda(lam[0])}, {_fmt_lambda(lam[1])})", "sr", lam))
 
     trials = [(label, kind, lam, seed) for label, kind, lam in nn_tasks for seed in seeds]
     shards = min(jobs, len(seeds)) if trials else 1

@@ -141,8 +141,8 @@ def summing_matrix(h: HierarchySpec) -> np.ndarray:
 
 def _ordered_sum(rows: np.ndarray, indices: tuple[int, ...]) -> np.ndarray:
     # Left-to-right accumulation in ascending node order keeps upper-level
-    # sums bit-reproducible; check_coherence relies on the identical order.
-    # Rows are the second-to-last axis; leading axes are carried along.
+    # sums bit-reproducible. Rows are the second-to-last axis; leading axes
+    # are carried along.
     acc = rows[..., indices[0], :].copy()
     for i in indices[1:]:
         acc = acc + rows[..., i, :]
@@ -223,8 +223,8 @@ def check_coherence(h: HierarchySpec, panel: np.ndarray, tol: float = 0.0) -> Co
 
     ``panel`` is an |N| x T matrix in canonical node order. For each upper
     node the report carries max_t |y_kt - sum of descendant bottom rows|,
-    with the sum taken in the same order as :func:`aggregate_bottom` so
-    aggregated output checks out at tol = 0 exactly.
+    with the sum taken by :func:`aggregate_bottom`, so its output checks
+    out at tol = 0 exactly.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
@@ -233,11 +233,8 @@ def check_coherence(h: HierarchySpec, panel: np.ndarray, tol: float = 0.0) -> Co
         vals = vals[:, None]
     if vals.shape[0] != h.n_nodes:
         raise ValueError(f"expected {h.n_nodes} rows, got {vals.shape[0]}")
-    n_upper = len(h.upper_ids)
-    bottom = vals[n_upper:]
-    violations: dict[int, float] = {}
-    for r, (node, idx) in enumerate(zip(h.upper_ids, h.upper_rows)):
-        violations[node] = float(np.max(np.abs(vals[r] - _ordered_sum(bottom, idx))))
+    sums = aggregate_bottom(h, vals[len(h.upper_ids):])
+    violations = {node: float(np.max(np.abs(vals[r] - sums[r]))) for r, node in enumerate(h.upper_ids)}
     flagged = tuple(n for n, v in violations.items() if v > tol)
     return CoherenceReport(violations=violations, flagged=flagged, tol=tol)
 

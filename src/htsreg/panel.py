@@ -71,9 +71,6 @@ class SeriesPanel:
     def bottom_values(self) -> np.ndarray:
         return self.values[self.n_nodes - self.n_bottom:]
 
-    def row(self, node: int) -> np.ndarray:
-        return self.values[self.node_ids.index(node)]
-
     def with_train_len(self, train_len: int) -> "SeriesPanel":
         return SeriesPanel(self.node_ids, self.values, train_len, self.n_bottom)
 
@@ -96,11 +93,9 @@ class Scaler:
         vals = panel.values * self.sd[:, None] + self.mean[:, None]
         return SeriesPanel(panel.node_ids, vals, panel.train_len, panel.n_bottom)
 
-    def inverse_values(self, values: np.ndarray, node_ids: tuple[int, ...] | None = None) -> np.ndarray:
-        """Map a matrix of standardized rows back to the raw scale."""
-        ids = self.node_ids if node_ids is None else node_ids
-        pos = [self.node_ids.index(n) for n in ids]
-        return np.asarray(values) * self.sd[pos, None] + self.mean[pos, None]
+    def inverse_values(self, values: np.ndarray) -> np.ndarray:
+        """Map a matrix of standardized rows, in the scaler's node order, back to the raw scale."""
+        return np.asarray(values) * self.sd[:, None] + self.mean[:, None]
 
     def _check(self, node_ids: tuple[int, ...]) -> None:
         if node_ids != self.node_ids:

@@ -18,17 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from numbers import Integral, Real
 from typing import Callable
 
 import numpy as np
 
-from .hierarchy import HierarchySpec, aggregate_bottom, rmse, structure_matrix
+from .hierarchy import HierarchySpec, structure_matrix
 from .neuralnet import NetworkDims, NetworkParams, activation, forward, init_params
 from .panel import SeriesPanel, lagged_design
 
-DEFAULT_LAMBDA_GRID: tuple[float, ...] = tuple(round(0.1 * i, 1) for i in range(31))
 # Models per stacked run in train_batch. Per-model epoch cost is flat up to
 # about 128 models and grows beyond (the stack outgrows the cache), so large
 # grids run as consecutive stacks, which also bounds memory.
@@ -42,20 +40,17 @@ TRACE_ROWS = 64
 class RegWeights:
     """Per-upper-node regularization weights built from (lambda_root, lambda_mid)."""
 
-    lambda_by_node: dict[int, float]
     vec: np.ndarray  # aligned to (root, mids) order
 
     @classmethod
     def build(cls, h: HierarchySpec, lambda_root: float, lambda_mid: float) -> "RegWeights":
-        if lambda_root < 0 or lambda_mid < 0:
+        if not (math.isfinite(lambda_root) and math.isfinite(lambda_mid) and lambda_root >= 0 and lambda_mid >= 0):
             raise ValueError(
-                f"regularization weights must be nonnegative, got ({lambda_root}, {lambda_mid})"
+                f"regularization weights must be finite and nonnegative, got ({lambda_root}, {lambda_mid})"
             )
-        by_node = {h.root: float(lambda_root)}
-        by_node.update({m: float(lambda_mid) for m in h.mid_ids})
-        vec = np.array([by_node[n] for n in h.upper_ids], dtype=np.float64)
+        vec = np.array([lambda_root] + [lambda_mid] * len(h.mid_ids), dtype=np.float64)
         vec.setflags(write=False)
-        return cls(lambda_by_node=by_node, vec=vec)
+        return cls(vec=vec)
 
 
 def _is_int(value: object) -> bool:
@@ -85,6 +80,8 @@ class TrainConfig:
             raise ValueError(f"hidden_dim must be a positive integer or null, got {self.hidden_dim!r}")
         if not isinstance(self.bias, bool):
             raise ValueError(f"bias must be true or false, got {self.bias!r}")
+        if self.activation not in ("sigmoid", "relu"):
+            raise ValueError(f"activation must be 'sigmoid' or 'relu', got {self.activation!r}")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be >= 0")
         if self.lag < 1:
@@ -415,18 +412,6 @@ def train_batch(panel: SeriesPanel, h: HierarchySpec, regs: list[RegWeights], co
     return _stacks(_bottom_problem(panel, h, config), lams, seeds, config, hook)
 
 
-def train(panel: SeriesPanel, h: HierarchySpec, reg: RegWeights, config: TrainConfig,
-          epoch_hook: Callable[[int, np.ndarray], np.ndarray] | None = None) -> TrainResult:
-    """Train the bottom-level network from the config seed (a batch of one; see :func:`train_batch`)."""
-    return train_batch(panel, h, [reg], config, hook=epoch_hook)[0]
-
-
-def _all_node_problem(panel: SeriesPanel, config: TrainConfig
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, NetworkDims]:
-    x, y, yu, dims = _design(panel, 0, config)
-    return x, y, yu, np.zeros((0, panel.n_nodes)), dims
-
-
 def train_all_node_batch(panel: SeriesPanel, config: TrainConfig, seeds: list[int]) -> list[TrainResult]:
     """Train unregularized networks forecasting every node from all-node lags, one per seed.
 
@@ -434,12 +419,8 @@ def train_all_node_batch(panel: SeriesPanel, config: TrainConfig, seeds: list[in
     the structured objective with no upper nodes (an empty H), so plain
     squared error over all nodes, with the same descent and sizing rule.
     """
-    return _stacks(_all_node_problem(panel, config), np.zeros((len(seeds), 0)), list(seeds), config)
-
-
-def train_all_node_base(panel: SeriesPanel, config: TrainConfig) -> TrainResult:
-    """The all-node base network from the config seed (a batch of one; see :func:`train_all_node_batch`)."""
-    return train_all_node_batch(panel, config, [config.seed])[0]
+    x, y, yu, dims = _design(panel, 0, config)
+    return _stacks((x, y, yu, np.zeros((0, panel.n_nodes)), dims), np.zeros((len(seeds), 0)), list(seeds), config)
 
 
 def predict_bottom(params: NetworkParams, panel: SeriesPanel, config: TrainConfig,
@@ -452,34 +433,3 @@ def predict_all_nodes(params: NetworkParams, panel: SeriesPanel, config: TrainCo
                       timepoints: range | list[int]) -> np.ndarray:
     """One-step all-node forecasts (|N| x len) from the all-node base network."""
     return forward(params, lagged_design(panel.values, config.lag, timepoints), config.activation)[1].T
-
-
-def tune_lambda(panel: SeriesPanel, h: HierarchySpec,
-                grid_root: tuple | list = DEFAULT_LAMBDA_GRID,
-                grid_mid: tuple | list = DEFAULT_LAMBDA_GRID,
-                config: TrainConfig = TrainConfig()) -> tuple[float, float]:
-    """Hold-out selection of (lambda_root, lambda_mid).
-
-    The first 75% of the training period fits the model, the rest scores
-    coherent bottom-up forecasts by average all-node RMSE. Every grid point
-    is fitted in one batch from the config seed. Ties break toward smaller
-    lambda_root + lambda_mid, then smaller lambda_root.
-    """
-    if not grid_root or not grid_mid:
-        raise ValueError("lambda grids must be nonempty")
-    fit_len = int(0.75 * panel.train_len)
-    if fit_len <= config.lag or fit_len >= panel.train_len:
-        raise ValueError(f"training period of {panel.train_len} timepoints cannot be split for hold-out validation")
-    grid = list(product(sorted(grid_root), sorted(grid_mid)))
-    fit_panel = panel.with_train_len(fit_len)
-    results = train_batch(fit_panel, h, [RegWeights.build(h, *lam) for lam in grid], config)
-    val_tps = range(fit_len + 1, panel.train_len + 1)
-    actual = panel.values[:, [t - 1 for t in val_tps]]
-    best: tuple[float, float, float, float] | None = None
-    for (l_root, l_mid), result in zip(grid, results):
-        coherent = aggregate_bottom(h, predict_bottom(result.params, fit_panel, config, val_tps))
-        score = float(rmse(actual, coherent).mean())
-        key = (score, l_root + l_mid, l_root, l_mid)
-        if best is None or key < best:
-            best = key
-    return best[2], best[3]

@@ -39,8 +39,8 @@ from htsreg.trainer import (
     loss_and_grads,
     predict_all_nodes,
     forecast_timepoints,
-    train,
-    train_all_node_base,
+    train_all_node_batch,
+    train_batch,
     training_timepoints,
 )
 
@@ -70,7 +70,7 @@ def paired_trials(ngtvc_panel):
     They run through the benchmark runner, which trains all 60 networks
     as one stack with the epoch-trace hook on, as ``htsreg run`` does.
     """
-    methods = [MethodSpec(name="NN+SR", lambda_root=0.0, lambda_mid=2.1), MethodSpec(name="NN+BU")]
+    methods = [MethodSpec(name="NN+SR", lambda1=0.0, lambdaM=2.1), MethodSpec(name="NN+BU")]
     t0 = time.perf_counter()
     result = run_benchmark(ngtvc_panel, preset_hierarchy(), methods, TRIAL_SEEDS, PUBLISHED)
     elapsed = time.perf_counter() - t0
@@ -131,7 +131,7 @@ def test_criterion_02_zero_lambda_reduction(ngtvc_panel):
     plain = _fit(x, yb, yu[:, :0], H[:0], np.zeros((1, 0)), [init_params(dims, cfg.seed)], cfg, hook)[0]
 
     def equals_plain(lam):
-        res = train(ngtvc_panel, h, RegWeights.build(h, *lam), cfg, epoch_hook=hook)
+        res = train_batch(ngtvc_panel, h, [RegWeights.build(h, *lam)], cfg, hook=hook)[0]
         same_params = all(np.array_equal(getattr(res.params, k), getattr(plain.params, k))
                           for k in ("w2", "b2", "w3", "b3"))
         return (res.epochs == plain.epochs == 100 and same_params
@@ -150,7 +150,7 @@ def test_criterion_03_coherence(ngtvc_panel):
     bu_report = check_coherence(h, aggregate_bottom(h, rng.standard_normal((9, 30))), tol=0.0)
 
     cfg = TrainConfig(max_epochs=50, seed=2)
-    base_run = train_all_node_base(ngtvc_panel, cfg)
+    base_run = train_all_node_batch(ngtvc_panel, cfg, [cfg.seed])[0]
     fit_tps = training_timepoints(ngtvc_panel, cfg.lag)
     base_fit = predict_all_nodes(base_run.params, ngtvc_panel, cfg, fit_tps)
     w = estimate_w_sample(base_fit, ngtvc_panel.values[:, [t - 1 for t in fit_tps]])

@@ -32,8 +32,6 @@ from htsreg.trainer import (
     forecast_timepoints,
     loss_and_grads,
     predict_bottom,
-    train,
-    train_all_node_base,
     train_all_node_batch,
     train_batch,
 )
@@ -69,7 +67,7 @@ def assert_same_result(batched, single):
 def assert_batch_matches_single_runs(panel, tree, cfg, lambdas=LAMBDAS):
     regs = [RegWeights.build(tree, *lam) for lam in lambdas]
     batch = train_batch(panel, tree, regs, cfg)
-    singles = [train(panel, tree, reg, cfg) for reg in regs]
+    singles = [train_batch(panel, tree, [reg], cfg)[0] for reg in regs]
     for b, s in zip(batch, singles):
         assert_same_result(b, s)
     return singles
@@ -111,8 +109,7 @@ def test_stacked_all_node_models_match_single_runs(tree):
     cfg = TrainConfig(eta=1e-3, eps=1e-3, max_epochs=200, seed=0)
     seeds = [1, 2, 3, 4]
     batch = train_all_node_batch(panel, cfg, seeds)
-    singles = [train_all_node_base(panel, TrainConfig(eta=1e-3, eps=1e-3, max_epochs=200, seed=s))
-               for s in seeds]
+    singles = [train_all_node_batch(panel, cfg, [s])[0] for s in seeds]
     for b, s in zip(batch, singles):
         assert_same_result(b, s)
 
@@ -123,7 +120,7 @@ def test_batch_with_per_model_seeds_matches_single_runs(tree):
     seeds = [4, 9, 1, 7, 2]
     regs = [RegWeights.build(tree, *lam) for lam in LAMBDAS]
     for b, reg, seed in zip(train_batch(panel, tree, regs, cfg, seeds=seeds), regs, seeds):
-        assert_same_result(b, train(panel, tree, reg, replace(cfg, seed=seed)))
+        assert_same_result(b, train_batch(panel, tree, [reg], replace(cfg, seed=seed))[0])
 
 
 def watch_design(panel, cfg):
@@ -158,7 +155,7 @@ def test_per_model_hooks_see_single_run_params(tree, monkeypatch):
         assert all(e * k <= max(trace_rows, k) for _, e, k in calls)
         assert sum(e * k for _, e, k in calls) == sum(b.epochs for b in batch)
         for reg, b in zip(regs, batch):
-            single = train(panel, tree, reg, cfg, epoch_hook=forecast_hook([], x))
+            single = train_batch(panel, tree, [reg], cfg, hook=forecast_hook([], x))[0]
             assert_same_result(b, single)
             assert np.array_equal(b.epoch_eval[:, 0], np.arange(1, b.epochs + 1))
             assert np.array_equal(bits(b.epoch_eval), bits(single.epoch_eval))
@@ -265,7 +262,7 @@ DIVERGING_LAMBDAS = [(0.0, 0.0), (1.5, 1.5), (3.0, 3.0)]
 
 def diverged_epoch(panel, tree, lam):
     with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as err:
-        train(panel, tree, RegWeights.build(tree, *lam), DIVERGING)
+        train_batch(panel, tree, [RegWeights.build(tree, *lam)], DIVERGING)
     return err.value.epoch
 
 
@@ -366,7 +363,7 @@ def test_epoch_hook_matches_predict_bottom_formula(tree):
     for first_epoch, forecasts in seen:
         for e, k in np.ndindex(forecasts.shape[:2]):
             epoch = first_epoch + e  # the weights after this epoch, from a run stopped there
-            params = train(panel, tree, regs[k], replace(cfg, max_epochs=epoch, seed=seeds[k])).params
+            params = train_batch(panel, tree, [regs[k]], replace(cfg, max_epochs=epoch, seed=seeds[k]))[0].params
             assert np.array_equal(bits(forecasts[e, k]), bits(predict_bottom(params, panel, cfg, tps).T))
             assert np.array_equal(bits(batch[k].epoch_eval[epoch - 1]), bits(reference(params)))
 

@@ -109,6 +109,17 @@ def test_train_divergence_exit_code(tmp_path, small_setup):
     assert code == 3
 
 
+@pytest.mark.parametrize("flag, value", [("--lambda1", "nan"), ("--lambdaM", "inf")])
+def test_train_rejects_non_finite_lambda(tmp_path, small_setup, capsys, flag, value):
+    _, hier, pcsv = small_setup
+    out = tmp_path / "run.json"
+    code = main(["train", "--panel", str(pcsv), "--hierarchy", str(hier), flag, value, "--max-epochs", "3",
+                 "--train-len", "20", "--out", str(out)])
+    assert code == 2
+    assert "regularization weights must be finite and nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reconcile_bottom_up(tmp_path, small_setup):
     h, hier, pcsv = small_setup
     out = tmp_path / "coherent.csv"
@@ -384,6 +395,58 @@ def test_sweep_rejects_non_numeric_grid(tmp_path, capsys, x_grid):
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 2
     assert "x_grid: must be a nonempty list of finite numbers" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("modes, message", [
+    (5, "modes: must be a list of sweep modes, got 5"),
+    ("(x,0)", "modes: must be a list of sweep modes, got '(x,0)'"),
+    ([], "sweep: modes must be a nonempty list of sweep modes"),
+    (["(x,0)", "(y,0)"], "sweep: modes must be a nonempty list of sweep modes"),
+], ids=["int", "string", "empty", "unknown"])
+def test_sweep_rejects_bad_modes(tmp_path, capsys, modes, message):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"panel": {"preset": "NgtvC", "seed": 3}, "trial_seeds": [1], "x_grid": [0.0, 1.0],
+                               "modes": modes, "train": {"max_epochs": 2}}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["csv", "hierarchy"])
+def test_run_rejects_non_string_csv_paths(tmp_path, small_setup, capsys, key):
+    _, hier, pcsv = small_setup
+    paths = {"csv": pcsv.name, "hierarchy": hier.name, key: 7}
+    cfg = run_config(tmp_path, panel={"csv": paths["csv"]}, hierarchy=paths["hierarchy"])
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    path = "panel.csv" if key == "csv" else "hierarchy"
+    assert f"{path}: must be a file path, got 7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"methods": [{"name": "MA", "grd": [1, 2]}]}, "methods[0].grd: unknown method option"),
+    ({"panel": {"preset": "NgtvC", "sed": 3}}, "panel.sed: unknown panel option"),
+    ({"epoch_trac": False}, "epoch_trac: unknown config key"),
+    ({"x_grid": [0.0, 1.0]}, "x_grid: unknown config key"),
+    ({"methods": [{"name": "MA"}], "train": {"activation": "tanh"}}, "train: activation must be"),
+    ({"methods": [{"name": "NN+SR", "lambda1": 1.0}]}, "methods[0]: NN+SR needs lambda1 and lambdaM"),
+    ({"methods": [{"name": "ARIMA"}]}, "methods[0]: unknown method 'ARIMA'"),
+    ({"methods": [{"name": "NN+SR", "tune": True, "tune_grid1": []}]}, "methods[0]: tune_grid1 and tune_gridM must be"),
+], ids=["method_key", "panel_key", "top_level_key", "sweep_key_in_run", "activation", "sr_lambdas", "method_name",
+        "empty_tune_grid"])
+def test_run_rejects_unknown_or_incomplete_config(tmp_path, capsys, overrides, message):
+    cfg = run_config(tmp_path, **overrides)
+    out_dir = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_sweep_rejects_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"panel": {"preset": "NgtvC", "seed": 3}, "trial_seeds": [1], "x_grid": [0.0, 1.0],
+                               "methods": [{"name": "MA"}], "train": {"max_epochs": 2}}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 2
+    assert "methods: unknown config key" in capsys.readouterr().err
 
 
 def test_write_traces_matches_csv_writer(tmp_path):

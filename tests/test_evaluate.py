@@ -18,7 +18,7 @@ from htsreg.evaluate import (
 from htsreg.hierarchy import aggregate_bottom, build_hierarchy
 from htsreg.panel import SeriesPanel, standardize
 from htsreg import trainer
-from htsreg.trainer import RegWeights, TrainConfig, train, train_all_node_base
+from htsreg.trainer import RegWeights, TrainConfig, train_all_node_batch, train_batch
 
 SMALL_PARENTS = {2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 3}
 
@@ -122,30 +122,30 @@ def test_summary_needs_two_reports(tree):
 
 def test_epoch_trace_length_matches_epochs(tree, panel):
     cfg = TrainConfig(max_epochs=17, seed=1)
-    result = train(panel, tree, RegWeights.build(tree, 0.0, 0.0), cfg,
-                   epoch_hook=make_epoch_hook(panel, tree, cfg))
+    result = train_batch(panel, tree, [RegWeights.build(tree, 0.0, 0.0)], cfg,
+                         hook=make_epoch_hook(panel, tree, cfg))[0]
     assert result.epoch_eval.shape == (result.epochs, 4)  # one column per LEVELS entry
 
 
 def test_epoch_trace_zero_reg_equals_bottom_up_run(tree, panel):
     cfg = TrainConfig(max_epochs=12, seed=2)
-    a = train(panel, tree, RegWeights.build(tree, 0.0, 0.0), cfg,
-              epoch_hook=make_epoch_hook(panel, tree, cfg))
-    b = train(panel, tree, RegWeights.build(tree, 0.0, 0.0), cfg,
-              epoch_hook=make_epoch_hook(panel, tree, cfg))
+    a = train_batch(panel, tree, [RegWeights.build(tree, 0.0, 0.0)], cfg,
+                    hook=make_epoch_hook(panel, tree, cfg))[0]
+    b = train_batch(panel, tree, [RegWeights.build(tree, 0.0, 0.0)], cfg,
+                    hook=make_epoch_hook(panel, tree, cfg))[0]
     assert np.array_equal(a.epoch_eval, b.epoch_eval)
 
 
 def test_epoch_trace_emitted_for_single_epoch(tree, panel):
     cfg = TrainConfig(max_epochs=1, seed=3)
-    result = train(panel, tree, RegWeights.build(tree, 0.0, 0.0), cfg,
-                   epoch_hook=make_epoch_hook(panel, tree, cfg))
+    result = train_batch(panel, tree, [RegWeights.build(tree, 0.0, 0.0)], cfg,
+                         hook=make_epoch_hook(panel, tree, cfg))[0]
     assert len(result.epoch_eval) == 1
 
 
 def test_epoch_trace_requires_hook(tree, panel):
     """Without a hook a run records no epoch evaluations."""
-    result = train(panel, tree, RegWeights.build(tree, 0.0, 0.0), TrainConfig(max_epochs=2, seed=4))
+    result = train_batch(panel, tree, [RegWeights.build(tree, 0.0, 0.0)], TrainConfig(max_epochs=2, seed=4))[0]
     assert result.epochs == 2 and result.epoch_eval is None
 
 
@@ -172,7 +172,7 @@ def test_sweep_modes_agree_at_zero_and_single_trial_is_raw_diff(tree, panel):
     cfg7 = replace(cfg, seed=7)
 
     def average_rmse(lam):
-        result = train(panel, tree, RegWeights.build(tree, *lam), cfg7)
+        result = train_batch(panel, tree, [RegWeights.build(tree, *lam)], cfg7)[0]
         coherent = aggregate_bottom(tree, predict_bottom(result.params, panel, cfg7, forecast_timepoints(panel)))
         return float(np.sqrt(np.mean((panel.values[:, panel.train_len:] - coherent) ** 2, axis=1)).mean())
 
@@ -192,7 +192,7 @@ def small_benchmark(panel, tree, seeds, jobs=1):
         MethodSpec(name="ES", grid=(0.2, 0.8)),
         MethodSpec(name="NN+BU"),
         MethodSpec(name="NN+MinT"),
-        MethodSpec(name="NN+SR", lambda_root=0.0, lambda_mid=1.0),
+        MethodSpec(name="NN+SR", lambda1=0.0, lambdaM=1.0),
     ]
     return run_benchmark(panel, tree, methods, seeds, TrainConfig(max_epochs=8), jobs=jobs)
 
@@ -220,7 +220,7 @@ def test_benchmark_deterministic_end_to_end(tree, panel):
 
 def test_benchmark_zero_lambda_equals_bottom_up_rows(tree, panel):
     """NN+SR(0, 0) reproduces NN+BU per seed, value for value."""
-    methods = [MethodSpec(name="NN+BU"), MethodSpec(name="NN+SR", lambda_root=0.0, lambda_mid=0.0)]
+    methods = [MethodSpec(name="NN+BU"), MethodSpec(name="NN+SR", lambda1=0.0, lambdaM=0.0)]
     result = run_benchmark(panel, tree, methods, [3, 4], TrainConfig(max_epochs=10))
     for rep_bu, rep_sr in zip(result.reports["NN+BU"], result.reports["NN+SR(0.0, 0.0)"]):
         assert rep_bu.per_node == rep_sr.per_node
@@ -235,13 +235,13 @@ def test_benchmark_parallel_matches_serial(tree, panel):
 
 
 def test_benchmark_stacks_match_trial_by_trial_runs(tree, panel, monkeypatch):
-    """Stacked training (several stacks, blocks of hook rows, shards) equals one train() per trial."""
+    """Stacked training (several stacks, blocks of hook rows, shards) equals one single-model run per trial."""
     monkeypatch.setattr(trainer, "STACK_LIMIT", 4)
     monkeypatch.setattr(trainer, "TRACE_ROWS", 5)
     cfg = TrainConfig(eta=5e-4, eps=5e-3, max_epochs=150)
     seeds = [4, 1, 3]
-    methods = [MethodSpec(name="NN+SR", lambda_root=1.0, lambda_mid=0.0), MethodSpec(name="NN+MinT"),
-               MethodSpec(name="NN+BU"), MethodSpec(name="NN+SR", lambda_root=0.0, lambda_mid=3.0)]
+    methods = [MethodSpec(name="NN+SR", lambda1=1.0, lambdaM=0.0), MethodSpec(name="NN+MinT"),
+               MethodSpec(name="NN+BU"), MethodSpec(name="NN+SR", lambda1=0.0, lambdaM=3.0)]
     lams = {"NN+SR(1.0, 0.0)": (1.0, 0.0), "NN+BU": (0.0, 0.0), "NN+SR(0.0, 3.0)": (0.0, 3.0)}
     for jobs in (1, 2):
         result = run_benchmark(panel, tree, methods, seeds, cfg, jobs=jobs)
@@ -251,11 +251,11 @@ def test_benchmark_stacks_match_trial_by_trial_runs(tree, panel, monkeypatch):
             for seed, fit in result.fits[label].items():
                 one = replace(cfg, seed=seed)
                 if label == "NN+MinT":
-                    alone = train_all_node_base(panel, one)
+                    alone = train_all_node_batch(panel, one, [one.seed])[0]
                     assert fit.epoch_eval is None
                 else:
-                    alone = train(panel, tree, RegWeights.build(tree, *lams[label]), one,
-                                  epoch_hook=make_epoch_hook(panel, tree, one))
+                    alone = train_batch(panel, tree, [RegWeights.build(tree, *lams[label])], one,
+                                        hook=make_epoch_hook(panel, tree, one))[0]
                     assert np.array_equal(fit.epoch_eval, alone.epoch_eval)
                 assert (fit.epochs, fit.reason) == (alone.epochs, alone.reason)
                 assert np.array_equal(fit.objective, alone.objective)

@@ -1,12 +1,15 @@
 """Tests for panel ingestion, standardization, and lagged inputs."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from htsreg.hierarchy import aggregate_bottom
+from htsreg.hierarchy import aggregate_bottom, build_hierarchy
 from htsreg.panel import SeriesPanel, lagged_design, load_panel_csv, standardize, write_panel_csv
 
 SMALL_PARENTS = {2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 3}
@@ -154,6 +157,41 @@ def test_write_then_load_is_bitwise(tmp_path, small_panel, small_tree):
     back = load_panel_csv(path, small_tree, train_len=small_panel.train_len)
     assert np.array_equal(back.values, small_panel.values)
     assert back.node_ids == small_panel.node_ids
+
+
+# Finite values a CSV round trip must keep bit for bit: signed zeros, subnormals and the extremes.
+SPECIAL = [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e-300]
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(np.float64, st.tuples(st.just(7), st.integers(1, 6)),
+              elements=st.floats(allow_nan=False, allow_infinity=False)), st.data())
+def test_write_then_load_is_bitwise_for_any_finite_values(values, data):
+    """Every finite float64, -0.0, subnormals and +-max included, survives write_panel_csv and load_panel_csv."""
+    values = np.hstack([values, np.array(SPECIAL)[:, None]])
+    panel = SeriesPanel(tuple(range(1, 8)), values, data.draw(st.integers(1, values.shape[1] - 1)), 4)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.csv"
+        write_panel_csv(panel, path)
+        with np.errstate(over="ignore"):  # the loader sums the bottom columns before keeping the upper ones
+            back = load_panel_csv(path, build_hierarchy(SMALL_PARENTS), train_len=panel.train_len)
+    assert back.values.tobytes() == panel.values.tobytes()
+    assert (back.node_ids, back.train_len, back.n_bottom) == (panel.node_ids, panel.train_len, panel.n_bottom)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays(np.float64, st.tuples(st.just(7), st.integers(3, 10)),
+              elements=st.floats(-1e100, 1e100, allow_nan=False), fill=st.nothing()), st.data())
+def test_scaler_inverse_undoes_transform(values, data):
+    """inverse(transform(p)) is p up to a few roundings of |mean| and of sd * |z| per node."""
+    panel = SeriesPanel(tuple(range(1, 8)), values, data.draw(st.integers(2, values.shape[1] - 1)), 4)
+    train = panel.values[:, :panel.train_len]
+    assume(np.all(train.std(axis=1, ddof=1) > 0))
+    std, scaler = standardize(panel)
+    back = scaler.inverse(std)
+    eps = np.finfo(np.float64).eps
+    tol = 4 * eps * (np.abs(scaler.mean)[:, None] + scaler.sd[:, None] * (np.abs(std.values) + 1))
+    assert np.all(np.abs(back.values - panel.values) <= tol)
 
 
 def test_written_file_has_node_columns(tmp_path, small_panel):

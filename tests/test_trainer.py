@@ -3,22 +3,21 @@
 import numpy as np
 import pytest
 
+from htsreg.evaluate import DEFAULT_LAMBDA_GRID, tune_lambda
 from htsreg.hierarchy import aggregate_bottom, build_hierarchy, structure_matrix
 from htsreg.neuralnet import NetworkDims, forward, init_params
 from htsreg.panel import SeriesPanel, lagged_design, standardize
 from htsreg.synthgen import generate_dataset, preset_hierarchy
 from htsreg.trainer import (
-    DEFAULT_LAMBDA_GRID,
     RegWeights,
     TrainConfig,
     TrainingDiverged,
     forecast_timepoints,
     loss_and_grads,
     predict_bottom,
-    train,
-    train_all_node_base,
+    train_all_node_batch,
+    train_batch,
     training_timepoints,
-    tune_lambda,
 )
 
 SMALL_PARENTS = {2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 3}
@@ -53,13 +52,18 @@ def fixed_output(u3):
 
 def test_reg_weights_assignment(tree):
     reg = RegWeights.build(tree, 0.4, 1.5)
-    assert reg.lambda_by_node == {1: 0.4, 2: 1.5, 3: 1.5}
     assert np.array_equal(reg.vec, [0.4, 1.5, 1.5])
 
 
 def test_reg_weights_reject_negative(tree):
     with pytest.raises(ValueError, match="nonnegative"):
         RegWeights.build(tree, -0.1, 0.0)
+
+
+@pytest.mark.parametrize("lam", [(float("nan"), 0.0), (0.0, float("inf")), (float("-inf"), 1.0)])
+def test_reg_weights_reject_non_finite(tree, lam):
+    with pytest.raises(ValueError, match="finite"):
+        RegWeights.build(tree, *lam)
 
 
 def test_error_reduces_to_rss_at_lambda_zero(tree, h_matrix):
@@ -261,7 +265,7 @@ def std_panel(tree, seed=0, n_time=30, train_len=20):
 def test_zero_epoch_budget_returns_initial_params(tree):
     panel = std_panel(tree)
     cfg = TrainConfig(max_epochs=0, lag=2, seed=5)
-    result = train(panel, tree, RegWeights.build(tree, 0.0, 0.0), cfg)
+    result = train_batch(panel, tree, [RegWeights.build(tree, 0.0, 0.0)], cfg)[0]
     fresh = init_params(NetworkDims(8, 16, 4), 5)
     assert np.array_equal(result.params.w2, fresh.w2)
     assert np.array_equal(result.params.w3, fresh.w3)
@@ -286,8 +290,8 @@ def test_lambda_zero_training_is_bitwise_identical(tree):
     cfg = TrainConfig(max_epochs=30, seed=11)
     x = lagged_design(panel.bottom_values, cfg.lag, forecast_timepoints(panel))
     snaps_a, snaps_b = [], []
-    ra = train(panel, tree, RegWeights.build(tree, 0.0, 0.0), cfg, epoch_hook=capture_hook(snaps_a, x))
-    rb = train(panel, tree, RegWeights.build(tree, 0.0, 0.0), cfg, epoch_hook=capture_hook(snaps_b, x))
+    ra = train_batch(panel, tree, [RegWeights.build(tree, 0.0, 0.0)], cfg, hook=capture_hook(snaps_a, x))[0]
+    rb = train_batch(panel, tree, [RegWeights.build(tree, 0.0, 0.0)], cfg, hook=capture_hook(snaps_b, x))[0]
     assert np.array_equal(ra.objective, rb.objective)
     assert len(snaps_a) == len(snaps_b) == ra.epochs == 30
     for sa, sb in zip(snaps_a, snaps_b):
@@ -301,7 +305,7 @@ def test_first_update_equals_sum_of_pointwise_gradients(tree, h_matrix):
     panel = std_panel(tree, seed=2)
     cfg = TrainConfig(max_epochs=1, eta=1e-4, lag=2, seed=13)
     reg = RegWeights.build(tree, 0.5, 1.5)
-    result = train(panel, tree, reg, cfg)
+    result = train_batch(panel, tree, [reg], cfg)[0]
 
     params0 = init_params(NetworkDims(8, 16, 4), 13)
     grads = [loss(params0, lagged_design(panel.bottom_values, cfg.lag, [t]), panel.values[:, t - 1], reg, h_matrix)[1]
@@ -316,7 +320,7 @@ def test_objective_monotone_on_preset_panel():
     """At the default step size the objective never rises before termination."""
     panel, _ = standardize(generate_dataset("NgtvC", seed=3))
     h = preset_hierarchy()
-    result = train(panel, h, RegWeights.build(h, 0.0, 2.1), TrainConfig(max_epochs=300, seed=1))
+    result = train_batch(panel, h, [RegWeights.build(h, 0.0, 2.1)], TrainConfig(max_epochs=300, seed=1))[0]
     diffs = np.diff(result.objective)
     assert np.all(diffs[:-1] <= 0)
 
@@ -327,7 +331,7 @@ def test_divergence_raises_with_epoch(tree):
     cfg = TrainConfig(eta=1e160, max_epochs=200, seed=1)
     with np.errstate(all="ignore"):
         with pytest.raises(TrainingDiverged) as err:
-            train(panel, tree, RegWeights.build(tree, 0.0, 0.0), cfg)
+            train_batch(panel, tree, [RegWeights.build(tree, 0.0, 0.0)], cfg)
     assert err.value.epoch >= 1
 
 
@@ -335,7 +339,7 @@ def test_training_always_halts(tree):
     """The epoch cap guarantees termination even with a tiny threshold."""
     panel = std_panel(tree, seed=5)
     cfg = TrainConfig(eps=1e-300, max_epochs=25, seed=2)
-    result = train(panel, tree, RegWeights.build(tree, 0.0, 0.0), cfg)
+    result = train_batch(panel, tree, [RegWeights.build(tree, 0.0, 0.0)], cfg)[0]
     assert result.epochs == 25
     assert result.reason == "max_epochs"
 
@@ -343,8 +347,8 @@ def test_training_always_halts(tree):
 def test_training_is_deterministic(tree):
     panel = std_panel(tree, seed=6)
     cfg = TrainConfig(max_epochs=40, seed=21)
-    a = train(panel, tree, RegWeights.build(tree, 0.3, 0.9), cfg)
-    b = train(panel, tree, RegWeights.build(tree, 0.3, 0.9), cfg)
+    a = train_batch(panel, tree, [RegWeights.build(tree, 0.3, 0.9)], cfg)[0]
+    b = train_batch(panel, tree, [RegWeights.build(tree, 0.3, 0.9)], cfg)[0]
     assert np.array_equal(a.params.w2, b.params.w2)
     assert np.array_equal(a.objective, b.objective)
 
@@ -353,7 +357,7 @@ def test_all_node_base_network_trains(tree):
     """The unregularized all-node network descends its squared error."""
     panel = std_panel(tree, seed=7)
     cfg = TrainConfig(max_epochs=50, seed=3)
-    result = train_all_node_base(panel, cfg)
+    result = train_all_node_batch(panel, cfg, [cfg.seed])[0]
     assert result.params.dims.input_dim == cfg.lag * 7
     assert result.params.dims.output_dim == 7
     assert result.objective[-1] < result.objective[0]
@@ -362,7 +366,7 @@ def test_all_node_base_network_trains(tree):
 def test_predict_bottom_matches_single_forward(tree):
     panel = std_panel(tree, seed=8)
     cfg = TrainConfig(max_epochs=5, seed=4)
-    result = train(panel, tree, RegWeights.build(tree, 0.0, 0.0), cfg)
+    result = train_batch(panel, tree, [RegWeights.build(tree, 0.0, 0.0)], cfg)[0]
 
     fc = predict_bottom(result.params, panel, cfg, [10, 11])
     one = forward(result.params, lagged_design(panel.bottom_values, cfg.lag, [10]), cfg.activation)[1][0]
@@ -396,7 +400,7 @@ def test_tune_lambda_matches_reevaluation_oracle(tree):
     actual = panel.values[:, [t - 1 for t in val_tps]]
 
     def score(l1, lm):
-        res = train(fit_panel, tree, RegWeights.build(tree, l1, lm), cfg)
+        res = train_batch(fit_panel, tree, [RegWeights.build(tree, l1, lm)], cfg)[0]
         coherent = aggregate_bottom(tree, predict_bottom(res.params, fit_panel, cfg, val_tps))
         return float(np.mean(np.sqrt(np.mean((actual - coherent) ** 2, axis=1))))
 
@@ -420,4 +424,4 @@ def test_train_rejects_mismatched_panel(tree):
     panel = std_panel(tree, seed=11)
     other = build_hierarchy({20: 10, 30: 10, 40: 20, 50: 20, 60: 30, 70: 30})
     with pytest.raises(ValueError, match="node order"):
-        train(panel, other, RegWeights.build(other, 0.0, 0.0), TrainConfig(max_epochs=1))
+        train_batch(panel, other, [RegWeights.build(other, 0.0, 0.0)], TrainConfig(max_epochs=1))
