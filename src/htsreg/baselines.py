@@ -11,6 +11,9 @@ from .panel import SeriesPanel
 
 DEFAULT_MA_GRID: tuple[int, ...] = tuple(range(1, 25))
 DEFAULT_ES_GRID: tuple[float, ...] = tuple(i / 100 for i in range(101))
+# ES selection smooths its alphas in chunks of at most this many forecast values (96 KB of float64,
+# at least one alpha); the chunk's training errors take as much again. A larger chunk raised peak RSS.
+ES_CHUNK_ELEMENTS = 12_288
 
 
 @dataclass(frozen=True)
@@ -56,24 +59,33 @@ def ma_forecast(series: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def es_forecast(series: np.ndarray, alpha: float) -> np.ndarray:
+def es_forecast(series: np.ndarray, alpha: float | np.ndarray) -> np.ndarray:
     """Exponential smoothing seeded with the first observation.
 
     fc[0] is the seed y_1; fc[p] = alpha * y_p + (1 - alpha) * fc[p-1],
     row by row. Output rows have length T+1, same alignment as
-    :func:`ma_forecast`.
+    :func:`ma_forecast`. A 1-D array of alphas gives one forecast per
+    alpha along a new leading axis, each with the bits of the scalar call;
+    one loop over time updates every alpha and row at once.
     """
     y = np.asarray(series, dtype=np.float64)
     if y.ndim not in (1, 2):
         raise ValueError("series must be a row or a series-by-time matrix")
     if y.shape[-1] < 2:
         raise ValueError("series must have length >= 2")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    out = np.empty(y.shape[:-1] + (y.shape[-1] + 1,))
+    a = np.asarray(alpha, dtype=np.float64)
+    if a.ndim > 1:
+        raise ValueError("alpha must be a number or a 1-D array")
+    bad = ~((0.0 <= a) & (a <= 1.0))
+    if bad.any():
+        raise ValueError(f"alpha must lie in [0, 1], got {a[bad].flat[0]}")
+    out = np.empty(a.shape + y.shape[:-1] + (y.shape[-1] + 1,))
+    a = a.reshape(a.shape + (1,) * y.ndim)
     out[..., 0] = y[..., 0]
+    np.multiply(a, y, out=out[..., 1:])  # alpha * y_p once; each step adds the rest in place
+    keep = 1.0 - a[..., 0]
     for p in range(1, out.shape[-1]):
-        out[..., p] = alpha * y[..., p - 1] + (1.0 - alpha) * out[..., p - 1]
+        out[..., p] += keep * out[..., p - 1]
     return out
 
 
@@ -90,15 +102,24 @@ def select_param(panel: SeriesPanel, method: str, grid: tuple | list | None = No
     candidates = sorted(grid)
     if not candidates:
         raise ValueError("parameter grid is empty")
-    best: BaselineChoice | None = None
-    best_score = np.inf
+    choices = []
     for param in candidates:
         # Training positions where the forecast exists: t > n for MA, t >= 2 for ES.
-        sel = slice(int(param) if method == "MA" else 1, panel.train_len)
-        if sel.start >= sel.stop:
-            continue
-        choice = BaselineChoice(method=method, param=param)
-        score = float(rmse(panel.values[:, sel], choice.forecast(panel.values)[:, sel]).mean())
+        if (int(param) if method == "MA" else 1) < panel.train_len:
+            choices.append(BaselineChoice(method=method, param=param))
+    y, stop = panel.values, panel.train_len
+    if method == "MA":
+        scores = [float(rmse(y[:, int(c.param):stop], c.forecast(y)[:, int(c.param):stop]).mean()) for c in choices]
+    else:  # one recursion per chunk of alphas; each score has the bits of its alpha alone
+        scores = []
+        step = max(1, ES_CHUNK_ELEMENTS // (y.shape[0] * (stop + 1)))
+        for i in range(0, len(choices), step):
+            # Forecasts up to train_len read only the training period, so only it is smoothed.
+            fc = es_forecast(y[:, :stop], [c.param for c in choices[i:i + step]])
+            scores += rmse(y[:, 1:stop], fc[..., 1:stop]).mean(axis=-1).tolist()
+    best: BaselineChoice | None = None
+    best_score = np.inf
+    for choice, score in zip(choices, scores):
         if score < best_score:
             best_score = score
             best = choice

@@ -217,12 +217,15 @@ def _panel_from_config(cfg: dict, base_dir: Path) -> tuple[SeriesPanel, Hierarch
     _check_keys(pc, {"preset", "csv", "seed", "train_len"}, "panel.", "unknown panel option")
     train_len = _panel_int(pc, "train_len", None)
     if "preset" in pc:
+        _need("csv" not in pc, "panel.csv", "a panel takes either 'preset' or 'csv', not both")
+        _need("hierarchy" not in cfg, "hierarchy", "only a csv panel takes a hierarchy file")
         _need(pc["preset"] in PRESET_NAMES, "panel.preset", f"unknown preset; choose from {PRESET_NAMES}")
         h = preset_hierarchy()
         panel = generate_dataset(pc["preset"], seed=_panel_int(pc, "seed", 0))
         if train_len is not None:
             panel = panel.with_train_len(train_len)
     elif "csv" in pc:
+        _need("seed" not in pc, "panel.seed", "only a preset panel takes a seed")
         _need("hierarchy" in cfg, "hierarchy", "a csv panel needs a hierarchy file")
         _need(isinstance(cfg["hierarchy"], str), "hierarchy", f"must be a file path, got {cfg['hierarchy']!r}")
         _need(isinstance(pc["csv"], str), "panel.csv", f"must be a file path, got {pc['csv']!r}")

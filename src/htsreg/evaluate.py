@@ -121,8 +121,12 @@ def reg_sweep(panel: SeriesPanel, h: HierarchySpec, x_grid: tuple | list,
     xs = sorted(float(x) for x in x_grid)
     if 0.0 not in xs:
         raise ValueError("x_grid must include 0")
+    if len(set(xs)) != len(xs):
+        raise ValueError(f"x_grid values must not repeat, got {list(x_grid)!r}")
     if not modes or any(mode not in SWEEP_MODES for mode in modes):
         raise ValueError(f"modes must be a nonempty list of sweep modes {list(SWEEP_MODES)}, got {list(modes)!r}")
+    if len(set(modes)) != len(modes):
+        raise ValueError(f"modes must not repeat, got {list(modes)!r}")
 
     points = [(mode, x_idx, {"(x,0)": (x, 0.0), "(0,x)": (0.0, x), "(x,x)": (x, x)}[mode])
               for mode in modes for x_idx, x in enumerate(xs) if x != 0.0]

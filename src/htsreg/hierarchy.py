@@ -186,7 +186,8 @@ def rmse(actual: np.ndarray, forecast: np.ndarray) -> np.ndarray | float:
     if a.ndim < 1 or a.shape != f.shape[f.ndim - a.ndim:] or a.shape[-1] < 1:
         raise ValueError(f"actual {a.shape} and forecast {f.shape} must be equal-shape nonempty rows or matrices")
     err = a - f
-    out = np.sqrt(np.mean(err * err, axis=-1))
+    err *= err  # squared in place: one temporary, not two
+    out = np.sqrt(np.mean(err, axis=-1))
     return float(out) if f.ndim == 1 else out
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hierarchy import HierarchySpec, aggregate_bottom
+from .hierarchy import HierarchySpec, _ordered_sum
 
 
 @dataclass(frozen=True)
@@ -218,11 +218,12 @@ def load_panel_csv(path: str | Path, h: HierarchySpec, train_len: int | None = N
         raise ValueError(f"{path}: need at least 2 data rows")
 
     col_pos = {c: i for i, c in enumerate(col_nodes)}
-    bottom = np.vstack([data[col_pos[b]] for b in h.bottom_ids])
-    values = aggregate_bottom(h, bottom)
-    for r, node in enumerate(h.upper_ids):
-        if node in col_pos:
-            values[r] = data[col_pos[node]]
+    values = np.empty((h.n_nodes, data.shape[1]))
+    bottom = values[len(h.upper_ids):]
+    bottom[:] = data[[col_pos[b] for b in h.bottom_ids]]
+    for r, (node, idx) in enumerate(zip(h.upper_ids, h.upper_rows)):
+        # Only the upper rows the file lacks are summed, in aggregate_bottom's order.
+        values[r] = data[col_pos[node]] if node in col_pos else _ordered_sum(bottom, idx)
 
     n_time = values.shape[1]
     if train_len is None:

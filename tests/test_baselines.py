@@ -1,10 +1,14 @@
 """Tests for the moving-average and exponential-smoothing baselines."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from htsreg import baselines
 from htsreg.baselines import (
     DEFAULT_ES_GRID,
     DEFAULT_MA_GRID,
@@ -12,7 +16,7 @@ from htsreg.baselines import (
     ma_forecast,
     select_param,
 )
-from htsreg.hierarchy import aggregate_bottom, build_hierarchy
+from htsreg.hierarchy import aggregate_bottom, build_hierarchy, rmse
 from htsreg.panel import SeriesPanel
 
 SMALL_PARENTS = {2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 3}
@@ -77,6 +81,16 @@ def test_ma1_equals_es1_from_second_step():
     assert np.array_equal(ma_forecast(y, 1)[1:], es_forecast(y, 1.0)[1:])
 
 
+def es_row_loop(values, alpha):
+    """Exponential smoothing of each row of a matrix by a per-row, per-step loop."""
+    out = np.empty((values.shape[0], values.shape[1] + 1))
+    for i, row in enumerate(values):
+        out[i, 0] = row[0]
+        for p in range(1, values.shape[1] + 1):
+            out[i, p] = alpha * row[p - 1] + (1.0 - alpha) * out[i, p - 1]
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 6), st.integers(2, 40), st.integers(0, 2**32 - 1), st.data())
 def test_matrix_forecasts_equal_row_by_row_loops(n_rows, n_time, seed, data):
@@ -84,14 +98,100 @@ def test_matrix_forecasts_equal_row_by_row_loops(n_rows, n_time, seed, data):
     values = np.random.default_rng(seed).standard_normal((n_rows, n_time)) * 5.0
     n = data.draw(st.integers(1, n_time - 1))
     alpha = data.draw(st.floats(0.0, 1.0))
-    ma_loop, es_loop = np.full((n_rows, n_time + 1), np.nan), np.empty((n_rows, n_time + 1))
+    ma_loop = np.full((n_rows, n_time + 1), np.nan)
     for i, row in enumerate(values):
         ma_loop[i, n:] = [row[p - n: p].mean() for p in range(n, n_time + 1)]
-        es_loop[i, 0] = row[0]
-        for p in range(1, n_time + 1):
-            es_loop[i, p] = alpha * row[p - 1] + (1.0 - alpha) * es_loop[i, p - 1]
     assert ma_forecast(values, n).tobytes() == ma_loop.tobytes()
-    assert es_forecast(values, alpha).tobytes() == es_loop.tobytes()
+    assert es_forecast(values, alpha).tobytes() == es_row_loop(values, alpha).tobytes()
+
+
+# Alphas with the edges 0 and 1 drawn often; lists of them may repeat values.
+ALPHAS = st.one_of(st.sampled_from([0.0, 1.0, 0.5, 0.89]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(2, 30)), elements=st.floats(-1e300, 1e300)),
+       st.lists(ALPHAS, min_size=1, max_size=12), st.data())
+def test_alpha_array_gives_scalar_bits_per_slice(values, alphas, data):
+    """One call on an array of alphas gives, slice by slice, the bytes of the scalar call and of the row loop."""
+    alphas = alphas + data.draw(st.lists(st.sampled_from(alphas), max_size=3))  # repeats
+    stacked = es_forecast(values, np.array(alphas))
+    assert stacked.shape == (len(alphas),) + values.shape[:-1] + (values.shape[1] + 1,)
+    rows = es_forecast(values[0], alphas)
+    assert rows.shape == (len(alphas), values.shape[1] + 1)
+    for k, alpha in enumerate(alphas):
+        assert stacked[k].tobytes() == es_forecast(values, alpha).tobytes() == es_row_loop(values, alpha).tobytes()
+        assert rows[k].tobytes() == es_forecast(values[0], alpha).tobytes()
+
+
+@pytest.mark.parametrize("alpha", [[0.5, 1.5], [-0.1], [0.2, float("nan")], np.zeros((2, 2))],
+                         ids=["above_one", "negative", "nan", "two_dimensional"])
+def test_es_rejects_bad_alpha_arrays(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        es_forecast(np.arange(5.0), alpha)
+
+
+def select_es_oracle(panel, grid):
+    """ES grid selection alpha by alpha: scalar forecasts, per-alpha rmse, strict < keeps the first minimum."""
+    best, best_score = None, np.inf
+    for alpha in sorted(grid):
+        if panel.train_len <= 1:
+            continue
+        fc = es_forecast(panel.values, alpha)
+        score = float(rmse(panel.values[:, 1:panel.train_len], fc[:, 1:panel.train_len]).mean())
+        if score < best_score:
+            best, best_score = alpha, score
+    return best
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(3, 40), st.integers(0, 2**32 - 1), st.lists(st.one_of(ALPHAS, st.sampled_from([0, 1])),
+                                                               min_size=1, max_size=40), st.data())
+def test_select_es_equals_alpha_by_alpha_oracle(n_time, seed, grid, data):
+    """Unsorted grids with repeats, 0 and 1 (ints too) and several chunks pick the oracle's alpha."""
+    rng = np.random.default_rng(seed)
+    panel = panel_from_bottom(rng.standard_normal((4, n_time)).cumsum(axis=1) * data.draw(st.sampled_from([0.1, 1e3])),
+                              train_len=data.draw(st.integers(1, n_time - 1)))
+    grid = grid + data.draw(st.lists(st.sampled_from(grid), max_size=5))
+    budget = panel.n_nodes * (panel.train_len + 1) * data.draw(st.integers(1, 5)) + data.draw(st.integers(0, 20))
+    with mock.patch.object(baselines, "ES_CHUNK_ELEMENTS", data.draw(st.sampled_from([budget, 1, 2**20]))):
+        want = select_es_oracle(panel, grid)
+        if want is None:
+            with pytest.raises(ValueError, match="no grid value yields a defined training forecast"):
+                select_param(panel, "ES", grid)
+            return
+        got = select_param(panel, "ES", grid).param
+    assert got == want and type(got) is type(want)
+
+
+def test_select_es_grid_larger_than_one_chunk():
+    """The default chunk holds fewer alphas than a 1 001-point grid; the oracle still agrees."""
+    panel = panel_from_bottom(np.random.default_rng(7).standard_normal((4, 60)).cumsum(axis=1), train_len=45)
+    grid = [i / 1000 for i in range(1001)][::-1]
+    assert baselines.ES_CHUNK_ELEMENTS // (panel.n_nodes * (panel.train_len + 1)) < len(grid)
+    assert select_param(panel, "ES", grid).param == select_es_oracle(panel, grid)
+
+
+def test_select_es_all_infinite_scores_raise():
+    """Errors that overflow give inf scores, which never win, so no grid value is chosen."""
+    panel = panel_from_bottom(np.array([[(-1.0) ** t * 1e200 for t in range(12)]] * 4), train_len=8)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="no grid value yields"):
+        select_param(panel, "ES", [0.0, 0.5, 1.0])
+
+
+@pytest.mark.parametrize("grid", [[0.5, 1.5], [-0.25, 0.5], [0.1, float("nan")]], ids=["above_one", "negative", "nan"])
+def test_select_es_rejects_alpha_outside_unit_interval(grid):
+    panel = panel_from_bottom(np.random.default_rng(8).standard_normal((4, 20)), train_len=12)
+    with pytest.raises(ValueError, match=r"ES alpha must lie in \[0, 1\]"):
+        select_param(panel, "ES", grid)
+
+
+def test_select_ma_skips_windows_without_training_errors():
+    """Windows at or past train_len, one longer than the series too, are skipped rather than forecast."""
+    panel = panel_from_bottom(np.random.default_rng(9).standard_normal((4, 20)), train_len=6)
+    assert select_param(panel, "MA", [40, 6, 3, 7]) == select_param(panel, "MA", [3])
+    with pytest.raises(ValueError, match="no grid value yields"):
+        select_param(panel, "MA", [6, 25])
 
 
 def test_select_prefers_persistence_on_ramp():

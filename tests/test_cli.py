@@ -402,7 +402,8 @@ def test_sweep_rejects_non_numeric_grid(tmp_path, capsys, x_grid):
     ("(x,0)", "modes: must be a list of sweep modes, got '(x,0)'"),
     ([], "sweep: modes must be a nonempty list of sweep modes"),
     (["(x,0)", "(y,0)"], "sweep: modes must be a nonempty list of sweep modes"),
-], ids=["int", "string", "empty", "unknown"])
+    (["(x,0)", "(x,0)"], "sweep: modes must not repeat, got ['(x,0)', '(x,0)']"),
+], ids=["int", "string", "empty", "unknown", "repeated"])
 def test_sweep_rejects_bad_modes(tmp_path, capsys, modes, message):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({"panel": {"preset": "NgtvC", "seed": 3}, "trial_seeds": [1], "x_grid": [0.0, 1.0],
@@ -437,6 +438,35 @@ def test_run_rejects_unknown_or_incomplete_config(tmp_path, capsys, overrides, m
     cfg = run_config(tmp_path, **overrides)
     out_dir = tmp_path / "o"
     assert main(["run", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("x_grid", [[0.0, 1.0, 1.0], [1, 0.0, 1.0]], ids=["float", "int_and_float"])
+def test_sweep_rejects_repeated_x(tmp_path, capsys, x_grid):
+    """A repeated x would train its networks again and write its rows twice."""
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"panel": {"preset": "NgtvC", "seed": 3}, "trial_seeds": [1], "x_grid": x_grid,
+                               "train": {"max_epochs": 2}}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 2
+    assert "sweep: x_grid values must not repeat, got [0.0, 1.0, 1.0]" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("case", ["preset_and_csv", "seed_on_csv", "hierarchy_beside_preset"])
+def test_run_rejects_panel_keys_without_effect(tmp_path, small_setup, capsys, case):
+    """Keys the chosen panel source would ignore are errors, even when the files they name exist."""
+    _, hier, pcsv = small_setup
+    overrides, message = {
+        "preset_and_csv": ({"panel": {"preset": "NgtvC", "csv": pcsv.name}},
+                           "panel.csv: a panel takes either 'preset' or 'csv', not both"),
+        "seed_on_csv": ({"panel": {"csv": pcsv.name, "seed": 99}, "hierarchy": hier.name},
+                        "panel.seed: only a preset panel takes a seed"),
+        "hierarchy_beside_preset": ({"panel": {"preset": "NgtvC"}, "hierarchy": hier.name},
+                                    "hierarchy: only a csv panel takes a hierarchy file"),
+    }[case]
+    out_dir = tmp_path / "o"
+    assert main(["run", "--config", str(run_config(tmp_path, **overrides)), "--out-dir", str(out_dir)]) == 2
     assert message in capsys.readouterr().err
     assert not out_dir.exists()
 
