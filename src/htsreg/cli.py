@@ -355,10 +355,10 @@ def _write_traces(result: BenchmarkResult, path: Path) -> None:
                 if fit.epoch_eval is not None:
                     buf = io.StringIO()
                     csv.writer(buf, lineterminator=",").writerow([label, seed])  # quotes the label as needed
-                    head = buf.getvalue()
-                    f.writelines(f"{head}{epoch},{level},{value:.17g}\r\n"
-                                 for epoch, row in enumerate(fit.epoch_eval.tolist(), start=1)
-                                 for level, value in zip(LEVELS, row))
+                    head = buf.getvalue().replace("%", "%%")
+                    template = "".join(f"{head}%d,{level},%.17g\r\n" for level in LEVELS)  # one epoch
+                    f.writelines(template % (e, root, e, mid, e, bottom, e, average)  # streamed: no whole-fit string
+                                 for e, (root, mid, bottom, average) in enumerate(fit.epoch_eval.tolist(), 1))
 
 
 def _slug(label: str) -> str:

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import product
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .baselines import BaselineChoice, select_param
 from .hierarchy import LEVELS, HierarchySpec, aggregate_bottom, level_means, rmse
@@ -64,6 +62,8 @@ class TrialSummary:
 
 
 def _mean_halfwidth(values: list[float]) -> tuple[float, float]:
+    from scipy.special import stdtrit  # loaded on first use: it takes longer to import than all of htsreg
+
     arr = np.asarray(values, dtype=np.float64)
     n = arr.shape[0]
     hw = float(stdtrit(n - 1, 0.975) * arr.std(ddof=1) / np.sqrt(n))
@@ -282,6 +282,8 @@ def run_benchmark(panel: SeriesPanel, h: HierarchySpec, methods: list[MethodSpec
     trials = [(label, kind, lam, seed) for label, kind, lam in nn_tasks for seed in seeds]
     shards = min(jobs, len(seeds)) if trials else 1
     if shards > 1:  # contiguous seed ranges, each trained as its own stacks
+        from concurrent.futures import ProcessPoolExecutor
+
         parts = [[i for i in range(len(trials)) if shards * (i % len(seeds)) // len(seeds) == s]
                  for s in range(shards)]
         outcomes: list = [None] * len(trials)

@@ -45,10 +45,6 @@ class HierarchySpec:
     def n_bottom(self) -> int:
         return len(self.bottom_ids)
 
-    def index(self, node: int) -> int:
-        """Row index of ``node`` in the canonical ordering."""
-        return self.node_ids.index(node)
-
     def children(self, node: int) -> tuple[int, ...]:
         """Direct children of ``node``, ascending."""
         return tuple(sorted(c for c, p in self.parent.items() if p == node))
@@ -255,12 +251,3 @@ def load_hierarchy_json(path: str | Path) -> HierarchySpec:
         )
     return h
 
-
-def write_hierarchy_json(h: HierarchySpec, path: str | Path) -> None:
-    payload = {
-        "nodes": list(h.node_ids),
-        "parent": {str(c): p for c, p in sorted(h.parent.items())},
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")

@@ -36,9 +36,6 @@ class NetworkParams:
     def __iter__(self):
         return iter((self.w2, self.b2, self.w3, self.b3))
 
-    def copy(self) -> "NetworkParams":
-        return NetworkParams(*(a.copy() for a in self))
-
     def to_lists(self) -> dict[str, list]:
         """The arrays as nested lists keyed w2, b2, w3, b3: the JSON form of checkpoints and train records."""
         return dict(zip(("w2", "b2", "w3", "b3"), (a.tolist() for a in self)))

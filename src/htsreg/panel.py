@@ -84,22 +84,14 @@ class Scaler:
     sd: np.ndarray
 
     def transform(self, panel: SeriesPanel) -> SeriesPanel:
-        self._check(panel.node_ids)
+        if panel.node_ids != self.node_ids:
+            raise ValueError("scaler node order does not match panel")
         vals = (panel.values - self.mean[:, None]) / self.sd[:, None]
-        return SeriesPanel(panel.node_ids, vals, panel.train_len, panel.n_bottom)
-
-    def inverse(self, panel: SeriesPanel) -> SeriesPanel:
-        self._check(panel.node_ids)
-        vals = panel.values * self.sd[:, None] + self.mean[:, None]
         return SeriesPanel(panel.node_ids, vals, panel.train_len, panel.n_bottom)
 
     def inverse_values(self, values: np.ndarray) -> np.ndarray:
         """Map a matrix of standardized rows, in the scaler's node order, back to the raw scale."""
         return np.asarray(values) * self.sd[:, None] + self.mean[:, None]
-
-    def _check(self, node_ids: tuple[int, ...]) -> None:
-        if node_ids != self.node_ids:
-            raise ValueError("scaler node order does not match panel")
 
 
 def standardize(panel: SeriesPanel) -> tuple[SeriesPanel, Scaler]:
@@ -193,12 +185,14 @@ def _read_wide_csv(path: str | Path, h: HierarchySpec) -> tuple[list[int], np.nd
 
 
 def _write_wide_csv(path: str | Path, node_ids: tuple[int, ...], values: np.ndarray) -> None:
-    """Write a node-by-time matrix as a wide CSV with t = 1..T; reading it back is bitwise."""
+    """Write a node-by-time matrix as a wide CSV with t = 1..T; reading it back is bitwise.
+
+    The bytes are csv.writer's: no integer id or ``%.17g`` float needs quoting.
+    """
+    row = "%d" + ",%.17g" * len(node_ids) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["t"] + [str(n) for n in node_ids])
-        for j in range(values.shape[1]):
-            writer.writerow([str(j + 1)] + [f"{v:.17g}" for v in values[:, j]])
+        f.write("".join(["t," + ",".join(map(str, node_ids)) + "\r\n"]
+                        + [row % (t, *col) for t, col in enumerate(values.T.tolist(), start=1)]))
 
 
 def load_panel_csv(path: str | Path, h: HierarchySpec, train_len: int | None = None) -> SeriesPanel:

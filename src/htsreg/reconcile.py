@@ -5,12 +5,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .hierarchy import HierarchySpec, aggregate_bottom, summing_matrix
 from .panel import SeriesPanel
 
 _GAMMA_LADDER = tuple(1e-8 * 10.0 ** k for k in range(7))  # 1e-8 .. 1e-2
+
+
+def _bind_cholesky() -> None:
+    """Bind scipy's Cholesky routines as module globals, keeping a name already bound (a counting wrapper)."""
+    from scipy.linalg import cho_factor, cho_solve  # loaded on first use: most commands solve no MinT
+
+    globals().setdefault("cho_factor", cho_factor)
+    globals().setdefault("cho_solve", cho_solve)
+
+
+def __getattr__(name: str):
+    """``cho_factor`` and ``cho_solve`` resolve to scipy's on first access (PEP 562)."""
+    if name not in ("cho_factor", "cho_solve"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_cholesky()
+    return globals()[name]
 
 
 def historical_proportions(panel: SeriesPanel, train_len: int | None = None) -> np.ndarray:
@@ -92,6 +107,7 @@ def mint_reconcile(h: HierarchySpec, base_all: np.ndarray, w: np.ndarray,
     if np.max(np.abs(w - w.T)) > 1e-12 * np.max(np.abs(w)):
         raise ValueError("W must be symmetric")
 
+    _bind_cholesky()  # cho_factor and cho_solve below are these module globals
     s = np.asarray(summing_matrix(h))
     ridge_unit = float(np.mean(np.diag(w)))
     eye = np.eye(h.n_nodes)

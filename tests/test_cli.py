@@ -14,7 +14,7 @@ import pytest
 import htsreg
 from htsreg.cli import _write_traces, main
 from htsreg.evaluate import BenchmarkResult
-from htsreg.hierarchy import LEVELS, build_hierarchy, write_hierarchy_json
+from htsreg.hierarchy import LEVELS, build_hierarchy
 from htsreg.panel import load_panel_csv
 from htsreg.synthgen import preset_hierarchy
 from htsreg.trainer import TrainResult
@@ -29,7 +29,7 @@ def small_setup(tmp_path):
     """Hierarchy JSON plus a small coherent panel CSV on disk."""
     h = build_hierarchy(SMALL_PARENTS)
     hier = tmp_path / "h.json"
-    write_hierarchy_json(h, hier)
+    hier.write_text(json.dumps({"nodes": list(h.node_ids), "parent": SMALL_PARENTS}))
     rng = np.random.default_rng(1)
     bottoms = rng.standard_normal((4, 30)).cumsum(axis=1) * 0.3 + rng.standard_normal((4, 30))
     from htsreg.hierarchy import aggregate_bottom
@@ -484,7 +484,7 @@ def test_write_traces_matches_csv_writer(tmp_path):
     rng = np.random.default_rng(3)
     special = np.array([[np.nan, np.inf, -0.0, 5e-324], [1e-300, 0.1, 2.0, 1e17]])
     traces = {"NN+SR(0.0, 2.1)": {2: np.vstack([special, rng.random((3, 4))]), 1: rng.random((2, 4))},
-              'NN "BU"': {1: rng.random((1, 4))}, "NN+MinT": {1: None}}
+              'NN "BU"': {1: rng.random((1, 4))}, "NN 50%": {3: rng.random((2, 4))}, "NN+MinT": {1: None}}
     result = BenchmarkResult(labels=["MA(3)", *traces], seeds=[1, 2], reports={}, summaries={},
                              fits={label: {seed: TrainResult(params=None, objective=np.zeros(0), epochs=0,
                                                              reason="max_epochs", epoch_eval=trace)

@@ -291,4 +291,4 @@ def test_report_on_raw_scale_via_scaler(tree):
     rep_std = node_report(tree, actual, forecast, "demo")
     rep_raw = node_report(tree, actual, forecast, "demo", scaler=scaler)
     assert rep_std.per_node[4] == pytest.approx(1.0)
-    assert rep_raw.per_node[4] == pytest.approx(scaler.sd[tree.index(4)], rel=1e-9)
+    assert rep_raw.per_node[4] == pytest.approx(scaler.sd[tree.node_ids.index(4)], rel=1e-9)

@@ -121,10 +121,10 @@ def test_forward_rejects_shape_mismatch():
 def test_forward_is_pure():
     p = init_params(NetworkDims(4, 8, 4), seed=9)
     x = np.random.default_rng(9).standard_normal((3, 4))
-    before = p.copy()
+    before = [a.copy() for a in p]
     (za, ua), (zb, ub) = forward(p, x, "sigmoid"), forward(p, x, "sigmoid")
     assert np.array_equal(ua, ub) and np.array_equal(za, zb)
-    assert all(np.array_equal(getattr(p, n), getattr(before, n)) for n in ("w2", "b2", "w3", "b3"))
+    assert all(np.array_equal(a, b) for a, b in zip(p, before))
 
 
 def test_relu_monotone_smoke():

@@ -1,5 +1,6 @@
 """Tests for panel ingestion, standardization, and lagged inputs."""
 
+import csv
 import tempfile
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from htsreg.hierarchy import aggregate_bottom, build_hierarchy
-from htsreg.panel import SeriesPanel, lagged_design, load_panel_csv, standardize, write_panel_csv
+from htsreg.panel import SeriesPanel, _write_wide_csv, lagged_design, load_panel_csv, standardize, write_panel_csv
 
 SMALL_PARENTS = {2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 3}
 
@@ -55,7 +56,7 @@ def test_load_sums_only_the_upper_columns_a_file_lacks(seed, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "p.csv"
         write_csv(path, ["t"] + [str(c) for c in columns],
-                  [[t + 1] + [f"{values[h.index(c), t]:.17g}" for c in columns] for t in range(5)])
+                  [[t + 1] + [f"{values[h.node_ids.index(c), t]:.17g}" for c in columns] for t in range(5)])
         back = load_panel_csv(path, h, train_len=3)
     want = values.copy()
     for r, node in enumerate(h.upper_ids):
@@ -91,10 +92,10 @@ def test_standardize_round_trip(small_tree):
     base = np.array([[1.0, 2.0, 3.0, 4.0]] * 4)
     panel = SeriesPanel.from_values(small_tree, aggregate_bottom(small_tree, base), train_len=3)
     std, scaler = standardize(panel)
-    row = std.values[small_tree.index(4)]
+    row = std.values[small_tree.node_ids.index(4)]
     assert np.allclose(row, [-1.0, 0.0, 1.0, 2.0])
-    restored = scaler.inverse(std)
-    assert np.allclose(restored.values, panel.values, rtol=1e-12)
+    restored = scaler.inverse_values(std.values)
+    assert np.allclose(restored, panel.values, rtol=1e-12)
 
 
 def test_standardize_is_identity_on_normalized_rows(small_tree):
@@ -201,19 +202,37 @@ def test_write_then_load_is_bitwise_for_any_finite_values(values, data):
     assert (back.node_ids, back.train_len, back.n_bottom) == (panel.node_ids, panel.train_len, panel.n_bottom)
 
 
+@settings(max_examples=60, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 7), st.integers(0, 6))), st.data())
+def test_write_wide_csv_matches_csv_writer(values, data):
+    """Any float64 matrix, NaN, +-inf, -0.0, subnormals and +-max included, is written with the bytes of
+    csv.writer and f"{v:.17g}" cells."""
+    extra = np.array(SPECIAL + [np.nan, -np.nan, np.inf, -np.inf])
+    values = np.hstack([values, np.resize(extra, (values.shape[0], extra.size))])
+    node_ids = tuple(data.draw(st.lists(st.integers(-10**6, 10**6), min_size=values.shape[0],
+                                        max_size=values.shape[0], unique=True)))
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_wide_csv(Path(tmp) / "p.csv", node_ids, values)
+        with open(Path(tmp) / "oracle.csv", "w", encoding="utf-8", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(["t"] + [str(n) for n in node_ids])
+            writer.writerows([str(j + 1)] + [f"{v:.17g}" for v in values[:, j]] for j in range(values.shape[1]))
+        assert (Path(tmp) / "p.csv").read_bytes() == (Path(tmp) / "oracle.csv").read_bytes()
+
+
 @settings(max_examples=100, deadline=None)
 @given(arrays(np.float64, st.tuples(st.just(7), st.integers(3, 10)),
               elements=st.floats(-1e100, 1e100, allow_nan=False), fill=st.nothing()), st.data())
 def test_scaler_inverse_undoes_transform(values, data):
-    """inverse(transform(p)) is p up to a few roundings of |mean| and of sd * |z| per node."""
+    """inverse_values(transform(p).values) is p up to a few roundings of |mean| and of sd * |z| per node."""
     panel = SeriesPanel(tuple(range(1, 8)), values, data.draw(st.integers(2, values.shape[1] - 1)), 4)
     train = panel.values[:, :panel.train_len]
     assume(np.all(train.std(axis=1, ddof=1) > 0))
     std, scaler = standardize(panel)
-    back = scaler.inverse(std)
+    back = scaler.inverse_values(std.values)
     eps = np.finfo(np.float64).eps
     tol = 4 * eps * (np.abs(scaler.mean)[:, None] + scaler.sd[:, None] * (np.abs(std.values) + 1))
-    assert np.all(np.abs(back.values - panel.values) <= tol)
+    assert np.all(np.abs(back - panel.values) <= tol)
 
 
 def test_written_file_has_node_columns(tmp_path, small_panel):

@@ -1,5 +1,7 @@
 """Tests for the structured objective, specialized backprop, and training loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -240,10 +242,7 @@ def test_gradient_symmetry_under_bottom_permutation(tree, h_matrix):
     _, g = loss(params, x, y, reg, h_matrix)
 
     perm = np.array([2, 0, 3, 1])
-    params_p = params.copy()
-    params_p.w2 = params.w2[:, perm]
-    params_p.w3 = params.w3[perm, :]
-    params_p.b3 = params.b3[perm]
+    params_p = replace(params, w2=params.w2[:, perm], w3=params.w3[perm, :], b3=params.b3[perm])
     y_p = np.concatenate([y[:3], y[3:][perm]])
     _, g_p = loss(params_p, x[perm], y_p, reg, h_matrix[:, perm])
 
