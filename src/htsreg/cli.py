@@ -123,7 +123,14 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- reconcile
 
+# The reconcile options that only one method reads.
+_RECONCILE_OPTIONS = {"weights": "mint", "panel": "td", "train_len": "td"}
+
+
 def cmd_reconcile(args: argparse.Namespace) -> int:
+    for key, method in _RECONCILE_OPTIONS.items():
+        _need(getattr(args, key) is None or args.method == method, "--" + key.replace("_", "-"),
+              f"only --method {method} reads it, not --method {args.method}")
     h = load_hierarchy_json(args.hierarchy)
     nodes, data = _read_wide_csv(args.base, h)  # only the columns a method needs must be present
     base = dict(zip(nodes, data))
@@ -504,6 +511,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"config error: out of memory; the configuration is too large for this machine ({exc})", file=sys.stderr)
         return EXIT_CONFIG
 
 

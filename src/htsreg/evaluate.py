@@ -189,6 +189,10 @@ class MethodSpec:
             raise ValueError("NN+SR needs lambda1 and lambdaM (or tune=true)")
         if self.tune and not (self.tune_grid1 and self.tune_gridM):
             raise ValueError("tune_grid1 and tune_gridM must be nonempty")
+        for key in ("grid", "tune_grid1", "tune_gridM"):
+            values = getattr(self, key)
+            if values is not None and len({float(v) for v in values}) != len(values):  # 1 and 1.0 repeat
+                raise ValueError(f"{key} values must not repeat, got {list(values)!r}")
 
 
 @dataclass
@@ -201,8 +205,19 @@ class BenchmarkResult:
     fits: dict[str, dict[int, TrainResult]] = field(default_factory=dict)
 
 
-def _fmt_lambda(v: float) -> str:
-    return f"{v:.1f}" if abs(v * 10 - round(v * 10)) < 1e-9 else f"{v:g}"
+def _sr_label(lam: tuple[float, float]) -> str:
+    """``NN+SR(l1, lM)``: each weight with one decimal where that is exact, else in ``%g`` form."""
+    return "NN+SR({}, {})".format(*(f"{v:.1f}" if abs(v * 10 - round(v * 10)) < 1e-9 else f"{v:g}" for v in lam))
+
+
+def _check_columns(columns: list[str]) -> None:
+    """Two methods that fill the same table column would merge their trials, fits and checkpoints."""
+    first: dict[str, int] = {}
+    for i, column in enumerate(columns):
+        if column in first:
+            raise ValueError(f"methods[{first[column]}] and methods[{i}] both fill the table column {column}; "
+                             "list each method once")
+        first[column] = i
 
 
 def baseline_forecast_matrix(panel: SeriesPanel, choice: BaselineChoice) -> np.ndarray:
@@ -261,23 +276,40 @@ def run_benchmark(panel: SeriesPanel, h: HierarchySpec, methods: list[MethodSpec
     result = BenchmarkResult(labels=[], seeds=list(seeds), reports={}, summaries={})
     actual = panel.values[:, panel.train_len:]
 
-    nn_tasks: list[tuple[str, str, tuple[float, float]]] = []
-    for spec in methods:
+    # The column each method fills, checked for repeats before any network trains. A tuned NN+SR is
+    # known by its grids until it is tuned; its pick is checked against the other columns after.
+    choices: dict[int, BaselineChoice] = {}
+    lams: dict[int, tuple[float, float]] = {}
+    columns: list[str] = []
+    for i, spec in enumerate(methods):
         if spec.name in ("MA", "ES"):
-            choice = select_param(panel, spec.name, spec.grid)
-            report = node_report(h, actual, baseline_forecast_matrix(panel, choice),
-                                 choice.label, params={"param": choice.param})
-            result.labels.append(choice.label)
-            result.reports[choice.label] = [report]
-            result.summaries[choice.label] = None
-        elif spec.name == "NN+BU":
-            nn_tasks.append(("NN+BU", "sr", (0.0, 0.0)))
-        elif spec.name == "NN+MinT":
-            nn_tasks.append(("NN+MinT", "mint", (0.0, 0.0)))
-        else:  # NN+SR
-            lam = (tune_lambda(panel, h, spec.tune_grid1, spec.tune_gridM, replace(config, seed=seeds[0]))
-                   if spec.tune else (float(spec.lambda1), float(spec.lambdaM)))
-            nn_tasks.append((f"NN+SR({_fmt_lambda(lam[0])}, {_fmt_lambda(lam[1])})", "sr", lam))
+            choices[i] = select_param(panel, spec.name, spec.grid)
+            columns.append(choices[i].label)
+        elif spec.name != "NN+SR":
+            columns.append(spec.name)
+        elif spec.tune:
+            grids = [sorted(map(float, g)) for g in (spec.tune_grid1, spec.tune_gridM)]
+            columns.append(f"NN+SR tuned on {grids[0]} x {grids[1]}")
+        else:
+            lams[i] = (float(spec.lambda1), float(spec.lambdaM))
+            columns.append(_sr_label(lams[i]))
+    _check_columns(columns)
+    for i, spec in enumerate(methods):
+        if spec.name == "NN+SR" and i not in lams:
+            lams[i] = tune_lambda(panel, h, spec.tune_grid1, spec.tune_gridM, replace(config, seed=seeds[0]))
+            columns[i] = _sr_label(lams[i])
+            _check_columns(columns)
+
+    nn_tasks: list[tuple[str, str, tuple[float, float]]] = []
+    for i, (spec, label) in enumerate(zip(methods, columns)):
+        if i in choices:
+            report = node_report(h, actual, baseline_forecast_matrix(panel, choices[i]),
+                                 label, params={"param": choices[i].param})
+            result.labels.append(label)
+            result.reports[label] = [report]
+            result.summaries[label] = None
+        else:
+            nn_tasks.append((label, "mint" if spec.name == "NN+MinT" else "sr", lams.get(i, (0.0, 0.0))))
 
     trials = [(label, kind, lam, seed) for label, kind, lam in nn_tasks for seed in seeds]
     shards = min(jobs, len(seeds)) if trials else 1

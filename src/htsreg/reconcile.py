@@ -12,20 +12,38 @@ from .panel import SeriesPanel
 _GAMMA_LADDER = tuple(1e-8 * 10.0 ** k for k in range(7))  # 1e-8 .. 1e-2
 
 
-def _bind_cholesky() -> None:
-    """Bind scipy's Cholesky routines as module globals, keeping a name already bound (a counting wrapper)."""
-    from scipy.linalg import cho_factor, cho_solve  # loaded on first use: most commands solve no MinT
+def cho_factor(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor L of a symmetric positive-definite matrix (L L' = a), read from its lower triangle.
 
-    globals().setdefault("cho_factor", cho_factor)
-    globals().setdefault("cho_solve", cho_solve)
+    Raises ``np.linalg.LinAlgError`` when ``a`` is not positive definite and
+    ``ValueError`` when it holds a NaN or an infinity, from which LAPACK
+    would return a non-finite factor without complaint.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix to factor contains non-finite values")
+    return np.linalg.cholesky(a)
 
 
-def __getattr__(name: str):
-    """``cho_factor`` and ``cho_solve`` resolve to scipy's on first access (PEP 562)."""
-    if name not in ("cho_factor", "cho_solve"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind_cholesky()
-    return globals()[name]
+def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve (c c') x = b for the lower Cholesky factor c: forward substitution, then back substitution.
+
+    ``b`` is a vector or a matrix of right-hand sides; ``ValueError`` on a
+    non-finite entry of ``c`` or ``b``.
+    """
+    c = np.asarray(c, dtype=np.float64)
+    x = np.array(b, dtype=np.float64)  # a copy, overwritten row by row
+    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(x))):
+        raise ValueError("Cholesky solve input contains non-finite values")
+    x2 = x.reshape(len(x), -1)
+    rows, diag = list(x2), c.diagonal().tolist()  # row views and Python floats: no indexing in the loops
+    for i, row in enumerate(rows):  # c y = b
+        row -= c[i, :i] @ x2[:i]
+        row /= diag[i]
+    for i in range(len(rows) - 1, -1, -1):  # c' x = y
+        rows[i] -= c[i + 1:, i] @ x2[i + 1:]
+        rows[i] /= diag[i]
+    return x
 
 
 def historical_proportions(panel: SeriesPanel, train_len: int | None = None) -> np.ndarray:
@@ -99,6 +117,8 @@ def mint_reconcile(h: HierarchySpec, base_all: np.ndarray, w: np.ndarray,
         base = base[:, None]
     if base.shape[0] != h.n_nodes:
         raise ValueError(f"expected {h.n_nodes} base-forecast rows, got {base.shape[0]}")
+    if not np.all(np.isfinite(base)):
+        raise ValueError("base forecasts contain non-finite values")
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (h.n_nodes, h.n_nodes):
         raise ValueError(f"W must be {h.n_nodes} x {h.n_nodes}, got {w.shape}")
@@ -107,34 +127,39 @@ def mint_reconcile(h: HierarchySpec, base_all: np.ndarray, w: np.ndarray,
     if np.max(np.abs(w - w.T)) > 1e-12 * np.max(np.abs(w)):
         raise ValueError("W must be symmetric")
 
-    _bind_cholesky()  # cho_factor and cho_solve below are these module globals
     s = np.asarray(summing_matrix(h))
-    ridge_unit = float(np.mean(np.diag(w)))
     eye = np.eye(h.n_nodes)
-    for gamma in _GAMMA_LADDER:
-        w_c = w + gamma * ridge_unit * eye
-        try:
-            cw = cho_factor(w_c, lower=True)
-            winv_s = cho_solve(cw, s)            # W^-1 S
-            ca = cho_factor(s.T @ winv_s, lower=True)
-        except np.linalg.LinAlgError:
-            continue
+    # Overflow is caught, not warned about: cho_factor and cho_solve reject non-finite input.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ridge_unit = float(np.mean(np.diag(w)))
+        for gamma in _GAMMA_LADDER:
+            w_c = w + gamma * ridge_unit * eye
+            try:
+                cw = cho_factor(w_c)
+                winv_s = cho_solve(cw, s)            # W^-1 S
+                ca = cho_factor(s.T @ winv_s)
+            except np.linalg.LinAlgError:
+                continue
+            break
+        else:
+            raise ValueError(
+                "base-forecast covariance is singular beyond repair; "
+                "inflate the ridge or supply a better-conditioned W"
+            )
         bottom = cho_solve(ca, winv_s.T @ base)  # (S' W^-1 S)^-1 S' W^-1 y^
         coherent = aggregate_bottom(h, bottom)
-        if squeeze:
-            coherent = coherent[:, 0]
-        if not return_info:
-            return coherent
-        info = MintInfo(
-            p_matrix=cho_solve(ca, winv_s.T),
-            gamma=gamma,
-            w_condition=float(np.linalg.cond(w_c)),
-        )
-        return coherent, info
-    raise ValueError(
-        "base-forecast covariance is singular beyond repair; "
-        "inflate the ridge or supply a better-conditioned W"
+    if not np.all(np.isfinite(coherent)):
+        raise ValueError("reconciled forecasts overflow; rescale W or the base forecasts")
+    if squeeze:
+        coherent = coherent[:, 0]
+    if not return_info:
+        return coherent
+    info = MintInfo(
+        p_matrix=cho_solve(ca, winv_s.T),
+        gamma=gamma,
+        w_condition=float(np.linalg.cond(w_c)),
     )
+    return coherent, info
 
 
 @dataclass(frozen=True)

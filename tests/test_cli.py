@@ -582,3 +582,85 @@ def test_generate_io_error_exit_code(tmp_path):
     """Writing into a missing directory maps to the I/O exit code."""
     out = tmp_path / "no" / "such" / "dir" / "p.csv"
     assert main(["generate", "--preset", "NgtvC", "--out", str(out)]) == 4
+
+
+def _no_training(*args, **kwargs):
+    raise AssertionError("a network trained before the duplicate methods were found")
+
+
+@pytest.mark.parametrize("methods, message", [
+    ([{"name": "NN+SR", "lambda1": 0, "lambdaM": 1}, {"name": "NN+SR", "lambda1": 0, "lambdaM": 1.0}],
+     "methods[0] and methods[1] both fill the table column NN+SR(0.0, 1.0)"),
+    ([{"name": "MA"}, {"name": "NN+BU"}, {"name": "MA"}], "methods[0] and methods[2] both fill the table column MA("),
+    ([{"name": "ES", "grid": [0.3, 0.5]}, {"name": "ES", "grid": [0.5, 0.3]}], "methods[0] and methods[1]"),
+    ([{"name": "NN+MinT"}, {"name": "NN+MinT"}], "methods[0] and methods[1] both fill the table column NN+MinT"),
+    ([{"name": "NN+SR", "tune": True, "tune_grid1": [0, 1], "tune_gridM": [2]},
+      {"name": "NN+SR", "tune": True, "tune_grid1": [1.0, 0.0], "tune_gridM": [2]}],
+     "methods[0] and methods[1] both fill the table column NN+SR tuned on [0.0, 1.0] x [2.0]"),
+], ids=["sr_int_and_float", "ma", "es_same_pick", "mint", "same_tuning"])
+def test_run_rejects_methods_sharing_a_column(tmp_path, capsys, monkeypatch, methods, message):
+    """Two methods with one label would merge their trials in the table and overwrite each other's checkpoints."""
+    monkeypatch.setattr("htsreg.evaluate.train_batch", _no_training)
+    monkeypatch.setattr("htsreg.evaluate.train_all_node_batch", _no_training)
+    out_dir = tmp_path / "o"
+    assert main(["run", "--config", str(run_config(tmp_path, methods=methods)), "--out-dir", str(out_dir)]) == 2
+    assert message in capsys.readouterr().err
+    assert not any(out_dir.iterdir())
+
+
+def test_run_rejects_a_tuned_pick_equal_to_another_method(tmp_path, capsys):
+    """A tuned NN+SR is known by its grids until tuned, so its pick is checked after tuning."""
+    methods = [{"name": "NN+SR", "lambda1": 0.0, "lambdaM": 0.0},
+               {"name": "NN+SR", "tune": True, "tune_grid1": [0.0], "tune_gridM": [0.0]}]
+    out_dir = tmp_path / "o"
+    assert main(["run", "--config", str(run_config(tmp_path, methods=methods, train={"max_epochs": 2})),
+                 "--out-dir", str(out_dir)]) == 2
+    assert "methods[0] and methods[1] both fill the table column NN+SR(0.0, 0.0)" in capsys.readouterr().err
+    assert not any(out_dir.iterdir())
+
+
+@pytest.mark.parametrize("method, message", [
+    ({"name": "MA", "grid": [1, 2, 1]}, "methods[0]: grid values must not repeat, got [1, 2, 1]"),
+    ({"name": "ES", "grid": [0.5, 1, 1.0]}, "methods[0]: grid values must not repeat, got [0.5, 1, 1.0]"),
+    ({"name": "NN+SR", "tune": True, "tune_grid1": [0, 0.0]}, "methods[0]: tune_grid1 values must not repeat"),
+    ({"name": "NN+SR", "tune": True, "tune_gridM": [2.1, 0, 2.1]}, "methods[0]: tune_gridM values must not repeat"),
+], ids=["ma", "es_int_and_float", "tune_grid1", "tune_gridM"])
+def test_run_rejects_repeated_grid_value(tmp_path, capsys, method, message):
+    out_dir = tmp_path / "o"
+    assert main(["run", "--config", str(run_config(tmp_path, methods=[method])), "--out-dir", str(out_dir)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("method, extra, flag", [
+    ("bu", ["--weights", "w.csv"], "--weights: only --method mint reads it"),
+    ("bu", ["--panel", "p.csv"], "--panel: only --method td reads it"),
+    ("bu", ["--train-len", "5"], "--train-len: only --method td reads it"),
+    ("td", ["--panel", "p.csv", "--weights", "w.csv"], "--weights: only --method mint reads it"),
+    ("mint", ["--panel", "p.csv"], "--panel: only --method td reads it"),
+    ("mint", ["--weights", "w.csv", "--train-len", "20"], "--train-len: only --method td reads it"),
+])
+def test_reconcile_rejects_options_its_method_ignores(tmp_path, small_setup, capsys, method, extra, flag):
+    _, hier, pcsv = small_setup
+    out = tmp_path / "c.csv"
+    code = main(["reconcile", "--method", method, "--hierarchy", str(hier), "--base", str(pcsv),
+                 "--out", str(out)] + extra)
+    assert code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "train"])
+def test_out_of_memory_exits_2_with_one_line(tmp_path, small_setup, capsys, monkeypatch, command):
+    """A configuration too large to allocate (say, a huge train.hidden_dim) ends in one line, not a traceback."""
+    _, hier, pcsv = small_setup
+
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000, 1000)")
+
+    monkeypatch.setattr(f"htsreg.cli.{'run_benchmark' if command == 'run' else 'train_batch'}", too_large)
+    argv = (["run", "--config", str(run_config(tmp_path)), "--out-dir", str(tmp_path / "o")] if command == "run" else
+            ["train", "--panel", str(pcsv), "--hierarchy", str(hier), "--out", str(tmp_path / "t.json")])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: out of memory") and "745. GiB" in err

@@ -10,6 +10,8 @@ from htsreg.hierarchy import aggregate_bottom, build_hierarchy, check_coherence,
 from htsreg.panel import SeriesPanel, standardize
 from htsreg.reconcile import (
     check_unbiasedness,
+    cho_factor,
+    cho_solve,
     estimate_w_sample,
     historical_proportions,
     mint_reconcile,
@@ -265,3 +267,78 @@ def test_mint_keeps_sps_equal_s_and_coherent_input_on_random_trees(parents, seed
     assert check_unbiasedness(info.p_matrix, summing_matrix(h), tol=1e-9).within_tol
     assert np.allclose(got, coherent, rtol=1e-9, atol=1e-9)
     assert check_coherence(h, got, tol=1e-9).ok
+
+
+# ------------------------------------------------------------- Cholesky
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 13), cols=st.one_of(st.none(), st.integers(1, 13)), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-100, 1.0, 1e100]))
+def test_cholesky_solve_matches_numpy_solve(n, cols, seed, scale):
+    """cho_solve(cho_factor(a), b) solves a x = b for an SPD a (condition below 60), a vector or matrix b."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n + 4))
+    a = scale * (g @ g.T / (n + 4) + 0.1 * np.eye(n))
+    b = rng.standard_normal(n if cols is None else (n, cols))
+    c = cho_factor(a)
+    assert np.array_equal(c, np.tril(c)) and np.linalg.norm(c @ c.T - a) <= 1e-14 * np.linalg.norm(a)
+    got, want = cho_solve(c, b), np.linalg.solve(a, b)
+    assert got.shape == b.shape
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_cho_factor_reads_the_lower_triangle_and_rejects_indefinite():
+    a = random_w(5, 3)
+    upper_garbage = a + np.triu(np.full((5, 5), 7.0), 1)
+    assert np.array_equal(cho_factor(upper_garbage), cho_factor(a))
+    with pytest.raises(np.linalg.LinAlgError):
+        cho_factor(np.diag([1.0, -1.0, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cholesky_rejects_non_finite_input(bad):
+    """LAPACK would return a NaN factor or solution; these raise instead."""
+    a = random_w(4, 5)
+    c = cho_factor(a)
+    a[2, 1] = a[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        cho_factor(a)
+    b = np.ones((4, 2))
+    b[3, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        cho_solve(c, b)
+    c[3, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        cho_solve(c, np.ones(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mint_rejects_non_finite_base_forecasts(wide, bad):
+    base = np.random.default_rng(2).standard_normal((13, 3))
+    base[7, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        mint_reconcile(wide, base, random_w(13, 4))
+
+
+@pytest.mark.parametrize("w_diag", [1e308, 1e-308], ids=["ridge_overflows", "sws_overflows"])
+def test_mint_rejects_overflowing_w(wide, w_diag):
+    """A diagonal of 1e308 overflows mean(diag(W)), so the ridge is infinite; one of 1e-308 keeps
+    W^-1 S finite (1e308) but overflows S' W^-1 S. Either raises, without a warning, never returns NaN."""
+    base = np.random.default_rng(3).standard_normal((13, 2))
+    with pytest.raises(ValueError, match="non-finite"):
+        mint_reconcile(wide, base, w_diag * np.eye(13))
+
+
+def test_mint_rejects_overflowing_result(wide):
+    """Every input and intermediate is finite, but the coherent forecasts are not. A W of condition 1e8
+    lets MinT amplify one direction of the base forecasts 16-fold; scaled so that the result's norm is
+    4 times the float maximum, some entry of it (13 entries, 4 > sqrt(13)) must overflow."""
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.standard_normal((13, 13)))
+    w = q @ np.diag(np.logspace(0, 8, 13)) @ q.T
+    w = (w + w.T) / 2
+    _, info = mint_reconcile(wide, np.ones(13), w, return_info=True)
+    _, sv, vt = np.linalg.svd(summing_matrix(wide) @ info.p_matrix)
+    assert sv[0] > 10
+    with pytest.raises(ValueError, match="reconciled forecasts overflow"):
+        mint_reconcile(wide, vt[0] * (np.finfo(np.float64).max / sv[0] * 4), w)

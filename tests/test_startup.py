@@ -1,8 +1,9 @@
 """Start-up contract: importing htsreg loads neither scipy nor the process pool; each loads on first use.
 
-scipy.linalg loads with the first MinT solve and scipy.special with the first
-summary of two or more trials, so every other command starts without scipy.
-Each case runs in a fresh interpreter, since this one has loaded them already.
+scipy.special loads with the first summary of two or more trials, so every
+other command starts without scipy. No command loads scipy.linalg: MinT's
+Cholesky factorization is numpy's. Each case runs in a fresh interpreter,
+since this one may have loaded them already.
 """
 
 import json
@@ -52,6 +53,7 @@ def inputs(tmp_path):
                            "methods": [{"name": "MA"}, {"name": "ES"}], "trial_seeds": [1], "epoch_trace": False},
         "sweep.json": {**short, "trial_seeds": [1], "x_grid": [0, 2.1], "modes": ["(x,0)"]},
         "two_seeds.json": {**short, "methods": [{"name": "NN+BU"}], "trial_seeds": [1, 2]},
+        "mint.json": {**short, "methods": [{"name": "NN+MinT"}], "trial_seeds": [1]},
     }
     for name, cfg in configs.items():
         (tmp_path / name).write_text(json.dumps(cfg))
@@ -68,28 +70,30 @@ RECONCILE = ["reconcile", "--hierarchy", "h.json", "--base", "base.csv", "--out"
     (["train", "--panel", "panel.csv", "--hierarchy", "h.json", "--max-epochs", "3", "--out", "t.json"], set()),
     (["run", "--config", "baselines.json", "--out-dir", "run"], set()),
     (["sweep", "--config", "sweep.json", "--out", "sweep.csv"], set()),
-    (RECONCILE + ["mint", "--weights", "w.csv"], {"scipy", "scipy.linalg"}),
+    (RECONCILE + ["mint", "--weights", "w.csv"], set()),
+    (["run", "--config", "mint.json", "--out-dir", "run"], set()),
     (["run", "--config", "two_seeds.json", "--out-dir", "run"], {"scipy", "scipy.special"}),
     (["run", "--config", "two_seeds.json", "--out-dir", "run", "--jobs", "2"], set(DEFERRED) - {"scipy.linalg"}),
-], ids=["generate", "reconcile_bu", "reconcile_td", "train", "baselines_run", "sweep", "reconcile_mint", "two_seed_run",
-        "two_seed_run_jobs_2"])
+], ids=["generate", "reconcile_bu", "reconcile_td", "train", "baselines_run", "sweep", "reconcile_mint", "nn_mint_run",
+        "two_seed_run", "two_seed_run_jobs_2"])
 def test_commands_load_scipy_only_where_they_use_it(inputs, argv, loads):
     code = (f"import sys; from htsreg.cli import main; code = main({argv!r}); "
             f"print([code] + [m for m in {DEFERRED!r} if m in sys.modules])")
     assert fresh(code, cwd=inputs) == repr([0] + [m for m in DEFERRED if m in loads])
 
 
-def test_reconcile_cholesky_attributes_are_scipys():
-    """The benchmark's tracer (perfbench/tracing.py) reads ``reconcile.cho_factor`` before scipy is loaded."""
-    code = ("import sys, htsreg.reconcile as r; before = 'scipy.linalg' in sys.modules; "
-            "f = getattr(r, 'cho_factor'); import scipy.linalg as la; "
-            "print([before, f is la.cho_factor, r.cho_solve is la.cho_solve, 'cho_factor' in vars(r), "
-            "hasattr(r, 'cho_nothing')])")
-    assert fresh(code) == "[False, True, True, True, False]"
+def test_reconcile_cholesky_is_its_own():
+    """The benchmark's tracer (perfbench/tracing.py) wraps ``reconcile.cho_factor``: a function of reconcile
+    itself, on numpy's LAPACK, which neither importing nor calling it turns into a scipy import."""
+    code = ("import sys, numpy as np, htsreg.reconcile as r; "
+            "c = r.cho_factor(np.array([[4.0, 2.0], [2.0, 5.0]])); x = r.cho_solve(c, np.array([8.0, 12.0])); "
+            "print([r.cho_factor.__module__, r.cho_solve.__module__, c.tolist(), x.tolist(), "
+            "[m for m in sys.modules if m.split('.')[0] == 'scipy']])")
+    assert fresh(code) == repr(["htsreg.reconcile", "htsreg.reconcile", [[2.0, 0.0], [1.0, 2.0]], [1.0, 2.0], []])
 
 
-def test_mint_reconcile_calls_the_bound_cho_factor(monkeypatch, wide_tree):
-    """A counting reconcile.cho_factor is what mint_reconcile calls, also when cho_solve is not bound yet."""
+def test_mint_reconcile_calls_the_module_cho_factor(monkeypatch, wide_tree):
+    """A counting reconcile.cho_factor is what mint_reconcile calls: once per factorization attempt."""
     rng = np.random.default_rng(4)
     a = rng.standard_normal((13, 40))
     w, base = a @ a.T / 40 + 0.1 * np.eye(13), rng.standard_normal((13, 5))
@@ -100,12 +104,10 @@ def test_mint_reconcile_calls_the_bound_cho_factor(monkeypatch, wide_tree):
         calls.append(args[0].shape)
         return real(*args, **kwargs)
 
-    monkeypatch.delitem(vars(reconcile), "cho_solve")
     monkeypatch.setattr(reconcile, "cho_factor", counting)
     got = reconcile.mint_reconcile(wide_tree, base, w)
     assert calls == [(13, 13), (9, 9)]  # W, then S' W^-1 S: the first ridge rung needs no more
     assert got.tobytes() == want.tobytes()
-    assert reconcile.cho_factor is counting
 
 
 def test_main_builds_its_parser_on_every_call(monkeypatch, tmp_path):
