@@ -8,6 +8,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from .reconcile import (
     top_down,
 )
 from .synthgen import PRESET_NAMES, PRNG_IDENTITY, generate_dataset, preset_hierarchy
-from .trainer import RegWeights, TrainConfig, TrainingDiverged, train_batch
+from .trainer import RegWeights, TrainConfig, TrainingDiverged, _is_int, train_batch
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -54,24 +55,28 @@ def _need(cond: bool, path: str, msg: str) -> None:
         raise ConfigError(f"{path}: {msg}")
 
 
+def _write_json(path: str | Path, obj: object, indent: int | None = None) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, indent=indent)
+        f.write("\n")
+
+
 # ---------------------------------------------------------------- generate
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    _need(args.seed >= 0, "--seed", f"must be >= 0, got {args.seed}")
     panel = generate_dataset(args.preset, seed=args.seed)
     out = Path(args.out)
     write_panel_csv(panel, out)
     sidecar = out.with_suffix(".json")
-    meta = {
+    _write_json(sidecar, {
         "preset": args.preset,
         "seed": args.seed,
         "prng": PRNG_IDENTITY,
         "burn_in": 50,
         "timepoints": panel.n_time,
         "train_len": panel.train_len,
-    }
-    with open(sidecar, "w", encoding="utf-8") as f:
-        json.dump(meta, f, indent=2)
-        f.write("\n")
+    }, indent=2)
     print(f"wrote {out} and {sidecar}")
     return EXIT_OK
 
@@ -94,7 +99,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     reg = RegWeights.build(h, args.lambda1, args.lambdaM)
     result = train_batch(panel, h, [reg], config)[0]
-    payload = {
+    _write_json(args.out, {
         "config": {
             "panel": args.panel,
             "hierarchy": args.hierarchy,
@@ -113,10 +118,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "reason": result.reason,
         "objective": result.objective.tolist(),
         "params": result.params.to_lists(),
-    }
-    with open(args.out, "w", encoding="utf-8") as f:
-        json.dump(payload, f)
-        f.write("\n")
+    })
     print(f"trained {result.epochs} epochs ({result.reason}); wrote {args.out}")
     return EXIT_OK
 
@@ -163,146 +165,119 @@ def cmd_reconcile(args: argparse.Namespace) -> int:
         p, gamma, w_cond = info.p_matrix, info.gamma, info.w_condition
 
     _write_wide_csv(args.out, h.node_ids, coherent)
-    diag = {
+    diag_path = args.diagnostics or str(Path(args.out).with_suffix(".diag.json"))
+    _write_json(diag_path, {
         "method": args.method,
         "sps_max_deviation": check_unbiasedness(p, s).max_deviation,
         "coherence_max_violation": check_coherence(h, coherent).max_violation,
         "gamma": gamma,
         "w_condition": w_cond,
-    }
-    diag_path = args.diagnostics or str(Path(args.out).with_suffix(".diag.json"))
-    with open(diag_path, "w", encoding="utf-8") as f:
-        json.dump(diag, f, indent=2)
-        f.write("\n")
+    }, indent=2)
     print(f"wrote {args.out} and {diag_path}")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- run / sweep
 
-_COMMON_KEYS = {"panel", "hierarchy", "standardize", "train", "trial_seeds"}
-
-
-def _load_config(path: str, keys: set[str]) -> tuple[dict, Path]:
-    """A run or sweep config (or a run manifest) whose top-level keys are all in ``keys``."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            raw = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    if isinstance(raw, dict) and "config" in raw and "artifact_version" in raw:  # manifest re-run
-        raw = raw["config"]
-    _need(isinstance(raw, dict), path, "config must be a JSON object")
-    _check_keys(raw, keys, "", "unknown config key")
-    return raw, Path(path).resolve().parent
-
-
-def _check_keys(obj: dict, known: set[str], prefix: str, what: str) -> None:
-    for key in obj:
-        _need(key in known, f"{prefix}{key}", what)
-
-
-def _panel_int(pc: dict, key: str, default: int | None) -> int | None:
-    """``panel.<key>``: a JSON integer, or the default if absent (or null where the default is)."""
-    value = pc.get(key, default)
-    _need(value is default or (isinstance(value, int) and not isinstance(value, bool)),
-          f"panel.{key}", f"must be an integer, got {value!r}")
-    return value
-
-
-def _flag(cfg: dict, key: str) -> bool:
-    """A top-level on/off option: a JSON boolean, true if absent."""
-    value = cfg.get(key, True)
-    _need(isinstance(value, bool), key, f"must be true or false, got {value!r}")
-    return value
-
-
-def _panel_from_config(cfg: dict, base_dir: Path) -> tuple[SeriesPanel, HierarchySpec]:
-    _need("panel" in cfg, "panel", "missing key")
-    pc = cfg["panel"]
-    _need(isinstance(pc, dict), "panel", "must be an object")
-    _check_keys(pc, {"preset", "csv", "seed", "train_len"}, "panel.", "unknown panel option")
-    train_len = _panel_int(pc, "train_len", None)
-    if "preset" in pc:
-        _need("csv" not in pc, "panel.csv", "a panel takes either 'preset' or 'csv', not both")
-        _need("hierarchy" not in cfg, "hierarchy", "only a csv panel takes a hierarchy file")
-        _need(pc["preset"] in PRESET_NAMES, "panel.preset", f"unknown preset; choose from {PRESET_NAMES}")
-        h = preset_hierarchy()
-        panel = generate_dataset(pc["preset"], seed=_panel_int(pc, "seed", 0))
-        if train_len is not None:
-            panel = panel.with_train_len(train_len)
-    elif "csv" in pc:
-        _need("seed" not in pc, "panel.seed", "only a preset panel takes a seed")
-        _need("hierarchy" in cfg, "hierarchy", "a csv panel needs a hierarchy file")
-        _need(isinstance(cfg["hierarchy"], str), "hierarchy", f"must be a file path, got {cfg['hierarchy']!r}")
-        _need(isinstance(pc["csv"], str), "panel.csv", f"must be a file path, got {pc['csv']!r}")
-        hier_path = base_dir / cfg["hierarchy"]
-        _need(hier_path.exists(), "hierarchy", f"file not found: {hier_path}")
-        h = load_hierarchy_json(hier_path)
-        csv_path = base_dir / pc["csv"]
-        _need(csv_path.exists(), "panel.csv", f"file not found: {csv_path}")
-        panel = load_panel_csv(csv_path, h, train_len=train_len)
-    else:
-        raise ConfigError("panel: needs either 'preset' or 'csv'")
-    if _flag(cfg, "standardize"):
-        panel, _ = standardize(panel)
-    return panel, h
-
-
-def _train_config_from(cfg: dict) -> TrainConfig:
-    tc = cfg.get("train", {})
-    _need(isinstance(tc, dict), "train", "must be an object")
-    _check_keys(tc, {"eta", "eps", "max_epochs", "activation", "lag", "bias", "hidden_dim"}, "train.",
-                "unknown training option")
-    try:
-        return TrainConfig(**tc)
-    except ValueError as exc:
-        raise ConfigError(f"train: {exc}") from exc
-
-
 def _is_number(value: object) -> bool:
     """A finite JSON number: not true or false (Python ints), nor the NaN and Infinity that json reads."""
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
-def _is_number_list(value: object) -> bool:
-    return isinstance(value, list) and all(map(_is_number, value))
+def _list_of(ok=lambda v: True, min_len: int = 0):
+    """The check of a JSON list of at least ``min_len`` items that each pass ``ok``."""
+    return lambda v: isinstance(v, list) and len(v) >= min_len and all(map(ok, v))
 
 
-# The optional fields of a method: a check of the JSON value and its wording in the error.
-_METHOD_FIELDS = {
-    "tune": (lambda v: isinstance(v, bool), "true or false"),
-    "lambda1": (_is_number, "a finite number"),
-    "lambdaM": (_is_number, "a finite number"),
-    "grid": (_is_number_list, "a list of finite numbers"),
-    "tune_grid1": (_is_number_list, "a list of finite numbers"),
-    "tune_gridM": (_is_number_list, "a list of finite numbers"),
-}
+# A config object's table: per key, its JSON check, the check's wording in the exit-2 message and, for a
+# required key, a third item True. One checker, _checked, reads every table.
+_BOOL = (lambda v: isinstance(v, bool), "true or false")
+_OBJECT = (lambda v: isinstance(v, dict), "an object")
+_PATH = (lambda v: isinstance(v, str), "a file path")
+_COMMON = {"panel": (*_OBJECT, True), "hierarchy": _PATH, "standardize": _BOOL, "train": _OBJECT,
+           "trial_seeds": (_list_of(_is_int, 1), "a nonempty list of integers", True)}
+_RUN = {**_COMMON, "methods": (_list_of(min_len=1), "a nonempty list", True), "epoch_trace": _BOOL}
+_SWEEP = {**_COMMON, "x_grid": (_list_of(_is_number, 1), "a nonempty list of finite numbers", True),
+          "modes": (_list_of(), "a list of sweep modes")}
+_PANEL = {"preset": (lambda v: isinstance(v, str), "a preset name"), "csv": _PATH, "seed": (_is_int, "an integer"),
+          "train_len": (lambda v: v is None or _is_int(v), "an integer")}
+# The train keys are TrainConfig's fields, which check their own values; trial_seeds give the seeds.
+_TRAIN = {f.name: (lambda v: True, "") for f in fields(TrainConfig) if f.name != "seed"}
+# The method keys are MethodSpec's fields, each checked in the JSON form of its annotation (None marks a field
+# that may be left out); a field without a default is required.
+_JSON_FORM = {"str": (lambda v: isinstance(v, str), "a string"), "bool": _BOOL,
+              "float": (_is_number, "a finite number"), "tuple | list": (_list_of(_is_number), "a list of finite numbers")}
+_METHOD = {f.name: (*_JSON_FORM[f.type.removesuffix(" | None")], f.default is MISSING) for f in fields(MethodSpec)}
 
 
-def _methods_from_config(cfg: dict) -> list[MethodSpec]:
-    _need("methods" in cfg and isinstance(cfg["methods"], list) and cfg["methods"],
-          "methods", "must be a nonempty list")
-    specs = []
-    for i, m in enumerate(cfg["methods"]):
-        _need(isinstance(m, dict) and "name" in m, f"methods[{i}]", "must be an object with 'name'")
-        _check_keys(m, {"name", *_METHOD_FIELDS}, f"methods[{i}].", "unknown method option")
-        for key, (ok, kind) in _METHOD_FIELDS.items():
-            if key in m:
-                _need(ok(m[key]), f"methods[{i}].{key}", f"must be {kind}, got {m[key]!r}")
+def _checked(obj: dict, table: dict, prefix: str, what: str) -> dict:
+    """``obj``, once no key is outside ``table``, each value passes its key's check and no required key is missing."""
+    for key in obj:
+        _need(key in table, f"{prefix}{key}", f"unknown {what}")
+    for key, (ok, kind, *required) in table.items():
+        if key in obj:
+            _need(ok(obj[key]), f"{prefix}{key}", f"must be {kind}, got {obj[key]!r}")
+        else:
+            _need(not any(required), f"{prefix}{key}", "missing key")
+    return obj
+
+
+def _load_config(path: str, table: dict) -> tuple[dict, list[MethodSpec], SeriesPanel, HierarchySpec, TrainConfig]:
+    """A run or sweep config (or a run manifest) checked against ``table``; its methods, panel, tree and TrainConfig."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            cfg = json.load(f)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    if isinstance(cfg, dict) and "config" in cfg and "artifact_version" in cfg:  # manifest re-run
+        cfg = cfg["config"]
+    _need(isinstance(cfg, dict), path, "config must be a JSON object")
+    _checked(cfg, table, "", "config key")
+    _checked(cfg["panel"], _PANEL, "panel.", "panel option")
+    seeds = cfg["trial_seeds"]
+    _need(len(set(seeds)) == len(seeds), "trial_seeds", "seeds must be distinct")
+    _need(min(seeds) >= 0, "trial_seeds", f"seeds must be nonnegative, got {min(seeds)}")
+    train = _checked(cfg.get("train", {}), _TRAIN, "train.", "training option")
+    try:
+        config = TrainConfig(**train)
+    except ValueError as exc:
+        raise ConfigError(f"train: {exc}") from exc
+    methods = []
+    for i, m in enumerate(cfg.get("methods", [])):
+        _need(isinstance(m, dict), f"methods[{i}]", f"must be an object with 'name', got {m!r}")
+        _checked(m, _METHOD, f"methods[{i}].", "method option")
         try:
-            specs.append(MethodSpec(**m))
+            methods.append(MethodSpec(**m))
         except ValueError as exc:
             raise ConfigError(f"methods[{i}]: {exc}") from exc
-    return specs
+    return cfg, methods, *_panel_from_config(cfg, Path(path).resolve().parent), config
 
 
-def _seeds_from_config(cfg: dict) -> list[int]:
-    seeds = cfg.get("trial_seeds")
-    _need(isinstance(seeds, list) and seeds and all(isinstance(s, int) and not isinstance(s, bool) for s in seeds),
-          "trial_seeds", "must be a nonempty list of integers")
-    _need(len(set(seeds)) == len(seeds), "trial_seeds", "seeds must be distinct")
-    return seeds
+def _panel_from_config(cfg: dict, base_dir: Path) -> tuple[SeriesPanel, HierarchySpec]:
+    """The panel and tree of a checked config: a preset, or a csv file with its hierarchy file."""
+    pc = cfg["panel"]
+    if "preset" in pc:
+        _need("csv" not in pc, "panel.csv", "a panel takes either 'preset' or 'csv', not both")
+        _need("hierarchy" not in cfg, "hierarchy", "only a csv panel takes a hierarchy file")
+        _need(pc["preset"] in PRESET_NAMES, "panel.preset", f"unknown preset; choose from {PRESET_NAMES}")
+        _need(pc.get("seed", 0) >= 0, "panel.seed", f"must be nonnegative, got {pc.get('seed')}")
+        h = preset_hierarchy()
+        panel = generate_dataset(pc["preset"], seed=pc.get("seed", 0))
+        if pc.get("train_len") is not None:
+            panel = panel.with_train_len(pc["train_len"])
+    elif "csv" in pc:
+        _need("seed" not in pc, "panel.seed", "only a preset panel takes a seed")
+        _need("hierarchy" in cfg, "hierarchy", "a csv panel needs a hierarchy file")
+        hier_path, csv_path = base_dir / cfg["hierarchy"], base_dir / pc["csv"]
+        _need(hier_path.exists(), "hierarchy", f"file not found: {hier_path}")
+        h = load_hierarchy_json(hier_path)
+        _need(csv_path.exists(), "panel.csv", f"file not found: {csv_path}")
+        panel = load_panel_csv(csv_path, h, train_len=pc.get("train_len"))
+    else:
+        raise ConfigError("panel: needs either 'preset' or 'csv'")
+    if cfg.get("standardize", True):
+        panel, _ = standardize(panel)
+    return panel, h
 
 
 def _write_table(result: BenchmarkResult, h: HierarchySpec, path: Path) -> None:
@@ -329,7 +304,7 @@ def _write_table(result: BenchmarkResult, h: HierarchySpec, path: Path) -> None:
 
 
 def _write_trials(result: BenchmarkResult, h: HierarchySpec, path: Path) -> None:
-    payload = {
+    _write_json(path, {
         "node_order": list(h.node_ids),
         "seeds": result.seeds,
         "methods": {
@@ -347,10 +322,7 @@ def _write_trials(result: BenchmarkResult, h: HierarchySpec, path: Path) -> None
             }
             for label in result.labels
         },
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f)
-        f.write("\n")
+    })
 
 
 def _write_traces(result: BenchmarkResult, path: Path) -> None:
@@ -373,16 +345,12 @@ def _slug(label: str) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg, base_dir = _load_config(args.config, _COMMON_KEYS | {"methods", "epoch_trace"})
-    panel, h = _panel_from_config(cfg, base_dir)
-    methods = _methods_from_config(cfg)
-    seeds = _seeds_from_config(cfg)
-    config = _train_config_from(cfg)
-    collect_traces = _flag(cfg, "epoch_trace")
+    cfg, methods, panel, h, config = _load_config(args.config, _RUN)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    result = run_benchmark(panel, h, methods, seeds, config, collect_traces=collect_traces, jobs=args.jobs)
+    result = run_benchmark(panel, h, methods, cfg["trial_seeds"], config,
+                           collect_traces=cfg.get("epoch_trace", True), jobs=args.jobs)
 
     _write_table(result, h, out_dir / "table.csv")
     _write_trials(result, h, out_dir / "trials.json")
@@ -392,33 +360,23 @@ def cmd_run(args: argparse.Namespace) -> int:
     for label, by_seed in result.fits.items():
         for seed, fit in by_seed.items():
             save_checkpoint(fit.params, ckpt_dir / f"{_slug(label)}_seed{seed}.json", seed=seed)
-    manifest = {
+    _write_json(out_dir / "manifest.json", {
         "artifact_version": __version__,
         "command": "run",
         "prng": PRNG_IDENTITY,
         "ci_method": "Student-t, 95% two-sided, n-1 degrees of freedom",
         "config": cfg,
-    }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2)
-        f.write("\n")
+    }, indent=2)
     print(f"wrote {out_dir}/table.csv, trials.json, epoch_trace.csv, manifest.json")
     return EXIT_OK
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg, base_dir = _load_config(args.config, _COMMON_KEYS | {"x_grid", "modes"})
-    panel, h = _panel_from_config(cfg, base_dir)
-    seeds = _seeds_from_config(cfg)
-    config = _train_config_from(cfg)
-    _need("x_grid" in cfg and _is_number_list(cfg["x_grid"]) and cfg["x_grid"],
-          "x_grid", "must be a nonempty list of finite numbers")
+    cfg, _, panel, h, config = _load_config(args.config, _SWEEP)
     xs = sorted(float(x) for x in cfg["x_grid"])
     modes = cfg.get("modes", list(SWEEP_MODES))
-    _need(isinstance(modes, list), "modes", f"must be a list of sweep modes, got {modes!r}")
-
     try:
-        curves = reg_sweep(panel, h, xs, seeds, config, modes=modes)
+        curves = reg_sweep(panel, h, xs, cfg["trial_seeds"], config, modes=modes)
     except ValueError as exc:
         raise ConfigError(f"sweep: {exc}") from exc
     with open(args.out, "w", encoding="utf-8", newline="") as f:
@@ -500,9 +458,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except TrainingDiverged as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED

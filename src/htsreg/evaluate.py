@@ -189,6 +189,13 @@ class MethodSpec:
             raise ValueError("NN+SR needs lambda1 and lambdaM (or tune=true)")
         if self.tune and not (self.tune_grid1 and self.tune_gridM):
             raise ValueError("tune_grid1 and tune_gridM must be nonempty")
+        if self.name in ("MA", "ES"):
+            for param in self.grid or ():
+                BaselineChoice(self.name, param)  # raises on a window below 1 or an alpha outside [0, 1]
+        for key, values in (("lambda1", [self.lambda1]), ("lambdaM", [self.lambdaM]),
+                            ("tune_grid1", self.tune_grid1), ("tune_gridM", self.tune_gridM)):
+            if any(v is not None and v < 0 for v in values):
+                raise ValueError(f"{key} must not be negative, got {getattr(self, key)!r}")
         for key in ("grid", "tune_grid1", "tune_gridM"):
             values = getattr(self, key)
             if values is not None and len({float(v) for v in values}) != len(values):  # 1 and 1.0 repeat

@@ -69,23 +69,20 @@ class TrainConfig:
     hidden_dim: int | None = None  # default: twice the input width
 
     def __post_init__(self) -> None:
-        for name in ("eta", "eps"):
+        for name, top in (("eta", math.inf), ("eps", 1)):  # at eps >= 1 the stopping rule stops after one epoch
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real) or not value > 0:
-                raise ValueError(f"{name} must be a positive number, got {value!r}")
-        for name in ("max_epochs", "lag", "seed"):
-            if not _is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < top:
+                raise ValueError(f"{name} must be a number in (0, {top}), got {value!r}")
+        for name, low in (("max_epochs", 0), ("lag", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not _is_int(value) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.hidden_dim is not None and not (_is_int(self.hidden_dim) and self.hidden_dim >= 1):
             raise ValueError(f"hidden_dim must be a positive integer or null, got {self.hidden_dim!r}")
         if not isinstance(self.bias, bool):
             raise ValueError(f"bias must be true or false, got {self.bias!r}")
         if self.activation not in ("sigmoid", "relu"):
             raise ValueError(f"activation must be 'sigmoid' or 'relu', got {self.activation!r}")
-        if self.max_epochs < 0:
-            raise ValueError("max_epochs must be >= 0")
-        if self.lag < 1:
-            raise ValueError("lag must be >= 1")
 
 
 @dataclass

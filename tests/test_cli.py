@@ -258,8 +258,10 @@ def test_run_rejects_bad_method(tmp_path):
 
 
 @pytest.mark.parametrize("option", [{"hidden_dim": "8"}, {"hidden_dim": 2.5}, {"hidden_dim": True},
-                                    {"bias": "no"}],
-                         ids=["hidden_dim_string", "hidden_dim_fraction", "hidden_dim_bool", "bias_string"])
+                                    {"bias": "no"}, {"eps": 2.0}, {"eps": 1.0}, {"eps": float("inf")},
+                                    {"eta": float("inf")}],
+                         ids=["hidden_dim_string", "hidden_dim_fraction", "hidden_dim_bool", "bias_string",
+                              "eps_two", "eps_one", "eps_infinity", "eta_infinity"])
 def test_run_rejects_mistyped_train_option(tmp_path, capsys, option):
     cfg = run_config(tmp_path, train={"max_epochs": 5, **option})
     out_dir = tmp_path / "o"
@@ -479,6 +481,112 @@ def test_sweep_rejects_unknown_key(tmp_path, capsys):
     assert "methods: unknown config key" in capsys.readouterr().err
 
 
+RUN_BASE = {"panel": {"preset": "NgtvC", "seed": 3}, "methods": [{"name": "MA", "grid": [1, 2]}, {"name": "NN+BU"}],
+            "train": {"max_epochs": 5}, "trial_seeds": [1, 2]}
+SWEEP_BASE = {"panel": {"preset": "NgtvC", "seed": 3}, "trial_seeds": [1], "x_grid": [0.0, 1.0],
+              "train": {"max_epochs": 2}}
+DROP = object()  # an override that removes the key
+
+
+# Per case: the command, the config (the base with overrides, or raw file text) and the whole stderr line,
+# where {cfg} is the config path and {dir} its resolved folder; an empty line means the command exits 0.
+CONFIG_LOADING = {
+    "invalid_json": ("run", "not json", "{cfg}: invalid JSON (Expecting value: line 1 column 1 (char 0))"),
+    "not_an_object": ("run", "[1, 2]", "{cfg}: config must be a JSON object"),
+    "panel_missing": ("run", {"panel": DROP}, "panel: missing key"),
+    "panel_not_an_object": ("run", {"panel": 5}, "panel: must be an object, got 5"),
+    "panel_without_source": ("run", {"panel": {"seed": 3}}, "panel: needs either 'preset' or 'csv'"),
+    "unknown_preset": ("run", {"panel": {"preset": "Nope"}},
+                       "panel.preset: unknown preset; choose from ('NgtvC', 'WeakC', 'PstvC')"),
+    "csv_without_hierarchy": ("run", {"panel": {"csv": "p.csv"}}, "hierarchy: a csv panel needs a hierarchy file"),
+    "hierarchy_file_missing": ("run", {"panel": {"csv": "p.csv"}, "hierarchy": "nope.json"},
+                               "hierarchy: file not found: {dir}/nope.json"),
+    "csv_file_missing": ("run", {"panel": {"csv": "nope.csv"}, "hierarchy": "h.json"},
+                         "panel.csv: file not found: {dir}/nope.csv"),
+    "train_not_an_object": ("run", {"train": 5}, "train: must be an object, got 5"),
+    "train_unknown_key": ("run", {"train": {"max_epochs": 5, "epochs": 5}}, "train.epochs: unknown training option"),
+    "methods_missing": ("run", {"methods": DROP}, "methods: missing key"),
+    "methods_empty": ("run", {"methods": []}, "methods: must be a nonempty list, got []"),
+    "method_not_an_object": ("run", {"methods": ["MA"]}, "methods[0]: must be an object with 'name', got 'MA'"),
+    "seeds_missing": ("run", {"trial_seeds": DROP}, "trial_seeds: missing key"),
+    "seeds_empty": ("run", {"trial_seeds": []}, "trial_seeds: must be a nonempty list of integers, got []"),
+    "seeds_not_integers": ("run", {"trial_seeds": [1, 2.5]},
+                           "trial_seeds: must be a nonempty list of integers, got [1, 2.5]"),
+    "seeds_repeated": ("run", {"trial_seeds": [1, 2, 1]}, "trial_seeds: seeds must be distinct"),
+    "sweep_invalid_json": ("sweep", "{", "{cfg}: invalid JSON (Expecting property name enclosed in double quotes: "
+                                         "line 1 column 2 (char 1))"),
+    "sweep_panel_missing": ("sweep", {"panel": DROP}, "panel: missing key"),
+    "sweep_seeds_missing": ("sweep", {"trial_seeds": DROP}, "trial_seeds: missing key"),
+    "sweep_x_grid_missing": ("sweep", {"x_grid": DROP}, "x_grid: missing key"),
+    "train_len_null": ("run", {"panel": {"preset": "NgtvC", "seed": 3, "train_len": None}}, ""),
+}
+
+
+@pytest.mark.parametrize("case", CONFIG_LOADING)
+def test_config_loading_messages(tmp_path, small_setup, capsys, case):
+    """Each exit-2 path of loading a run or sweep config prints exactly one line: the field path and the fault."""
+    command, config, message = CONFIG_LOADING[case]
+    cfg = tmp_path / "cfg.json"
+    if isinstance(config, str):
+        cfg.write_text(config)
+    else:
+        base = RUN_BASE if command == "run" else SWEEP_BASE
+        cfg.write_text(json.dumps({k: v for k, v in {**base, **config}.items() if v is not DROP}))
+    out = tmp_path / "out"
+    code = main([command, "--config", str(cfg), "--out-dir" if command == "run" else "--out", str(out)])
+    err = capsys.readouterr().err
+    if message:
+        assert (code, err) == (2, "config error: " + message.format(cfg=cfg, dir=tmp_path.resolve()) + "\n")
+        assert not out.exists()
+    else:
+        assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("run", {"panel": {"preset": "NgtvC", "seed": -1}}, "panel.seed: must be nonnegative, got -1"),
+    ("run", {"trial_seeds": [2, -1]}, "trial_seeds: seeds must be nonnegative, got -1"),
+    ("sweep", {"trial_seeds": [-3]}, "trial_seeds: seeds must be nonnegative, got -3"),
+], ids=["panel_seed", "run_trial_seed", "sweep_trial_seed"])
+def test_config_rejects_negative_seeds(tmp_path, capsys, command, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**(RUN_BASE if command == "run" else SWEEP_BASE), **config}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out-dir" if command == "run" else "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, message", [("generate", "--seed: must be >= 0, got -1"),
+                                              ("train", "seed must be an integer >= 0, got -1")])
+def test_negative_seed_flag_exits_2(tmp_path, small_setup, capsys, command, message):
+    _, hier, pcsv = small_setup
+    out = tmp_path / "out.json"
+    argv = ["--seed", "-1", "--out", str(out)]
+    assert main([command, "--preset", "NgtvC", *argv] if command == "generate" else
+                [command, "--panel", str(pcsv), "--hierarchy", str(hier), "--train-len", "20", *argv]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method, message", [
+    ({"name": "ES", "grid": [0.5, 2]}, "ES alpha must lie in [0, 1], got 2"),
+    ({"name": "MA", "grid": [0, 2]}, "MA window must be a positive integer, got 0"),
+    ({"name": "MA", "grid": [1, 2.5]}, "MA window must be a positive integer, got 2.5"),
+    ({"name": "NN+SR", "lambda1": -1, "lambdaM": 0.0}, "lambda1 must not be negative, got -1"),
+    ({"name": "NN+SR", "lambda1": 0.0, "lambdaM": -0.5}, "lambdaM must not be negative, got -0.5"),
+    ({"name": "NN+SR", "tune": True, "tune_grid1": [0.0, -1.0]}, "tune_grid1 must not be negative, got [0.0, -1.0]"),
+    ({"name": "NN+SR", "tune": True, "tune_gridM": [-2]}, "tune_gridM must not be negative, got [-2]"),
+], ids=["es_alpha", "ma_window_zero", "ma_window_fraction", "lambda1", "lambdaM", "tune_grid1", "tune_gridM"])
+def test_run_rejects_method_values_before_anything_runs(tmp_path, capsys, monkeypatch, method, message):
+    """Every value of a method is checked with the config: the message names the method, and no out-dir is made."""
+    monkeypatch.setattr("htsreg.cli.run_benchmark", _no_training)
+    out_dir = tmp_path / "o"
+    cfg = run_config(tmp_path, methods=[{"name": "NN+BU"}, method])
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"config error: methods[1]: {message}\n"
+    assert not out_dir.exists()
+
+
 def test_write_traces_matches_csv_writer(tmp_path):
     """The streamed trace rows have the bytes the csv module writes, a label that needs quoting included."""
     rng = np.random.default_rng(3)
@@ -569,10 +677,12 @@ def test_sweep_requires_zero_in_grid(tmp_path):
 def test_module_entry_point(tmp_path):
     """The package runs as python -m htsreg.cli."""
     out = tmp_path / "panel.csv"
+    src = str(Path(htsreg.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "htsreg.cli", "generate", "--preset", "NgtvC",
          "--seed", "1", "--out", str(out)],
         capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
     )
     assert proc.returncode == 0
     assert out.exists()
