@@ -88,32 +88,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     panel = load_panel_csv(args.panel, h, train_len=args.train_len)
     if not args.no_standardize:
         panel, _ = standardize(panel)
-    config = TrainConfig(
-        eta=args.eta,
-        eps=args.eps,
-        max_epochs=args.max_epochs,
-        activation=args.activation,
-        lag=args.lag,
-        seed=args.seed,
-        bias=not args.no_bias,
-    )
+    options = {key: getattr(args, key) for key in ("eta", "eps", "max_epochs", "activation", "lag", "seed")}
+    config = TrainConfig(**options, bias=not args.no_bias)
     reg = RegWeights.build(h, args.lambda1, args.lambdaM)
     result = train_batch(panel, h, [reg], config)[0]
     _write_json(args.out, {
-        "config": {
-            "panel": args.panel,
-            "hierarchy": args.hierarchy,
-            "lambda1": args.lambda1,
-            "lambdaM": args.lambdaM,
-            "eta": args.eta,
-            "eps": args.eps,
-            "max_epochs": args.max_epochs,
-            "activation": args.activation,
-            "lag": args.lag,
-            "seed": args.seed,
-            "bias": not args.no_bias,
-            "standardized": not args.no_standardize,
-        },
+        "config": {"panel": args.panel, "hierarchy": args.hierarchy, "lambda1": args.lambda1, "lambdaM": args.lambdaM,
+                   **options, "bias": not args.no_bias, "standardized": not args.no_standardize},
         "epochs": result.epochs,
         "reason": result.reason,
         "objective": result.objective.tolist(),
@@ -208,6 +189,9 @@ _TRAIN = {f.name: (lambda v: True, "") for f in fields(TrainConfig) if f.name !=
 _JSON_FORM = {"str": (lambda v: isinstance(v, str), "a string"), "bool": _BOOL,
               "float": (_is_number, "a finite number"), "tuple | list": (_list_of(_is_number), "a list of finite numbers")}
 _METHOD = {f.name: (*_JSON_FORM[f.type.removesuffix(" | None")], f.default is MISSING) for f in fields(MethodSpec)}
+# The keys besides 'name' that take effect, per method: an NN+SR has fixed weights, or tune: true and its grids.
+_METHOD_READS = {"MA": ("grid",), "ES": ("grid",), "NN+BU": (), "NN+MinT": (),
+                 "NN+SR": ("tune", "lambda1", "lambdaM"), "tuned NN+SR": ("tune", "tune_grid1", "tune_gridM")}
 
 
 def _checked(obj: dict, table: dict, prefix: str, what: str) -> dict:
@@ -250,6 +234,9 @@ def _load_config(path: str, table: dict) -> tuple[dict, list[MethodSpec], Series
             methods.append(MethodSpec(**m))
         except ValueError as exc:
             raise ConfigError(f"methods[{i}]: {exc}") from exc
+        kind = "tuned NN+SR" if methods[-1].name == "NN+SR" and methods[-1].tune else methods[-1].name
+        for key in m:
+            _need(key == "name" or key in _METHOD_READS[kind], f"methods[{i}].{key}", f"has no effect on {kind}")
     return cfg, methods, *_panel_from_config(cfg, Path(path).resolve().parent), config
 
 
@@ -263,8 +250,6 @@ def _panel_from_config(cfg: dict, base_dir: Path) -> tuple[SeriesPanel, Hierarch
         _need(pc.get("seed", 0) >= 0, "panel.seed", f"must be nonnegative, got {pc.get('seed')}")
         h = preset_hierarchy()
         panel = generate_dataset(pc["preset"], seed=pc.get("seed", 0))
-        if pc.get("train_len") is not None:
-            panel = panel.with_train_len(pc["train_len"])
     elif "csv" in pc:
         _need("seed" not in pc, "panel.seed", "only a preset panel takes a seed")
         _need("hierarchy" in cfg, "hierarchy", "a csv panel needs a hierarchy file")
@@ -272,9 +257,14 @@ def _panel_from_config(cfg: dict, base_dir: Path) -> tuple[SeriesPanel, Hierarch
         _need(hier_path.exists(), "hierarchy", f"file not found: {hier_path}")
         h = load_hierarchy_json(hier_path)
         _need(csv_path.exists(), "panel.csv", f"file not found: {csv_path}")
-        panel = load_panel_csv(csv_path, h, train_len=pc.get("train_len"))
+        panel = load_panel_csv(csv_path, h)
     else:
         raise ConfigError("panel: needs either 'preset' or 'csv'")
+    if pc.get("train_len") is not None:
+        try:
+            panel = panel.with_train_len(pc["train_len"])
+        except ValueError as exc:
+            raise ConfigError(f"panel.train_len: {exc}") from exc
     if cfg.get("standardize", True):
         panel, _ = standardize(panel)
     return panel, h

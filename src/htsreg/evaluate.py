@@ -10,7 +10,6 @@ import numpy as np
 
 from .baselines import BaselineChoice, select_param
 from .hierarchy import LEVELS, HierarchySpec, aggregate_bottom, level_means, rmse
-from .neuralnet import forward
 from .panel import Scaler, SeriesPanel, lagged_design
 from .reconcile import estimate_w_sample, mint_reconcile
 from .trainer import (
@@ -19,6 +18,7 @@ from .trainer import (
     TrainingDiverged,
     TrainResult,
     forecast_timepoints,
+    forward,
     predict_all_nodes,
     predict_bottom,
     train_all_node_batch,

@@ -1,4 +1,4 @@
-"""Two-layer feedforward network: dims, parameters, activations, forward pass."""
+"""Two-layer feedforward network: dims, parameters, initialization, activations, checkpoints."""
 
 from __future__ import annotations
 
@@ -80,16 +80,6 @@ def activation(u: np.ndarray | float, kind: str, out: np.ndarray | None = None) 
     else:
         raise ValueError(f"unknown activation kind {kind!r}")
     return res if np.ndim(u) else float(res)
-
-
-def forward(params: NetworkParams, x: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden activations z2 = f(x W2' + b2) and linear outputs u3 = z2 W3' + b3 for the rows of x.
-
-    The weights may carry a leading model axis (biases shaped (K, 1, n));
-    each model's slice then gives the same bits as a network of its own.
-    """
-    z2 = activation(x @ np.swapaxes(params.w2, -1, -2) + params.b2, kind)
-    return z2, z2 @ np.swapaxes(params.w3, -1, -2) + params.b3
 
 
 def save_checkpoint(params: NetworkParams, path: str | Path, seed: int | None = None) -> None:

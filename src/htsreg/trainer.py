@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .hierarchy import HierarchySpec, structure_matrix
-from .neuralnet import NetworkDims, NetworkParams, activation, forward, init_params
+from .neuralnet import NetworkDims, NetworkParams, activation, init_params
 from .panel import SeriesPanel, lagged_design
 
 # Models per stacked run in train_batch. Per-model epoch cost is flat up to
@@ -130,29 +130,46 @@ def _views(flat: np.ndarray, dims: NetworkDims) -> NetworkParams:
                          w3=w3.reshape((k, o, hd), copy=False), b3=b3.reshape((k, 1, o), copy=False))
 
 
+def forward(params: NetworkParams, x: np.ndarray, kind: str,
+            out: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden activations z2 = f(x W2' + b2) and linear outputs u3 = z2 W3' + b3 for the rows of x.
+
+    The weights may carry a leading model axis (biases shaped (K, 1, n));
+    each model's slice then gives the same bits as a network of its own.
+    With ``out=(z2, u3)`` the two are written to those buffers, with the
+    bits of a call without them.
+    """
+    z2, u3 = (None, None) if out is None else out
+    z2 = np.matmul(x, np.swapaxes(params.w2, -1, -2), out=z2)
+    np.add(z2, params.b2, out=z2)
+    activation(z2, kind, out=z2)
+    u3 = np.matmul(z2, np.swapaxes(params.w3, -1, -2), out=u3)
+    np.add(u3, params.b3, out=u3)
+    return z2, u3
+
+
 class _Workspace:
     """Preallocated buffers of one epoch of K stacked models on shared rows.
 
     ``theta`` and ``grad`` hold a flat row per model (see :func:`_flat`), so
     the weights come before the biases; ``net`` and ``grads`` are stacked
-    views of them, biases shaped (K, 1, n). The first ``len(yb)`` rows of
-    ``x`` are fitted; the rows after them are forwarded only, and after each
-    :meth:`loss_and_grads` their outputs are ``u3[:, len(yb):]``.
+    views of them, biases shaped (K, 1, n). The rows of ``x`` are fitted;
+    the watch rows ``xw``, if any, are only forwarded, into ``u3w``, in
+    products of their own, as BLAS can round a row differently in a
+    product with more rows.
     """
 
     def __init__(self, theta: np.ndarray, dims: NetworkDims, x: np.ndarray, yb: np.ndarray, yu: np.ndarray,
-                 H: np.ndarray, lam: np.ndarray, kind: str):
+                 H: np.ndarray, lam: np.ndarray, kind: str, xw: np.ndarray | None = None):
         k, n, hd, out, n_upper = len(theta), len(yb), dims.hidden_dim, dims.output_dim, H.shape[0]
         self.dims, self.theta, self.grad = dims, theta, np.empty_like(theta)
         self.net, self.grads = _views(theta, dims), _views(self.grad, dims)
         self.n_weights = hd * (dims.input_dim + out)
-        self.x, self.x_fit, self.yb, self.yu, self.H, self.HT, self.kind = x, x[:n], yb, yu, H, H.T, kind
-        # At some sizes a BLAS product rounds a row differently when it has more rows, so
-        # fitted and watch rows go through separate products, each with the bits of its rows alone.
-        self.row_blocks = [slice(0, n)] + ([slice(n, len(x))] if len(x) > n else [])
+        self.x, self.xw, self.yb, self.yu, self.H, self.HT, self.kind = x, xw, yb, yu, H, H.T, kind
         self.lam, self.lam2 = lam, lam * lam  # lam * lam, not lam applied twice, which rounds differently
-        self.w2T, self.w3T = np.swapaxes(self.net.w2, 1, 2), np.swapaxes(self.net.w3, 1, 2)
-        self.z2, self.u3 = np.empty((k, len(x), hd)), np.empty((k, len(x), out))
+        self.z2, self.u3 = np.empty((k, n, hd)), np.empty((k, n, out))
+        if xw is not None:
+            self.z2w, self.u3w = np.empty((k, len(xw), hd)), np.empty((k, len(xw), out))
         self.res_b, self.sq, self.fp, self.d2 = (np.empty((k, n, m)) for m in (out, out, hd, hd))
         self.res_u, self.upper = np.empty((k, n, n_upper)), np.empty((k, n, n_upper))
         self.d3 = np.empty((k, n, out)) if n_upper else self.res_b  # an empty upper block adds exact zeros
@@ -161,15 +178,10 @@ class _Workspace:
 
     def loss_and_grads(self) -> np.ndarray:
         """The objective of each model at ``theta`` (a reused buffer); its gradient goes to ``grad``."""
-        n, net, grads, z2, u3 = len(self.yb), self.net, self.grads, self.z2, self.u3
-        for rows in self.row_blocks:
-            np.matmul(self.x[rows], self.w2T, out=z2[:, rows])
-        np.add(z2, net.b2, out=z2)
-        activation(z2, self.kind, out=z2)
-        for rows in self.row_blocks:
-            np.matmul(z2[:, rows], self.w3T, out=u3[:, rows])
-        np.add(u3, net.b3, out=u3)
-        z2, u3 = z2[:, :n], u3[:, :n]
+        net, grads = self.net, self.grads
+        z2, u3 = forward(net, self.x, self.kind, out=(self.z2, self.u3))
+        if self.xw is not None:
+            forward(net, self.xw, self.kind, out=(self.z2w, self.u3w))
         np.subtract(u3, self.yb, out=self.res_b)
         np.multiply(self.res_b, self.res_b, out=self.sq)
         objective = np.add.reduce(self.sq, axis=(1, 2), out=self.objective)
@@ -195,13 +207,14 @@ class _Workspace:
         else:
             np.greater(z2, 0.0, out=self.fp)
         np.multiply(self.d2, self.fp, out=self.d2)
-        np.matmul(self.d2T, self.x_fit, out=grads.w2)
+        np.matmul(self.d2T, self.x, out=grads.w2)
         np.add.reduce(self.d2, axis=1, keepdims=True, out=grads.b2)
         return objective
 
     def keep(self, models: list[int]) -> "_Workspace":
         """A workspace of the given models only, carrying over their weights and gradients."""
-        ws = _Workspace(self.theta[models], self.dims, self.x, self.yb, self.yu, self.H, self.lam[models], self.kind)
+        ws = _Workspace(self.theta[models], self.dims, self.x, self.yb, self.yu, self.H, self.lam[models], self.kind,
+                        self.xw)
         ws.grad[...] = self.grad[models]
         return ws
 
@@ -234,7 +247,9 @@ def loss_and_grads(params: NetworkParams, x: np.ndarray, yb: np.ndarray, yu: np.
     stacked = params.w2.ndim == 3
     theta = _flat(params)
     dims = NetworkDims(params.w2.shape[-1], params.w2.shape[-2], params.w3.shape[-2])
-    ws = _Workspace(theta, dims, x, yb, yu, H, np.reshape(lam, (len(theta), 1, -1)), kind)
+    n = len(yb)
+    ws = _Workspace(theta, dims, x[:n], yb, yu, H, np.reshape(lam, (len(theta), 1, -1)), kind,
+                    x[n:] if len(x) > n else None)
     objective = ws.loss_and_grads()
     grads = NetworkParams(*(g.reshape(p.shape) for g, p in zip(ws.grads, params)))
     return (objective if stacked else objective[0]), grads
@@ -255,9 +270,9 @@ def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lams: np.
     run would raise: that of the lowest-index one.
 
     A hook, if given, scores the models after each epoch. Its input rows
-    ``hook.x`` are appended to ``x`` and forwarded with the training rows
-    by every epoch's objective evaluation, and their bottom outputs are
-    buffered, about ``TRACE_ROWS`` model-epochs at a time, then scored in
+    ``hook.x`` are the workspace's watch rows, forwarded by every epoch's
+    objective evaluation, and their bottom outputs are buffered, about
+    ``TRACE_ROWS`` model-epochs at a time, then scored in
     one call ``hook(first_epoch, forecasts)``. The forecasts are shaped
     (E, K_live, len(hook.x), |B|): E consecutive epochs of the models in the
     stack, in stack order, as a view of a reused buffer. The hook returns
@@ -265,10 +280,10 @@ def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lams: np.
     its ``epoch_eval``. A model that diverges leaves before its last epoch
     is buffered.
     """
-    eta, keep_rate, n = config.eta, 1.0 - config.eps, len(yb)
-    ws = _Workspace(_flat(NetworkParams(*(np.stack(a) for a in zip(*params)))), params[0].dims,
-                    x if hook is None else np.concatenate([x, hook.x]), yb, yu, H,
-                    np.asarray(lams, dtype=np.float64).reshape(len(params), 1, -1), config.activation)
+    eta, keep_rate = config.eta, 1.0 - config.eps
+    ws = _Workspace(_flat(NetworkParams(*(np.stack(a) for a in zip(*params)))), params[0].dims, x, yb, yu, H,
+                    np.asarray(lams, dtype=np.float64).reshape(len(params), 1, -1), config.activation,
+                    None if hook is None else hook.x)
     live = list(range(len(params)))  # original index of each stacked model
     e_prev = [np.inf] * len(params)
     objective: list[list[float]] = [[] for _ in params]
@@ -331,7 +346,7 @@ def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lams: np.
                 stopping.append(pos)
             e_prev[k] = e
         if hook is not None and bad:
-            record(epoch, ws.u3[:bad, n:])
+            record(epoch, ws.u3w[:bad])
             if stopping:
                 flush()
         for pos in stopping:

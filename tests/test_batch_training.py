@@ -22,7 +22,7 @@ from htsreg import trainer
 from htsreg.cli import main
 from htsreg.evaluate import make_epoch_hook
 from htsreg.hierarchy import aggregate_bottom, build_hierarchy, structure_matrix
-from htsreg.neuralnet import NetworkDims, NetworkParams, activation, forward, init_params
+from htsreg.neuralnet import NetworkDims, NetworkParams, activation, init_params
 from htsreg.panel import SeriesPanel, lagged_design, standardize
 from htsreg.synthgen import generate_dataset, preset_hierarchy
 from htsreg.trainer import (
@@ -30,6 +30,7 @@ from htsreg.trainer import (
     TrainConfig,
     TrainingDiverged,
     forecast_timepoints,
+    forward,
     loss_and_grads,
     predict_bottom,
     train_all_node_batch,

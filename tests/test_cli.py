@@ -519,6 +519,28 @@ CONFIG_LOADING = {
     "sweep_seeds_missing": ("sweep", {"trial_seeds": DROP}, "trial_seeds: missing key"),
     "sweep_x_grid_missing": ("sweep", {"x_grid": DROP}, "x_grid: missing key"),
     "train_len_null": ("run", {"panel": {"preset": "NgtvC", "seed": 3, "train_len": None}}, ""),
+    "train_len_negative": ("run", {"panel": {"preset": "NgtvC", "seed": 3, "train_len": -5}},
+                           "panel.train_len: train_len -5 outside [1, 99]"),
+    "train_len_past_panel": ("run", {"panel": {"preset": "NgtvC", "seed": 3, "train_len": 100}},
+                             "panel.train_len: train_len 100 outside [1, 99]"),
+    "csv_train_len_negative": ("run", {"panel": {"csv": "p.csv", "train_len": -5}, "hierarchy": "h.json"},
+                               "panel.train_len: train_len -5 outside [1, 29]"),
+    "csv_train_len_past_panel": ("run", {"panel": {"csv": "p.csv", "train_len": 30}, "hierarchy": "h.json"},
+                                 "panel.train_len: train_len 30 outside [1, 29]"),
+    "ma_reads_only_grid": ("run", {"methods": [{"name": "MA", "grid": [1, 2], "lambda1": 5, "tune": True,
+                                                "tune_grid1": [1]}]}, "methods[0].lambda1: has no effect on MA"),
+    "es_reads_only_grid": ("run", {"methods": [{"name": "ES", "grid": [0.5], "lambdaM": 3}]},
+                           "methods[0].lambdaM: has no effect on ES"),
+    "bu_takes_no_option": ("run", {"methods": [{"name": "MA"}, {"name": "NN+BU", "grid": [3]}]},
+                           "methods[1].grid: has no effect on NN+BU"),
+    "mint_takes_no_option": ("run", {"methods": [{"name": "NN+MinT", "tune": False}]},
+                             "methods[0].tune: has no effect on NN+MinT"),
+    "tuned_sr_weights": ("run", {"methods": [{"name": "NN+SR", "tune": True, "tune_grid1": [0.0], "lambda1": 1.0,
+                                              "lambdaM": 2.0}]}, "methods[0].lambda1: has no effect on tuned NN+SR"),
+    "untuned_sr_grid": ("run", {"methods": [{"name": "NN+SR", "lambda1": 0.0, "lambdaM": 2.1, "tune_gridM": [1]}]},
+                        "methods[0].tune_gridM: has no effect on NN+SR"),
+    "sr_weights_with_tune_false": ("run", {"methods": [{"name": "NN+SR", "tune": False, "lambda1": 0.0,
+                                                        "lambdaM": 2.1}], "train": {"max_epochs": 2}}, ""),
 }
 
 

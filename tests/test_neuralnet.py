@@ -2,15 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from htsreg.neuralnet import (
     NetworkDims,
+    NetworkParams,
     activation,
-    forward,
     init_params,
     load_checkpoint,
     save_checkpoint,
 )
+from htsreg.trainer import forward
 
 
 def test_init_is_deterministic():
@@ -125,6 +128,26 @@ def test_forward_is_pure():
     (za, ua), (zb, ub) = forward(p, x, "sigmoid"), forward(p, x, "sigmoid")
     assert np.array_equal(ua, ub) and np.array_equal(za, zb)
     assert all(np.array_equal(a, b) for a, b in zip(p, before))
+
+
+@settings(max_examples=80, deadline=None)
+@given(models=st.integers(0, 5), rows=st.integers(0, 40), dims=st.tuples(*[st.integers(1, 20)] * 3),
+       kind=st.sampled_from(["sigmoid", "relu"]), scale=st.sampled_from([0.1, 1.0, 30.0]), seed=st.integers(0, 2**32 - 1))
+def test_forward_into_buffers_is_bit_equal_to_a_fresh_call(models, rows, dims, kind, scale, seed):
+    """forward(..., out=(z2, u3)) writes the bits of a call without buffers, for one network (models = 0) or a stack."""
+    input_dim, hidden, output = dims
+    rng = np.random.default_rng(seed)
+    lead = (models,) if models else ()
+    draw = lambda *shape: scale * rng.standard_normal(lead + shape)
+    p = NetworkParams(w2=draw(hidden, input_dim), b2=draw(*(1,) * bool(models), hidden),
+                      w3=draw(output, hidden), b3=draw(*(1,) * bool(models), output))
+    x = scale * rng.standard_normal((rows, input_dim))
+    z2, u3 = np.full(lead + (rows, hidden), np.nan), np.full(lead + (rows, output), np.nan)
+    fresh = forward(p, x, kind)
+    got = forward(p, x, kind, out=(z2, u3))
+    assert got[0] is z2 and got[1] is u3
+    for a, b in zip(fresh, got):
+        assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def test_relu_monotone_smoke():

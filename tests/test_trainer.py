@@ -7,7 +7,7 @@ import pytest
 
 from htsreg.evaluate import DEFAULT_LAMBDA_GRID, tune_lambda
 from htsreg.hierarchy import aggregate_bottom, build_hierarchy, structure_matrix
-from htsreg.neuralnet import NetworkDims, forward, init_params
+from htsreg.neuralnet import NetworkDims, init_params
 from htsreg.panel import SeriesPanel, lagged_design, standardize
 from htsreg.synthgen import generate_dataset, preset_hierarchy
 from htsreg.trainer import (
@@ -15,6 +15,7 @@ from htsreg.trainer import (
     TrainConfig,
     TrainingDiverged,
     forecast_timepoints,
+    forward,
     loss_and_grads,
     predict_bottom,
     train_all_node_batch,
