@@ -12,4 +12,4 @@ from .evaluate import make_epoch_hook, node_report
 from .hierarchy import aggregate_bottom
 from .panel import standardize
 from .synthgen import generate_dataset, preset_hierarchy
-from .trainer import RegWeights, TrainConfig, forecast_timepoints, predict_bottom, train_batch
+from .trainer import RegWeights, TrainConfig, forecast_timepoints, predict, train_batch

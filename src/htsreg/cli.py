@@ -1,4 +1,4 @@
-"""Command-line interface: generate / train / reconcile / run / sweep."""
+"""Command-line interface: generate / reconcile / run / sweep."""
 
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from . import __version__
 from .evaluate import (
     SWEEP_MODES,
     BenchmarkResult,
+    EvalReport,
     MethodSpec,
     reg_sweep,
     run_benchmark,
@@ -38,7 +39,7 @@ from .reconcile import (
     top_down,
 )
 from .synthgen import PRESET_NAMES, PRNG_IDENTITY, generate_dataset, preset_hierarchy
-from .trainer import RegWeights, TrainConfig, TrainingDiverged, _is_int, train_batch
+from .trainer import TrainConfig, TrainingDiverged, _is_int
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -81,29 +82,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------- train
-
-def cmd_train(args: argparse.Namespace) -> int:
-    h = load_hierarchy_json(args.hierarchy)
-    panel = load_panel_csv(args.panel, h, train_len=args.train_len)
-    if not args.no_standardize:
-        panel, _ = standardize(panel)
-    options = {key: getattr(args, key) for key in ("eta", "eps", "max_epochs", "activation", "lag", "seed")}
-    config = TrainConfig(**options, bias=not args.no_bias)
-    reg = RegWeights.build(h, args.lambda1, args.lambdaM)
-    result = train_batch(panel, h, [reg], config)[0]
-    _write_json(args.out, {
-        "config": {"panel": args.panel, "hierarchy": args.hierarchy, "lambda1": args.lambda1, "lambdaM": args.lambdaM,
-                   **options, "bias": not args.no_bias, "standardized": not args.no_standardize},
-        "epochs": result.epochs,
-        "reason": result.reason,
-        "objective": result.objective.tolist(),
-        "params": result.params.to_lists(),
-    })
-    print(f"trained {result.epochs} epochs ({result.reason}); wrote {args.out}")
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------- reconcile
 
 # The reconcile options that only one method reads.
@@ -129,7 +107,12 @@ def cmd_reconcile(args: argparse.Namespace) -> int:
     elif args.method == "td":
         _need(h.root in base, "base", f"top-down needs a column for the root node {h.root}")
         _need(args.panel is not None, "--panel", "top-down needs a panel for historical proportions")
-        panel = load_panel_csv(args.panel, h, train_len=args.train_len)
+        panel = load_panel_csv(args.panel, h)
+        if args.train_len is not None:
+            try:
+                panel = panel.with_train_len(args.train_len)
+            except ValueError as exc:
+                raise ConfigError(f"--train-len: {exc}") from exc
         props = historical_proportions(panel)
         coherent = top_down(h, base[h.root], props)
         p = np.hstack([props[:, None], np.zeros((h.n_bottom, h.n_nodes - 1))])
@@ -266,7 +249,7 @@ def _panel_from_config(cfg: dict, base_dir: Path) -> tuple[SeriesPanel, Hierarch
         except ValueError as exc:
             raise ConfigError(f"panel.train_len: {exc}") from exc
     if cfg.get("standardize", True):
-        panel, _ = standardize(panel)
+        panel = standardize(panel)
     return panel, h
 
 
@@ -294,24 +277,21 @@ def _write_table(result: BenchmarkResult, h: HierarchySpec, path: Path) -> None:
 
 
 def _write_trials(result: BenchmarkResult, h: HierarchySpec, path: Path) -> None:
+    def trial(label: str, rep: EvalReport) -> dict:
+        fit = result.fits.get(label, {}).get(rep.params.get("seed"))  # None for a baseline
+        return {
+            "seed": rep.params.get("seed"),
+            "params": rep.params,
+            "per_node": {str(n): v for n, v in rep.per_node.items()},
+            **{key: rep.levels[lvl] for key, lvl in zip(("root", "mid_mean", "bottom_mean", "all_mean"), LEVELS)},
+            **({} if fit is None else {"epochs": fit.epochs, "reason": fit.reason}),
+        }
+
     _write_json(path, {
         "node_order": list(h.node_ids),
         "seeds": result.seeds,
-        "methods": {
-            label: {
-                "trials": [
-                    {
-                        "seed": rep.params.get("seed"),
-                        "params": rep.params,
-                        "per_node": {str(n): v for n, v in rep.per_node.items()},
-                        **{key: rep.levels[lvl]
-                           for key, lvl in zip(("root", "mid_mean", "bottom_mean", "all_mean"), LEVELS)},
-                    }
-                    for rep in result.reports[label]
-                ]
-            }
-            for label in result.labels
-        },
+        "methods": {label: {"trials": [trial(label, rep) for rep in result.reports[label]]}
+                    for label in result.labels},
     })
 
 
@@ -401,23 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)
-
-    t = sub.add_parser("train", help="train one structured-regularization network")
-    t.add_argument("--panel", required=True)
-    t.add_argument("--hierarchy", required=True)
-    t.add_argument("--lambda1", type=float, default=0.0)
-    t.add_argument("--lambdaM", type=float, default=0.0)
-    t.add_argument("--eta", type=float, default=TrainConfig.eta)
-    t.add_argument("--eps", type=float, default=TrainConfig.eps)
-    t.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
-    t.add_argument("--lag", type=int, default=TrainConfig.lag)
-    t.add_argument("--activation", choices=("sigmoid", "relu"), default=TrainConfig.activation)
-    t.add_argument("--seed", type=int, default=TrainConfig.seed)
-    t.add_argument("--train-len", type=int, default=None)
-    t.add_argument("--no-bias", action="store_true")
-    t.add_argument("--no-standardize", action="store_true")
-    t.add_argument("--out", required=True)
-    t.set_defaults(func=cmd_train)
 
     r = sub.add_parser("reconcile", help="turn base forecasts into coherent forecasts")
     r.add_argument("--method", required=True, choices=("bu", "td", "mint"))

@@ -10,7 +10,7 @@ import numpy as np
 
 from .baselines import BaselineChoice, select_param
 from .hierarchy import LEVELS, HierarchySpec, aggregate_bottom, level_means, rmse
-from .panel import Scaler, SeriesPanel, lagged_design
+from .panel import SeriesPanel, lagged_design
 from .reconcile import estimate_w_sample, mint_reconcile
 from .trainer import (
     RegWeights,
@@ -19,8 +19,7 @@ from .trainer import (
     TrainResult,
     forecast_timepoints,
     forward,
-    predict_all_nodes,
-    predict_bottom,
+    predict,
     train_all_node_batch,
     train_batch,
     training_timepoints,
@@ -39,15 +38,9 @@ class EvalReport:
 
 
 def node_report(h: HierarchySpec, actual: np.ndarray, forecast: np.ndarray,
-                method: str, params: dict | None = None,
-                scaler: Scaler | None = None) -> EvalReport:
-    """Score |N| x T forecast rows against actuals, optionally on the raw scale."""
-    a = np.asarray(actual, dtype=np.float64)
-    f = np.asarray(forecast, dtype=np.float64)
-    if scaler is not None:
-        a = scaler.inverse_values(a)
-        f = scaler.inverse_values(f)
-    per_node = rmse(a, f)
+                method: str, params: dict | None = None) -> EvalReport:
+    """Score |N| x T forecast rows against actuals."""
+    per_node = rmse(actual, forecast)
     return EvalReport(method=method, params=dict(params or {}), per_node=dict(zip(h.node_ids, per_node.tolist())),
                       levels=dict(zip(LEVELS, level_means(h, per_node).tolist())))
 
@@ -253,16 +246,16 @@ def _nn_trials(panel: SeriesPanel, h: HierarchySpec, config: TrainConfig,
         except TrainingDiverged as exc:
             out[sr[exc.model]], fits = exc, []
         for i, fit in zip(sr, fits):
-            out[i] = aggregate_bottom(h, predict_bottom(fit.params, panel, config, test_tps)), fit
+            out[i] = aggregate_bottom(h, predict(fit.params, panel.bottom_values, config, test_tps)), fit
     if mint:
         try:
             fits = train_all_node_batch(panel, config, [trials[i][3] for i in mint])
         except TrainingDiverged as exc:
             out[mint[exc.model]], fits = exc, []
         for i, fit in zip(mint, fits):
-            base_fit = predict_all_nodes(fit.params, panel, config, fit_tps)
+            base_fit = predict(fit.params, panel.values, config, fit_tps)
             w = estimate_w_sample(base_fit, panel.values[:, [t - 1 for t in fit_tps]])
-            out[i] = mint_reconcile(h, predict_all_nodes(fit.params, panel, config, test_tps), w), fit
+            out[i] = mint_reconcile(h, predict(fit.params, panel.values, config, test_tps), w), fit
     return out
 
 

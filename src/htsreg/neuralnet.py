@@ -1,4 +1,4 @@
-"""Two-layer feedforward network: dims, parameters, initialization, activations, checkpoints."""
+"""Two-layer feedforward network: dims, parameters, initialization, activations, the checkpoint writer."""
 
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ class NetworkParams:
         return iter((self.w2, self.b2, self.w3, self.b3))
 
     def to_lists(self) -> dict[str, list]:
-        """The arrays as nested lists keyed w2, b2, w3, b3: the JSON form of checkpoints and train records."""
+        """The arrays as nested lists keyed w2, b2, w3, b3: the JSON form of checkpoints."""
         return dict(zip(("w2", "b2", "w3", "b3"), (a.tolist() for a in self)))
 
 
@@ -93,18 +93,3 @@ def save_checkpoint(params: NetworkParams, path: str | Path, seed: int | None = 
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f)
         f.write("\n")
-
-
-def load_checkpoint(path: str | Path) -> NetworkParams:
-    with open(path, encoding="utf-8") as f:
-        payload = json.load(f)
-    params = NetworkParams(
-        w2=np.asarray(payload["w2"], dtype=np.float64),
-        b2=np.asarray(payload["b2"], dtype=np.float64),
-        w3=np.asarray(payload["w3"], dtype=np.float64),
-        b3=np.asarray(payload["b3"], dtype=np.float64),
-    )
-    d = payload["dims"]
-    if params.dims != NetworkDims(d["input_dim"], d["hidden_dim"], d["output_dim"]):
-        raise ValueError(f"{path}: checkpoint dims do not match stored arrays")
-    return params

@@ -75,26 +75,7 @@ class SeriesPanel:
         return SeriesPanel(self.node_ids, self.values, train_len, self.n_bottom)
 
 
-@dataclass(frozen=True)
-class Scaler:
-    """Per-node training-period mean and sample standard deviation."""
-
-    node_ids: tuple[int, ...]
-    mean: np.ndarray
-    sd: np.ndarray
-
-    def transform(self, panel: SeriesPanel) -> SeriesPanel:
-        if panel.node_ids != self.node_ids:
-            raise ValueError("scaler node order does not match panel")
-        vals = (panel.values - self.mean[:, None]) / self.sd[:, None]
-        return SeriesPanel(panel.node_ids, vals, panel.train_len, panel.n_bottom)
-
-    def inverse_values(self, values: np.ndarray) -> np.ndarray:
-        """Map a matrix of standardized rows, in the scaler's node order, back to the raw scale."""
-        return np.asarray(values) * self.sd[:, None] + self.mean[:, None]
-
-
-def standardize(panel: SeriesPanel) -> tuple[SeriesPanel, Scaler]:
+def standardize(panel: SeriesPanel) -> SeriesPanel:
     """Standardize every node row by its training-period mean and sd.
 
     Statistics use only t <= train_len (sample sd, denominator n-1) and are
@@ -109,8 +90,8 @@ def standardize(panel: SeriesPanel) -> tuple[SeriesPanel, Scaler]:
     for node, s in zip(panel.node_ids, sd):
         if s == 0.0:
             raise ValueError(f"node {node} has zero training variance")
-    scaler = Scaler(node_ids=panel.node_ids, mean=mean, sd=sd)
-    return scaler.transform(panel), scaler
+    vals = (panel.values - mean[:, None]) / sd[:, None]
+    return SeriesPanel(panel.node_ids, vals, panel.train_len, panel.n_bottom)
 
 
 def lagged_design(rows: np.ndarray, lag: int, timepoints: range | list[int]) -> np.ndarray:

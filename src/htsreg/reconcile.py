@@ -26,36 +26,26 @@ def cho_factor(a: np.ndarray) -> np.ndarray:
 
 
 def cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (c c') x = b for the lower Cholesky factor c: forward substitution, then back substitution.
+    """Solve (c c') x = b for the lower Cholesky factor c: a solve with c, then one with c'.
 
     ``b`` is a vector or a matrix of right-hand sides; ``ValueError`` on a
     non-finite entry of ``c`` or ``b``.
     """
     c = np.asarray(c, dtype=np.float64)
-    x = np.array(b, dtype=np.float64)  # a copy, overwritten row by row
-    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(x))):
+    b = np.asarray(b, dtype=np.float64)
+    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(b))):
         raise ValueError("Cholesky solve input contains non-finite values")
-    x2 = x.reshape(len(x), -1)
-    rows, diag = list(x2), c.diagonal().tolist()  # row views and Python floats: no indexing in the loops
-    for i, row in enumerate(rows):  # c y = b
-        row -= c[i, :i] @ x2[:i]
-        row /= diag[i]
-    for i in range(len(rows) - 1, -1, -1):  # c' x = y
-        rows[i] -= c[i + 1:, i] @ x2[i + 1:]
-        rows[i] /= diag[i]
-    return x
+    return np.linalg.solve(c.T, np.linalg.solve(c, b))
 
 
-def historical_proportions(panel: SeriesPanel, train_len: int | None = None) -> np.ndarray:
+def historical_proportions(panel: SeriesPanel) -> np.ndarray:
     """p_i = (training total of bottom node i) / (training total of the root).
 
     On a coherent raw panel the entries sum to one. On independently
     standardized data the root total is near zero and the ratios are
     meaningless; top-down disaggregation is only sensible on raw scales.
     """
-    t = panel.train_len if train_len is None else train_len
-    if not 1 <= t <= panel.n_time:
-        raise ValueError(f"train_len {t} outside [1, {panel.n_time}]")
+    t = panel.train_len
     root_total = float(panel.values[0, :t].sum())
     if root_total == 0.0:
         raise ValueError("zero root total over the training period")

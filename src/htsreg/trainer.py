@@ -435,13 +435,11 @@ def train_all_node_batch(panel: SeriesPanel, config: TrainConfig, seeds: list[in
     return _stacks((x, y, yu, np.zeros((0, panel.n_nodes)), dims), np.zeros((len(seeds), 0)), list(seeds), config)
 
 
-def predict_bottom(params: NetworkParams, panel: SeriesPanel, config: TrainConfig,
-                   timepoints: range | list[int]) -> np.ndarray:
-    """One-step bottom-level forecasts (|B| x len) from actual lagged inputs."""
-    return forward(params, lagged_design(panel.bottom_values, config.lag, timepoints), config.activation)[1].T
+def predict(params: NetworkParams, rows: np.ndarray, config: TrainConfig, timepoints: range | list[int]) -> np.ndarray:
+    """One-step forecasts (series x len) of the network whose inputs are lags of ``rows``.
 
-
-def predict_all_nodes(params: NetworkParams, panel: SeriesPanel, config: TrainConfig,
-                      timepoints: range | list[int]) -> np.ndarray:
-    """One-step all-node forecasts (|N| x len) from the all-node base network."""
-    return forward(params, lagged_design(panel.values, config.lag, timepoints), config.activation)[1].T
+    ``rows`` are the actual series the network reads, which are also the
+    series it forecasts: ``panel.bottom_values`` for a bottom-level network,
+    ``panel.values`` for an all-node base network.
+    """
+    return forward(params, lagged_design(rows, config.lag, timepoints), config.activation)[1].T

@@ -8,6 +8,8 @@ minute on two cores); everything else is fast. Run with
 
 import json
 import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -37,7 +39,7 @@ from htsreg.trainer import (
     _fit,
     TrainConfig,
     loss_and_grads,
-    predict_all_nodes,
+    predict,
     forecast_timepoints,
     train_all_node_batch,
     train_batch,
@@ -47,6 +49,7 @@ from htsreg.trainer import (
 SMALL_PARENTS = {2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 3}
 PANEL_SEED = 7
 TRIAL_SEEDS = list(range(1, 31))
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def report(number: int, description: str, passed: bool) -> None:
@@ -56,8 +59,7 @@ def report(number: int, description: str, passed: bool) -> None:
 
 @pytest.fixture(scope="module")
 def ngtvc_panel():
-    panel, _ = standardize(generate_dataset("NgtvC", seed=PANEL_SEED))
-    return panel
+    return standardize(generate_dataset("NgtvC", seed=PANEL_SEED))
 
 
 PUBLISHED = TrainConfig(eta=1e-5, eps=5e-5, max_epochs=10_000, activation="sigmoid", lag=2)
@@ -69,14 +71,17 @@ def paired_trials(ngtvc_panel):
 
     They run through the benchmark runner, which trains all 60 networks
     as one stack with the epoch-trace hook on, as ``htsreg run`` does.
+    Besides the fits by method, ``summaries`` holds the runner's trial
+    summaries, which fill the network columns of ``table.csv``.
     """
     methods = [MethodSpec(name="NN+SR", lambda1=0.0, lambdaM=2.1), MethodSpec(name="NN+BU")]
     t0 = time.perf_counter()
     result = run_benchmark(ngtvc_panel, preset_hierarchy(), methods, TRIAL_SEEDS, PUBLISHED)
     elapsed = time.perf_counter() - t0
     print(f"[paired trials] 30 seeds x 2 methods in {elapsed:.0f}s")
-    return {key: [result.fits[label][seed] for seed in TRIAL_SEEDS]
-            for key, label in (("sr", "NN+SR(0.0, 2.1)"), ("bu", "NN+BU"))}
+    return {**{key: [result.fits[label][seed] for seed in TRIAL_SEEDS]
+               for key, label in (("sr", "NN+SR(0.0, 2.1)"), ("bu", "NN+BU"))},
+            "summaries": result.summaries}
 
 
 def test_criterion_01_gradient_correctness():
@@ -152,9 +157,9 @@ def test_criterion_03_coherence(ngtvc_panel):
     cfg = TrainConfig(max_epochs=50, seed=2)
     base_run = train_all_node_batch(ngtvc_panel, cfg, [cfg.seed])[0]
     fit_tps = training_timepoints(ngtvc_panel, cfg.lag)
-    base_fit = predict_all_nodes(base_run.params, ngtvc_panel, cfg, fit_tps)
+    base_fit = predict(base_run.params, ngtvc_panel.values, cfg, fit_tps)
     w = estimate_w_sample(base_fit, ngtvc_panel.values[:, [t - 1 for t in fit_tps]])
-    base_test = predict_all_nodes(base_run.params, ngtvc_panel, cfg, forecast_timepoints(ngtvc_panel))
+    base_test = predict(base_run.params, ngtvc_panel.values, cfg, forecast_timepoints(ngtvc_panel))
     coherent, info = mint_reconcile(h, base_test, w, return_info=True)
     mint_report = check_coherence(h, coherent, tol=1e-9)
     sps = check_unbiasedness(info.p_matrix, summing_matrix(h), tol=1e-8)
@@ -242,6 +247,19 @@ def test_published_models_run_to_the_epoch_cap(paired_trials):
     fits = paired_trials["sr"] + paired_trials["bu"]
     assert len(fits) == 60
     assert {(r.reason, r.epochs, r.epoch_eval.shape) for r in fits} == {("max_epochs", 10_000, (10_000, 4))}
+
+
+def test_readme_table_matches_the_paired_trials(paired_trials):
+    """The README's NN+BU and NN+SR(0.0, 2.1) level cells: the paired trials' summaries, as table.csv writes them."""
+    rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in README.read_text(encoding="utf-8").splitlines() if line.startswith("|")]
+    header, body = rows[0], rows[2:]  # rows[1] is the |---| rule
+    table = {row[0]: dict(zip(header[1:], row[1:])) for row in body}
+    levels = {"Root": "root", "Mid-level": "mid", "Bottom-level": "bottom", "Average": "average"}
+    for label in ("NN+BU", "NN+SR(0.0, 2.1)"):
+        summary = paired_trials["summaries"][label]
+        want = {row: "{:.2f}±{:.2f}".format(*summary.levels[level]) for row, level in levels.items()}
+        assert {row: table[row][label] for row in levels} == want, label
 
 
 def test_criterion_08_baseline_identities():

@@ -32,7 +32,7 @@ from htsreg.trainer import (
     forecast_timepoints,
     forward,
     loss_and_grads,
-    predict_bottom,
+    predict,
     train_all_node_batch,
     train_batch,
 )
@@ -50,7 +50,7 @@ def std_panel(tree, seed=0, n_time=30, train_len=20):
     rng = np.random.default_rng(seed)
     bottoms = rng.standard_normal((4, n_time)).cumsum(axis=1) * 0.3 + rng.standard_normal((4, n_time))
     panel = SeriesPanel.from_values(tree, aggregate_bottom(tree, bottoms), train_len)
-    return standardize(panel)[0]
+    return standardize(panel)
 
 
 def bits(a):
@@ -245,7 +245,7 @@ def test_watch_rows_leave_training_unchanged(kind, bias):
     product over all 98 rows would round some fitted rows differently.
     """
     tree = preset_hierarchy()
-    panel = standardize(generate_dataset("WeakC", seed=2).with_train_len(60))[0]
+    panel = standardize(generate_dataset("WeakC", seed=2).with_train_len(60))
     cfg = TrainConfig(eta=1e-5, max_epochs=30, activation=kind, bias=bias)
     regs = [RegWeights.build(tree, *lam) for lam in LAMBDAS[:3]]
     hooked = train_batch(panel, tree, regs, cfg, seeds=[1, 2, 3], hook=forecast_hook([], watch_design(panel, cfg)))
@@ -346,7 +346,7 @@ def test_epoch_hook_matches_predict_bottom_formula(tree):
     actual = panel.values[:, panel.train_len:]
 
     def reference(params):
-        coherent = aggregate_bottom(tree, predict_bottom(params, panel, cfg, tps))
+        coherent = aggregate_bottom(tree, predict(params, panel.bottom_values, cfg, tps))
         per_node = np.sqrt(np.mean((actual - coherent) ** 2, axis=1))
         return [per_node[0], per_node[1:3].mean(), per_node[3:].mean(), per_node.mean()]
 
@@ -365,7 +365,7 @@ def test_epoch_hook_matches_predict_bottom_formula(tree):
         for e, k in np.ndindex(forecasts.shape[:2]):
             epoch = first_epoch + e  # the weights after this epoch, from a run stopped there
             params = train_batch(panel, tree, [regs[k]], replace(cfg, max_epochs=epoch, seed=seeds[k]))[0].params
-            assert np.array_equal(bits(forecasts[e, k]), bits(predict_bottom(params, panel, cfg, tps).T))
+            assert np.array_equal(bits(forecasts[e, k]), bits(predict(params, panel.bottom_values, cfg, tps).T))
             assert np.array_equal(bits(batch[k].epoch_eval[epoch - 1]), bits(reference(params)))
 
 

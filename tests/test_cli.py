@@ -15,9 +15,9 @@ import htsreg
 from htsreg.cli import _write_traces, main
 from htsreg.evaluate import BenchmarkResult
 from htsreg.hierarchy import LEVELS, build_hierarchy
-from htsreg.panel import load_panel_csv
+from htsreg.panel import load_panel_csv, standardize
 from htsreg.synthgen import preset_hierarchy
-from htsreg.trainer import TrainResult
+from htsreg.trainer import RegWeights, TrainConfig, TrainResult, train_batch
 
 SMALL_PARENTS = {2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 3}
 
@@ -80,44 +80,6 @@ def test_generate_rejects_unknown_preset(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["generate", "--preset", "Nope", "--out", str(tmp_path / "x.csv")])
     assert exc.value.code == 2
-
-
-def test_train_writes_run_json(tmp_path, small_setup):
-    _, hier, pcsv = small_setup
-    out = tmp_path / "run.json"
-    code = main([
-        "train", "--panel", str(pcsv), "--hierarchy", str(hier),
-        "--lambda1", "0.4", "--lambdaM", "1.5", "--max-epochs", "6",
-        "--seed", "3", "--train-len", "20", "--out", str(out),
-    ])
-    assert code == 0
-    run = json.loads(out.read_text())
-    assert run["epochs"] == 6
-    assert len(run["objective"]) == 6
-    assert run["config"]["lambdaM"] == 1.5
-    assert np.asarray(run["params"]["w2"]).shape == (16, 8)
-
-
-def test_train_divergence_exit_code(tmp_path, small_setup):
-    _, hier, pcsv = small_setup
-    with np.errstate(all="ignore"):
-        code = main([
-            "train", "--panel", str(pcsv), "--hierarchy", str(hier),
-            "--eta", "1e160", "--max-epochs", "10", "--train-len", "20",
-            "--out", str(tmp_path / "run.json"),
-        ])
-    assert code == 3
-
-
-@pytest.mark.parametrize("flag, value", [("--lambda1", "nan"), ("--lambdaM", "inf")])
-def test_train_rejects_non_finite_lambda(tmp_path, small_setup, capsys, flag, value):
-    _, hier, pcsv = small_setup
-    out = tmp_path / "run.json"
-    code = main(["train", "--panel", str(pcsv), "--hierarchy", str(hier), flag, value, "--max-epochs", "3",
-                 "--train-len", "20", "--out", str(out)])
-    assert code == 2
-    assert "regularization weights must be finite and nonnegative" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_reconcile_bottom_up(tmp_path, small_setup):
@@ -216,6 +178,40 @@ def test_run_produces_output_directory(tmp_path):
     assert table[-1].startswith("Average,")
     assert len(table) == 1 + 13 + 3  # header + nodes + three aggregate rows
     assert any(p.name.endswith("seed1.json") for p in (out_dir / "checkpoints").iterdir())
+
+
+def test_help_lists_the_four_commands_and_train_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    assert "{generate,reconcile,run,sweep}" in usage
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--panel", "p.csv", "--hierarchy", "h.json", "--out", "t.json"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'train'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("train", [{"max_epochs": 400}, {"eps": 0.01, "max_epochs": 400}], ids=["cap", "converged"])
+@pytest.mark.parametrize("epoch_trace", [True, False], ids=["trace", "no_trace"])
+def test_one_seed_run_checkpoint_equals_train_batch(tmp_path, small_setup, train, epoch_trace):
+    """A one-seed, one-method run trains the network train_batch trains: same weights, epochs and stop reason."""
+    h, hier, pcsv = small_setup
+    cfg = run_config(tmp_path, panel={"csv": pcsv.name, "train_len": 20}, hierarchy=hier.name,
+                     methods=[{"name": "NN+SR", "lambda1": 0.4, "lambdaM": 1.5}], train=train, trial_seeds=[3],
+                     epoch_trace=epoch_trace)
+    out_dir = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
+    panel = standardize(load_panel_csv(pcsv, h, train_len=20))
+    want = train_batch(panel, h, [RegWeights.build(h, 0.4, 1.5)], TrainConfig(**train, seed=3))[0]
+    ckpt, = (out_dir / "checkpoints").iterdir()
+    saved = json.loads(ckpt.read_text())
+    assert saved["seed"] == 3
+    for key, arr in zip(("w2", "b2", "w3", "b3"), want.params):
+        assert np.asarray(saved[key]).tobytes() == arr.tobytes()
+    trial, = json.loads((out_dir / "trials.json").read_text())["methods"]["NN+SR(0.4, 1.5)"]["trials"]
+    assert (trial["epochs"], trial["reason"]) == (want.epochs, want.reason)
+    assert want.reason == ("max_epochs" if "eps" not in train else "converged")
 
 
 def test_run_zero_lambda_rows_match_bottom_up(tmp_path):
@@ -348,16 +344,6 @@ def test_run_exits_3_when_the_objective_rises(tmp_path, capsys, jobs):
     assert code == 3
     assert capsys.readouterr().err.splitlines()[-1] == "training diverged: objective rose at epoch 2"
     assert not (out_dir / "table.csv").exists()
-
-
-def test_train_exits_3_when_the_objective_rises(tmp_path, small_setup, capsys):
-    _, hier, pcsv = small_setup
-    out = tmp_path / "run.json"
-    code = main(["train", "--panel", str(pcsv), "--hierarchy", str(hier), "--eta", "10", "--max-epochs", "50",
-                 "--train-len", "20", "--out", str(out)])
-    assert code == 3
-    assert "training diverged: objective rose at epoch" in capsys.readouterr().err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("field, method", [
@@ -578,14 +564,10 @@ def test_config_rejects_negative_seeds(tmp_path, capsys, command, config, messag
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, message", [("generate", "--seed: must be >= 0, got -1"),
-                                              ("train", "seed must be an integer >= 0, got -1")])
-def test_negative_seed_flag_exits_2(tmp_path, small_setup, capsys, command, message):
-    _, hier, pcsv = small_setup
-    out = tmp_path / "out.json"
-    argv = ["--seed", "-1", "--out", str(out)]
-    assert main([command, "--preset", "NgtvC", *argv] if command == "generate" else
-                [command, "--panel", str(pcsv), "--hierarchy", str(hier), "--train-len", "20", *argv]) == 2
+@pytest.mark.parametrize("command, message", [("generate", "--seed: must be >= 0, got -1")])
+def test_negative_seed_flag_exits_2(tmp_path, capsys, command, message):
+    out = tmp_path / "out.csv"
+    assert main([command, "--preset", "NgtvC", "--seed", "-1", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
@@ -782,17 +764,38 @@ def test_reconcile_rejects_options_its_method_ignores(tmp_path, small_setup, cap
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["run", "train"])
-def test_out_of_memory_exits_2_with_one_line(tmp_path, small_setup, capsys, monkeypatch, command):
-    """A configuration too large to allocate (say, a huge train.hidden_dim) ends in one line, not a traceback."""
+@pytest.mark.parametrize("train_len", ["500", "0"])
+def test_reconcile_td_names_a_train_len_outside_the_panel(tmp_path, small_setup, capsys, train_len):
     _, hier, pcsv = small_setup
+    out = tmp_path / "c.csv"
+    code = main(["reconcile", "--method", "td", "--hierarchy", str(hier), "--base", str(pcsv), "--panel", str(pcsv),
+                 "--train-len", train_len, "--out", str(out)])
+    assert (code, capsys.readouterr().err) == (2, f"config error: --train-len: train_len {train_len} outside [1, 29]\n")
+    assert not out.exists()
+
+
+def test_reconcile_td_splits_by_the_given_training_period(tmp_path, small_setup):
+    h, hier, pcsv = small_setup
+    out = tmp_path / "c.csv"
+    assert main(["reconcile", "--method", "td", "--hierarchy", str(hier), "--base", str(pcsv), "--panel", str(pcsv),
+                 "--train-len", "12", "--out", str(out)]) == 0
+    values = load_panel_csv(pcsv, h).values
+    props = values[3:, :12].sum(axis=1) / values[0, :12].sum()
+    assert np.allclose(load_panel_csv(out, h).values[3:], np.outer(props, values[0]), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command):
+    """A configuration too large to allocate (say, a huge train.hidden_dim) ends in one line, not a traceback."""
 
     def too_large(*args, **kwargs):
         raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000, 1000)")
 
-    monkeypatch.setattr(f"htsreg.cli.{'run_benchmark' if command == 'run' else 'train_batch'}", too_large)
+    monkeypatch.setattr(f"htsreg.cli.{'run_benchmark' if command == 'run' else 'reg_sweep'}", too_large)
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(SWEEP_BASE))
     argv = (["run", "--config", str(run_config(tmp_path)), "--out-dir", str(tmp_path / "o")] if command == "run" else
-            ["train", "--panel", str(pcsv), "--hierarchy", str(hier), "--out", str(tmp_path / "t.json")])
+            ["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")])
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("config error: out of memory") and "745. GiB" in err

@@ -33,7 +33,7 @@ def panel(tree):
     rng = np.random.default_rng(0)
     bottoms = rng.standard_normal((4, 40)).cumsum(axis=1) * 0.2 + rng.standard_normal((4, 40))
     raw = SeriesPanel.from_values(tree, aggregate_bottom(tree, bottoms), train_len=28)
-    return standardize(raw)[0]
+    return standardize(raw)
 
 
 # ------------------------------------------------------------- rmse
@@ -167,13 +167,13 @@ def test_sweep_modes_agree_at_zero_and_single_trial_is_raw_diff(tree, panel):
     # single trial: curves equal the raw per-seed differences of separate runs
     from dataclasses import replace
 
-    from htsreg.trainer import forecast_timepoints, predict_bottom
+    from htsreg.trainer import forecast_timepoints, predict
 
     cfg7 = replace(cfg, seed=7)
 
     def average_rmse(lam):
         result = train_batch(panel, tree, [RegWeights.build(tree, *lam)], cfg7)[0]
-        coherent = aggregate_bottom(tree, predict_bottom(result.params, panel, cfg7, forecast_timepoints(panel)))
+        coherent = aggregate_bottom(tree, predict(result.params, panel.bottom_values, cfg7, forecast_timepoints(panel)))
         return float(np.sqrt(np.mean((panel.values[:, panel.train_len:] - coherent) ** 2, axis=1)).mean())
 
     assert curves["(x,0)"]["average"][1] == average_rmse((0.4, 0.0)) - average_rmse((0.0, 0.0))
@@ -276,19 +276,3 @@ def test_baseline_forecast_matrix_alignment(tree, panel):
     row0 = ma_forecast(panel.values[0], 2)
     assert np.array_equal(mat[0], row0[panel.train_len: panel.n_time])
     assert mat.shape == (7, panel.test_len)
-
-
-def test_report_on_raw_scale_via_scaler(tree):
-    """Passing the scaler scores errors in original units."""
-    from htsreg.panel import SeriesPanel
-
-    rng = np.random.default_rng(7)
-    bottoms = rng.standard_normal((4, 30)) * 5.0 + 20.0
-    raw = SeriesPanel.from_values(tree, aggregate_bottom(tree, bottoms), train_len=20)
-    std, scaler = standardize(raw)
-    actual = std.values[:, 20:]
-    forecast = actual + 1.0  # one standardized unit of error everywhere
-    rep_std = node_report(tree, actual, forecast, "demo")
-    rep_raw = node_report(tree, actual, forecast, "demo", scaler=scaler)
-    assert rep_std.per_node[4] == pytest.approx(1.0)
-    assert rep_raw.per_node[4] == pytest.approx(scaler.sd[tree.node_ids.index(4)], rel=1e-9)

@@ -209,7 +209,7 @@ def test_coherence_violated_by_independent_standardization():
     rng = np.random.default_rng(21)
     bottoms = rng.standard_normal((9, 40)) * np.linspace(0.5, 3.0, 9)[:, None]
     raw = SeriesPanel.from_values(h, aggregate_bottom(h, bottoms), train_len=28)
-    std, _ = standardize(raw)
+    std = standardize(raw)
     report = check_coherence(h, std.values, tol=1e-9)
     assert not report.ok
     assert report.max_violation > 0.1

@@ -67,14 +67,13 @@ RECONCILE = ["reconcile", "--hierarchy", "h.json", "--base", "base.csv", "--out"
     (["generate", "--preset", "PstvC", "--seed", "2", "--out", "gen.csv"], set()),
     (RECONCILE + ["bu"], set()),
     (RECONCILE + ["td", "--panel", "panel.csv", "--train-len", "70"], set()),
-    (["train", "--panel", "panel.csv", "--hierarchy", "h.json", "--max-epochs", "3", "--out", "t.json"], set()),
     (["run", "--config", "baselines.json", "--out-dir", "run"], set()),
     (["sweep", "--config", "sweep.json", "--out", "sweep.csv"], set()),
     (RECONCILE + ["mint", "--weights", "w.csv"], set()),
     (["run", "--config", "mint.json", "--out-dir", "run"], set()),
     (["run", "--config", "two_seeds.json", "--out-dir", "run"], {"scipy", "scipy.special"}),
     (["run", "--config", "two_seeds.json", "--out-dir", "run", "--jobs", "2"], set(DEFERRED) - {"scipy.linalg"}),
-], ids=["generate", "reconcile_bu", "reconcile_td", "train", "baselines_run", "sweep", "reconcile_mint", "nn_mint_run",
+], ids=["generate", "reconcile_bu", "reconcile_td", "baselines_run", "sweep", "reconcile_mint", "nn_mint_run",
         "two_seed_run", "two_seed_run_jobs_2"])
 def test_commands_load_scipy_only_where_they_use_it(inputs, argv, loads):
     code = (f"import sys; from htsreg.cli import main; code = main({argv!r}); "

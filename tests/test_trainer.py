@@ -17,7 +17,7 @@ from htsreg.trainer import (
     forecast_timepoints,
     forward,
     loss_and_grads,
-    predict_bottom,
+    predict,
     train_all_node_batch,
     train_batch,
     training_timepoints,
@@ -259,7 +259,7 @@ def std_panel(tree, seed=0, n_time=30, train_len=20):
     rng = np.random.default_rng(seed)
     bottoms = rng.standard_normal((4, n_time)).cumsum(axis=1) * 0.3 + rng.standard_normal((4, n_time))
     panel = SeriesPanel.from_values(tree, aggregate_bottom(tree, bottoms), train_len)
-    return standardize(panel)[0]
+    return standardize(panel)
 
 
 def test_zero_epoch_budget_returns_initial_params(tree):
@@ -318,7 +318,7 @@ def test_first_update_equals_sum_of_pointwise_gradients(tree, h_matrix):
 
 def test_objective_monotone_on_preset_panel():
     """At the default step size the objective never rises before termination."""
-    panel, _ = standardize(generate_dataset("NgtvC", seed=3))
+    panel = standardize(generate_dataset("NgtvC", seed=3))
     h = preset_hierarchy()
     result = train_batch(panel, h, [RegWeights.build(h, 0.0, 2.1)], TrainConfig(max_epochs=300, seed=1))[0]
     diffs = np.diff(result.objective)
@@ -368,7 +368,7 @@ def test_predict_bottom_matches_single_forward(tree):
     cfg = TrainConfig(max_epochs=5, seed=4)
     result = train_batch(panel, tree, [RegWeights.build(tree, 0.0, 0.0)], cfg)[0]
 
-    fc = predict_bottom(result.params, panel, cfg, [10, 11])
+    fc = predict(result.params, panel.bottom_values, cfg, [10, 11])
     one = forward(result.params, lagged_design(panel.bottom_values, cfg.lag, [10]), cfg.activation)[1][0]
     assert np.allclose(fc[:, 0], one, rtol=1e-13)
 
@@ -401,7 +401,7 @@ def test_tune_lambda_matches_reevaluation_oracle(tree):
 
     def score(l1, lm):
         res = train_batch(fit_panel, tree, [RegWeights.build(tree, l1, lm)], cfg)[0]
-        coherent = aggregate_bottom(tree, predict_bottom(res.params, fit_panel, cfg, val_tps))
+        coherent = aggregate_bottom(tree, predict(res.params, fit_panel.bottom_values, cfg, val_tps))
         return float(np.mean(np.sqrt(np.mean((actual - coherent) ** 2, axis=1))))
 
     scored = {(l1, lm): score(l1, lm) for l1 in grid1 for lm in grid_m}
