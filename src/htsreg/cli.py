@@ -101,8 +101,7 @@ def cmd_reconcile(args: argparse.Namespace) -> int:
         for b in h.bottom_ids:
             _need(b in base, "base", f"bottom-up needs a column for bottom node {b}")
         coherent = aggregate_bottom(h, np.vstack([base[b] for b in h.bottom_ids]))
-        n_bottom = h.n_bottom
-        p = np.hstack([np.zeros((n_bottom, h.n_nodes - n_bottom)), np.eye(n_bottom)])
+        p = np.hstack([np.zeros((h.n_bottom, len(h.upper_ids))), np.eye(h.n_bottom)])
         gamma, w_cond = None, None
     elif args.method == "td":
         _need(h.root in base, "base", f"top-down needs a column for the root node {h.root}")
@@ -121,10 +120,7 @@ def cmd_reconcile(args: argparse.Namespace) -> int:
         for node in h.node_ids:
             _need(node in base, "base", f"mint needs a column for every node (missing {node})")
         all_base = np.vstack([base[n] for n in h.node_ids])
-        if args.weights is not None:
-            w = np.loadtxt(args.weights, delimiter=",")
-        else:
-            w = np.eye(h.n_nodes)
+        w = np.eye(h.n_nodes) if args.weights is None else np.loadtxt(args.weights, delimiter=",")
         coherent, info = mint_reconcile(h, all_base, w, return_info=True)
         p, gamma, w_cond = info.p_matrix, info.gamma, info.w_condition
 

@@ -176,14 +176,14 @@ def _write_wide_csv(path: str | Path, node_ids: tuple[int, ...], values: np.ndar
                         + [row % (t, *col) for t, col in enumerate(values.T.tolist(), start=1)]))
 
 
-def load_panel_csv(path: str | Path, h: HierarchySpec, train_len: int | None = None) -> SeriesPanel:
+def load_panel_csv(path: str | Path, h: HierarchySpec) -> SeriesPanel:
     """Read a wide CSV (column ``t`` plus one column per node id).
 
     Bottom-level columns are mandatory; missing upper-level columns are
     synthesized by aggregation, present ones are kept verbatim. Timestamps
     must be strictly increasing integers; they are validated and then
-    replaced by positions 1..T. ``train_len`` defaults to 70% of T
-    (floored, clamped to [1, T-1]).
+    replaced by positions 1..T. ``train_len`` is 70% of T (floored,
+    clamped to [1, T-1]); ``with_train_len`` sets another.
     """
     col_nodes, data = _read_wide_csv(path, h)
     for b in h.bottom_ids:
@@ -201,9 +201,7 @@ def load_panel_csv(path: str | Path, h: HierarchySpec, train_len: int | None = N
         values[r] = data[col_pos[node]] if node in col_pos else _ordered_sum(bottom, idx)
 
     n_time = values.shape[1]
-    if train_len is None:
-        train_len = min(max(int(0.7 * n_time), 1), n_time - 1)
-    return SeriesPanel.from_values(h, values, train_len)
+    return SeriesPanel.from_values(h, values, min(max(int(0.7 * n_time), 1), n_time - 1))
 
 
 def write_panel_csv(panel: SeriesPanel, path: str | Path) -> None:

@@ -116,60 +116,76 @@ def forecast_timepoints(panel: SeriesPanel) -> range:
     return range(panel.train_len + 1, panel.n_time + 1)
 
 
+def _layer1(params: NetworkParams) -> np.ndarray:
+    """[w2 | b2]: layer 1's weights with its bias as one more input column, (hd, i + 1) per model."""
+    return np.concatenate([params.w2, np.reshape(params.b2, params.w2.shape[:-1] + (1,))], axis=-1)
+
+
+def _with_ones(x: np.ndarray) -> np.ndarray:
+    """The rows of x with a ones column appended, the input of :func:`_layer1`'s weights."""
+    return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
+
+
 def _flat(params: NetworkParams) -> np.ndarray:
-    """One flat row [w2 | w3 | b2 | b3] per model of weights with a leading model axis (or of one model)."""
+    """One flat row [w2 | b2 | w3 | b3] per model (w2 | b2 as :func:`_layer1`) of stacked weights or of one model."""
     k = len(params.w2) if params.w2.ndim == 3 else 1
-    return np.concatenate([np.reshape(a, (k, -1)) for a in (params.w2, params.w3, params.b2, params.b3)], axis=1)
+    return np.concatenate([np.reshape(a, (k, -1)) for a in (_layer1(params), params.w3, params.b3)], axis=1)
 
 
-def _views(flat: np.ndarray, dims: NetworkDims) -> NetworkParams:
-    """Stacked w2, b2, w3, b3 views of flat rows (biases shaped (K, 1, n))."""
+def _views(flat: np.ndarray, dims: NetworkDims) -> tuple[np.ndarray, NetworkParams]:
+    """Stacked views of flat rows: layer 1's [w2 | b2], (K, hd, i + 1), and w2, b2, w3, b3 (biases (K, 1, n))."""
     k, i, hd, o = len(flat), dims.input_dim, dims.hidden_dim, dims.output_dim
-    w2, w3, b2, b3 = np.split(flat, np.cumsum([hd * i, o * hd, hd]), axis=1)
-    return NetworkParams(w2=w2.reshape((k, hd, i), copy=False), b2=b2.reshape((k, 1, hd), copy=False),
-                         w3=w3.reshape((k, o, hd), copy=False), b3=b3.reshape((k, 1, o), copy=False))
+    w1, w3, b3 = np.split(flat, np.cumsum([hd * (i + 1), o * hd]), axis=1)
+    w1 = w1.reshape((k, hd, i + 1), copy=False)
+    return w1, NetworkParams(w2=w1[..., :i], b2=w1[:, None, :, i], w3=w3.reshape((k, o, hd), copy=False),
+                             b3=b3.reshape((k, 1, o), copy=False))
+
+
+def _forward(w1: np.ndarray, w3: np.ndarray, b3: np.ndarray, x1: np.ndarray, kind: str,
+             out: tuple[np.ndarray | None, np.ndarray | None] = (None, None)) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`forward` on layer 1's [w2 | b2] and rows with their ones column, as training keeps them."""
+    z2 = np.matmul(x1, np.swapaxes(w1, -1, -2), out=out[0])
+    activation(z2, kind, out=z2)
+    u3 = np.matmul(z2, np.swapaxes(w3, -1, -2), out=out[1])
+    np.add(u3, b3, out=u3)
+    return z2, u3
 
 
 def forward(params: NetworkParams, x: np.ndarray, kind: str,
             out: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Hidden activations z2 = f(x W2' + b2) and linear outputs u3 = z2 W3' + b3 for the rows of x.
 
-    The weights may carry a leading model axis (biases shaped (K, 1, n));
-    each model's slice then gives the same bits as a network of its own.
-    With ``out=(z2, u3)`` the two are written to those buffers, with the
-    bits of a call without them.
+    Layer 1 is one product, [x | 1] [W2 | b2]'. The weights may carry a
+    leading model axis (biases shaped (K, 1, n)); each model's slice then
+    gives the bits of a network of its own, which are the bits training
+    computes for it. With ``out=(z2, u3)`` the two are written to those
+    buffers, with the bits of a call without them.
     """
-    z2, u3 = (None, None) if out is None else out
-    z2 = np.matmul(x, np.swapaxes(params.w2, -1, -2), out=z2)
-    np.add(z2, params.b2, out=z2)
-    activation(z2, kind, out=z2)
-    u3 = np.matmul(z2, np.swapaxes(params.w3, -1, -2), out=u3)
-    np.add(u3, params.b3, out=u3)
-    return z2, u3
+    return _forward(_layer1(params), params.w3, params.b3, _with_ones(x), kind, out or (None, None))
 
 
 class _Workspace:
     """Preallocated buffers of one epoch of K stacked models on shared rows.
 
-    ``theta`` and ``grad`` hold a flat row per model (see :func:`_flat`), so
-    the weights come before the biases; ``net`` and ``grads`` are stacked
-    views of them, biases shaped (K, 1, n). The rows of ``x`` are fitted;
-    the watch rows ``xw``, if any, are only forwarded, into ``u3w``, in
-    products of their own, as BLAS can round a row differently in a
-    product with more rows.
+    ``theta`` and ``grad`` hold a flat row per model (see :func:`_flat`);
+    ``w1``/``net`` and ``g1``/``grads`` are their stacked views (see
+    :func:`_views`). The rows ``x1`` are fitted; the watch rows ``xw1``,
+    if any, are only forwarded, into ``u3w``, in products of their own, as
+    BLAS can round a row differently in a product with more rows. Both
+    carry the ones column of :func:`_with_ones`.
     """
 
-    def __init__(self, theta: np.ndarray, dims: NetworkDims, x: np.ndarray, yb: np.ndarray, yu: np.ndarray,
-                 H: np.ndarray, lam: np.ndarray, kind: str, xw: np.ndarray | None = None):
+    def __init__(self, theta: np.ndarray, dims: NetworkDims, x1: np.ndarray, yb: np.ndarray, yu: np.ndarray,
+                 H: np.ndarray, lam: np.ndarray, kind: str, xw1: np.ndarray | None = None):
         k, n, hd, out, n_upper = len(theta), len(yb), dims.hidden_dim, dims.output_dim, H.shape[0]
         self.dims, self.theta, self.grad = dims, theta, np.empty_like(theta)
-        self.net, self.grads = _views(theta, dims), _views(self.grad, dims)
-        self.n_weights = hd * (dims.input_dim + out)
-        self.x, self.xw, self.yb, self.yu, self.H, self.HT, self.kind = x, xw, yb, yu, H, H.T, kind
+        (self.w1, self.net), (self.g1, self.grads) = _views(theta, dims), _views(self.grad, dims)
+        self.x1, self.xw1, self.yb, self.yu, self.H, self.HT, self.kind = x1, xw1, yb, yu, H, H.T, kind
+        self.ones = np.ones((1, n))
         self.lam, self.lam2 = lam, lam * lam  # lam * lam, not lam applied twice, which rounds differently
         self.z2, self.u3 = np.empty((k, n, hd)), np.empty((k, n, out))
-        if xw is not None:
-            self.z2w, self.u3w = np.empty((k, len(xw), hd)), np.empty((k, len(xw), out))
+        if xw1 is not None:
+            self.z2w, self.u3w = np.empty((k, len(xw1), hd)), np.empty((k, len(xw1), out))
         self.res_b, self.sq, self.fp, self.d2 = (np.empty((k, n, m)) for m in (out, out, hd, hd))
         self.res_u, self.upper = np.empty((k, n, n_upper)), np.empty((k, n, n_upper))
         self.d3 = np.empty((k, n, out)) if n_upper else self.res_b  # an empty upper block adds exact zeros
@@ -179,9 +195,9 @@ class _Workspace:
     def loss_and_grads(self) -> np.ndarray:
         """The objective of each model at ``theta`` (a reused buffer); its gradient goes to ``grad``."""
         net, grads = self.net, self.grads
-        z2, u3 = forward(net, self.x, self.kind, out=(self.z2, self.u3))
-        if self.xw is not None:
-            forward(net, self.xw, self.kind, out=(self.z2w, self.u3w))
+        z2, u3 = _forward(self.w1, net.w3, net.b3, self.x1, self.kind, out=(self.z2, self.u3))
+        if self.xw1 is not None:
+            _forward(self.w1, net.w3, net.b3, self.xw1, self.kind, out=(self.z2w, self.u3w))
         np.subtract(u3, self.yb, out=self.res_b)
         np.multiply(self.res_b, self.res_b, out=self.sq)
         objective = np.add.reduce(self.sq, axis=(1, 2), out=self.objective)
@@ -199,7 +215,7 @@ class _Workspace:
             np.matmul(res_u, self.H, out=self.d3)
             np.subtract(self.res_b, self.d3, out=self.d3)
         np.matmul(self.d3T, z2, out=grads.w3)
-        np.add.reduce(self.d3, axis=1, keepdims=True, out=grads.b3)
+        np.matmul(self.ones, self.d3, out=grads.b3)
         np.matmul(self.d3, net.w3, out=self.d2)
         if self.kind == "sigmoid":
             np.subtract(1.0, z2, out=self.fp)
@@ -207,23 +223,22 @@ class _Workspace:
         else:
             np.greater(z2, 0.0, out=self.fp)
         np.multiply(self.d2, self.fp, out=self.d2)
-        np.matmul(self.d2T, self.x, out=grads.w2)
-        np.add.reduce(self.d2, axis=1, keepdims=True, out=grads.b2)
+        np.matmul(self.d2T, self.x1, out=self.g1)
         return objective
 
     def keep(self, models: list[int]) -> "_Workspace":
         """A workspace of the given models only, carrying over their weights and gradients."""
-        ws = _Workspace(self.theta[models], self.dims, self.x, self.yb, self.yu, self.H, self.lam[models], self.kind,
-                        self.xw)
+        ws = _Workspace(self.theta[models], self.dims, self.x1, self.yb, self.yu, self.H, self.lam[models],
+                        self.kind, self.xw1)
         ws.grad[...] = self.grad[models]
         return ws
 
     def step(self, eta: float, bias: bool) -> None:
-        """theta -= eta * grad, scaling ``grad`` in place; without ``bias`` the biases stay as they are."""
-        cols = slice(None) if bias else slice(self.n_weights)
-        step, theta = self.grad[:, cols], self.theta[:, cols]
-        np.multiply(step, eta, out=step)
-        np.subtract(theta, step, out=theta)
+        """theta -= eta * grad, scaling ``grad`` in place; without ``bias`` the bias gradients are zeroed first."""
+        if not bias:
+            self.grads.b2[...] = self.grads.b3[...] = 0.0
+        np.multiply(self.grad, eta, out=self.grad)
+        np.subtract(self.theta, self.grad, out=self.theta)
 
 
 def loss_and_grads(params: NetworkParams, x: np.ndarray, yb: np.ndarray, yu: np.ndarray,
@@ -244,15 +259,14 @@ def loss_and_grads(params: NetworkParams, x: np.ndarray, yb: np.ndarray, yu: np.
     runs the same computation in a :class:`_Workspace` it keeps across
     epochs.
     """
-    stacked = params.w2.ndim == 3
     theta = _flat(params)
     dims = NetworkDims(params.w2.shape[-1], params.w2.shape[-2], params.w3.shape[-2])
-    n = len(yb)
-    ws = _Workspace(theta, dims, x[:n], yb, yu, H, np.reshape(lam, (len(theta), 1, -1)), kind,
-                    x[n:] if len(x) > n else None)
+    n, x1 = len(yb), _with_ones(x)
+    ws = _Workspace(theta, dims, x1[:n], yb, yu, H, np.reshape(lam, (len(theta), 1, -1)), kind,
+                    x1[n:] if len(x) > n else None)
     objective = ws.loss_and_grads()
     grads = NetworkParams(*(g.reshape(p.shape) for g, p in zip(ws.grads, params)))
-    return (objective if stacked else objective[0]), grads
+    return (objective if params.w2.ndim == 3 else objective[0]), grads
 
 
 def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lams: np.ndarray,
@@ -281,9 +295,9 @@ def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lams: np.
     is buffered.
     """
     eta, keep_rate = config.eta, 1.0 - config.eps
-    ws = _Workspace(_flat(NetworkParams(*(np.stack(a) for a in zip(*params)))), params[0].dims, x, yb, yu, H,
-                    np.asarray(lams, dtype=np.float64).reshape(len(params), 1, -1), config.activation,
-                    None if hook is None else hook.x)
+    ws = _Workspace(_flat(NetworkParams(*(np.stack(a) for a in zip(*params)))), params[0].dims, _with_ones(x), yb, yu,
+                    H, np.asarray(lams, dtype=np.float64).reshape(len(params), 1, -1), config.activation,
+                    None if hook is None else _with_ones(hook.x))
     live = list(range(len(params)))  # original index of each stacked model
     e_prev = [np.inf] * len(params)
     objective: list[list[float]] = [[] for _ in params]

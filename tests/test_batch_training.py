@@ -203,8 +203,14 @@ def test_stacked_loss_and_grads_slices_equal_single_calls(tree, k, rows, input_d
 
 
 def allocating_loss_and_grads(params, x, yb, yu, H, lam, kind):
-    """The objective and gradient as first written, one fresh array per step: the oracle of the workspace."""
-    z2 = activation(x @ np.swapaxes(params.w2, -1, -2) + params.b2, kind)
+    """The objective and gradient in the folded layout, one fresh array per step: the oracle of the workspace.
+
+    Layer 1 is [x | 1] times [w2 | b2]', so the b2 gradient comes out of the
+    w2 product, and the b3 gradient is ones @ d3.
+    """
+    x1 = np.hstack([x, np.ones((len(x), 1))])
+    w1 = np.concatenate([params.w2, np.swapaxes(params.b2, -1, -2)], axis=-1)
+    z2 = activation(x1 @ np.swapaxes(w1, -1, -2), kind)
     u3 = z2 @ np.swapaxes(params.w3, -1, -2) + params.b3
     res_b = u3 - yb
     res_u = yu - u3 @ H.T
@@ -212,8 +218,9 @@ def allocating_loss_and_grads(params, x, yb, yu, H, lam, kind):
     objective = 0.5 * (res_b * res_b).sum(axis=(-2, -1)) + 0.5 * (upper * upper).sum(axis=(-2, -1))
     d3 = res_b - (res_u * (lam * lam)) @ H
     d2 = (d3 @ params.w3) * (z2 * (1.0 - z2) if kind == "sigmoid" else z2 > 0)
-    grads = NetworkParams(w2=np.swapaxes(d2, -1, -2) @ x, b2=d2.sum(axis=-2).reshape(params.b2.shape),
-                          w3=np.swapaxes(d3, -1, -2) @ z2, b3=d3.sum(axis=-2).reshape(params.b3.shape))
+    g1 = np.swapaxes(d2, -1, -2) @ x1
+    grads = NetworkParams(w2=g1[..., :-1], b2=np.swapaxes(g1[..., -1:], -1, -2),
+                          w3=np.swapaxes(d3, -1, -2) @ z2, b3=np.ones((1, len(x))) @ d3)
     return objective, grads
 
 
@@ -254,6 +261,63 @@ def test_watch_rows_leave_training_unchanged(kind, bias):
         assert with_hook.epoch_eval.shape == (30, 1 + 40 * 9) and plain.epoch_eval is None
 
 
+@pytest.mark.parametrize("kind", ["sigmoid", "relu"])
+@pytest.mark.parametrize("rows", [1, 30, 68, 98])
+def test_every_stack_of_up_to_70_published_size_models_equals_batches_of_one(rows, kind):
+    """Stacks of the first K = 1..70 of 70 networks 18-36-9 (4 upper nodes, 30 watch rows) match batches of one.
+
+    BLAS may choose its kernel by a product's shape, which the stack size
+    and row count set; each model must still be rounded as if alone.
+    """
+    rng = np.random.default_rng(rows)
+    H = structure_matrix(preset_hierarchy())
+    x, yb, yu, watch = (rng.standard_normal(shape) for shape in ((rows, 18), (rows, 9), (rows, 4), (30, 18)))
+    lams = rng.uniform(0.0, 3.0, (70, 4))
+    cfg = TrainConfig(eta=1e-5 if kind == "sigmoid" else 1e-7, max_epochs=3, activation=kind)
+
+    def fit(k):
+        params = [init_params(NetworkDims(18, 36, 9), seed) for seed in range(k)]
+        return trainer._fit(x, yb, yu, H, lams[:k], params, cfg, forecast_hook([], watch))
+
+    singles = [trainer._fit(x, yb, yu, H, lams[m:m + 1], [init_params(NetworkDims(18, 36, 9), m)], cfg,
+                            forecast_hook([], watch))[0] for m in range(70)]
+    for k in range(1, 71):
+        for got, want in zip(fit(k), singles):
+            assert_same_result(got, want)
+            assert np.array_equal(bits(got.epoch_eval), bits(want.epoch_eval))
+
+
+BLAS_SCRIPT = """
+import hashlib, numpy as np
+from htsreg.evaluate import make_epoch_hook
+from htsreg.panel import standardize
+from htsreg.synthgen import generate_dataset, preset_hierarchy
+from htsreg.trainer import RegWeights, TrainConfig, train_all_node_batch, train_batch
+tree, panel = preset_hierarchy(), standardize(generate_dataset("NgtvC", seed=7))
+cfg = TrainConfig(max_epochs=20)
+bottom = train_batch(panel, tree, [RegWeights.build(tree, 0.0, 2.1)] * 60, cfg, seeds=range(1, 61),
+                     hook=make_epoch_hook(panel, tree, cfg))
+bases = train_all_node_batch(panel, cfg, list(range(1, 31)))
+digest = hashlib.sha256()
+for fit in bottom + bases:
+    for a in (*fit.params, fit.objective) + ((fit.epoch_eval,) if fit.epoch_eval is not None else ()):
+        digest.update(np.ascontiguousarray(a).tobytes())
+print([fit.params.w2.shape for fit in (bottom[0], bases[0])], len(bottom[0].epoch_eval), digest.hexdigest())
+"""
+
+
+def test_published_size_stacks_are_byte_identical_across_blas_threads():
+    """The 60-network 18-36-9 stack with its 30 watch rows and the 30-network 26-52-13 stack, 20 epochs each."""
+    src = str(Path(htsreg.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        outs.append(subprocess.run([sys.executable, "-c", BLAS_SCRIPT], capture_output=True, text=True, check=True,
+                                   env=env).stdout)
+    assert outs[0].startswith("[(36, 18), (52, 26)] 20 ") and outs[0] == outs[1]
+
+
 # ------------------------------------------------------------- divergence
 
 # At this step size the (0, 0) model overflows at epoch 2, the others at epoch 1.
@@ -289,30 +353,9 @@ def test_sweep_divergence_exit_code(tmp_path):
 
 # ------------------------------------------------------------- kernel pieces
 
-def masked_sigmoid(u):
-    """The sigmoid as first written: boolean-mask branches on the sign of u."""
-    arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    eu = np.exp(arr[~pos])
-    out[~pos] = eu / (1.0 + eu)
-    return out.reshape(np.shape(u))
-
-
 float64_bits = st.builds(lambda sign, exponent, mantissa: (sign << 63) | (exponent << 52) | mantissa,
                          st.integers(0, 1), st.one_of(st.just(0), st.just(2047), st.integers(0, 2047)),
                          st.one_of(st.just(0), st.just(1), st.integers(0, 2**52 - 1)))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(float64_bits, min_size=1, max_size=40))
-def test_sigmoid_is_bit_equal_to_masked_formula_on_any_bit_pattern(patterns):
-    """Zeros, subnormals, infinities and NaN payloads of either sign included."""
-    u = np.array(patterns, dtype=np.uint64).view(np.float64)
-    with np.errstate(all="ignore"):
-        assert np.array_equal(bits(activation(u, "sigmoid")), bits(masked_sigmoid(u)))
-        assert bits(np.float64(activation(float(u[0]), "sigmoid"))) == bits(masked_sigmoid(u[:1]))[0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -328,13 +371,35 @@ def test_activation_out_is_bit_equal_to_a_fresh_result(patterns, kind):
     assert np.array_equal(bits(out), bits(want)) and np.array_equal(bits(inplace), bits(want))
 
 
-def test_sigmoid_is_bit_equal_to_masked_formula():
-    special = [0.0, 1e-300, 5e-324, 0.5, 1.0, 36.7, 700.0, 709.8, 745.0, 745.2, 800.0, np.inf]
-    grid = np.array(special + [-v for v in special] + [np.nan, -np.nan])
-    grid = np.concatenate([grid, np.random.default_rng(0).standard_normal(20_000) * 30])
-    with np.errstate(all="ignore"):
-        old, new = masked_sigmoid(grid), activation(grid, "sigmoid")
-    assert np.array_equal(bits(new), bits(old))
+def sigmoid_ulps(u):
+    """The sigmoid's error at u in units in the last place of a long-double evaluation."""
+    exact = 1.0 / (1.0 + np.exp(-u.astype(np.longdouble)))
+    return np.abs(activation(u, "sigmoid").astype(np.longdouble) - exact) / np.spacing(exact.astype(np.float64))
+
+
+def test_sigmoid_is_within_3_ulp_of_long_double():
+    """Near 0 and +/-1e-300, out to +/-709.7 and +/-745, and on 40 000 random inputs."""
+    special = [0.0, 1e-300, 5e-324, 0.5, 1.0, 36.7, 700.0, 709.7, 745.0]
+    rng = np.random.default_rng(0)
+    grid = np.concatenate([special, np.negative(special), rng.standard_normal(20_000) * 30,
+                           rng.uniform(-709.7, 709.7, 20_000)])
+    assert sigmoid_ulps(grid).max() <= 3
+
+
+def test_sigmoid_flushes_to_exact_0_and_1():
+    """0 from u <= -709.79 and -inf, 1 from 745.2 and +inf, NaN from NaN, and no overflow escapes.
+
+    exp(-u) overflows below u = -709.78 inside activation; the result is
+    then exactly 0, where the true value is below 5.6e-309.
+    """
+    low = np.array([-709.79, -710.0, -745.0, -745.2, -800.0, -1e308, -np.inf])
+    high = np.array([745.2, 800.0, 1e308, np.inf])
+    with np.errstate(over="raise"):
+        assert np.array_equal(bits(activation(low, "sigmoid")), np.zeros(len(low), dtype=np.int64))
+        assert np.array_equal(activation(high, "sigmoid"), np.ones(len(high)))
+        assert activation(-709.79, "sigmoid") == 0.0 and activation(np.inf, "sigmoid") == 1.0
+        assert np.isnan(activation(np.array([np.nan, -np.nan]), "sigmoid")).all()
+    assert (1.0 / (1.0 + np.exp(-low[:5].astype(np.longdouble))) < 5.6e-309).all()
 
 
 def test_epoch_hook_matches_predict_bottom_formula(tree):

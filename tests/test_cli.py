@@ -61,7 +61,7 @@ def run_config(tmp_path, **overrides):
 def test_generate_writes_panel_and_sidecar(tmp_path):
     out = tmp_path / "panel.csv"
     assert main(["generate", "--preset", "WeakC", "--seed", "4", "--out", str(out)]) == 0
-    panel = load_panel_csv(out, preset_hierarchy(), train_len=70)
+    panel = load_panel_csv(out, preset_hierarchy()).with_train_len(70)
     assert panel.values.shape == (13, 100)
     meta = json.loads((tmp_path / "panel.json").read_text())
     assert meta["preset"] == "WeakC"
@@ -192,23 +192,29 @@ def test_help_lists_the_four_commands_and_train_is_gone(capsys):
     assert "invalid choice: 'train'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("train", [{"max_epochs": 400}, {"eps": 0.01, "max_epochs": 400}], ids=["cap", "converged"])
+@pytest.mark.parametrize("train", [{"max_epochs": 400}, {"eps": 0.01, "max_epochs": 400},
+                                   {"max_epochs": 400, "bias": False}], ids=["cap", "converged", "no_bias"])
 @pytest.mark.parametrize("epoch_trace", [True, False], ids=["trace", "no_trace"])
 def test_one_seed_run_checkpoint_equals_train_batch(tmp_path, small_setup, train, epoch_trace):
-    """A one-seed, one-method run trains the network train_batch trains: same weights, epochs and stop reason."""
+    """A one-seed, one-method run trains the network train_batch trains: same weights, epochs and stop reason.
+
+    Without bias, b2 and b3 are exactly +0 after training and in the checkpoint.
+    """
     h, hier, pcsv = small_setup
     cfg = run_config(tmp_path, panel={"csv": pcsv.name, "train_len": 20}, hierarchy=hier.name,
                      methods=[{"name": "NN+SR", "lambda1": 0.4, "lambdaM": 1.5}], train=train, trial_seeds=[3],
                      epoch_trace=epoch_trace)
     out_dir = tmp_path / "o"
     assert main(["run", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
-    panel = standardize(load_panel_csv(pcsv, h, train_len=20))
+    panel = standardize(load_panel_csv(pcsv, h).with_train_len(20))
     want = train_batch(panel, h, [RegWeights.build(h, 0.4, 1.5)], TrainConfig(**train, seed=3))[0]
     ckpt, = (out_dir / "checkpoints").iterdir()
     saved = json.loads(ckpt.read_text())
     assert saved["seed"] == 3
     for key, arr in zip(("w2", "b2", "w3", "b3"), want.params):
         assert np.asarray(saved[key]).tobytes() == arr.tobytes()
+    if not train.get("bias", True):
+        assert all(np.asarray(saved[key]).tobytes() == bytes(8 * len(saved[key])) for key in ("b2", "b3"))
     trial, = json.loads((out_dir / "trials.json").read_text())["methods"]["NN+SR(0.4, 1.5)"]["trials"]
     assert (trial["epochs"], trial["reason"]) == (want.epochs, want.reason)
     assert want.reason == ("max_epochs" if "eps" not in train else "converged")

@@ -63,7 +63,11 @@ def test_sigmoid_matches_extended_precision():
 
 
 def test_sigmoid_saturates_without_overflow():
-    """Extreme inputs never overflow exp."""
+    """Extreme inputs saturate, and no overflow escapes.
+
+    exp(-u) does overflow below u = -709.78, but inside activation, where it
+    is contained.
+    """
     with np.errstate(over="raise"):
         lo = activation(-800.0, "sigmoid")
         hi = activation(800.0, "sigmoid")

@@ -25,7 +25,7 @@ def test_load_bottom_only_synthesizes_uppers(tmp_path, small_tree):
     """A 4-bottom-column file expands to 7 rows with summed uppers."""
     path = tmp_path / "p.csv"
     write_csv(path, ["t", "4", "5", "6", "7"], [[1, 1.0, 2.0, 3.0, 4.0], [2, 2.0, 3.0, 4.0, 5.0]])
-    panel = load_panel_csv(path, small_tree, train_len=1)
+    panel = load_panel_csv(path, small_tree).with_train_len(1)
     assert panel.values.shape == (7, 2)
     assert np.array_equal(panel.values[:, 0], [10, 3, 7, 1, 2, 3, 4])
     assert np.array_equal(panel.values[:, 1], [14, 5, 9, 2, 3, 4, 5])
@@ -38,7 +38,7 @@ def test_load_full_file_is_verbatim(tmp_path, wide_tree):
     path = tmp_path / "p.csv"
     rows = [[t + 1] + [f"{v:.17g}" for v in vals[:, t]] for t in range(4)]
     write_csv(path, ["t"] + [str(n) for n in wide_tree.node_ids], rows)
-    panel = load_panel_csv(path, wide_tree, train_len=2)
+    panel = load_panel_csv(path, wide_tree).with_train_len(2)
     assert np.array_equal(panel.values, vals)
 
 
@@ -57,7 +57,7 @@ def test_load_sums_only_the_upper_columns_a_file_lacks(seed, data):
         path = Path(tmp) / "p.csv"
         write_csv(path, ["t"] + [str(c) for c in columns],
                   [[t + 1] + [f"{values[h.node_ids.index(c), t]:.17g}" for c in columns] for t in range(5)])
-        back = load_panel_csv(path, h, train_len=3)
+        back = load_panel_csv(path, h).with_train_len(3)
     want = values.copy()
     for r, node in enumerate(h.upper_ids):
         if node not in kept:
@@ -179,7 +179,7 @@ def test_write_then_load_is_bitwise(tmp_path, small_panel, small_tree):
     """Round trip through CSV preserves every float."""
     path = tmp_path / "out.csv"
     write_panel_csv(small_panel, path)
-    back = load_panel_csv(path, small_tree, train_len=small_panel.train_len)
+    back = load_panel_csv(path, small_tree).with_train_len(small_panel.train_len)
     assert np.array_equal(back.values, small_panel.values)
     assert back.node_ids == small_panel.node_ids
 
@@ -198,7 +198,7 @@ def test_write_then_load_is_bitwise_for_any_finite_values(values, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "p.csv"
         write_panel_csv(panel, path)
-        back = load_panel_csv(path, build_hierarchy(SMALL_PARENTS), train_len=panel.train_len)
+        back = load_panel_csv(path, build_hierarchy(SMALL_PARENTS)).with_train_len(panel.train_len)
     assert back.values.tobytes() == panel.values.tobytes()
     assert (back.node_ids, back.train_len, back.n_bottom) == (panel.node_ids, panel.train_len, panel.n_bottom)
 
