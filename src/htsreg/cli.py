@@ -95,14 +95,14 @@ def cmd_reconcile(args: argparse.Namespace) -> int:
     h = load_hierarchy_json(args.hierarchy)
     nodes, data = _read_wide_csv(args.base, h)  # only the columns a method needs must be present
     base = dict(zip(nodes, data))
-    s = summing_matrix(h)
+    n_upper = len(h.upper_ids)
 
+    # Each method maps the |N| x T base rows (node order; columns it does not read are zeros) to
+    # (coherent rows, gamma, cond(W_c)).
     if args.method == "bu":
         for b in h.bottom_ids:
             _need(b in base, "base", f"bottom-up needs a column for bottom node {b}")
-        coherent = aggregate_bottom(h, np.vstack([base[b] for b in h.bottom_ids]))
-        p = np.hstack([np.zeros((h.n_bottom, len(h.upper_ids))), np.eye(h.n_bottom)])
-        gamma, w_cond = None, None
+        reconcile = lambda y: (aggregate_bottom(h, y[n_upper:]), None, None)
     elif args.method == "td":
         _need(h.root in base, "base", f"top-down needs a column for the root node {h.root}")
         _need(args.panel is not None, "--panel", "top-down needs a panel for historical proportions")
@@ -113,23 +113,22 @@ def cmd_reconcile(args: argparse.Namespace) -> int:
             except ValueError as exc:
                 raise ConfigError(f"--train-len: {exc}") from exc
         props = historical_proportions(panel)
-        coherent = top_down(h, base[h.root], props)
-        p = np.hstack([props[:, None], np.zeros((h.n_bottom, h.n_nodes - 1))])
-        gamma, w_cond = None, None
+        reconcile = lambda y: (top_down(h, y[0], props), None, None)
     else:  # mint
         for node in h.node_ids:
             _need(node in base, "base", f"mint needs a column for every node (missing {node})")
-        all_base = np.vstack([base[n] for n in h.node_ids])
         w = np.eye(h.n_nodes) if args.weights is None else np.loadtxt(args.weights, delimiter=",")
-        coherent, info = mint_reconcile(h, all_base, w, return_info=True)
-        p, gamma, w_cond = info.p_matrix, info.gamma, info.w_condition
+        reconcile = lambda y: mint_reconcile(h, y, w)
 
+    coherent, gamma, w_cond = reconcile(np.vstack([base.get(n, np.zeros(data.shape[1])) for n in h.node_ids]))
+    # Every method is linear, y -> S P y, so P is the bottom block of its output on the identity.
+    p = reconcile(np.eye(h.n_nodes))[0][n_upper:]
     _write_wide_csv(args.out, h.node_ids, coherent)
     diag_path = args.diagnostics or str(Path(args.out).with_suffix(".diag.json"))
     _write_json(diag_path, {
         "method": args.method,
-        "sps_max_deviation": check_unbiasedness(p, s).max_deviation,
-        "coherence_max_violation": check_coherence(h, coherent).max_violation,
+        "sps_max_deviation": check_unbiasedness(p, summing_matrix(h)),
+        "coherence_max_violation": check_coherence(h, coherent),
         "gamma": gamma,
         "w_condition": w_cond,
     }, indent=2)

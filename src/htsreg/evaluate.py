@@ -79,7 +79,7 @@ def make_epoch_hook(panel: SeriesPanel, h: HierarchySpec, config: TrainConfig):
     ``hook.x`` holds the lagged inputs of the test period. Training forwards
     them with its own rows each epoch (see ``trainer._fit``) and calls
     ``hook(first_epoch, forecasts)`` with their bottom forecasts, shaped
-    (epochs, models, test_len, |B|). The hook returns their level means,
+    (epochs, models, test timepoints, |B|). The hook returns their level means,
     shaped (epochs, models, 4) in :data:`LEVELS` order.
     """
     actual = panel.values[:, panel.train_len:]
@@ -220,11 +220,6 @@ def _check_columns(columns: list[str]) -> None:
         first[column] = i
 
 
-def baseline_forecast_matrix(panel: SeriesPanel, choice: BaselineChoice) -> np.ndarray:
-    """Per-node one-step baseline forecasts over the test period (|N| x test_len)."""
-    return choice.forecast(panel.values)[:, panel.train_len: panel.n_time]
-
-
 def _nn_trials(panel: SeriesPanel, h: HierarchySpec, config: TrainConfig,
                trials: list[tuple[str, str, tuple[float, float], int]], collect_traces: bool) -> list:
     """Train network trials (label, kind, lam, seed): the bottom networks in one set of stacks, MinT's bases in another.
@@ -255,7 +250,7 @@ def _nn_trials(panel: SeriesPanel, h: HierarchySpec, config: TrainConfig,
         for i, fit in zip(mint, fits):
             base_fit = predict(fit.params, panel.values, config, fit_tps)
             w = estimate_w_sample(base_fit, panel.values[:, [t - 1 for t in fit_tps]])
-            out[i] = mint_reconcile(h, predict(fit.params, panel.values, config, test_tps), w), fit
+            out[i] = mint_reconcile(h, predict(fit.params, panel.values, config, test_tps), w)[0], fit
     return out
 
 
@@ -303,7 +298,7 @@ def run_benchmark(panel: SeriesPanel, h: HierarchySpec, methods: list[MethodSpec
     nn_tasks: list[tuple[str, str, tuple[float, float]]] = []
     for i, (spec, label) in enumerate(zip(methods, columns)):
         if i in choices:
-            report = node_report(h, actual, baseline_forecast_matrix(panel, choices[i]),
+            report = node_report(h, actual, choices[i].forecast(panel.values)[:, panel.train_len: panel.n_time],
                                  label, params={"param": choices[i].param})
             result.labels.append(label)
             result.reports[label] = [report]

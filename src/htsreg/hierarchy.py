@@ -45,15 +45,11 @@ class HierarchySpec:
     def n_bottom(self) -> int:
         return len(self.bottom_ids)
 
-    def children(self, node: int) -> tuple[int, ...]:
-        """Direct children of ``node``, ascending."""
-        return tuple(sorted(c for c, p in self.parent.items() if p == node))
-
     @cached_property
     def upper_rows(self) -> tuple[tuple[int, ...], ...]:
         """Positions of the bottom rows summed into each upper node (root, then mids), ascending."""
-        pos = {b: i for i, b in enumerate(self.bottom_ids)}
-        return (tuple(range(self.n_bottom)),) + tuple(tuple(pos[c] for c in self.children(m)) for m in self.mid_ids)
+        return (tuple(range(self.n_bottom)),) + tuple(
+            tuple(i for i, b in enumerate(self.bottom_ids) if self.parent[b] == m) for m in self.mid_ids)
 
     @cached_property
     def level_rows(self) -> tuple[range, range, range]:
@@ -149,32 +145,26 @@ def aggregate_bottom(h: HierarchySpec, y_bottom: np.ndarray) -> np.ndarray:
     """Expand a bottom-level matrix (|B| x T) to the full panel (|N| x T).
 
     Each upper row is the sum of its descendant bottom rows; bottom rows
-    are copied verbatim. A 1-D input is treated as a single timepoint and
-    returned 1-D. Leading axes (a stack of matrices) are kept, and each
-    matrix gets the bits of a call on it alone.
+    are copied verbatim. Leading axes (a stack of matrices) are kept, and
+    each matrix gets the bits of a call on it alone.
     """
     yb = np.asarray(y_bottom)
-    squeeze = yb.ndim == 1
-    if squeeze:
-        yb = yb[:, None]
     if yb.ndim < 2 or yb.shape[-2] != h.n_bottom:
-        raise ValueError(
-            f"expected {h.n_bottom} bottom rows, got array of shape {np.shape(y_bottom)}"
-        )
+        raise ValueError(f"expected {h.n_bottom} bottom rows, got array of shape {yb.shape}")
     if yb.shape[-1] < 1:
         raise ValueError("need at least one column")
     out = np.empty(yb.shape[:-2] + (h.n_nodes, yb.shape[-1]), dtype=yb.dtype)
     for r, idx in enumerate(h.upper_rows):
         out[..., r, :] = _ordered_sum(yb, idx)
     out[..., len(h.upper_ids):, :] = yb
-    return out[:, 0] if squeeze else out
+    return out
 
 
-def rmse(actual: np.ndarray, forecast: np.ndarray) -> np.ndarray | float:
+def rmse(actual: np.ndarray, forecast: np.ndarray) -> np.ndarray:
     """Root-mean-squared error along the last (time) axis.
 
-    Two rows give a float; matrices give one value per row, each with the
-    bits of the call on that row pair alone. The forecast may carry
+    Matrices give one value per row, each with the bits of the call on
+    that row pair alone; two rows give a 0-d array. The forecast may carry
     leading axes that ``actual`` lacks (a stack of forecast matrices).
     """
     a = np.asarray(actual, dtype=np.float64)
@@ -183,8 +173,7 @@ def rmse(actual: np.ndarray, forecast: np.ndarray) -> np.ndarray | float:
         raise ValueError(f"actual {a.shape} and forecast {f.shape} must be equal-shape nonempty rows or matrices")
     err = a - f
     err *= err  # squared in place: one temporary, not two
-    out = np.sqrt(np.mean(err, axis=-1))
-    return float(out) if f.ndim == 1 else out
+    return np.sqrt(np.mean(err, axis=-1))
 
 
 def level_means(h: HierarchySpec, per_node: np.ndarray) -> np.ndarray:
@@ -198,42 +187,17 @@ def level_means(h: HierarchySpec, per_node: np.ndarray) -> np.ndarray:
     return np.stack([v[..., r.start: r.stop].mean(axis=-1) for r in rows], axis=-1)
 
 
-@dataclass(frozen=True)
-class CoherenceReport:
-    """Max aggregation-constraint violation per upper node."""
+def check_coherence(h: HierarchySpec, panel: np.ndarray) -> float:
+    """Largest violation max |y_kt - sum of descendant bottom rows| of the aggregation constraint.
 
-    violations: dict[int, float]
-    flagged: tuple[int, ...]
-    tol: float
-
-    @property
-    def max_violation(self) -> float:
-        return max(self.violations.values())
-
-    @property
-    def ok(self) -> bool:
-        return not self.flagged
-
-
-def check_coherence(h: HierarchySpec, panel: np.ndarray, tol: float = 0.0) -> CoherenceReport:
-    """Measure how far a full panel strays from the aggregation constraint.
-
-    ``panel`` is an |N| x T matrix in canonical node order. For each upper
-    node the report carries max_t |y_kt - sum of descendant bottom rows|,
-    with the sum taken by :func:`aggregate_bottom`, so its output checks
-    out at tol = 0 exactly.
+    ``panel`` is an |N| x T matrix in canonical node order. The sums are
+    taken by :func:`aggregate_bottom`, so its output gives exactly 0.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
     vals = np.asarray(panel)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    if vals.shape[0] != h.n_nodes:
-        raise ValueError(f"expected {h.n_nodes} rows, got {vals.shape[0]}")
-    sums = aggregate_bottom(h, vals[len(h.upper_ids):])
-    violations = {node: float(np.max(np.abs(vals[r] - sums[r]))) for r, node in enumerate(h.upper_ids)}
-    flagged = tuple(n for n, v in violations.items() if v > tol)
-    return CoherenceReport(violations=violations, flagged=flagged, tol=tol)
+    if vals.ndim != 2 or vals.shape[0] != h.n_nodes:
+        raise ValueError(f"expected {h.n_nodes} x T panel, got array of shape {vals.shape}")
+    n_upper = len(h.upper_ids)
+    return float(np.max(np.abs(vals[:n_upper] - aggregate_bottom(h, vals[n_upper:])[:n_upper])))
 
 
 def load_hierarchy_json(path: str | Path) -> HierarchySpec:

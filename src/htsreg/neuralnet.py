@@ -52,7 +52,7 @@ def init_params(dims: NetworkDims, seed: int, bias: bool = True) -> NetworkParam
     return NetworkParams(w2=w2, b2=b2, w3=w3, b3=b3)
 
 
-def activation(u: np.ndarray | float, kind: str, out: np.ndarray | None = None) -> np.ndarray | float:
+def activation(u: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise sigmoid or rectifier, written to ``out`` if given (which may be ``u`` itself).
 
     The sigmoid is 1 / (1 + exp(-u)), four passes in place with one exp,
@@ -60,18 +60,17 @@ def activation(u: np.ndarray | float, kind: str, out: np.ndarray | None = None) 
     overflows to inf, which is contained here, and the result is exactly 0
     (the true value is below 5.6e-309).
     """
-    arr = np.asarray(u, dtype=np.float64)
-    res = np.empty_like(arr) if out is None else out
+    res = np.empty_like(u) if out is None else out
     if kind == "sigmoid":
         with np.errstate(over="ignore"):
-            np.exp(np.negative(arr, out=res), out=res)
+            np.exp(np.negative(u, out=res), out=res)
         np.add(res, 1.0, out=res)
         np.divide(1.0, res, out=res)
     elif kind == "relu":
-        np.maximum(arr, 0.0, out=res)
+        np.maximum(u, 0.0, out=res)
     else:
         raise ValueError(f"unknown activation kind {kind!r}")
-    return res if np.ndim(u) else float(res)
+    return res
 
 
 def save_checkpoint(params: NetworkParams, path: str | Path, seed: int | None = None) -> None:

@@ -64,15 +64,16 @@ class SeriesPanel:
         return self.values.shape[1]
 
     @property
-    def test_len(self) -> int:
-        return self.n_time - self.train_len
-
-    @property
     def bottom_values(self) -> np.ndarray:
         return self.values[self.n_nodes - self.n_bottom:]
 
     def with_train_len(self, train_len: int) -> "SeriesPanel":
         return SeriesPanel(self.node_ids, self.values, train_len, self.n_bottom)
+
+
+def default_train_len(n_time: int) -> int:
+    """The training length of a panel of ``n_time`` points unless one is set: 70% of it, floored, in [1, n_time - 1]."""
+    return min(max(int(0.7 * n_time), 1), n_time - 1)
 
 
 def standardize(panel: SeriesPanel) -> SeriesPanel:
@@ -182,8 +183,8 @@ def load_panel_csv(path: str | Path, h: HierarchySpec) -> SeriesPanel:
     Bottom-level columns are mandatory; missing upper-level columns are
     synthesized by aggregation, present ones are kept verbatim. Timestamps
     must be strictly increasing integers; they are validated and then
-    replaced by positions 1..T. ``train_len`` is 70% of T (floored,
-    clamped to [1, T-1]); ``with_train_len`` sets another.
+    replaced by positions 1..T. ``train_len`` is :func:`default_train_len`
+    of T; ``with_train_len`` sets another.
     """
     col_nodes, data = _read_wide_csv(path, h)
     for b in h.bottom_ids:
@@ -200,8 +201,7 @@ def load_panel_csv(path: str | Path, h: HierarchySpec) -> SeriesPanel:
         # Only the upper rows the file lacks are summed, in aggregate_bottom's order.
         values[r] = data[col_pos[node]] if node in col_pos else _ordered_sum(bottom, idx)
 
-    n_time = values.shape[1]
-    return SeriesPanel.from_values(h, values, min(max(int(0.7 * n_time), 1), n_time - 1))
+    return SeriesPanel.from_values(h, values, default_train_len(values.shape[1]))
 
 
 def write_panel_csv(panel: SeriesPanel, path: str | Path) -> None:

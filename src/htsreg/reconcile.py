@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .hierarchy import HierarchySpec, aggregate_bottom, summing_matrix
@@ -81,18 +79,8 @@ def estimate_w_sample(base: np.ndarray, actual: np.ndarray) -> np.ndarray:
     return (centered @ centered.T) / k
 
 
-@dataclass(frozen=True)
-class MintInfo:
-    """Diagnostics of one trace-minimization solve."""
-
-    p_matrix: np.ndarray  # |B| x |N| reconciliation matrix
-    gamma: float          # ridge factor that made the factorization succeed
-    w_condition: float    # 2-norm condition estimate of the conditioned W
-
-
-def mint_reconcile(h: HierarchySpec, base_all: np.ndarray, w: np.ndarray,
-                   return_info: bool = False) -> np.ndarray | tuple[np.ndarray, MintInfo]:
-    """Trace-minimizing reconciliation  y~ = S (S' W^-1 S)^-1 S' W^-1 y^.
+def mint_reconcile(h: HierarchySpec, base_all: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Trace-minimizing reconciliation  y~ = S (S' W^-1 S)^-1 S' W^-1 y^ of the |N| x T base forecasts.
 
     ``w`` must be symmetric to 1e-12 of its largest entry, since the
     factorization reads one triangle. It is conditioned with a ridge of
@@ -100,13 +88,12 @@ def mint_reconcile(h: HierarchySpec, base_all: np.ndarray, w: np.ndarray,
     gamma tenfold from 1e-8 to 1e-2; solves go through Cholesky
     factorizations, never an explicit inverse.
     Scaling w by a positive constant leaves the output unchanged.
+    Returns the coherent forecasts, the gamma that made the factorization
+    succeed and the 2-norm condition number of the conditioned W.
     """
     base = np.asarray(base_all, dtype=np.float64)
-    squeeze = base.ndim == 1
-    if squeeze:
-        base = base[:, None]
-    if base.shape[0] != h.n_nodes:
-        raise ValueError(f"expected {h.n_nodes} base-forecast rows, got {base.shape[0]}")
+    if base.ndim != 2 or base.shape[0] != h.n_nodes:
+        raise ValueError(f"expected {h.n_nodes} base-forecast rows, got array of shape {base.shape}")
     if not np.all(np.isfinite(base)):
         raise ValueError("base forecasts contain non-finite values")
     w = np.asarray(w, dtype=np.float64)
@@ -140,27 +127,11 @@ def mint_reconcile(h: HierarchySpec, base_all: np.ndarray, w: np.ndarray,
         coherent = aggregate_bottom(h, bottom)
     if not np.all(np.isfinite(coherent)):
         raise ValueError("reconciled forecasts overflow; rescale W or the base forecasts")
-    if squeeze:
-        coherent = coherent[:, 0]
-    if not return_info:
-        return coherent
-    info = MintInfo(
-        p_matrix=cho_solve(ca, winv_s.T),
-        gamma=gamma,
-        w_condition=float(np.linalg.cond(w_c)),
-    )
-    return coherent, info
+    return coherent, gamma, float(np.linalg.cond(w_c))
 
 
-@dataclass(frozen=True)
-class UnbiasednessCheck:
-    max_deviation: float
-    within_tol: bool
-
-
-def check_unbiasedness(p_matrix: np.ndarray, s_matrix: np.ndarray, tol: float = 1e-8) -> UnbiasednessCheck:
+def check_unbiasedness(p_matrix: np.ndarray, s_matrix: np.ndarray) -> float:
     """Largest entry of |S P S - S|; zero for any unbiasedness-preserving P."""
     s = np.asarray(s_matrix, dtype=np.float64)
     p = np.asarray(p_matrix, dtype=np.float64)
-    dev = float(np.max(np.abs(s @ p @ s - s)))
-    return UnbiasednessCheck(max_deviation=dev, within_tol=dev <= tol)
+    return float(np.max(np.abs(s @ p @ s - s)))

@@ -7,13 +7,13 @@ weakly, or positively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .hierarchy import HierarchySpec, aggregate_bottom, build_hierarchy
-from .panel import SeriesPanel
+from .panel import SeriesPanel, default_train_len
 
 PRNG_IDENTITY = (
     "numpy PCG64 seeded via SeedSequence(seed, spawn_key=(role, node)); "
@@ -107,12 +107,11 @@ def _ar1_path(phi: float, shocks: np.ndarray) -> np.ndarray:
     return path
 
 
-def generate_factors(params: SynthParams, h: HierarchySpec, *, keep_burn_in: bool = False) -> np.ndarray:
+def generate_factors(params: SynthParams, h: HierarchySpec) -> np.ndarray:
     """AR(1) common-factor paths, one row per upper node of ``h`` (root, then mids).
 
-    Paths start from zero, run for burn_in + t_total steps, and by default
-    the burn-in prefix is discarded. ``keep_burn_in=True`` returns the full
-    paths, as required by :func:`generate_bottom`.
+    Paths start from zero and run for burn_in + t_total steps; the burn-in
+    prefix is kept, as :func:`generate_bottom` reads it.
     """
     n_steps = params.burn_in + params.t_total
     rows = []
@@ -120,16 +119,14 @@ def generate_factors(params: SynthParams, h: HierarchySpec, *, keep_burn_in: boo
         rng = _node_stream(params.seed, _FACTOR_ROLE, node)
         shocks = params.sigma[node] * rng.standard_normal(n_steps)
         rows.append(_ar1_path(params.phi[node], shocks))
-    psi = np.vstack(rows)
-    return psi if keep_burn_in else psi[:, params.burn_in:]
+    return np.vstack(rows)
 
 
 def generate_bottom(params: SynthParams, psi: np.ndarray, h: HierarchySpec) -> np.ndarray:
     """Bottom-level series driven by the root factor, their mid's factor, and AR noise.
 
-    ``psi`` holds the factor paths of :func:`generate_factors` with
-    ``keep_burn_in=True``: row 0 drives every bottom node, row r the
-    children of mid r. The burn-in prefix of the output is discarded.
+    ``psi`` holds the factor paths of :func:`generate_factors`: row 0
+    drives every bottom node, row r the children of mid r. The burn-in prefix of the output is discarded.
     Rows follow ``h.bottom_ids``.
     """
     n_steps = params.burn_in + params.t_total
@@ -151,33 +148,12 @@ def generate_bottom(params: SynthParams, psi: np.ndarray, h: HierarchySpec) -> n
     return out
 
 
-def generate_dataset(
-    preset: str | SynthParams,
-    h: HierarchySpec | None = None,
-    seed: int | None = None,
-) -> SeriesPanel:
-    """Generate a full coherent panel from a preset name or custom params.
+def generate_dataset(preset: str, seed: int = 0) -> SeriesPanel:
+    """Generate the full coherent panel of a named preset on its 13-node tree.
 
-    Named presets are tied to the canonical 13-node tree; passing a
-    different hierarchy is an error. Upper-level rows come from exact
-    aggregation, so the raw panel is coherent at tol = 0. Output is
-    byte-identical for identical (preset, seed).
+    Upper-level rows come from exact aggregation, so the raw panel is
+    coherent to the bit. Output is byte-identical for identical (preset, seed).
     """
-    if isinstance(preset, str):
-        params = preset_params(preset, seed=0 if seed is None else seed)
-        tree = preset_hierarchy()
-        if h is not None and h != tree:
-            raise ValueError(f"preset {preset!r} requires its canonical 13-node hierarchy")
-        h = tree
-    else:
-        params = preset if seed is None else replace(preset, seed=seed)
-        if h is None:
-            raise ValueError("custom SynthParams require an explicit hierarchy")
-    for node in h.node_ids:
-        if node not in params.phi or node not in params.sigma:
-            raise ValueError(f"phi/sigma missing for node {node}")
-
-    y_bottom = generate_bottom(params, generate_factors(params, h, keep_burn_in=True), h)
-    values = aggregate_bottom(h, y_bottom)
-    train_len = min(max(int(round(0.7 * params.t_total)), 1), params.t_total - 1)
-    return SeriesPanel.from_values(h, values, train_len)
+    params, h = preset_params(preset, seed=seed), preset_hierarchy()
+    values = aggregate_bottom(h, generate_bottom(params, generate_factors(params, h), h))
+    return SeriesPanel.from_values(h, values, default_train_len(params.t_total))

@@ -151,17 +151,15 @@ def _forward(w1: np.ndarray, w3: np.ndarray, b3: np.ndarray, x1: np.ndarray, kin
     return z2, u3
 
 
-def forward(params: NetworkParams, x: np.ndarray, kind: str,
-            out: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
+def forward(params: NetworkParams, x: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """Hidden activations z2 = f(x W2' + b2) and linear outputs u3 = z2 W3' + b3 for the rows of x.
 
     Layer 1 is one product, [x | 1] [W2 | b2]'. The weights may carry a
     leading model axis (biases shaped (K, 1, n)); each model's slice then
     gives the bits of a network of its own, which are the bits training
-    computes for it. With ``out=(z2, u3)`` the two are written to those
-    buffers, with the bits of a call without them.
+    computes for it.
     """
-    return _forward(_layer1(params), params.w3, params.b3, _with_ones(x), kind, out or (None, None))
+    return _forward(_layer1(params), params.w3, params.b3, _with_ones(x), kind)
 
 
 class _Workspace:

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -74,6 +75,23 @@ def test_generate_is_reproducible(tmp_path):
     main(["generate", "--preset", "PstvC", "--seed", "9", "--out", str(a)])
     main(["generate", "--preset", "PstvC", "--seed", "9", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+# SHA-256 of the CSV that `htsreg generate --preset <name> --seed 7` writes, recorded before generate_dataset
+# lost its custom-parameter branch; a rewrite of the generator must keep these bytes.
+GENERATE_SEED7_SHA256 = {
+    "NgtvC": "370111632b49b18a01bb04f7845e78ea575705e579520ce88752cb35d22a6b5a",
+    "WeakC": "f28c7b47f474089db4618142accf4cc3e7bd3368dee730170fb12d770135dfe2",
+    "PstvC": "21ce50989acc6b904657065617e958e754f6b206ba47bd152513ddb3ef55ebde",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(GENERATE_SEED7_SHA256))
+def test_generate_bytes_are_pinned(tmp_path, preset):
+    out = tmp_path / "panel.csv"
+    assert main(["generate", "--preset", preset, "--seed", "7", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GENERATE_SEED7_SHA256[preset]
+    assert json.loads((tmp_path / "panel.json").read_text())["train_len"] == 70
 
 
 def test_generate_rejects_unknown_preset(tmp_path):
@@ -155,6 +173,40 @@ def test_reconcile_mint_identity_weights(tmp_path, small_setup):
     assert diag["sps_max_deviation"] < 1e-8
     assert diag["coherence_max_violation"] < 1e-9
     assert diag["gamma"] == 1e-8
+
+
+# S of SMALL_PARENTS, written out: rows 1..7, columns the bottom nodes 4..7.
+SMALL_S = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [0, 0, 1, 1]] + np.eye(4).tolist(), dtype=float)
+
+
+def test_reconcile_top_down_diagnostics(tmp_path, small_setup):
+    """td's sps_max_deviation is max|S P S - S| with P = [props | 0], and it is biased: the value is > 0."""
+    _, hier, pcsv = small_setup
+    diag_path = tmp_path / "d.json"
+    assert main(["reconcile", "--method", "td", "--hierarchy", str(hier), "--base", str(pcsv), "--panel", str(pcsv),
+                 "--train-len", "20", "--out", str(tmp_path / "c.csv"), "--diagnostics", str(diag_path)]) == 0
+    values = np.ascontiguousarray(np.loadtxt(pcsv, delimiter=",", skiprows=1)[:, 1:].T)  # rows sum as the panel's do
+    props = values[3:, :20].sum(axis=1) / values[0, :20].sum()
+    p = np.hstack([props[:, None], np.zeros((4, 6))])
+    diag = json.loads(diag_path.read_text())
+    assert diag["sps_max_deviation"] == float(np.max(np.abs(SMALL_S @ p @ SMALL_S - SMALL_S))) > 0
+    assert diag["coherence_max_violation"] == 0.0
+    assert diag["gamma"] is None and diag["w_condition"] is None
+
+
+def test_reconcile_mint_weights_diagnostics(tmp_path, small_setup):
+    """With --weights, w_condition is cond(W + gamma * mean(diag W) I) at the reported gamma."""
+    _, hier, pcsv = small_setup
+    a = np.random.default_rng(3).standard_normal((7, 12))
+    w = a @ a.T / 12
+    w_csv, diag_path = tmp_path / "w.csv", tmp_path / "d.json"
+    np.savetxt(w_csv, w, fmt="%.17g", delimiter=",")
+    assert main(["reconcile", "--method", "mint", "--hierarchy", str(hier), "--base", str(pcsv), "--weights",
+                 str(w_csv), "--out", str(tmp_path / "c.csv"), "--diagnostics", str(diag_path)]) == 0
+    diag = json.loads(diag_path.read_text())
+    assert diag["gamma"] == 1e-8
+    assert diag["w_condition"] == np.linalg.cond(w + diag["gamma"] * float(np.mean(np.diag(w))) * np.eye(7))
+    assert diag["sps_max_deviation"] < 1e-8 and diag["coherence_max_violation"] < 1e-9
 
 
 def test_reconcile_top_down_needs_panel(tmp_path, small_setup):

@@ -7,7 +7,6 @@ import pytest
 
 from htsreg.evaluate import (
     MethodSpec,
-    baseline_forecast_matrix,
     make_epoch_hook,
     node_report,
     reg_sweep,
@@ -269,10 +268,11 @@ def test_benchmark_rejects_duplicate_seeds(tree, panel):
 
 
 def test_baseline_forecast_matrix_alignment(tree, panel):
-    """Baseline test forecasts line up with per-row forecast vectors."""
-    from htsreg.baselines import BaselineChoice, ma_forecast
+    """A baseline's report scores the test slice of each row's forecast vector."""
+    from htsreg.baselines import ma_forecast
 
-    mat = baseline_forecast_matrix(panel, BaselineChoice("MA", 2))
-    row0 = ma_forecast(panel.values[0], 2)
-    assert np.array_equal(mat[0], row0[panel.train_len: panel.n_time])
-    assert mat.shape == (7, panel.test_len)
+    result = run_benchmark(panel, tree, [MethodSpec(name="MA", grid=[2])], [1], TrainConfig(max_epochs=1))
+    report = result.reports["MA(2)"][0]
+    t, n = panel.train_len, panel.n_time
+    for node, row in zip(tree.node_ids, panel.values):
+        assert report.per_node[node] == float(rmse(row[t:], ma_forecast(row, 2)[t:n]))

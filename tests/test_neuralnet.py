@@ -14,7 +14,7 @@ from htsreg.neuralnet import (
     init_params,
     save_checkpoint,
 )
-from htsreg.trainer import forward
+from htsreg.trainer import _forward, _layer1, _with_ones, forward
 
 
 def test_init_is_deterministic():
@@ -47,19 +47,18 @@ def test_dims_reject_zero_hidden():
 
 
 def test_sigmoid_at_zero():
-    assert activation(0.0, "sigmoid") == 0.5
+    assert activation(np.zeros(1), "sigmoid")[0] == 0.5
 
 
 def test_relu_values():
-    assert activation(-3.0, "relu") == 0.0
-    assert activation(3.0, "relu") == 3.0
+    assert np.array_equal(activation(np.array([-3.0, 3.0]), "relu"), [0.0, 3.0])
 
 
 def test_sigmoid_matches_extended_precision():
     """At +/-40 the guarded form agrees with a long-double evaluation."""
     for u in (-40.0, 40.0):
         expected = float(1.0 / (1.0 + np.exp(np.longdouble(-u))))
-        assert activation(u, "sigmoid") == pytest.approx(expected, rel=1e-15)
+        assert activation(np.array([u]), "sigmoid")[0] == pytest.approx(expected, rel=1e-15)
 
 
 def test_sigmoid_saturates_without_overflow():
@@ -69,15 +68,14 @@ def test_sigmoid_saturates_without_overflow():
     is contained.
     """
     with np.errstate(over="raise"):
-        lo = activation(-800.0, "sigmoid")
-        hi = activation(800.0, "sigmoid")
+        lo, hi = activation(np.array([-800.0, 800.0]), "sigmoid")
     assert lo == 0.0
     assert hi == 1.0
 
 
 def test_unknown_activation_rejected():
     with pytest.raises(ValueError, match="unknown activation"):
-        activation(1.0, "tanh")
+        activation(np.ones(1), "tanh")
 
 
 def test_forward_zero_params():
@@ -139,7 +137,8 @@ def test_forward_is_pure():
 @given(models=st.integers(0, 5), rows=st.integers(0, 40), dims=st.tuples(*[st.integers(1, 20)] * 3),
        kind=st.sampled_from(["sigmoid", "relu"]), scale=st.sampled_from([0.1, 1.0, 30.0]), seed=st.integers(0, 2**32 - 1))
 def test_forward_into_buffers_is_bit_equal_to_a_fresh_call(models, rows, dims, kind, scale, seed):
-    """forward(..., out=(z2, u3)) writes the bits of a call without buffers, for one network (models = 0) or a stack."""
+    """The kernel under forward, _forward(..., out=(z2, u3)) as training runs it, writes the bits of forward
+    without buffers, for one network (models = 0) or a stack."""
     input_dim, hidden, output = dims
     rng = np.random.default_rng(seed)
     lead = (models,) if models else ()
@@ -149,7 +148,7 @@ def test_forward_into_buffers_is_bit_equal_to_a_fresh_call(models, rows, dims, k
     x = scale * rng.standard_normal((rows, input_dim))
     z2, u3 = np.full(lead + (rows, hidden), np.nan), np.full(lead + (rows, output), np.nan)
     fresh = forward(p, x, kind)
-    got = forward(p, x, kind, out=(z2, u3))
+    got = _forward(_layer1(p), p.w3, p.b3, _with_ones(x), kind, out=(z2, u3))
     assert got[0] is z2 and got[1] is u3
     for a, b in zip(fresh, got):
         assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
@@ -166,11 +165,14 @@ def test_relu_monotone_smoke():
 
 
 def test_trace_activation_consistency():
-    """z2 is the activation of u2 = x W2' + b2 exactly, and u3 = z2 W3' + b3."""
+    """z2 is the activation of the folded product [x | 1] [W2 | b2]' exactly, and of x W2' + b2 to 1e-12
+    (the BLAS may add the bias term in any order); u3 = z2 W3' + b3 exactly."""
     p = init_params(NetworkDims(5, 9, 2), seed=11)
     x = np.random.default_rng(11).standard_normal((4, 5))
     z2, u3 = forward(p, x, "sigmoid")
-    assert np.array_equal(activation(x @ p.w2.T + p.b2, "sigmoid"), z2)
+    folded = np.hstack([x, np.ones((4, 1))]) @ np.hstack([p.w2, p.b2[:, None]]).T
+    assert np.array_equal(activation(folded, "sigmoid"), z2)
+    assert np.allclose(activation(x @ p.w2.T + p.b2, "sigmoid"), z2, rtol=0, atol=1e-12)
     assert np.array_equal(z2 @ p.w3.T + p.b3, u3)
 
 

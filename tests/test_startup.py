@@ -96,7 +96,7 @@ def test_mint_reconcile_calls_the_module_cho_factor(monkeypatch, wide_tree):
     rng = np.random.default_rng(4)
     a = rng.standard_normal((13, 40))
     w, base = a @ a.T / 40 + 0.1 * np.eye(13), rng.standard_normal((13, 5))
-    want = reconcile.mint_reconcile(wide_tree, base, w)
+    want = reconcile.mint_reconcile(wide_tree, base, w)[0]
     real, calls = reconcile.cho_factor, []
 
     def counting(*args, **kwargs):
@@ -104,7 +104,7 @@ def test_mint_reconcile_calls_the_module_cho_factor(monkeypatch, wide_tree):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(reconcile, "cho_factor", counting)
-    got = reconcile.mint_reconcile(wide_tree, base, w)
+    got = reconcile.mint_reconcile(wide_tree, base, w)[0]
     assert calls == [(13, 13), (9, 9)]  # W, then S' W^-1 S: the first ridge rung needs no more
     assert got.tobytes() == want.tobytes()
 

@@ -82,7 +82,7 @@ def test_error_reduces_to_rss_at_lambda_zero(tree, h_matrix):
 
 def test_error_zero_at_exact_coherent_fit(tree, h_matrix):
     yb = np.array([1.0, 2.0, 3.0, 4.0])
-    y = aggregate_bottom(tree, yb)
+    y = aggregate_bottom(tree, yb[:, None])[:, 0]
     objective, _ = loss(fixed_output(yb), np.ones(4), y, RegWeights.build(tree, 1.0, 1.0), h_matrix)
     assert objective == 0.0
 
@@ -109,7 +109,7 @@ def test_output_delta_lambda_zero_is_residual(tree, h_matrix):
 
 def test_output_delta_zero_at_perfect_coherent_fit(tree, h_matrix):
     yb = np.array([0.5, -1.5, 2.0, 3.0])
-    y = aggregate_bottom(tree, yb)
+    y = aggregate_bottom(tree, yb[:, None])[:, 0]
     _, g = loss(fixed_output(yb), np.ones(4), y, RegWeights.build(tree, 0.7, 1.3), h_matrix)
     assert np.allclose(g.b3, 0.0, atol=1e-12)
 
