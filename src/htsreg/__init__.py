@@ -9,7 +9,7 @@ upper-level regularization term so both phases happen at once.
 __version__ = "0.1.0"
 
 from .evaluate import make_epoch_hook, node_report
-from .hierarchy import aggregate_bottom
+from .hierarchy import aggregate_bottom, structure_matrix
 from .panel import standardize
 from .synthgen import generate_dataset, preset_hierarchy
-from .trainer import RegWeights, TrainConfig, forecast_timepoints, predict, train_batch
+from .trainer import TrainConfig, forecast_timepoints, predict, train_batch

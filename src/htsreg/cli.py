@@ -160,8 +160,8 @@ _SWEEP = {**_COMMON, "x_grid": (_list_of(_is_number, 1), "a nonempty list of fin
           "modes": (_list_of(), "a list of sweep modes")}
 _PANEL = {"preset": (lambda v: isinstance(v, str), "a preset name"), "csv": _PATH, "seed": (_is_int, "an integer"),
           "train_len": (lambda v: v is None or _is_int(v), "an integer")}
-# The train keys are TrainConfig's fields, which check their own values; trial_seeds give the seeds.
-_TRAIN = {f.name: (lambda v: True, "") for f in fields(TrainConfig) if f.name != "seed"}
+# The train keys are TrainConfig's fields, which check their own values.
+_TRAIN = {f.name: (lambda v: True, "") for f in fields(TrainConfig)}
 # The method keys are MethodSpec's fields, each checked in the JSON form of its annotation (None marks a field
 # that may be left out); a field without a default is required.
 _JSON_FORM = {"str": (lambda v: isinstance(v, str), "a string"), "bool": _BOOL,
@@ -215,7 +215,12 @@ def _load_config(path: str, table: dict) -> tuple[dict, list[MethodSpec], Series
         kind = "tuned NN+SR" if methods[-1].name == "NN+SR" and methods[-1].tune else methods[-1].name
         for key in m:
             _need(key == "name" or key in _METHOD_READS[kind], f"methods[{i}].{key}", f"has no effect on {kind}")
-    return cfg, methods, *_panel_from_config(cfg, Path(path).resolve().parent), config
+    panel, h = _panel_from_config(cfg, Path(path).resolve().parent)
+    for i, spec in enumerate(methods):
+        need = spec.min_train_len(panel.n_nodes, config.lag)
+        _need(panel.train_len >= need, "panel.train_len",
+              f"{panel.train_len} is too short for methods[{i}] ({spec.name}), which needs {need} at lag {config.lag}")
+    return cfg, methods, panel, h, config
 
 
 def _panel_from_config(cfg: dict, base_dir: Path) -> tuple[SeriesPanel, HierarchySpec]:
@@ -280,6 +285,7 @@ def _write_trials(result: BenchmarkResult, h: HierarchySpec, path: Path) -> None
             "per_node": {str(n): v for n, v in rep.per_node.items()},
             **{key: rep.levels[lvl] for key, lvl in zip(("root", "mid_mean", "bottom_mean", "all_mean"), LEVELS)},
             **({} if fit is None else {"epochs": fit.epochs, "reason": fit.reason}),
+            **result.mint.get(label, {}).get(rep.params.get("seed"), {}),  # NN+MinT's gamma and w_condition
         }
 
     _write_json(path, {

@@ -2,25 +2,23 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
-from itertools import product
+from itertools import count, product
 
 import numpy as np
 
 from .baselines import BaselineChoice, select_param
-from .hierarchy import LEVELS, HierarchySpec, aggregate_bottom, level_means, rmse
+from .hierarchy import LEVELS, HierarchySpec, aggregate_bottom, level_means, rmse, structure_matrix
 from .panel import SeriesPanel, lagged_design
 from .reconcile import estimate_w_sample, mint_reconcile
 from .trainer import (
-    RegWeights,
     TrainConfig,
     TrainingDiverged,
     TrainResult,
     forecast_timepoints,
     forward,
     predict,
-    train_all_node_batch,
     train_batch,
     training_timepoints,
 )
@@ -78,25 +76,33 @@ def make_epoch_hook(panel: SeriesPanel, h: HierarchySpec, config: TrainConfig):
 
     ``hook.x`` holds the lagged inputs of the test period. Training forwards
     them with its own rows each epoch (see ``trainer._fit``) and calls
-    ``hook(first_epoch, forecasts)`` with their bottom forecasts, shaped
+    ``hook(forecasts)`` with their bottom forecasts, shaped
     (epochs, models, test timepoints, |B|). The hook returns their level means,
     shaped (epochs, models, 4) in :data:`LEVELS` order.
     """
     actual = panel.values[:, panel.train_len:]
 
-    def hook(first_epoch: int, forecasts: np.ndarray) -> np.ndarray:
+    def hook(forecasts: np.ndarray) -> np.ndarray:
         return level_means(h, rmse(actual, aggregate_bottom(h, np.swapaxes(forecasts, -1, -2))))
 
     hook.x = lagged_design(panel.bottom_values, config.lag, forecast_timepoints(panel))
     return hook
 
 
-def _held_out_levels(panel: SeriesPanel, h: HierarchySpec, regs: list[RegWeights], config: TrainConfig,
-                     seeds: list[int] | None = None) -> np.ndarray:
-    """Test RMSEs per level, (K, 4), of a network per weight set trained as one batch, scored by the epoch hook."""
+def _bottom_weights(panel: SeriesPanel, h: HierarchySpec, lams: list[tuple[float, float]]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """H and the weight rows (root, then each mid) of bottom networks, one per (lambda_root, lambda_mid)."""
+    if panel.node_ids != h.node_ids:
+        raise ValueError("panel node order does not match hierarchy")
+    return structure_matrix(h), np.array([[l_root] + [l_mid] * len(h.mid_ids) for l_root, l_mid in lams])
+
+
+def _held_out_levels(panel: SeriesPanel, h: HierarchySpec, lams: list[tuple[float, float]], seeds: list[int],
+                     config: TrainConfig) -> np.ndarray:
+    """Test RMSEs per level, (K, 4), of a bottom network per weight pair and seed, scored by the epoch hook."""
     hook = make_epoch_hook(panel, h, config)
-    fits = train_batch(panel, h, regs, config, seeds=seeds)
-    return hook(1, np.stack([forward(fit.params, hook.x, config.activation)[1] for fit in fits])[None])[0]
+    fits = train_batch(panel, *_bottom_weights(panel, h, lams), seeds, config)
+    return hook(np.stack([forward(fit.params, hook.x, config.activation)[1] for fit in fits])[None])[0]
 
 
 SWEEP_MODES = ("(x,0)", "(0,x)", "(x,x)")
@@ -114,6 +120,8 @@ def reg_sweep(panel: SeriesPanel, h: HierarchySpec, x_grid: tuple | list,
     xs = sorted(float(x) for x in x_grid)
     if 0.0 not in xs:
         raise ValueError("x_grid must include 0")
+    if xs[0] < 0:
+        raise ValueError(f"x_grid values must not be negative, got {list(x_grid)!r}")
     if len(set(xs)) != len(xs):
         raise ValueError(f"x_grid values must not repeat, got {list(x_grid)!r}")
     if not modes or any(mode not in SWEEP_MODES for mode in modes):
@@ -123,10 +131,10 @@ def reg_sweep(panel: SeriesPanel, h: HierarchySpec, x_grid: tuple | list,
 
     points = [(mode, x_idx, {"(x,0)": (x, 0.0), "(0,x)": (0.0, x), "(x,x)": (x, x)}[mode])
               for mode in modes for x_idx, x in enumerate(xs) if x != 0.0]
-    regs = [RegWeights.build(h, 0.0, 0.0)] + [RegWeights.build(h, *lam) for *_, lam in points]
+    lams = [(0.0, 0.0)] + [lam for *_, lam in points]
     # Seed-major: the (0, 0) run and every grid point of a seed share its initialization.
-    scores = _held_out_levels(panel, h, regs * len(seeds), config, seeds=[s for s in seeds for _ in regs])
-    scores = scores.reshape(len(seeds), len(regs), len(LEVELS))
+    scores = _held_out_levels(panel, h, lams * len(seeds), [s for s in seeds for _ in lams], config)
+    scores = scores.reshape(len(seeds), len(lams), len(LEVELS))
     rel = scores[:, 1:] - scores[:, :1]  # x = 0 stays exactly zero: no self-subtraction
     diffs = {mode: {lvl: np.zeros((len(seeds), len(xs))) for lvl in LEVELS} for mode in modes}
     for p, (mode, x_idx, _) in enumerate(points):
@@ -135,26 +143,29 @@ def reg_sweep(panel: SeriesPanel, h: HierarchySpec, x_grid: tuple | list,
     return {mode: {lvl: diffs[mode][lvl].mean(axis=0) for lvl in LEVELS} for mode in modes}
 
 
-def tune_lambda(panel: SeriesPanel, h: HierarchySpec,
-                grid_root: tuple | list = DEFAULT_LAMBDA_GRID,
-                grid_mid: tuple | list = DEFAULT_LAMBDA_GRID,
-                config: TrainConfig = TrainConfig()) -> tuple[float, float]:
+def _fit_len(train_len: int) -> int:
+    """Timepoints of the fit period of :func:`tune_lambda`'s hold-out split."""
+    return int(0.75 * train_len)
+
+
+def tune_lambda(panel: SeriesPanel, h: HierarchySpec, grid_root: tuple | list, grid_mid: tuple | list,
+                config: TrainConfig, seed: int) -> tuple[float, float]:
     """Hold-out selection of (lambda_root, lambda_mid).
 
     The first 75% of the training period fits the model, the rest scores
     coherent bottom-up forecasts by average all-node RMSE. Every grid point
-    is fitted in one batch from the config seed. Ties break toward smaller
+    is fitted in one batch from ``seed``. Ties break toward smaller
     lambda_root + lambda_mid, then smaller lambda_root.
     """
     if not grid_root or not grid_mid:
         raise ValueError("lambda grids must be nonempty")
-    fit_len = int(0.75 * panel.train_len)
+    fit_len = _fit_len(panel.train_len)
     if fit_len <= config.lag or fit_len >= panel.train_len:
         raise ValueError(f"training period of {panel.train_len} timepoints cannot be split for hold-out validation")
     grid = list(product(sorted(grid_root), sorted(grid_mid)))
     # A panel whose test period is exactly the validation window.
     val = SeriesPanel(panel.node_ids, panel.values[:, :panel.train_len], fit_len, panel.n_bottom)
-    scores = _held_out_levels(val, h, [RegWeights.build(h, *lam) for lam in grid], config)
+    scores = _held_out_levels(val, h, grid, [seed] * len(grid), config)
     best = min((float(score), l_root + l_mid, l_root, l_mid)
                for (l_root, l_mid), score in zip(grid, scores[:, LEVELS.index("average")]))
     return best[2], best[3]
@@ -194,6 +205,21 @@ class MethodSpec:
             if values is not None and len({float(v) for v in values}) != len(values):  # 1 and 1.0 repeat
                 raise ValueError(f"{key} values must not repeat, got {list(values)!r}")
 
+    def min_train_len(self, n_nodes: int, lag: int) -> int:
+        """The shortest training period this method runs on, for a tree of ``n_nodes`` and networks of this lag.
+
+        A network needs a training timepoint past its lags, NN+MinT's W
+        estimate ``n_nodes + 1`` of them, and a tuned NN+SR a hold-out fit
+        period longer than the lag.
+        """
+        if self.name in ("MA", "ES"):
+            return 1
+        if self.name == "NN+MinT":
+            return lag + n_nodes + 1
+        if self.tune:
+            return next(n for n in count(lag + 1) if _fit_len(n) > lag)
+        return lag + 1
+
 
 @dataclass
 class BenchmarkResult:
@@ -203,6 +229,8 @@ class BenchmarkResult:
     summaries: dict[str, TrialSummary | None]
     # Network trials by label and seed: parameters, stop and epoch trace ((epochs, 4) or None).
     fits: dict[str, dict[int, TrainResult]] = field(default_factory=dict)
+    # NN+MinT trials by label and seed: the ridge factor and cond(W_c) of their reconciliation.
+    mint: dict[str, dict[int, dict[str, float]]] = field(default_factory=dict)
 
 
 def _sr_label(lam: tuple[float, float]) -> str:
@@ -224,10 +252,11 @@ def _nn_trials(panel: SeriesPanel, h: HierarchySpec, config: TrainConfig,
                trials: list[tuple[str, str, tuple[float, float], int]], collect_traces: bool) -> list:
     """Train network trials (label, kind, lam, seed): the bottom networks in one set of stacks, MinT's bases in another.
 
-    Returns a (coherent test forecast, fit) pair per trial. The bottom
-    networks share one epoch hook. A diverged stack leaves its trials
-    None and puts its error at the trial it names, so the first error in
-    trial order is the one a trial-by-trial run would raise.
+    Returns a (coherent test forecast, fit, MinT's {gamma, w_condition} or
+    None) triple per trial. The bottom networks share one epoch hook. A
+    diverged stack leaves its trials None and puts its error at the trial
+    it names, so the first error in trial order is the one a trial-by-trial
+    run would raise.
     """
     out: list = [None] * len(trials)
     sr = [i for i, t in enumerate(trials) if t[1] == "sr"]
@@ -236,21 +265,23 @@ def _nn_trials(panel: SeriesPanel, h: HierarchySpec, config: TrainConfig,
     if sr:
         hook = make_epoch_hook(panel, h, config) if collect_traces else None
         try:
-            fits = train_batch(panel, h, [RegWeights.build(h, *trials[i][2]) for i in sr], config,
-                               seeds=[trials[i][3] for i in sr], hook=hook)
+            fits = train_batch(panel, *_bottom_weights(panel, h, [trials[i][2] for i in sr]),
+                               [trials[i][3] for i in sr], config, hook)
         except TrainingDiverged as exc:
             out[sr[exc.model]], fits = exc, []
         for i, fit in zip(sr, fits):
-            out[i] = aggregate_bottom(h, predict(fit.params, panel.bottom_values, config, test_tps)), fit
+            out[i] = aggregate_bottom(h, predict(fit.params, panel.bottom_values, config, test_tps)), fit, None
     if mint:
         try:
-            fits = train_all_node_batch(panel, config, [trials[i][3] for i in mint])
+            fits = train_batch(panel, np.zeros((0, panel.n_nodes)), np.zeros((len(mint), 0)),
+                               [trials[i][3] for i in mint], config)
         except TrainingDiverged as exc:
             out[mint[exc.model]], fits = exc, []
         for i, fit in zip(mint, fits):
             base_fit = predict(fit.params, panel.values, config, fit_tps)
             w = estimate_w_sample(base_fit, panel.values[:, [t - 1 for t in fit_tps]])
-            out[i] = mint_reconcile(h, predict(fit.params, panel.values, config, test_tps), w)[0], fit
+            coherent, gamma, w_condition = mint_reconcile(h, predict(fit.params, panel.values, config, test_tps), w)
+            out[i] = coherent, fit, {"gamma": gamma, "w_condition": w_condition}
     return out
 
 
@@ -291,7 +322,7 @@ def run_benchmark(panel: SeriesPanel, h: HierarchySpec, methods: list[MethodSpec
     _check_columns(columns)
     for i, spec in enumerate(methods):
         if spec.name == "NN+SR" and i not in lams:
-            lams[i] = tune_lambda(panel, h, spec.tune_grid1, spec.tune_gridM, replace(config, seed=seeds[0]))
+            lams[i] = tune_lambda(panel, h, spec.tune_grid1, spec.tune_gridM, config, seeds[0])
             columns[i] = _sr_label(lams[i])
             _check_columns(columns)
 
@@ -326,13 +357,15 @@ def run_benchmark(panel: SeriesPanel, h: HierarchySpec, methods: list[MethodSpec
     if diverged is not None:
         raise diverged
 
-    for (label, _, _, seed), (coherent, fit) in zip(trials, outcomes):
+    for (label, _, _, seed), (coherent, fit, mint) in zip(trials, outcomes):
         if label not in result.reports:
             result.labels.append(label)
             result.reports[label] = []
             result.fits[label] = {}
         result.reports[label].append(node_report(h, actual, coherent, label, params={"seed": seed}))
         result.fits[label][seed] = fit
+        if mint is not None:
+            result.mint.setdefault(label, {})[seed] = mint
     for label, *_ in nn_tasks:
         result.summaries[label] = (
             summarize_trials(result.reports[label]) if len(result.reports[label]) >= 2 else None

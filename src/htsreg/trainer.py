@@ -23,7 +23,6 @@ from typing import Callable
 
 import numpy as np
 
-from .hierarchy import HierarchySpec, structure_matrix
 from .neuralnet import NetworkDims, NetworkParams, activation, init_params
 from .panel import SeriesPanel, lagged_design
 
@@ -34,23 +33,6 @@ STACK_LIMIT = 64
 # Model-epochs of weights _fit buffers before its hook scores them in one call:
 # fewer, larger hook calls, with the buffer bounded whatever the stack size.
 TRACE_ROWS = 64
-
-
-@dataclass(frozen=True)
-class RegWeights:
-    """Per-upper-node regularization weights built from (lambda_root, lambda_mid)."""
-
-    vec: np.ndarray  # aligned to (root, mids) order
-
-    @classmethod
-    def build(cls, h: HierarchySpec, lambda_root: float, lambda_mid: float) -> "RegWeights":
-        if not (math.isfinite(lambda_root) and math.isfinite(lambda_mid) and lambda_root >= 0 and lambda_mid >= 0):
-            raise ValueError(
-                f"regularization weights must be finite and nonnegative, got ({lambda_root}, {lambda_mid})"
-            )
-        vec = np.array([lambda_root] + [lambda_mid] * len(h.mid_ids), dtype=np.float64)
-        vec.setflags(write=False)
-        return cls(vec=vec)
 
 
 def _is_int(value: object) -> bool:
@@ -64,7 +46,6 @@ class TrainConfig:
     max_epochs: int = 10_000
     activation: str = "sigmoid"
     lag: int = 2
-    seed: int = 0
     bias: bool = True
     hidden_dim: int | None = None  # default: twice the input width
 
@@ -73,7 +54,7 @@ class TrainConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < top:
                 raise ValueError(f"{name} must be a number in (0, {top}), got {value!r}")
-        for name, low in (("max_epochs", 0), ("lag", 1), ("seed", 0)):
+        for name, low in (("max_epochs", 0), ("lag", 1)):
             value = getattr(self, name)
             if not _is_int(value) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
@@ -269,7 +250,7 @@ def loss_and_grads(params: NetworkParams, x: np.ndarray, yb: np.ndarray, yu: np.
 
 def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lams: np.ndarray,
          params: list[NetworkParams], config: TrainConfig,
-         hook: Callable[[int, np.ndarray], np.ndarray] | None = None) -> list[TrainResult]:
+         hook: Callable[[np.ndarray], np.ndarray] | None = None) -> list[TrainResult]:
     """Full-batch descent of K models on the shared rows of (x, yb, yu).
 
     Model k starts from ``params[k]`` (updated in place) under the weight
@@ -285,9 +266,10 @@ def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lams: np.
     ``hook.x`` are the workspace's watch rows, forwarded by every epoch's
     objective evaluation, and their bottom outputs are buffered, about
     ``TRACE_ROWS`` model-epochs at a time, then scored in
-    one call ``hook(first_epoch, forecasts)``. The forecasts are shaped
+    one call ``hook(forecasts)``. The forecasts are shaped
     (E, K_live, len(hook.x), |B|): E consecutive epochs of the models in the
-    stack, in stack order, as a view of a reused buffer. The hook returns
+    stack, in stack order, as a view of a reused buffer; the blocks follow
+    one another in epoch order from epoch 1. The hook returns
     one row per epoch and model, (E, K_live, ...), and model k's rows form
     its ``epoch_eval``. A model that diverges leaves before its last epoch
     is buffered.
@@ -308,7 +290,7 @@ def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lams: np.
         nonlocal filled, trace
         if not filled:
             return
-        scores = hook(first, block[:filled])
+        scores = hook(block[:filled])
         end = first - 1 + filled
         if trace is None or end > len(trace):  # grow to the epoch cap at most, doubling
             grown = np.empty((min(config.max_epochs, max(2 * end, 256)), len(params)) + scores.shape[2:])
@@ -376,37 +358,35 @@ def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lams: np.
     return results
 
 
-def _design(panel: SeriesPanel, n_upper: int, config: TrainConfig
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, NetworkDims]:
-    """Training rows of a network forecasting the panel rows from ``n_upper`` on from their own lags.
+def train_batch(panel: SeriesPanel, H: np.ndarray, lams: np.ndarray, seeds: list[int], config: TrainConfig,
+                hook: Callable[[np.ndarray], np.ndarray] | None = None) -> list[TrainResult]:
+    """Train network k from ``init_params(seeds[k])`` under the weight row ``lams[k]``.
 
-    Returns the lagged inputs, the targets of those rows and of the rows
-    above them, and the network size (hidden width from the config, or
-    twice the input width).
+    Each network forecasts the trailing ``H.shape[1]`` rows of the
+    (standardized) panel from their own lags; H maps its outputs to the
+    leading ``H.shape[0]`` rows, whose errors ``lams[k]`` weighs. A
+    bottom-level network passes ``structure_matrix(h)``. An all-node base
+    network for trace-minimization reconciliation passes an H with no rows
+    and empty weight rows: plain squared error over all nodes. Networks
+    share each epoch's numpy calls, up to ``STACK_LIMIT`` at a time, and
+    result k is bit-identical to training it alone. ``hook`` is the stack
+    hook of :func:`_fit`.
     """
+    H, lams = np.asarray(H, dtype=np.float64), np.asarray(lams, dtype=np.float64)
+    n_upper, n_out = H.shape
+    if n_upper + n_out != panel.n_nodes:
+        raise ValueError(f"H of shape {H.shape} does not fit a panel of {panel.n_nodes} rows")
+    if lams.shape != (len(seeds), n_upper):
+        raise ValueError(f"need a weight row of length {n_upper} per seed, got {lams.shape} for {len(seeds)} seeds")
+    if not np.all(np.isfinite(lams) & (lams >= 0)):
+        raise ValueError(f"regularization weights must be finite and nonnegative, got {lams.tolist()}")
     tps = training_timepoints(panel, config.lag)
     if len(tps) == 0:
         raise ValueError(f"training period of length {panel.train_len} leaves no usable timepoints at lag {config.lag}")
-    rows = panel.values[n_upper:]
     targets = panel.values[:, [t - 1 for t in tps]].T
-    input_dim = config.lag * rows.shape[0]
-    hidden = config.hidden_dim if config.hidden_dim is not None else 2 * input_dim
-    dims = NetworkDims(input_dim=input_dim, hidden_dim=hidden, output_dim=rows.shape[0])
-    return lagged_design(rows, config.lag, tps), targets[:, n_upper:], targets[:, :n_upper], dims
-
-
-def _bottom_problem(panel: SeriesPanel, h: HierarchySpec, config: TrainConfig
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, NetworkDims]:
-    if panel.node_ids != h.node_ids:
-        raise ValueError("panel node order does not match hierarchy")
-    x, yb, yu, dims = _design(panel, panel.n_nodes - panel.n_bottom, config)
-    return x, yb, yu, np.asarray(structure_matrix(h)), dims
-
-
-def _stacks(problem: tuple, lams: np.ndarray, seeds: list[int], config: TrainConfig,
-            hook: Callable[[int, np.ndarray], np.ndarray] | None = None) -> list[TrainResult]:
-    """Model k, initialized from ``seeds[k]`` under weight row ``lams[k]``, in stacks of ``STACK_LIMIT``."""
-    x, yb, yu, H, dims = problem
+    input_dim = config.lag * n_out
+    dims = NetworkDims(input_dim, 2 * input_dim if config.hidden_dim is None else config.hidden_dim, n_out)
+    x, yb, yu = lagged_design(panel.values[n_upper:], config.lag, tps), targets[:, n_upper:], targets[:, :n_upper]
     results: list[TrainResult] = []
     for start in range(0, len(seeds), STACK_LIMIT):
         params = [init_params(dims, seed, bias=config.bias) for seed in seeds[start: start + STACK_LIMIT]]
@@ -415,36 +395,6 @@ def _stacks(problem: tuple, lams: np.ndarray, seeds: list[int], config: TrainCon
         except TrainingDiverged as exc:  # later stacks hold higher indices only
             raise TrainingDiverged(exc.epoch, start + exc.model, exc.rose) from None
     return results
-
-
-def train_batch(panel: SeriesPanel, h: HierarchySpec, regs: list[RegWeights], config: TrainConfig,
-                seeds: list[int] | None = None,
-                hook: Callable[[int, np.ndarray], np.ndarray] | None = None) -> list[TrainResult]:
-    """Train one bottom-level network per weight set on one design.
-
-    The panel is expected to be standardized. Inputs are actual lagged
-    bottom values; targets are the bottom and upper observations at each
-    training timepoint. Network k starts from ``seeds[k]`` (default: the
-    config seed); result k is bit-identical to training it alone, as the
-    networks share each epoch's numpy calls, up to ``STACK_LIMIT`` at a
-    time. ``hook`` is the stack hook of :func:`_fit`.
-    """
-    seeds = [config.seed] * len(regs) if seeds is None else list(seeds)
-    if len(seeds) != len(regs):
-        raise ValueError(f"{len(regs)} weight sets but {len(seeds)} seeds")
-    lams = np.array([reg.vec for reg in regs])
-    return _stacks(_bottom_problem(panel, h, config), lams, seeds, config, hook)
-
-
-def train_all_node_batch(panel: SeriesPanel, config: TrainConfig, seeds: list[int]) -> list[TrainResult]:
-    """Train unregularized networks forecasting every node from all-node lags, one per seed.
-
-    Used to produce base forecasts for trace-minimization reconciliation:
-    the structured objective with no upper nodes (an empty H), so plain
-    squared error over all nodes, with the same descent and sizing rule.
-    """
-    x, y, yu, dims = _design(panel, 0, config)
-    return _stacks((x, y, yu, np.zeros((0, panel.n_nodes)), dims), np.zeros((len(seeds), 0)), list(seeds), config)
 
 
 def predict(params: NetworkParams, rows: np.ndarray, config: TrainConfig, timepoints: range | list[int]) -> np.ndarray:

@@ -16,7 +16,7 @@ from scipy import stats
 
 from htsreg.baselines import es_forecast, ma_forecast, select_param
 from htsreg.cli import main
-from htsreg.evaluate import MethodSpec, make_epoch_hook, run_benchmark
+from htsreg.evaluate import MethodSpec, _bottom_weights, make_epoch_hook, run_benchmark
 from htsreg.hierarchy import (
     LEVELS,
     aggregate_bottom,
@@ -26,7 +26,7 @@ from htsreg.hierarchy import (
     summing_matrix,
 )
 from htsreg.neuralnet import NetworkDims, init_params
-from htsreg.panel import SeriesPanel, standardize
+from htsreg.panel import SeriesPanel, lagged_design, standardize
 from htsreg.reconcile import (
     check_unbiasedness,
     estimate_w_sample,
@@ -34,14 +34,11 @@ from htsreg.reconcile import (
 )
 from htsreg.synthgen import generate_bottom, generate_dataset, generate_factors, preset_hierarchy, preset_params
 from htsreg.trainer import (
-    RegWeights,
-    _bottom_problem,
     _fit,
     TrainConfig,
     loss_and_grads,
     predict,
     forecast_timepoints,
-    train_all_node_batch,
     train_batch,
     training_timepoints,
 )
@@ -98,21 +95,21 @@ def test_criterion_01_gradient_correctness():
     eps = 1e-6
     ok = True
     for lam in (0.0, 0.7, 2.4):
-        reg = RegWeights.build(h, lam, lam)
+        lam_row = np.full(len(hm), lam)  # the root's and each mid node's weight
         params = init_params(dims, seed=int(10 * lam) + 1)
         x = rng.standard_normal((3, 4))
         y = rng.standard_normal((3, 7))
         yu, yb = y[:, :3], y[:, 3:]
-        _, g = loss_and_grads(params, x, yb, yu, hm, reg.vec, "sigmoid")
+        _, g = loss_and_grads(params, x, yb, yu, hm, lam_row, "sigmoid")
         for arr, ga in ((params.w2, g.w2), (params.b2, g.b2), (params.w3, g.w3), (params.b3, g.b3)):
             it = np.nditer(arr, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index
                 orig = arr[idx]
                 arr[idx] = orig + eps
-                e_up = loss_and_grads(params, x, yb, yu, hm, reg.vec, "sigmoid")[0]
+                e_up = loss_and_grads(params, x, yb, yu, hm, lam_row, "sigmoid")[0]
                 arr[idx] = orig - eps
-                e_dn = loss_and_grads(params, x, yb, yu, hm, reg.vec, "sigmoid")[0]
+                e_dn = loss_and_grads(params, x, yb, yu, hm, lam_row, "sigmoid")[0]
                 arr[idx] = orig
                 fd = (e_up - e_dn) / (2 * eps)
                 ok = ok and abs(ga[idx] - fd) <= max(1e-5 * abs(fd), 1e-8)
@@ -125,18 +122,22 @@ def test_criterion_02_zero_lambda_reduction(ngtvc_panel):
     """NN+SR(0,0) trains bit for bit like the objective with no upper block; NN+SR(0,2.1) does not.
 
     The reference run drops the regularizer altogether: ``_fit`` on the
-    bottom targets alone, with an empty upper block and H. Parameters,
-    objective and per-epoch test RMSE over 100 epochs must be bitwise equal.
+    bottom rows' own lags and targets alone, with an empty upper block and
+    H. Parameters, objective and per-epoch test RMSE over 100 epochs, from
+    seed 12, must be bitwise equal.
     """
     t0 = time.perf_counter()
     h = preset_hierarchy()
-    cfg = TrainConfig(max_epochs=100, seed=12)
-    x, yb, yu, H, dims = _bottom_problem(ngtvc_panel, h, cfg)
+    cfg = TrainConfig(max_epochs=100)
+    tps = training_timepoints(ngtvc_panel, cfg.lag)
+    x = lagged_design(ngtvc_panel.bottom_values, cfg.lag, tps)
+    yb = ngtvc_panel.bottom_values[:, [t - 1 for t in tps]].T
     hook = make_epoch_hook(ngtvc_panel, h, cfg)
-    plain = _fit(x, yb, yu[:, :0], H[:0], np.zeros((1, 0)), [init_params(dims, cfg.seed)], cfg, hook)[0]
+    plain = _fit(x, yb, yb[:, :0], np.zeros((0, 9)), np.zeros((1, 0)), [init_params(NetworkDims(18, 36, 9), 12)], cfg,
+                 hook)[0]
 
     def equals_plain(lam):
-        res = train_batch(ngtvc_panel, h, [RegWeights.build(h, *lam)], cfg, hook=hook)[0]
+        res = train_batch(ngtvc_panel, *_bottom_weights(ngtvc_panel, h, [lam]), [12], cfg, hook)[0]
         same_params = all(np.array_equal(getattr(res.params, k), getattr(plain.params, k))
                           for k in ("w2", "b2", "w3", "b3"))
         return (res.epochs == plain.epochs == 100 and same_params
@@ -154,8 +155,8 @@ def test_criterion_03_coherence(ngtvc_panel):
     rng = np.random.default_rng(1)
     bu_violation = check_coherence(h, aggregate_bottom(h, rng.standard_normal((9, 30))))
 
-    cfg = TrainConfig(max_epochs=50, seed=2)
-    base_run = train_all_node_batch(ngtvc_panel, cfg, [cfg.seed])[0]
+    cfg = TrainConfig(max_epochs=50)
+    base_run = train_batch(ngtvc_panel, np.zeros((0, 13)), np.zeros((1, 0)), [2], cfg)[0]  # the all-node MinT base
     fit_tps = training_timepoints(ngtvc_panel, cfg.lag)
     base_fit = predict(base_run.params, ngtvc_panel.values, cfg, fit_tps)
     w = estimate_w_sample(base_fit, ngtvc_panel.values[:, [t - 1 for t in fit_tps]])

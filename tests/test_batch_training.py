@@ -20,20 +20,18 @@ from hypothesis import strategies as st
 import htsreg
 from htsreg import trainer
 from htsreg.cli import main
-from htsreg.evaluate import make_epoch_hook
+from htsreg.evaluate import _bottom_weights, make_epoch_hook
 from htsreg.hierarchy import aggregate_bottom, build_hierarchy, structure_matrix
 from htsreg.neuralnet import NetworkDims, NetworkParams, activation, init_params
 from htsreg.panel import SeriesPanel, lagged_design, standardize
 from htsreg.synthgen import generate_dataset, preset_hierarchy
 from htsreg.trainer import (
-    RegWeights,
     TrainConfig,
     TrainingDiverged,
     forecast_timepoints,
     forward,
     loss_and_grads,
     predict,
-    train_all_node_batch,
     train_batch,
 )
 
@@ -53,6 +51,11 @@ def std_panel(tree, seed=0, n_time=30, train_len=20):
     return standardize(panel)
 
 
+def train_bottom(panel, tree, lambdas, seeds, cfg, hook=None):
+    """Bottom networks, one per (lambda_root, lambda_mid) pair and seed, as one batch."""
+    return train_batch(panel, *_bottom_weights(panel, tree, lambdas), seeds, cfg, hook)
+
+
 def bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
 
@@ -65,10 +68,9 @@ def assert_same_result(batched, single):
         assert np.array_equal(bits(getattr(batched.params, name)), bits(getattr(single.params, name))), name
 
 
-def assert_batch_matches_single_runs(panel, tree, cfg, lambdas=LAMBDAS):
-    regs = [RegWeights.build(tree, *lam) for lam in lambdas]
-    batch = train_batch(panel, tree, regs, cfg)
-    singles = [train_batch(panel, tree, [reg], cfg)[0] for reg in regs]
+def assert_batch_matches_single_runs(panel, tree, cfg, seed, lambdas=LAMBDAS):
+    batch = train_bottom(panel, tree, lambdas, [seed] * len(lambdas), cfg)
+    singles = [train_bottom(panel, tree, [lam], [seed], cfg)[0] for lam in lambdas]
     for b, s in zip(batch, singles):
         assert_same_result(b, s)
     return singles
@@ -77,8 +79,8 @@ def assert_batch_matches_single_runs(panel, tree, cfg, lambdas=LAMBDAS):
 def test_batch_with_staggered_stops_matches_single_runs(tree):
     """Models leave the stack at different epochs; the rest carry on unchanged."""
     panel = std_panel(tree, seed=3)
-    cfg = TrainConfig(eta=5e-4, eps=3e-3, max_epochs=300, seed=4)
-    singles = assert_batch_matches_single_runs(panel, tree, cfg)
+    cfg = TrainConfig(eta=5e-4, eps=3e-3, max_epochs=300)
+    singles = assert_batch_matches_single_runs(panel, tree, cfg, 4)
     assert [(r.epochs, r.reason) for r in singles] == [
         (243, "converged"), (236, "converged"), (208, "converged"), (300, "max_epochs"), (300, "max_epochs")]
 
@@ -86,31 +88,31 @@ def test_batch_with_staggered_stops_matches_single_runs(tree):
 def test_batch_larger_than_stack_limit_runs_in_consecutive_stacks(tree, monkeypatch):
     monkeypatch.setattr(trainer, "STACK_LIMIT", 2)
     panel = std_panel(tree, seed=3)
-    assert_batch_matches_single_runs(panel, tree, TrainConfig(eta=5e-4, eps=3e-3, max_epochs=300, seed=4))
+    assert_batch_matches_single_runs(panel, tree, TrainConfig(eta=5e-4, eps=3e-3, max_epochs=300), 4)
 
 
 def test_batch_matches_single_runs_without_bias(tree):
     panel = std_panel(tree, seed=5)
-    assert_batch_matches_single_runs(panel, tree, TrainConfig(eta=3e-4, max_epochs=60, seed=2, bias=False))
+    assert_batch_matches_single_runs(panel, tree, TrainConfig(eta=3e-4, max_epochs=60, bias=False), 2)
 
 
 def test_batch_matches_single_runs_with_relu(tree):
     panel = std_panel(tree, seed=6)
-    assert_batch_matches_single_runs(panel, tree, TrainConfig(eta=5e-5, max_epochs=60, seed=3, activation="relu"))
+    assert_batch_matches_single_runs(panel, tree, TrainConfig(eta=5e-5, max_epochs=60, activation="relu"), 3)
 
 
 def test_zero_epoch_batch_matches_single_runs(tree):
     panel = std_panel(tree, seed=7)
-    assert_batch_matches_single_runs(panel, tree, TrainConfig(max_epochs=0, seed=1))
+    assert_batch_matches_single_runs(panel, tree, TrainConfig(max_epochs=0), 1)
 
 
 def test_stacked_all_node_models_match_single_runs(tree):
     """The all-node base (empty H) stacked over seeds equals its one-model runs."""
     panel = std_panel(tree, seed=8)
-    cfg = TrainConfig(eta=1e-3, eps=1e-3, max_epochs=200, seed=0)
+    cfg = TrainConfig(eta=1e-3, eps=1e-3, max_epochs=200)
     seeds = [1, 2, 3, 4]
-    batch = train_all_node_batch(panel, cfg, seeds)
-    singles = [train_all_node_batch(panel, cfg, [s])[0] for s in seeds]
+    batch = train_batch(panel, np.zeros((0, 7)), np.zeros((4, 0)), seeds, cfg)
+    singles = [train_batch(panel, np.zeros((0, 7)), np.zeros((1, 0)), [s], cfg)[0] for s in seeds]
     for b, s in zip(batch, singles):
         assert_same_result(b, s)
 
@@ -119,9 +121,8 @@ def test_batch_with_per_model_seeds_matches_single_runs(tree):
     panel = std_panel(tree, seed=3)
     cfg = TrainConfig(eta=5e-4, eps=3e-3, max_epochs=300)
     seeds = [4, 9, 1, 7, 2]
-    regs = [RegWeights.build(tree, *lam) for lam in LAMBDAS]
-    for b, reg, seed in zip(train_batch(panel, tree, regs, cfg, seeds=seeds), regs, seeds):
-        assert_same_result(b, train_batch(panel, tree, [reg], replace(cfg, seed=seed))[0])
+    for b, lam, seed in zip(train_bottom(panel, tree, LAMBDAS, seeds, cfg), LAMBDAS, seeds):
+        assert_same_result(b, train_bottom(panel, tree, [lam], [seed], cfg)[0])
 
 
 def watch_design(panel, cfg):
@@ -129,9 +130,15 @@ def watch_design(panel, cfg):
 
 
 def forecast_hook(calls, x):
-    """Stack hook on the rows of x whose row for a model and epoch is the epoch and the model's forecasts; logs block shapes."""
-    def hook(first_epoch, forecasts):
+    """Stack hook on the rows of x whose row for a model and epoch is the epoch and the model's forecasts.
+
+    Blocks arrive in epoch order, so a block's first epoch follows the
+    epochs of the blocks before it; ``calls`` logs (first epoch, epochs,
+    models) per block.
+    """
+    def hook(forecasts):
         e, k = forecasts.shape[:2]
+        first_epoch = 1 + sum(n for _, n, _ in calls)
         calls.append((first_epoch, e, k))
         epochs = np.broadcast_to(np.arange(first_epoch, first_epoch + e, dtype=np.float64)[:, None, None], (e, k, 1))
         return np.concatenate([epochs, forecasts.reshape(e, k, -1)], axis=-1)
@@ -146,17 +153,17 @@ def test_per_model_hooks_see_single_run_params(tree, monkeypatch):
     model-epochs (one epoch when the stack is larger) are scored at once.
     """
     panel = std_panel(tree, seed=3)
-    cfg = TrainConfig(eta=5e-4, eps=3e-3, max_epochs=300, seed=4)
-    regs = [RegWeights.build(tree, *lam) for lam in LAMBDAS]
+    cfg = TrainConfig(eta=5e-4, eps=3e-3, max_epochs=300)
+    seeds = [4] * len(LAMBDAS)
     x = watch_design(panel, cfg)
     for trace_rows in (trainer.TRACE_ROWS, 7, 1):
         monkeypatch.setattr(trainer, "TRACE_ROWS", trace_rows)
         calls = []
-        batch = train_batch(panel, tree, regs, cfg, hook=forecast_hook(calls, x))
+        batch = train_bottom(panel, tree, LAMBDAS, seeds, cfg, forecast_hook(calls, x))
         assert all(e * k <= max(trace_rows, k) for _, e, k in calls)
         assert sum(e * k for _, e, k in calls) == sum(b.epochs for b in batch)
-        for reg, b in zip(regs, batch):
-            single = train_batch(panel, tree, [reg], cfg, hook=forecast_hook([], x))[0]
+        for lam, b in zip(LAMBDAS, batch):
+            single = train_bottom(panel, tree, [lam], [4], cfg, forecast_hook([], x))[0]
             assert_same_result(b, single)
             assert np.array_equal(b.epoch_eval[:, 0], np.arange(1, b.epochs + 1))
             assert np.array_equal(bits(b.epoch_eval), bits(single.epoch_eval))
@@ -170,13 +177,13 @@ def test_hook_sees_no_diverged_weights(tree):
     panel = std_panel(tree, seed=10)
     calls = []
 
-    def hook(first_epoch, forecasts):
+    def hook(forecasts):
         calls.append((forecasts.shape[:2], bool(np.isfinite(forecasts).all())))
         return np.zeros(forecasts.shape[:2])
 
     hook.x = watch_design(panel, DIVERGING)
     with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as err:
-        train_batch(panel, tree, [RegWeights.build(tree, *lam) for lam in DIVERGING_LAMBDAS], DIVERGING, hook=hook)
+        train_bottom(panel, tree, DIVERGING_LAMBDAS, [1] * 3, DIVERGING, hook)
     assert err.value.epoch == 2 and err.value.model == 0
     assert calls == [((1, 1), True)]  # epoch 1 of the (0, 0) model, the only one still finite
 
@@ -254,9 +261,8 @@ def test_watch_rows_leave_training_unchanged(kind, bias):
     tree = preset_hierarchy()
     panel = standardize(generate_dataset("WeakC", seed=2).with_train_len(60))
     cfg = TrainConfig(eta=1e-5, max_epochs=30, activation=kind, bias=bias)
-    regs = [RegWeights.build(tree, *lam) for lam in LAMBDAS[:3]]
-    hooked = train_batch(panel, tree, regs, cfg, seeds=[1, 2, 3], hook=forecast_hook([], watch_design(panel, cfg)))
-    for with_hook, plain in zip(hooked, train_batch(panel, tree, regs, cfg, seeds=[1, 2, 3])):
+    hooked = train_bottom(panel, tree, LAMBDAS[:3], [1, 2, 3], cfg, forecast_hook([], watch_design(panel, cfg)))
+    for with_hook, plain in zip(hooked, train_bottom(panel, tree, LAMBDAS[:3], [1, 2, 3], cfg)):
         assert_same_result(with_hook, plain)
         assert with_hook.epoch_eval.shape == (30, 1 + 40 * 9) and plain.epoch_eval is None
 
@@ -289,15 +295,15 @@ def test_every_stack_of_up_to_70_published_size_models_equals_batches_of_one(row
 
 BLAS_SCRIPT = """
 import hashlib, numpy as np
-from htsreg.evaluate import make_epoch_hook
+from htsreg.evaluate import _bottom_weights, make_epoch_hook
 from htsreg.panel import standardize
 from htsreg.synthgen import generate_dataset, preset_hierarchy
-from htsreg.trainer import RegWeights, TrainConfig, train_all_node_batch, train_batch
+from htsreg.trainer import TrainConfig, train_batch
 tree, panel = preset_hierarchy(), standardize(generate_dataset("NgtvC", seed=7))
 cfg = TrainConfig(max_epochs=20)
-bottom = train_batch(panel, tree, [RegWeights.build(tree, 0.0, 2.1)] * 60, cfg, seeds=range(1, 61),
-                     hook=make_epoch_hook(panel, tree, cfg))
-bases = train_all_node_batch(panel, cfg, list(range(1, 31)))
+bottom = train_batch(panel, *_bottom_weights(panel, tree, [(0.0, 2.1)] * 60), range(1, 61), cfg,
+                     make_epoch_hook(panel, tree, cfg))
+bases = train_batch(panel, np.zeros((0, 13)), np.zeros((30, 0)), range(1, 31), cfg)
 digest = hashlib.sha256()
 for fit in bottom + bases:
     for a in (*fit.params, fit.objective) + ((fit.epoch_eval,) if fit.epoch_eval is not None else ()):
@@ -321,13 +327,13 @@ def test_published_size_stacks_are_byte_identical_across_blas_threads():
 # ------------------------------------------------------------- divergence
 
 # At this step size the (0, 0) model overflows at epoch 2, the others at epoch 1.
-DIVERGING = TrainConfig(eta=1e150, max_epochs=50, seed=1)
+DIVERGING = TrainConfig(eta=1e150, max_epochs=50)  # trained from seed 1
 DIVERGING_LAMBDAS = [(0.0, 0.0), (1.5, 1.5), (3.0, 3.0)]
 
 
 def diverged_epoch(panel, tree, lam):
     with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as err:
-        train_batch(panel, tree, [RegWeights.build(tree, *lam)], DIVERGING)
+        train_bottom(panel, tree, [lam], [1], DIVERGING)
     return err.value.epoch
 
 
@@ -339,7 +345,7 @@ def test_batch_divergence_reports_lowest_index_model(tree, monkeypatch, stack_li
     epochs = [diverged_epoch(panel, tree, lam) for lam in DIVERGING_LAMBDAS]
     assert epochs == [2, 1, 1]
     with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as err:
-        train_batch(panel, tree, [RegWeights.build(tree, *lam) for lam in DIVERGING_LAMBDAS], DIVERGING)
+        train_bottom(panel, tree, DIVERGING_LAMBDAS, [1] * 3, DIVERGING)
     assert err.value.epoch == epochs[0]
 
 
@@ -416,21 +422,23 @@ def test_epoch_hook_matches_predict_bottom_formula(tree):
 
     seen = []
 
-    def recording(first_epoch, forecasts):
-        seen.append((first_epoch, forecasts.copy()))
-        return hook(first_epoch, forecasts)
+    def recording(forecasts):
+        seen.append(forecasts.copy())
+        return hook(forecasts)
 
     recording.x = hook.x
-    regs, seeds = [RegWeights.build(tree, *lam) for lam in LAMBDAS[:3]], [2, 3, 4]
-    batch = train_batch(panel, tree, regs, cfg, seeds=seeds, hook=recording)
+    lams, seeds = LAMBDAS[:3], [2, 3, 4]
+    batch = train_bottom(panel, tree, lams, seeds, cfg, recording)
     assert [b.epoch_eval.shape for b in batch] == [(40, 4)] * 3
-    assert sum(len(forecasts) for _, forecasts in seen) == 40
-    for first_epoch, forecasts in seen:
+    assert sum(len(forecasts) for forecasts in seen) == 40
+    first_epoch = 1  # blocks arrive in epoch order
+    for forecasts in seen:
         for e, k in np.ndindex(forecasts.shape[:2]):
             epoch = first_epoch + e  # the weights after this epoch, from a run stopped there
-            params = train_batch(panel, tree, [regs[k]], replace(cfg, max_epochs=epoch, seed=seeds[k]))[0].params
+            params = train_bottom(panel, tree, [lams[k]], [seeds[k]], replace(cfg, max_epochs=epoch))[0].params
             assert np.array_equal(bits(forecasts[e, k]), bits(predict(params, panel.bottom_values, cfg, tps).T))
             assert np.array_equal(bits(batch[k].epoch_eval[epoch - 1]), bits(reference(params)))
+        first_epoch += len(forecasts)
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -14,11 +14,11 @@ import pytest
 
 import htsreg
 from htsreg.cli import _write_traces, main
-from htsreg.evaluate import BenchmarkResult
+from htsreg.evaluate import BenchmarkResult, _bottom_weights
 from htsreg.hierarchy import LEVELS, build_hierarchy
 from htsreg.panel import load_panel_csv, standardize
 from htsreg.synthgen import preset_hierarchy
-from htsreg.trainer import RegWeights, TrainConfig, TrainResult, train_batch
+from htsreg.trainer import TrainConfig, TrainResult, train_batch
 
 SMALL_PARENTS = {2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 3}
 
@@ -259,7 +259,7 @@ def test_one_seed_run_checkpoint_equals_train_batch(tmp_path, small_setup, train
     out_dir = tmp_path / "o"
     assert main(["run", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
     panel = standardize(load_panel_csv(pcsv, h).with_train_len(20))
-    want = train_batch(panel, h, [RegWeights.build(h, 0.4, 1.5)], TrainConfig(**train, seed=3))[0]
+    want = train_batch(panel, *_bottom_weights(panel, h, [(0.4, 1.5)]), [3], TrainConfig(**train))[0]
     ckpt, = (out_dir / "checkpoints").iterdir()
     saved = json.loads(ckpt.read_text())
     assert saved["seed"] == 3
@@ -499,6 +499,17 @@ def test_sweep_rejects_repeated_x(tmp_path, capsys, x_grid):
     assert not (tmp_path / "s.csv").exists()
 
 
+def test_sweep_rejects_negative_x(tmp_path, capsys, monkeypatch):
+    """The sweep's own check names x_grid, before any network trains."""
+    monkeypatch.setattr("htsreg.evaluate.train_batch", _no_training)
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"panel": {"preset": "NgtvC", "seed": 3}, "trial_seeds": [1], "x_grid": [0, -1],
+                               "train": {"max_epochs": 2}}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 2
+    assert capsys.readouterr().err == "config error: sweep: x_grid values must not be negative, got [-1.0, 0.0]\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
 @pytest.mark.parametrize("case", ["preset_and_csv", "seed_on_csv", "hierarchy_beside_preset"])
 def test_run_rejects_panel_keys_without_effect(tmp_path, small_setup, capsys, case):
     """Keys the chosen panel source would ignore are errors, even when the files they name exist."""
@@ -549,6 +560,7 @@ CONFIG_LOADING = {
                          "panel.csv: file not found: {dir}/nope.csv"),
     "train_not_an_object": ("run", {"train": 5}, "train: must be an object, got 5"),
     "train_unknown_key": ("run", {"train": {"max_epochs": 5, "epochs": 5}}, "train.epochs: unknown training option"),
+    "train_seed": ("run", {"train": {"max_epochs": 5, "seed": 3}}, "train.seed: unknown training option"),
     "methods_missing": ("run", {"methods": DROP}, "methods: missing key"),
     "methods_empty": ("run", {"methods": []}, "methods: must be a nonempty list, got []"),
     "method_not_an_object": ("run", {"methods": ["MA"]}, "methods[0]: must be an object with 'name', got 'MA'"),
@@ -757,7 +769,7 @@ def test_generate_io_error_exit_code(tmp_path):
 
 
 def _no_training(*args, **kwargs):
-    raise AssertionError("a network trained before the duplicate methods were found")
+    raise AssertionError("a network trained before the config error was found")
 
 
 @pytest.mark.parametrize("methods, message", [
@@ -773,11 +785,52 @@ def _no_training(*args, **kwargs):
 def test_run_rejects_methods_sharing_a_column(tmp_path, capsys, monkeypatch, methods, message):
     """Two methods with one label would merge their trials in the table and overwrite each other's checkpoints."""
     monkeypatch.setattr("htsreg.evaluate.train_batch", _no_training)
-    monkeypatch.setattr("htsreg.evaluate.train_all_node_batch", _no_training)
     out_dir = tmp_path / "o"
     assert main(["run", "--config", str(run_config(tmp_path, methods=methods)), "--out-dir", str(out_dir)]) == 2
     assert message in capsys.readouterr().err
     assert not any(out_dir.iterdir())
+
+
+@pytest.mark.parametrize("method, need", [
+    ({"name": "NN+MinT"}, 16),
+    ({"name": "NN+BU"}, 3),
+    ({"name": "NN+SR", "tune": True, "tune_grid1": [0.0], "tune_gridM": [0.0, 1.0]}, 4),
+], ids=["mint_w_estimate", "bu_lags", "tuned_sr_hold_out"])
+def test_run_rejects_a_train_len_too_short_for_a_network_method(tmp_path, capsys, monkeypatch, method, need):
+    """One timepoint short of a method's shortest training period, run exits 2 naming panel.train_len, before the
+    out-dir is made or any network trains; at that period the method runs.
+
+    At lag 2, NN+MinT's W estimate needs |N| + 1 = 14 residual vectors, NN+BU one training timepoint and a tuned
+    NN+SR a hold-out fit period of 3 timepoints, 75% of 4.
+    """
+    out_dir = tmp_path / "o"
+
+    def argv(train_len):
+        cfg = run_config(tmp_path, panel={"preset": "NgtvC", "seed": 3, "train_len": train_len}, methods=[method],
+                         train={"max_epochs": 1}, trial_seeds=[1])
+        return ["run", "--config", str(cfg), "--out-dir", str(out_dir)]
+
+    with monkeypatch.context() as patched:
+        patched.setattr("htsreg.evaluate.train_batch", _no_training)
+        assert main(argv(need - 1)) == 2
+    assert capsys.readouterr().err == (f"config error: panel.train_len: {need - 1} is too short for methods[0] "
+                                       f"({method['name']}), which needs {need} at lag 2\n")
+    assert not out_dir.exists()
+    assert main(argv(need)) == 0
+
+
+def test_run_writes_mint_gamma_and_w_condition(tmp_path):
+    """Each NN+MinT trial in trials.json ends with its MinT ridge factor and cond(W_c); no other trial has them."""
+    cfg = run_config(tmp_path, methods=[{"name": "MA", "grid": [1, 2]}, {"name": "NN+BU"}, {"name": "NN+MinT"}])
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+    methods = json.loads((tmp_path / "o" / "trials.json").read_text())["methods"]
+    for label, entry in methods.items():
+        for trial in entry["trials"]:
+            if label == "NN+MinT":
+                assert list(trial)[-4:] == ["epochs", "reason", "gamma", "w_condition"]
+                assert trial["gamma"] == 1e-8 and 1 <= trial["w_condition"] < 1e8
+            else:
+                assert "gamma" not in trial and "w_condition" not in trial
 
 
 def test_run_rejects_a_tuned_pick_equal_to_another_method(tmp_path, capsys):

@@ -1,12 +1,11 @@
 """Tests for metrics, trial summaries, epoch traces, sweeps, and the benchmark."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from htsreg.evaluate import (
     MethodSpec,
+    _bottom_weights,
     make_epoch_hook,
     node_report,
     reg_sweep,
@@ -17,7 +16,7 @@ from htsreg.evaluate import (
 from htsreg.hierarchy import aggregate_bottom, build_hierarchy
 from htsreg.panel import SeriesPanel, standardize
 from htsreg import trainer
-from htsreg.trainer import RegWeights, TrainConfig, train_all_node_batch, train_batch
+from htsreg.trainer import TrainConfig, train_batch
 
 SMALL_PARENTS = {2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 3}
 
@@ -25,6 +24,11 @@ SMALL_PARENTS = {2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 3}
 @pytest.fixture
 def tree():
     return build_hierarchy(SMALL_PARENTS)
+
+
+def train_bottom(panel, tree, lam, seed, cfg, hook=None):
+    """The bottom network of weights lam = (root, mid) trained from seed."""
+    return train_batch(panel, *_bottom_weights(panel, tree, [lam]), [seed], cfg, hook)[0]
 
 
 @pytest.fixture
@@ -120,38 +124,34 @@ def test_summary_needs_two_reports(tree):
 # ------------------------------------------------------------- epoch traces
 
 def test_epoch_trace_length_matches_epochs(tree, panel):
-    cfg = TrainConfig(max_epochs=17, seed=1)
-    result = train_batch(panel, tree, [RegWeights.build(tree, 0.0, 0.0)], cfg,
-                         hook=make_epoch_hook(panel, tree, cfg))[0]
+    cfg = TrainConfig(max_epochs=17)
+    result = train_bottom(panel, tree, (0.0, 0.0), 1, cfg, make_epoch_hook(panel, tree, cfg))
     assert result.epoch_eval.shape == (result.epochs, 4)  # one column per LEVELS entry
 
 
 def test_epoch_trace_zero_reg_equals_bottom_up_run(tree, panel):
-    cfg = TrainConfig(max_epochs=12, seed=2)
-    a = train_batch(panel, tree, [RegWeights.build(tree, 0.0, 0.0)], cfg,
-                    hook=make_epoch_hook(panel, tree, cfg))[0]
-    b = train_batch(panel, tree, [RegWeights.build(tree, 0.0, 0.0)], cfg,
-                    hook=make_epoch_hook(panel, tree, cfg))[0]
+    cfg = TrainConfig(max_epochs=12)
+    a = train_bottom(panel, tree, (0.0, 0.0), 2, cfg, make_epoch_hook(panel, tree, cfg))
+    b = train_bottom(panel, tree, (0.0, 0.0), 2, cfg, make_epoch_hook(panel, tree, cfg))
     assert np.array_equal(a.epoch_eval, b.epoch_eval)
 
 
 def test_epoch_trace_emitted_for_single_epoch(tree, panel):
-    cfg = TrainConfig(max_epochs=1, seed=3)
-    result = train_batch(panel, tree, [RegWeights.build(tree, 0.0, 0.0)], cfg,
-                         hook=make_epoch_hook(panel, tree, cfg))[0]
+    cfg = TrainConfig(max_epochs=1)
+    result = train_bottom(panel, tree, (0.0, 0.0), 3, cfg, make_epoch_hook(panel, tree, cfg))
     assert len(result.epoch_eval) == 1
 
 
 def test_epoch_trace_requires_hook(tree, panel):
     """Without a hook a run records no epoch evaluations."""
-    result = train_batch(panel, tree, [RegWeights.build(tree, 0.0, 0.0)], TrainConfig(max_epochs=2, seed=4))[0]
+    result = train_bottom(panel, tree, (0.0, 0.0), 4, TrainConfig(max_epochs=2))
     assert result.epochs == 2 and result.epoch_eval is None
 
 
 # ------------------------------------------------------------- sweeps
 
 def test_sweep_zero_point_is_exactly_zero(tree, panel):
-    cfg = TrainConfig(max_epochs=6, seed=5)
+    cfg = TrainConfig(max_epochs=6)
     curves = reg_sweep(panel, tree, [0.0, 0.5], [1, 2], cfg)
     for mode in curves:
         for level in curves[mode]:
@@ -159,20 +159,16 @@ def test_sweep_zero_point_is_exactly_zero(tree, panel):
 
 
 def test_sweep_modes_agree_at_zero_and_single_trial_is_raw_diff(tree, panel):
-    cfg = TrainConfig(max_epochs=6, seed=6)
+    cfg = TrainConfig(max_epochs=6)
     curves = reg_sweep(panel, tree, [0.0, 0.4], [7], cfg)
     for mode in ("(x,0)", "(0,x)", "(x,x)"):
         assert curves[mode]["average"][0] == 0.0
     # single trial: curves equal the raw per-seed differences of separate runs
-    from dataclasses import replace
-
     from htsreg.trainer import forecast_timepoints, predict
 
-    cfg7 = replace(cfg, seed=7)
-
     def average_rmse(lam):
-        result = train_batch(panel, tree, [RegWeights.build(tree, *lam)], cfg7)[0]
-        coherent = aggregate_bottom(tree, predict(result.params, panel.bottom_values, cfg7, forecast_timepoints(panel)))
+        result = train_bottom(panel, tree, lam, 7, cfg)
+        coherent = aggregate_bottom(tree, predict(result.params, panel.bottom_values, cfg, forecast_timepoints(panel)))
         return float(np.sqrt(np.mean((panel.values[:, panel.train_len:] - coherent) ** 2, axis=1)).mean())
 
     assert curves["(x,0)"]["average"][1] == average_rmse((0.4, 0.0)) - average_rmse((0.0, 0.0))
@@ -181,6 +177,13 @@ def test_sweep_modes_agree_at_zero_and_single_trial_is_raw_diff(tree, panel):
 def test_sweep_requires_zero_in_grid(tree, panel):
     with pytest.raises(ValueError, match="include 0"):
         reg_sweep(panel, tree, [0.5, 1.0], [1], TrainConfig(max_epochs=2))
+
+
+def test_sweep_rejects_a_negative_grid_value(tree, panel, monkeypatch):
+    """The sweep's own check names x_grid, before any network trains."""
+    monkeypatch.setattr("htsreg.evaluate.train_batch", None)
+    with pytest.raises(ValueError, match=r"x_grid values must not be negative, got \[-1.0, 0.0\]"):
+        reg_sweep(panel, tree, [-1.0, 0.0], [1], TrainConfig(max_epochs=2))
 
 
 # ------------------------------------------------------------- benchmark
@@ -207,6 +210,9 @@ def test_benchmark_shapes_and_labels(tree, panel):
         assert len(result.reports[label]) == 2          # one per seed
         assert result.summaries[label] is not None
     assert "NN+SR(0.0, 1.0)" in result.labels
+    assert list(result.mint) == ["NN+MinT"] and list(result.mint["NN+MinT"]) == [1, 2]
+    for info in result.mint["NN+MinT"].values():  # MinT's first ridge rung, on a well-conditioned W
+        assert info["gamma"] == 1e-8 and 1 <= info["w_condition"] < 1e8
 
 
 def test_benchmark_deterministic_end_to_end(tree, panel):
@@ -248,13 +254,11 @@ def test_benchmark_stacks_match_trial_by_trial_runs(tree, panel, monkeypatch):
         for label in result.labels:
             assert [rep.params["seed"] for rep in result.reports[label]] == seeds
             for seed, fit in result.fits[label].items():
-                one = replace(cfg, seed=seed)
                 if label == "NN+MinT":
-                    alone = train_all_node_batch(panel, one, [one.seed])[0]
+                    alone = train_batch(panel, np.zeros((0, 7)), np.zeros((1, 0)), [seed], cfg)[0]
                     assert fit.epoch_eval is None
                 else:
-                    alone = train_batch(panel, tree, [RegWeights.build(tree, *lams[label])], one,
-                                        hook=make_epoch_hook(panel, tree, one))[0]
+                    alone = train_bottom(panel, tree, lams[label], seed, cfg, make_epoch_hook(panel, tree, cfg))
                     assert np.array_equal(fit.epoch_eval, alone.epoch_eval)
                 assert (fit.epochs, fit.reason) == (alone.epochs, alone.reason)
                 assert np.array_equal(fit.objective, alone.objective)

@@ -5,20 +5,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from htsreg.evaluate import DEFAULT_LAMBDA_GRID, tune_lambda
+from htsreg.evaluate import DEFAULT_LAMBDA_GRID, _bottom_weights, tune_lambda
 from htsreg.hierarchy import aggregate_bottom, build_hierarchy, structure_matrix
 from htsreg.neuralnet import NetworkDims, init_params
 from htsreg.panel import SeriesPanel, lagged_design, standardize
 from htsreg.synthgen import generate_dataset, preset_hierarchy
 from htsreg.trainer import (
-    RegWeights,
     TrainConfig,
     TrainingDiverged,
     forecast_timepoints,
     forward,
     loss_and_grads,
     predict,
-    train_all_node_batch,
     train_batch,
     training_timepoints,
 )
@@ -36,11 +34,17 @@ def h_matrix(tree):
     return structure_matrix(tree)
 
 
-def loss(params, x, y, reg, h_matrix, kind="sigmoid"):
-    """loss_and_grads on observation rows y = (upper | bottom), one row per input row."""
+def loss(params, x, y, lam, h_matrix, kind="sigmoid"):
+    """loss_and_grads on observation rows y = (upper | bottom), one row per input row, at lam = (root, mid) weights."""
     x, y = np.atleast_2d(x), np.atleast_2d(y)
     n_upper = h_matrix.shape[0]
-    return loss_and_grads(params, x, y[:, n_upper:], y[:, :n_upper], h_matrix, reg.vec, kind)
+    vec = np.array([lam[0]] + [lam[1]] * (n_upper - 1))
+    return loss_and_grads(params, x, y[:, n_upper:], y[:, :n_upper], h_matrix, vec, kind)
+
+
+def train_bottom(panel, tree, lam, seed, cfg, hook=None):
+    """The bottom network of weights lam = (root, mid) trained from seed."""
+    return train_batch(panel, *_bottom_weights(panel, tree, [lam]), [seed], cfg, hook)[0]
 
 
 def fixed_output(u3):
@@ -54,19 +58,42 @@ def fixed_output(u3):
 # ------------------------------------------------------------- objective
 
 def test_reg_weights_assignment(tree):
-    reg = RegWeights.build(tree, 0.4, 1.5)
-    assert np.array_equal(reg.vec, [0.4, 1.5, 1.5])
+    """A (lambda_root, lambda_mid) pair gives the root's weight, then one per mid node, over H's rows."""
+    panel = std_panel(tree)
+    H, lams = _bottom_weights(panel, tree, [(0.4, 1.5), (0.0, 2.0)])
+    assert np.array_equal(H, structure_matrix(tree))
+    assert lams.dtype == np.float64 and np.array_equal(lams, [[0.4, 1.5, 1.5], [0.0, 2.0, 2.0]])
 
 
 def test_reg_weights_reject_negative(tree):
+    panel = std_panel(tree)
     with pytest.raises(ValueError, match="nonnegative"):
-        RegWeights.build(tree, -0.1, 0.0)
+        train_bottom(panel, tree, (-0.1, 0.0), 0, TrainConfig(max_epochs=1))
 
 
 @pytest.mark.parametrize("lam", [(float("nan"), 0.0), (0.0, float("inf")), (float("-inf"), 1.0)])
 def test_reg_weights_reject_non_finite(tree, lam):
+    panel = std_panel(tree)
     with pytest.raises(ValueError, match="finite"):
-        RegWeights.build(tree, *lam)
+        train_bottom(panel, tree, lam, 0, TrainConfig(max_epochs=1))
+
+
+@pytest.mark.parametrize("upper, lams", [(4, np.zeros((1, 4))), (2, np.zeros((1, 2))), (0, np.zeros((1, 0)))],
+                         ids=["rows_past_panel", "rows_short_of_panel", "no_rows_bottom_cols"])
+def test_train_batch_rejects_h_that_does_not_fit_the_panel(tree, upper, lams):
+    """H's rows and columns together must be the panel's rows."""
+    panel = std_panel(tree)
+    with pytest.raises(ValueError, match="does not fit a panel of 7 rows"):
+        train_batch(panel, np.zeros((upper, 4)), lams, [0], TrainConfig(max_epochs=1))
+
+
+def test_train_batch_rejects_a_weight_row_per_seed_mismatch(tree):
+    panel = std_panel(tree)
+    H, lams = _bottom_weights(panel, tree, [(0.0, 0.0)])
+    with pytest.raises(ValueError, match="weight row of length 3 per seed"):
+        train_batch(panel, H, lams, [0, 1], TrainConfig(max_epochs=1))
+    with pytest.raises(ValueError, match="weight row of length 3 per seed"):
+        train_batch(panel, H, lams[:, :2], [0], TrainConfig(max_epochs=1))
 
 
 def test_error_reduces_to_rss_at_lambda_zero(tree, h_matrix):
@@ -76,21 +103,21 @@ def test_error_reduces_to_rss_at_lambda_zero(tree, h_matrix):
     params = init_params(NetworkDims(4, 8, 4), 0)
     u3 = forward(params, x, "sigmoid")[1]
     expected = 0.5 * np.sum((y[:, 3:] - u3) ** 2)
-    objective, _ = loss(params, x, y, RegWeights.build(tree, 0.0, 0.0), h_matrix)
+    objective, _ = loss(params, x, y, (0.0, 0.0), h_matrix)
     assert objective == pytest.approx(expected, rel=1e-15)
 
 
 def test_error_zero_at_exact_coherent_fit(tree, h_matrix):
     yb = np.array([1.0, 2.0, 3.0, 4.0])
     y = aggregate_bottom(tree, yb[:, None])[:, 0]
-    objective, _ = loss(fixed_output(yb), np.ones(4), y, RegWeights.build(tree, 1.0, 1.0), h_matrix)
+    objective, _ = loss(fixed_output(yb), np.ones(4), y, (1.0, 1.0), h_matrix)
     assert objective == 0.0
 
 
 def test_error_hand_value(tree, h_matrix):
     """y = (4,2,2,1,1,1,1), output 0, unit weights: 2 + 12 = 14."""
     y = np.array([4.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.0])
-    objective, _ = loss(fixed_output(0.0), np.ones(4), y, RegWeights.build(tree, 1.0, 1.0), h_matrix)
+    objective, _ = loss(fixed_output(0.0), np.ones(4), y, (1.0, 1.0), h_matrix)
     assert objective == pytest.approx(14.0)
 
 
@@ -102,7 +129,7 @@ def test_output_delta_lambda_zero_is_residual(tree, h_matrix):
     y = rng.standard_normal(7)
     x = rng.standard_normal(4)
     params = init_params(NetworkDims(4, 8, 4), 1)
-    _, g = loss(params, x, y, RegWeights.build(tree, 0.0, 0.0), h_matrix)
+    _, g = loss(params, x, y, (0.0, 0.0), h_matrix)
     u3 = forward(params, x[None], "sigmoid")[1][0]
     assert np.array_equal(g.b3, u3 - y[3:])
 
@@ -110,7 +137,7 @@ def test_output_delta_lambda_zero_is_residual(tree, h_matrix):
 def test_output_delta_zero_at_perfect_coherent_fit(tree, h_matrix):
     yb = np.array([0.5, -1.5, 2.0, 3.0])
     y = aggregate_bottom(tree, yb[:, None])[:, 0]
-    _, g = loss(fixed_output(yb), np.ones(4), y, RegWeights.build(tree, 0.7, 1.3), h_matrix)
+    _, g = loss(fixed_output(yb), np.ones(4), y, (0.7, 1.3), h_matrix)
     assert np.allclose(g.b3, 0.0, atol=1e-12)
 
 
@@ -132,7 +159,7 @@ def test_output_delta_matches_finite_differences(tree, h_matrix):
     y = rng.standard_normal(7)
     x = rng.standard_normal(4)
     params = init_params(NetworkDims(4, 8, 4), 2)
-    reg = RegWeights.build(tree, 0.9, 1.7)
+    reg = (0.9, 1.7)
     _, g = loss(params, x, y, reg, h_matrix)
     fd_check(params, params.b3, g.b3, x, y, reg, h_matrix)
 
@@ -143,7 +170,7 @@ def test_hidden_delta_zero_incoming(tree, h_matrix):
     x = np.random.default_rng(3).standard_normal((1, 4))
     u3 = forward(params, x, "sigmoid")[1]
     y = np.hstack([u3 @ h_matrix.T, u3])
-    _, g = loss(params, x, y, RegWeights.build(tree, 0.5, 0.5), h_matrix)
+    _, g = loss(params, x, y, (0.5, 0.5), h_matrix)
     assert np.array_equal(g.b3, np.zeros(4))
     assert np.array_equal(g.b2, np.zeros(8))
 
@@ -154,7 +181,7 @@ def test_hidden_delta_dead_relu_units(tree, h_matrix):
     params.w2[:] = 0.0
     for bias in (-1.0, 0.0):
         params.b2[:] = bias
-        _, g = loss(params, np.ones(4), np.ones(7), RegWeights.build(tree, 0.5, 0.5), h_matrix, "relu")
+        _, g = loss(params, np.ones(4), np.ones(7), (0.5, 0.5), h_matrix, "relu")
         assert np.array_equal(g.b2, np.zeros(8))
         assert np.array_equal(g.w2, np.zeros((8, 4)))
 
@@ -165,7 +192,7 @@ def test_hidden_delta_matches_finite_differences(tree, h_matrix):
     params = init_params(NetworkDims(4, 8, 4), 5)
     x = rng.standard_normal(4)
     y = rng.standard_normal(7)
-    reg = RegWeights.build(tree, 0.6, 1.1)
+    reg = (0.6, 1.1)
     _, g = loss(params, x, y, reg, h_matrix)
     fd_check(params, params.b2, g.b2, x, y, reg, h_matrix, rel=1e-6)
 
@@ -174,7 +201,7 @@ def test_hidden_delta_matches_finite_differences(tree, h_matrix):
 
 def test_gradients_zero_input_zero_w2_gradient(tree, h_matrix):
     params = init_params(NetworkDims(4, 8, 4), 6)
-    reg = RegWeights.build(tree, 0.5, 0.5)
+    reg = (0.5, 0.5)
     y = np.random.default_rng(6).standard_normal((3, 7))
     _, g = loss(params, np.zeros((3, 4)), y, reg, h_matrix)
     assert np.array_equal(g.w2, np.zeros((8, 4)))
@@ -212,7 +239,7 @@ def test_gradients_match_finite_differences(tree, h_matrix, lam):
     params = init_params(NetworkDims(4, 8, 4), 7)
     x = rng.standard_normal((3, 4))
     y = rng.standard_normal((3, 7))
-    reg = RegWeights.build(tree, lam, lam)
+    reg = (lam, lam)
     assert grad_check(params, x, y, reg, h_matrix) < 1.0
 
 
@@ -222,7 +249,7 @@ def test_lambda_zero_gradients_equal_plain_rss(tree, h_matrix):
     params = init_params(NetworkDims(4, 8, 4), 8)
     x = rng.standard_normal(4)
     y = rng.standard_normal(7)
-    _, g = loss(params, x, y, RegWeights.build(tree, 0.0, 0.0), h_matrix)
+    _, g = loss(params, x, y, (0.0, 0.0), h_matrix)
 
     z2, u3 = (v[0] for v in forward(params, x[None], "sigmoid"))
     d3 = u3 - y[3:]
@@ -239,7 +266,7 @@ def test_gradient_symmetry_under_bottom_permutation(tree, h_matrix):
     params = init_params(NetworkDims(4, 8, 4), 9)
     x = rng.standard_normal(4)
     y = rng.standard_normal(7)
-    reg = RegWeights.build(tree, 0.8, 1.4)
+    reg = (0.8, 1.4)
     _, g = loss(params, x, y, reg, h_matrix)
 
     perm = np.array([2, 0, 3, 1])
@@ -264,8 +291,8 @@ def std_panel(tree, seed=0, n_time=30, train_len=20):
 
 def test_zero_epoch_budget_returns_initial_params(tree):
     panel = std_panel(tree)
-    cfg = TrainConfig(max_epochs=0, lag=2, seed=5)
-    result = train_batch(panel, tree, [RegWeights.build(tree, 0.0, 0.0)], cfg)[0]
+    cfg = TrainConfig(max_epochs=0, lag=2)
+    result = train_bottom(panel, tree, (0.0, 0.0), 5, cfg)
     fresh = init_params(NetworkDims(8, 16, 4), 5)
     assert np.array_equal(result.params.w2, fresh.w2)
     assert np.array_equal(result.params.w3, fresh.w3)
@@ -276,7 +303,7 @@ def test_zero_epoch_budget_returns_initial_params(tree):
 
 def capture_hook(store, x):
     """Stack hook on the rows of x keeping a copy of the one model's forecasts after every epoch."""
-    def hook(first_epoch, forecasts):
+    def hook(forecasts):
         store.extend(forecasts[:, 0].copy())
         return np.zeros(forecasts.shape[:2])
 
@@ -287,11 +314,11 @@ def capture_hook(store, x):
 def test_lambda_zero_training_is_bitwise_identical(tree):
     """Two zero-weight runs with the same seed share every parameter and forecast bit."""
     panel = std_panel(tree, seed=1)
-    cfg = TrainConfig(max_epochs=30, seed=11)
+    cfg = TrainConfig(max_epochs=30)
     x = lagged_design(panel.bottom_values, cfg.lag, forecast_timepoints(panel))
     snaps_a, snaps_b = [], []
-    ra = train_batch(panel, tree, [RegWeights.build(tree, 0.0, 0.0)], cfg, hook=capture_hook(snaps_a, x))[0]
-    rb = train_batch(panel, tree, [RegWeights.build(tree, 0.0, 0.0)], cfg, hook=capture_hook(snaps_b, x))[0]
+    ra = train_bottom(panel, tree, (0.0, 0.0), 11, cfg, capture_hook(snaps_a, x))
+    rb = train_bottom(panel, tree, (0.0, 0.0), 11, cfg, capture_hook(snaps_b, x))
     assert np.array_equal(ra.objective, rb.objective)
     assert len(snaps_a) == len(snaps_b) == ra.epochs == 30
     for sa, sb in zip(snaps_a, snaps_b):
@@ -303,9 +330,9 @@ def test_lambda_zero_training_is_bitwise_identical(tree):
 def test_first_update_equals_sum_of_pointwise_gradients(tree, h_matrix):
     """One engine epoch applies eta times the sum of per-timepoint gradients."""
     panel = std_panel(tree, seed=2)
-    cfg = TrainConfig(max_epochs=1, eta=1e-4, lag=2, seed=13)
-    reg = RegWeights.build(tree, 0.5, 1.5)
-    result = train_batch(panel, tree, [reg], cfg)[0]
+    cfg = TrainConfig(max_epochs=1, eta=1e-4, lag=2)
+    reg = (0.5, 1.5)
+    result = train_bottom(panel, tree, reg, 13, cfg)
 
     params0 = init_params(NetworkDims(8, 16, 4), 13)
     grads = [loss(params0, lagged_design(panel.bottom_values, cfg.lag, [t]), panel.values[:, t - 1], reg, h_matrix)[1]
@@ -320,7 +347,7 @@ def test_objective_monotone_on_preset_panel():
     """At the default step size the objective never rises before termination."""
     panel = standardize(generate_dataset("NgtvC", seed=3))
     h = preset_hierarchy()
-    result = train_batch(panel, h, [RegWeights.build(h, 0.0, 2.1)], TrainConfig(max_epochs=300, seed=1))[0]
+    result = train_bottom(panel, h, (0.0, 2.1), 1, TrainConfig(max_epochs=300))
     diffs = np.diff(result.objective)
     assert np.all(diffs[:-1] <= 0)
 
@@ -328,36 +355,36 @@ def test_objective_monotone_on_preset_panel():
 def test_divergence_raises_with_epoch(tree):
     """A step size large enough to overflow in one update aborts the trial."""
     panel = std_panel(tree, seed=4)
-    cfg = TrainConfig(eta=1e160, max_epochs=200, seed=1)
+    cfg = TrainConfig(eta=1e160, max_epochs=200)
     with np.errstate(all="ignore"):
         with pytest.raises(TrainingDiverged) as err:
-            train_batch(panel, tree, [RegWeights.build(tree, 0.0, 0.0)], cfg)
+            train_bottom(panel, tree, (0.0, 0.0), 1, cfg)
     assert err.value.epoch >= 1
 
 
 def test_training_always_halts(tree):
     """The epoch cap guarantees termination even with a tiny threshold."""
     panel = std_panel(tree, seed=5)
-    cfg = TrainConfig(eps=1e-300, max_epochs=25, seed=2)
-    result = train_batch(panel, tree, [RegWeights.build(tree, 0.0, 0.0)], cfg)[0]
+    cfg = TrainConfig(eps=1e-300, max_epochs=25)
+    result = train_bottom(panel, tree, (0.0, 0.0), 2, cfg)
     assert result.epochs == 25
     assert result.reason == "max_epochs"
 
 
 def test_training_is_deterministic(tree):
     panel = std_panel(tree, seed=6)
-    cfg = TrainConfig(max_epochs=40, seed=21)
-    a = train_batch(panel, tree, [RegWeights.build(tree, 0.3, 0.9)], cfg)[0]
-    b = train_batch(panel, tree, [RegWeights.build(tree, 0.3, 0.9)], cfg)[0]
+    cfg = TrainConfig(max_epochs=40)
+    a = train_bottom(panel, tree, (0.3, 0.9), 21, cfg)
+    b = train_bottom(panel, tree, (0.3, 0.9), 21, cfg)
     assert np.array_equal(a.params.w2, b.params.w2)
     assert np.array_equal(a.objective, b.objective)
 
 
 def test_all_node_base_network_trains(tree):
-    """The unregularized all-node network descends its squared error."""
+    """The unregularized all-node network, an H with no rows, descends its squared error."""
     panel = std_panel(tree, seed=7)
-    cfg = TrainConfig(max_epochs=50, seed=3)
-    result = train_all_node_batch(panel, cfg, [cfg.seed])[0]
+    cfg = TrainConfig(max_epochs=50)
+    result = train_batch(panel, np.zeros((0, 7)), np.zeros((1, 0)), [3], cfg)[0]
     assert result.params.dims.input_dim == cfg.lag * 7
     assert result.params.dims.output_dim == 7
     assert result.objective[-1] < result.objective[0]
@@ -365,8 +392,8 @@ def test_all_node_base_network_trains(tree):
 
 def test_predict_bottom_matches_single_forward(tree):
     panel = std_panel(tree, seed=8)
-    cfg = TrainConfig(max_epochs=5, seed=4)
-    result = train_batch(panel, tree, [RegWeights.build(tree, 0.0, 0.0)], cfg)[0]
+    cfg = TrainConfig(max_epochs=5)
+    result = train_bottom(panel, tree, (0.0, 0.0), 4, cfg)
 
     fc = predict(result.params, panel.bottom_values, cfg, [10, 11])
     one = forward(result.params, lagged_design(panel.bottom_values, cfg.lag, [10]), cfg.activation)[1][0]
@@ -377,22 +404,22 @@ def test_predict_bottom_matches_single_forward(tree):
 
 def test_tune_lambda_degenerate_grid(tree):
     panel = std_panel(tree, seed=9, n_time=40, train_len=28)
-    cfg = TrainConfig(max_epochs=10, seed=5)
-    assert tune_lambda(panel, tree, [0.0], [0.0], cfg) == (0.0, 0.0)
+    cfg = TrainConfig(max_epochs=10)
+    assert tune_lambda(panel, tree, [0.0], [0.0], cfg, 5) == (0.0, 0.0)
 
 
 def test_tune_lambda_rejects_empty_grid(tree):
     panel = std_panel(tree, seed=9, n_time=40, train_len=28)
     with pytest.raises(ValueError, match="nonempty"):
-        tune_lambda(panel, tree, [], [0.0], TrainConfig(max_epochs=5))
+        tune_lambda(panel, tree, [], [0.0], TrainConfig(max_epochs=5), 0)
 
 
 def test_tune_lambda_matches_reevaluation_oracle(tree):
     """An independent pass over the grid reproduces the selection."""
     panel = std_panel(tree, seed=10, n_time=48, train_len=32)
-    cfg = TrainConfig(max_epochs=15, seed=6)
+    cfg = TrainConfig(max_epochs=15)
     grid1, grid_m = [0.0, 1.0], [0.0, 0.8, 1.6]
-    chosen = tune_lambda(panel, tree, grid1, grid_m, cfg)
+    chosen = tune_lambda(panel, tree, grid1, grid_m, cfg, 6)
 
     fit_len = int(0.75 * panel.train_len)
     fit_panel = panel.with_train_len(fit_len)
@@ -400,7 +427,7 @@ def test_tune_lambda_matches_reevaluation_oracle(tree):
     actual = panel.values[:, [t - 1 for t in val_tps]]
 
     def score(l1, lm):
-        res = train_batch(fit_panel, tree, [RegWeights.build(tree, l1, lm)], cfg)[0]
+        res = train_bottom(fit_panel, tree, (l1, lm), 6, cfg)
         coherent = aggregate_bottom(tree, predict(res.params, fit_panel.bottom_values, cfg, val_tps))
         return float(np.mean(np.sqrt(np.mean((actual - coherent) ** 2, axis=1))))
 
@@ -424,4 +451,4 @@ def test_train_rejects_mismatched_panel(tree):
     panel = std_panel(tree, seed=11)
     other = build_hierarchy({20: 10, 30: 10, 40: 20, 50: 20, 60: 30, 70: 30})
     with pytest.raises(ValueError, match="node order"):
-        train_batch(panel, other, [RegWeights.build(other, 0.0, 0.0)], TrainConfig(max_epochs=1))
+        _bottom_weights(panel, other, [(0.0, 0.0)])
