@@ -216,10 +216,13 @@ def _load_config(path: str, table: dict) -> tuple[dict, list[MethodSpec], Series
         for key in m:
             _need(key == "name" or key in _METHOD_READS[kind], f"methods[{i}].{key}", f"has no effect on {kind}")
     panel, h = _panel_from_config(cfg, Path(path).resolve().parent)
-    for i, spec in enumerate(methods):
+    needs = [(f"methods[{i}] ({spec.name}), which needs", spec) for i, spec in enumerate(methods)]
+    if table is _SWEEP:  # a sweep trains NN+SR networks
+        needs = [("the sweep's NN+SR networks, which need", MethodSpec(name="NN+SR", lambda1=0.0, lambdaM=0.0))]
+    for what, spec in needs:
         need = spec.min_train_len(panel.n_nodes, config.lag)
         _need(panel.train_len >= need, "panel.train_len",
-              f"{panel.train_len} is too short for methods[{i}] ({spec.name}), which needs {need} at lag {config.lag}")
+              f"{panel.train_len} is too short for {what} {need} at lag {config.lag}")
     return cfg, methods, panel, h, config
 
 
@@ -317,12 +320,11 @@ def _slug(label: str) -> str:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg, methods, panel, h, config = _load_config(args.config, _RUN)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     result = run_benchmark(panel, h, methods, cfg["trial_seeds"], config,
                            collect_traces=cfg.get("epoch_trace", True), jobs=args.jobs)
 
+    out_dir = Path(args.out_dir)  # made only now, so a run that fails leaves none behind
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_table(result, h, out_dir / "table.csv")
     _write_trials(result, h, out_dir / "trials.json")
     _write_traces(result, out_dir / "epoch_trace.csv")

@@ -1,4 +1,4 @@
-"""Two-layer feedforward network: dims, parameters, initialization, activations, the checkpoint writer."""
+"""Two-layer feedforward network: dims, the flat weight layout, initialization, activations, the checkpoint writer."""
 
 from __future__ import annotations
 
@@ -22,19 +22,41 @@ class NetworkDims:
 
 @dataclass
 class NetworkParams:
-    """Weights and biases; w2/b2 feed the hidden layer, w3/b3 the output."""
+    """One network's weights and biases, or a stack of K networks', as flat rows: the layout training runs on.
 
-    w2: np.ndarray  # hidden x input
-    b2: np.ndarray  # hidden
-    w3: np.ndarray  # output x hidden
-    b3: np.ndarray  # output
+    ``theta`` is one row (P,) or a stack (K, P). A row holds each hidden
+    unit's ``w2`` row followed by its bias, so that layer 1 is one matrix
+    [w2 | b2] (hidden x input + 1), then ``w3`` (output x hidden), then
+    ``b3`` (output). w2/b2 feed the hidden layer, w3/b3 the output. The
+    named weights are views of ``theta``, made on access, so they alias
+    whichever ``theta`` the object holds, also after a pickle round trip.
+    """
 
-    @property
-    def dims(self) -> NetworkDims:
-        return NetworkDims(self.w2.shape[1], self.w2.shape[0], self.w3.shape[0])
+    theta: np.ndarray
+    dims: NetworkDims
+
+    def views(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """w1 = [w2 | b2], w2, b2, w3, b3 as views of ``theta``; a stack's carry a leading K, its biases (K, 1, n)."""
+        i, hd, o = self.dims.input_dim, self.dims.hidden_dim, self.dims.output_dim
+        lead = self.theta.shape[:-1]
+        w1, w3, b3 = np.split(self.theta, [hd * (i + 1), hd * (i + 1 + o)], axis=-1)
+        w1 = w1.reshape(lead + (hd, i + 1), copy=False)
+        b2 = w1[:, None, :, i] if lead else w1[:, i]
+        return (w1, w1[..., :i], b2, w3.reshape(lead + (o, hd), copy=False),
+                b3.reshape(lead + (1,) * len(lead) + (o,), copy=False))
+
+    @classmethod
+    def zeros(cls, dims: NetworkDims) -> "NetworkParams":
+        """One network with every weight and bias 0."""
+        return cls(np.zeros(dims.hidden_dim * (dims.input_dim + 1 + dims.output_dim) + dims.output_dim), dims)
+
+    w2 = property(lambda self: self.views()[1])  # hidden x input
+    b2 = property(lambda self: self.views()[2])  # hidden
+    w3 = property(lambda self: self.views()[3])  # output x hidden
+    b3 = property(lambda self: self.views()[4])  # output
 
     def __iter__(self):
-        return iter((self.w2, self.b2, self.w3, self.b3))
+        return iter(self.views()[1:])
 
 
 def init_params(dims: NetworkDims, seed: int, bias: bool = True) -> NetworkParams:
@@ -45,11 +67,11 @@ def init_params(dims: NetworkDims, seed: int, bias: bool = True) -> NetworkParam
     ``bias=False`` the bias vectors are zero and not drawn.
     """
     rng = np.random.default_rng(seed)
-    w2 = rng.standard_normal((dims.hidden_dim, dims.input_dim))
-    b2 = rng.standard_normal(dims.hidden_dim) if bias else np.zeros(dims.hidden_dim)
-    w3 = rng.standard_normal((dims.output_dim, dims.hidden_dim))
-    b3 = rng.standard_normal(dims.output_dim) if bias else np.zeros(dims.output_dim)
-    return NetworkParams(w2=w2, b2=b2, w3=w3, b3=b3)
+    params = NetworkParams.zeros(dims)
+    for view, drawn in zip(params, (True, bias, True, bias)):
+        if drawn:
+            view[...] = rng.standard_normal(view.shape)
+    return params
 
 
 def activation(u: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:

@@ -69,7 +69,6 @@ class TrainConfig:
 @dataclass
 class TrainResult:
     params: NetworkParams
-    objective: np.ndarray  # E(theta) after each epoch's update
     epochs: int
     reason: str  # "converged" or "max_epochs"
     epoch_eval: np.ndarray | None = None  # hook rows, one per epoch; None if no hook ran
@@ -97,29 +96,9 @@ def forecast_timepoints(panel: SeriesPanel) -> range:
     return range(panel.train_len + 1, panel.n_time + 1)
 
 
-def _layer1(params: NetworkParams) -> np.ndarray:
-    """[w2 | b2]: layer 1's weights with its bias as one more input column, (hd, i + 1) per model."""
-    return np.concatenate([params.w2, np.reshape(params.b2, params.w2.shape[:-1] + (1,))], axis=-1)
-
-
 def _with_ones(x: np.ndarray) -> np.ndarray:
-    """The rows of x with a ones column appended, the input of :func:`_layer1`'s weights."""
+    """The rows of x with a ones column appended, the input of layer 1's [w2 | b2] (see ``NetworkParams``)."""
     return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
-
-
-def _flat(params: NetworkParams) -> np.ndarray:
-    """One flat row [w2 | b2 | w3 | b3] per model (w2 | b2 as :func:`_layer1`) of stacked weights or of one model."""
-    k = len(params.w2) if params.w2.ndim == 3 else 1
-    return np.concatenate([np.reshape(a, (k, -1)) for a in (_layer1(params), params.w3, params.b3)], axis=1)
-
-
-def _views(flat: np.ndarray, dims: NetworkDims) -> tuple[np.ndarray, NetworkParams]:
-    """Stacked views of flat rows: layer 1's [w2 | b2], (K, hd, i + 1), and w2, b2, w3, b3 (biases (K, 1, n))."""
-    k, i, hd, o = len(flat), dims.input_dim, dims.hidden_dim, dims.output_dim
-    w1, w3, b3 = np.split(flat, np.cumsum([hd * (i + 1), o * hd]), axis=1)
-    w1 = w1.reshape((k, hd, i + 1), copy=False)
-    return w1, NetworkParams(w2=w1[..., :i], b2=w1[:, None, :, i], w3=w3.reshape((k, o, hd), copy=False),
-                             b3=b3.reshape((k, 1, o), copy=False))
 
 
 def _forward(w1: np.ndarray, w3: np.ndarray, b3: np.ndarray, x1: np.ndarray, kind: str,
@@ -135,30 +114,33 @@ def _forward(w1: np.ndarray, w3: np.ndarray, b3: np.ndarray, x1: np.ndarray, kin
 def forward(params: NetworkParams, x: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """Hidden activations z2 = f(x W2' + b2) and linear outputs u3 = z2 W3' + b3 for the rows of x.
 
-    Layer 1 is one product, [x | 1] [W2 | b2]'. The weights may carry a
-    leading model axis (biases shaped (K, 1, n)); each model's slice then
-    gives the bits of a network of its own, which are the bits training
-    computes for it.
+    Layer 1 is one product, [x | 1] [W2 | b2]', on the ``w1`` view of the
+    flat weights. The weights may be a stack (see ``NetworkParams``); each
+    model's slice then gives the bits of a network of its own, which are
+    the bits training computes for it.
     """
-    return _forward(_layer1(params), params.w3, params.b3, _with_ones(x), kind)
+    w1, _, _, w3, b3 = params.views()
+    return _forward(w1, w3, b3, _with_ones(x), kind)
 
 
 class _Workspace:
     """Preallocated buffers of one epoch of K stacked models on shared rows.
 
-    ``theta`` and ``grad`` hold a flat row per model (see :func:`_flat`);
-    ``w1``/``net`` and ``g1``/``grads`` are their stacked views (see
-    :func:`_views`). The rows ``x1`` are fitted; the watch rows ``xw1``,
-    if any, are only forwarded, into ``u3w``, in products of their own, as
-    BLAS can round a row differently in a product with more rows. Both
-    carry the ones column of :func:`_with_ones`.
+    ``theta`` and ``grad`` hold a flat row per model (see ``NetworkParams``),
+    and their views are bound once: ``w1``, ``w3`` and ``b3`` of the
+    weights, ``g1``, ``gb2``, ``gw3`` and ``gb3`` of the gradient. The rows
+    ``x1`` are fitted; the watch rows ``xw1``, if any, are only forwarded,
+    into ``u3w``, in products of their own, as BLAS can round a row
+    differently in a product with more rows. Both carry the ones column of
+    :func:`_with_ones`.
     """
 
     def __init__(self, theta: np.ndarray, dims: NetworkDims, x1: np.ndarray, yb: np.ndarray, yu: np.ndarray,
                  H: np.ndarray, lam: np.ndarray, kind: str, xw1: np.ndarray | None = None):
         k, n, hd, out, n_upper = len(theta), len(yb), dims.hidden_dim, dims.output_dim, H.shape[0]
         self.dims, self.theta, self.grad = dims, theta, np.empty_like(theta)
-        (self.w1, self.net), (self.g1, self.grads) = _views(theta, dims), _views(self.grad, dims)
+        self.w1, _, _, self.w3, self.b3 = NetworkParams(theta, dims).views()
+        self.g1, _, self.gb2, self.gw3, self.gb3 = NetworkParams(self.grad, dims).views()
         self.x1, self.xw1, self.yb, self.yu, self.H, self.HT, self.kind = x1, xw1, yb, yu, H, H.T, kind
         self.ones = np.ones((1, n))
         self.lam, self.lam2 = lam, lam * lam  # lam * lam, not lam applied twice, which rounds differently
@@ -172,11 +154,19 @@ class _Workspace:
         self.objective, self.objective_u = np.empty(k), np.empty(k)
 
     def loss_and_grads(self) -> np.ndarray:
-        """The objective of each model at ``theta`` (a reused buffer); its gradient goes to ``grad``."""
-        net, grads = self.net, self.grads
-        z2, u3 = _forward(self.w1, net.w3, net.b3, self.x1, self.kind, out=(self.z2, self.u3))
+        """The objective sum_t E_t of each model at ``theta`` (a reused buffer); its gradient goes to ``grad``.
+
+        Each model's objective and gradient have the bits of a workspace of
+        that model alone, and the watch rows leave both unchanged. The
+        gradient comes from the closed-form deltas
+
+            d3 = (u3 - y^B) - Lambda^2 (y^U - H u3) H,   d2 = (d3 W3) * f'(u2),
+
+        summed over the fitted rows as outer products with each layer's input.
+        """
+        z2, u3 = _forward(self.w1, self.w3, self.b3, self.x1, self.kind, out=(self.z2, self.u3))
         if self.xw1 is not None:
-            _forward(self.w1, net.w3, net.b3, self.xw1, self.kind, out=(self.z2w, self.u3w))
+            _forward(self.w1, self.w3, self.b3, self.xw1, self.kind, out=(self.z2w, self.u3w))
         np.subtract(u3, self.yb, out=self.res_b)
         np.multiply(self.res_b, self.res_b, out=self.sq)
         objective = np.add.reduce(self.sq, axis=(1, 2), out=self.objective)
@@ -193,9 +183,9 @@ class _Workspace:
             np.multiply(res_u, self.lam2, out=res_u)
             np.matmul(res_u, self.H, out=self.d3)
             np.subtract(self.res_b, self.d3, out=self.d3)
-        np.matmul(self.d3T, z2, out=grads.w3)
-        np.matmul(self.ones, self.d3, out=grads.b3)
-        np.matmul(self.d3, net.w3, out=self.d2)
+        np.matmul(self.d3T, z2, out=self.gw3)
+        np.matmul(self.ones, self.d3, out=self.gb3)
+        np.matmul(self.d3, self.w3, out=self.d2)
         if self.kind == "sigmoid":
             np.subtract(1.0, z2, out=self.fp)
             np.multiply(z2, self.fp, out=self.fp)
@@ -215,37 +205,9 @@ class _Workspace:
     def step(self, eta: float, bias: bool) -> None:
         """theta -= eta * grad, scaling ``grad`` in place; without ``bias`` the bias gradients are zeroed first."""
         if not bias:
-            self.grads.b2[...] = self.grads.b3[...] = 0.0
+            self.gb2[...] = self.gb3[...] = 0.0
         np.multiply(self.grad, eta, out=self.grad)
         np.subtract(self.theta, self.grad, out=self.theta)
-
-
-def loss_and_grads(params: NetworkParams, x: np.ndarray, yb: np.ndarray, yu: np.ndarray,
-                   H: np.ndarray, lam: np.ndarray, kind: str) -> tuple[np.ndarray, NetworkParams]:
-    """Objective sum_t E_t over the fitted rows of (x, yb, yu) and its gradient.
-
-    Row t holds a network input and its bottom and upper targets; ``lam``
-    is the weight vector. Rows of ``x`` past ``len(yb)`` are forwarded but
-    not fitted, and leave the result unchanged. The weights may carry a
-    leading model axis, with biases shaped (K, 1, n) and ``lam`` (K, 1,
-    |U|): the objective is then one value per model, and each model's
-    objective and gradient have the bits of a call on that model alone. The
-    gradient comes from the closed-form deltas
-
-        d3 = (u3 - y^B) - Lambda^2 (y^U - H u3) H,   d2 = (d3 W3) * f'(u2),
-
-    summed over rows as outer products with each layer's input. Training
-    runs the same computation in a :class:`_Workspace` it keeps across
-    epochs.
-    """
-    theta = _flat(params)
-    dims = NetworkDims(params.w2.shape[-1], params.w2.shape[-2], params.w3.shape[-2])
-    n, x1 = len(yb), _with_ones(x)
-    ws = _Workspace(theta, dims, x1[:n], yb, yu, H, np.reshape(lam, (len(theta), 1, -1)), kind,
-                    x1[n:] if len(x) > n else None)
-    objective = ws.loss_and_grads()
-    grads = NetworkParams(*(g.reshape(p.shape) for g, p in zip(ws.grads, params)))
-    return (objective if params.w2.ndim == 3 else objective[0]), grads
 
 
 def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lams: np.ndarray,
@@ -257,7 +219,7 @@ def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lams: np.
     row ``lams[k]``. The models train as one stack in a :class:`_Workspace`,
     so each numpy call serves every model, and a model leaves the stack at
     its own stopping epoch (the workspace is then rebuilt for the rest), so
-    its parameters, objective, epochs and stop reason are bit-identical to
+    its parameters, epochs, stop reason and hook rows are bit-identical to
     a batch of one. An objective that becomes non-finite or rises is a
     divergence; if models diverge, the error is the one a model-by-model
     run would raise: that of the lowest-index one.
@@ -275,12 +237,11 @@ def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lams: np.
     is buffered.
     """
     eta, keep_rate = config.eta, 1.0 - config.eps
-    ws = _Workspace(_flat(NetworkParams(*(np.stack(a) for a in zip(*params)))), params[0].dims, _with_ones(x), yb, yu,
-                    H, np.asarray(lams, dtype=np.float64).reshape(len(params), 1, -1), config.activation,
+    ws = _Workspace(np.stack([p.theta for p in params]), params[0].dims, _with_ones(x), yb, yu, H,
+                    np.asarray(lams, dtype=np.float64).reshape(len(params), 1, -1), config.activation,
                     None if hook is None else _with_ones(hook.x))
     live = list(range(len(params)))  # original index of each stacked model
     e_prev = [np.inf] * len(params)
-    objective: list[list[float]] = [[] for _ in params]
     results: list[TrainResult | None] = [None] * len(params)
     diverged: tuple[int, int, bool] | None = None  # (epoch, model, rose) of the lowest-index divergence
     block, block_models, filled, first = None, [], 0, 0  # buffered forecasts of epochs first.. for the hook
@@ -313,10 +274,8 @@ def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lams: np.
 
     def finish(pos: int, epochs: int, reason: str) -> None:
         k = live[pos]
-        p = params[k]
-        for dst, src in zip(p, ws.net):
-            dst[...] = src[pos].reshape(dst.shape)
-        results[k] = TrainResult(params=p, objective=np.asarray(objective[k]), epochs=epochs, reason=reason,
+        params[k].theta[...] = ws.theta[pos]
+        results[k] = TrainResult(params=params[k], epochs=epochs, reason=reason,
                                  epoch_eval=None if trace is None else trace[:epochs, k].copy())
 
     ws.loss_and_grads()
@@ -335,7 +294,6 @@ def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lams: np.
         stopping = []
         for pos, e in enumerate(e_list[:bad]):
             k = live[pos]
-            objective[k].append(e)
             if e > keep_rate * e_prev[k]:
                 stopping.append(pos)
             e_prev[k] = e

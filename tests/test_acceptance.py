@@ -12,10 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from kernel import loss_and_grads
 from scipy import stats
 
 from htsreg.baselines import es_forecast, ma_forecast, select_param
-from htsreg.cli import main
+from htsreg.cli import _write_table, main
 from htsreg.evaluate import MethodSpec, _bottom_weights, make_epoch_hook, run_benchmark
 from htsreg.hierarchy import (
     LEVELS,
@@ -36,7 +37,6 @@ from htsreg.synthgen import generate_bottom, generate_dataset, generate_factors,
 from htsreg.trainer import (
     _fit,
     TrainConfig,
-    loss_and_grads,
     predict,
     forecast_timepoints,
     train_batch,
@@ -84,8 +84,8 @@ def paired_trials(ngtvc_panel):
 def test_criterion_01_gradient_correctness():
     """Training's analytic gradients match central finite differences at 1e-5/1e-8.
 
-    Both sides come from trainer.loss_and_grads, the function every
-    training epoch calls, on a batch of three timepoints.
+    Both sides come from trainer._Workspace.loss_and_grads, the method
+    every training epoch calls, on a batch of three timepoints.
     """
     t0 = time.perf_counter()
     h = build_hierarchy(SMALL_PARENTS)
@@ -123,8 +123,8 @@ def test_criterion_02_zero_lambda_reduction(ngtvc_panel):
 
     The reference run drops the regularizer altogether: ``_fit`` on the
     bottom rows' own lags and targets alone, with an empty upper block and
-    H. Parameters, objective and per-epoch test RMSE over 100 epochs, from
-    seed 12, must be bitwise equal.
+    H. Parameters and per-epoch test RMSE over 100 epochs, from seed 12,
+    must be bitwise equal.
     """
     t0 = time.perf_counter()
     h = preset_hierarchy()
@@ -138,10 +138,8 @@ def test_criterion_02_zero_lambda_reduction(ngtvc_panel):
 
     def equals_plain(lam):
         res = train_batch(ngtvc_panel, *_bottom_weights(ngtvc_panel, h, [lam]), [12], cfg, hook)[0]
-        same_params = all(np.array_equal(getattr(res.params, k), getattr(plain.params, k))
-                          for k in ("w2", "b2", "w3", "b3"))
-        return (res.epochs == plain.epochs == 100 and same_params
-                and np.array_equal(res.objective, plain.objective) and np.array_equal(res.epoch_eval, plain.epoch_eval))
+        return (res.epochs == plain.epochs == 100 and np.array_equal(res.params.theta, plain.params.theta)
+                and np.array_equal(res.epoch_eval, plain.epoch_eval))
 
     ok = equals_plain((0.0, 0.0)) and not equals_plain((0.0, 2.1))
     elapsed = time.perf_counter() - t0
@@ -250,17 +248,38 @@ def test_published_models_run_to_the_epoch_cap(paired_trials):
     assert {(r.reason, r.epochs, r.epoch_eval.shape) for r in fits} == {("max_epochs", 10_000, (10_000, 4))}
 
 
-def test_readme_table_matches_the_paired_trials(paired_trials):
-    """The README's NN+BU and NN+SR(0.0, 2.1) level cells: the paired trials' summaries, as table.csv writes them."""
+README_LEVELS = {"Root": "root", "Mid-level": "mid", "Bottom-level": "bottom", "Average": "average"}
+
+
+def readme_table():
+    """The README's published table: its column labels, and per row label a cell per column label."""
     rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
             for line in README.read_text(encoding="utf-8").splitlines() if line.startswith("|")]
     header, body = rows[0], rows[2:]  # rows[1] is the |---| rule
-    table = {row[0]: dict(zip(header[1:], row[1:])) for row in body}
-    levels = {"Root": "root", "Mid-level": "mid", "Bottom-level": "bottom", "Average": "average"}
+    return header[1:], {row[0]: dict(zip(header[1:], row[1:])) for row in body}
+
+
+def test_readme_table_matches_the_paired_trials(paired_trials):
+    """The README's NN+BU and NN+SR(0.0, 2.1) level cells: the paired trials' summaries, as table.csv writes them."""
+    table = readme_table()[1]
     for label in ("NN+BU", "NN+SR(0.0, 2.1)"):
         summary = paired_trials["summaries"][label]
-        want = {row: "{:.2f}±{:.2f}".format(*summary.levels[level]) for row, level in levels.items()}
-        assert {row: table[row][label] for row in levels} == want, label
+        want = {row: "{:.2f}±{:.2f}".format(*summary.levels[level]) for row, level in README_LEVELS.items()}
+        assert {row: table[row][label] for row in README_LEVELS} == want, label
+
+
+def test_readme_table_baseline_columns_match_a_baselines_run(ngtvc_panel, tmp_path):
+    """The README's first two columns, MA(17) and ES(0.29), label and level cells: a baselines-only run of the
+    published panel, as table.csv writes it."""
+    h = preset_hierarchy()
+    result = run_benchmark(ngtvc_panel, h, [MethodSpec(name="MA"), MethodSpec(name="ES")], TRIAL_SEEDS, TrainConfig())
+    _write_table(result, h, tmp_path / "table.csv")
+    written = [line.split(",") for line in (tmp_path / "table.csv").read_text(encoding="utf-8").splitlines()]
+    written = {row[0]: dict(zip(written[0][1:], row[1:])) for row in written[1:]}
+    labels, table = readme_table()
+    assert result.labels == labels[:2] == ["MA(17)", "ES(0.29)"]
+    for label in labels[:2]:
+        assert {row: table[row][label] for row in README_LEVELS} == {row: written[row][label] for row in README_LEVELS}
 
 
 def test_criterion_08_baseline_identities():

@@ -2,8 +2,8 @@
 
 The epoch kernel trains every model of a batch in the same numpy calls and
 drops each one from the stack at its own stopping epoch. Each model must
-come out exactly as a batch of one: same parameters, objective array,
-epoch count and stop reason.
+come out exactly as a batch of one: same parameters, epoch count and stop
+reason.
 """
 
 import os
@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernel import loss_and_grads
 
 import htsreg
 from htsreg import trainer
@@ -30,7 +31,6 @@ from htsreg.trainer import (
     TrainingDiverged,
     forecast_timepoints,
     forward,
-    loss_and_grads,
     predict,
     train_batch,
 )
@@ -63,9 +63,7 @@ def bits(a):
 def assert_same_result(batched, single):
     assert batched.epochs == single.epochs
     assert batched.reason == single.reason
-    assert np.array_equal(bits(batched.objective), bits(single.objective))
-    for name in ("w2", "b2", "w3", "b3"):
-        assert np.array_equal(bits(getattr(batched.params, name)), bits(getattr(single.params, name))), name
+    assert np.array_equal(bits(batched.params.theta), bits(single.params.theta))
 
 
 def assert_batch_matches_single_runs(panel, tree, cfg, seed, lambdas=LAMBDAS):
@@ -198,8 +196,7 @@ def test_stacked_loss_and_grads_slices_equal_single_calls(tree, k, rows, input_d
     x, yb, yu = (rng.standard_normal(shape) for shape in ((rows, input_dim), (rows, 4), (rows, H.shape[0])))
     lams = rng.uniform(0.0, 3.0, (k, H.shape[0]))
     models = [init_params(NetworkDims(input_dim, hidden, 4), int(s)) for s in rng.integers(0, 2**31, k)]
-    stacked = NetworkParams(*(np.stack([getattr(m, n) for m in models]) for n in ("w2", "b2", "w3", "b3")))
-    stacked.b2, stacked.b3 = stacked.b2[:, None], stacked.b3[:, None]
+    stacked = NetworkParams(np.stack([m.theta for m in models]), models[0].dims)
     objective, grads = loss_and_grads(stacked, x, yb, yu, H, lams[:, None], kind)
     assert objective.shape == (k,)
     for j, model in enumerate(models):
@@ -210,7 +207,8 @@ def test_stacked_loss_and_grads_slices_equal_single_calls(tree, k, rows, input_d
 
 
 def allocating_loss_and_grads(params, x, yb, yu, H, lam, kind):
-    """The objective and gradient in the folded layout, one fresh array per step: the oracle of the workspace.
+    """The objective and gradient (w2, b2, w3, b3) in the folded layout, one fresh array per step: the oracle of
+    the workspace.
 
     Layer 1 is [x | 1] times [w2 | b2]', so the b2 gradient comes out of the
     w2 product, and the b3 gradient is ones @ d3.
@@ -226,8 +224,7 @@ def allocating_loss_and_grads(params, x, yb, yu, H, lam, kind):
     d3 = res_b - (res_u * (lam * lam)) @ H
     d2 = (d3 @ params.w3) * (z2 * (1.0 - z2) if kind == "sigmoid" else z2 > 0)
     g1 = np.swapaxes(d2, -1, -2) @ x1
-    grads = NetworkParams(w2=g1[..., :-1], b2=np.swapaxes(g1[..., -1:], -1, -2),
-                          w3=np.swapaxes(d3, -1, -2) @ z2, b3=np.ones((1, len(x))) @ d3)
+    grads = (g1[..., :-1], np.swapaxes(g1[..., -1:], -1, -2), np.swapaxes(d3, -1, -2) @ z2, np.ones((1, len(x))) @ d3)
     return objective, grads
 
 
@@ -241,14 +238,14 @@ def test_loss_and_grads_equal_the_allocating_formula(k, rows, watch, input_dim, 
     x, yb, yu = (rng.standard_normal(shape) for shape in ((rows, input_dim), (rows, 3), (rows, n_upper)))
     H = rng.standard_normal((n_upper, 3))
     lam = rng.uniform(0.0, 3.0, (k, 1, n_upper))
-    stacked = NetworkParams(*(rng.standard_normal(shape) for shape in
-                              ((k, hidden, input_dim), (k, 1, hidden), (k, 3, hidden), (k, 1, 3))))
+    dims = NetworkDims(input_dim, hidden, 3)
+    stacked = NetworkParams(rng.standard_normal((k,) + NetworkParams.zeros(dims).theta.shape), dims)
     want_e, want_g = allocating_loss_and_grads(stacked, x, yb, yu, H, lam, kind)
     for design in (x, np.vstack([x, rng.standard_normal((watch, input_dim)) * 100])):
         e, g = loss_and_grads(stacked, design, yb, yu, H, lam, kind)
         assert np.array_equal(bits(e), bits(want_e))
-        for name in ("w2", "b2", "w3", "b3"):
-            assert np.array_equal(bits(getattr(g, name)), bits(getattr(want_g, name))), name
+        for name, got, want in zip(("w2", "b2", "w3", "b3"), g, want_g):
+            assert np.array_equal(bits(got), bits(want)), name
 
 
 @pytest.mark.parametrize("kind, bias", [("sigmoid", True), ("relu", False)])
@@ -306,7 +303,7 @@ bottom = train_batch(panel, *_bottom_weights(panel, tree, [(0.0, 2.1)] * 60), ra
 bases = train_batch(panel, np.zeros((0, 13)), np.zeros((30, 0)), range(1, 31), cfg)
 digest = hashlib.sha256()
 for fit in bottom + bases:
-    for a in (*fit.params, fit.objective) + ((fit.epoch_eval,) if fit.epoch_eval is not None else ()):
+    for a in (fit.params.theta,) + ((fit.epoch_eval,) if fit.epoch_eval is not None else ()):
         digest.update(np.ascontiguousarray(a).tobytes())
 print([fit.params.w2.shape for fit in (bottom[0], bases[0])], len(bottom[0].epoch_eval), digest.hexdigest())
 """

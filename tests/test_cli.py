@@ -389,6 +389,7 @@ def test_run_divergence_exits_3_with_first_trial_epoch(tmp_path, capsys, jobs, f
         code = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o"), "--jobs", jobs])
     assert code == 3
     assert capsys.readouterr().err.splitlines()[-1] == "training diverged: objective became non-finite at epoch 2"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -401,7 +402,7 @@ def test_run_exits_3_when_the_objective_rises(tmp_path, capsys, jobs):
         code = main(["run", "--config", str(cfg), "--out-dir", str(out_dir), "--jobs", jobs])
     assert code == 3
     assert capsys.readouterr().err.splitlines()[-1] == "training diverged: objective rose at epoch 2"
-    assert not (out_dir / "table.csv").exists()
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("field, method", [
@@ -574,6 +575,9 @@ CONFIG_LOADING = {
     "sweep_panel_missing": ("sweep", {"panel": DROP}, "panel: missing key"),
     "sweep_seeds_missing": ("sweep", {"trial_seeds": DROP}, "trial_seeds: missing key"),
     "sweep_x_grid_missing": ("sweep", {"x_grid": DROP}, "x_grid: missing key"),
+    "sweep_train_len_too_short": ("sweep", {"panel": {"preset": "NgtvC", "seed": 3, "train_len": 2}},
+                                  "panel.train_len: 2 is too short for the sweep's NN+SR networks, which need 3 at lag 2"),
+    "sweep_train_len_at_bound": ("sweep", {"panel": {"preset": "NgtvC", "seed": 3, "train_len": 3}}, ""),
     "train_len_null": ("run", {"panel": {"preset": "NgtvC", "seed": 3, "train_len": None}}, ""),
     "train_len_negative": ("run", {"panel": {"preset": "NgtvC", "seed": 3, "train_len": -5}},
                            "panel.train_len: train_len -5 outside [1, 99]"),
@@ -668,8 +672,8 @@ def test_write_traces_matches_csv_writer(tmp_path):
     traces = {"NN+SR(0.0, 2.1)": {2: np.vstack([special, rng.random((3, 4))]), 1: rng.random((2, 4))},
               'NN "BU"': {1: rng.random((1, 4))}, "NN 50%": {3: rng.random((2, 4))}, "NN+MinT": {1: None}}
     result = BenchmarkResult(labels=["MA(3)", *traces], seeds=[1, 2], reports={}, summaries={},
-                             fits={label: {seed: TrainResult(params=None, objective=np.zeros(0), epochs=0,
-                                                             reason="max_epochs", epoch_eval=trace)
+                             fits={label: {seed: TrainResult(params=None, epochs=0, reason="max_epochs",
+                                                             epoch_eval=trace)
                                            for seed, trace in by_seed.items()}
                                    for label, by_seed in traces.items()})
     _write_traces(result, tmp_path / "trace.csv")
@@ -788,7 +792,7 @@ def test_run_rejects_methods_sharing_a_column(tmp_path, capsys, monkeypatch, met
     out_dir = tmp_path / "o"
     assert main(["run", "--config", str(run_config(tmp_path, methods=methods)), "--out-dir", str(out_dir)]) == 2
     assert message in capsys.readouterr().err
-    assert not any(out_dir.iterdir())
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("method, need", [
@@ -841,7 +845,7 @@ def test_run_rejects_a_tuned_pick_equal_to_another_method(tmp_path, capsys):
     assert main(["run", "--config", str(run_config(tmp_path, methods=methods, train={"max_epochs": 2})),
                  "--out-dir", str(out_dir)]) == 2
     assert "methods[0] and methods[1] both fill the table column NN+SR(0.0, 0.0)" in capsys.readouterr().err
-    assert not any(out_dir.iterdir())
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("method, message", [

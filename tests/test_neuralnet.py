@@ -1,6 +1,7 @@
 """Tests for the feedforward network building blocks."""
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from htsreg.neuralnet import (
     init_params,
     save_checkpoint,
 )
-from htsreg.trainer import _forward, _layer1, _with_ones, forward
+from htsreg.trainer import _forward, _with_ones, forward
 
 
 def test_init_is_deterministic():
@@ -141,17 +142,57 @@ def test_forward_into_buffers_is_bit_equal_to_a_fresh_call(models, rows, dims, k
     without buffers, for one network (models = 0) or a stack."""
     input_dim, hidden, output = dims
     rng = np.random.default_rng(seed)
-    lead = (models,) if models else ()
-    draw = lambda *shape: scale * rng.standard_normal(lead + shape)
-    p = NetworkParams(w2=draw(hidden, input_dim), b2=draw(*(1,) * bool(models), hidden),
-                      w3=draw(output, hidden), b3=draw(*(1,) * bool(models), output))
+    lead, d = ((models,) if models else ()), NetworkDims(*dims)
+    p = NetworkParams(scale * rng.standard_normal(lead + NetworkParams.zeros(d).theta.shape), d)
     x = scale * rng.standard_normal((rows, input_dim))
     z2, u3 = np.full(lead + (rows, hidden), np.nan), np.full(lead + (rows, output), np.nan)
     fresh = forward(p, x, kind)
-    got = _forward(_layer1(p), p.w3, p.b3, _with_ones(x), kind, out=(z2, u3))
+    w1, _, _, w3, b3 = p.views()
+    got = _forward(w1, w3, b3, _with_ones(x), kind, out=(z2, u3))
     assert got[0] is z2 and got[1] is u3
     for a, b in zip(fresh, got):
         assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def aliases(p):
+    """Every view of p, from views(), the named weights and iteration, shares memory with p.theta, and a write
+    through each one shows there."""
+    for view in (*p.views(), p.w2, p.b2, p.w3, p.b3, *p):
+        before, old = p.theta.copy(), view.flat[-1]
+        view.flat[-1] = old + 1.0
+        changed = np.flatnonzero(p.theta != before)
+        view.flat[-1] = old
+        if not (np.shares_memory(view, p.theta) and len(changed) == 1):
+            return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(models=st.integers(0, 5), dims=st.tuples(*[st.integers(1, 12)] * 3), bias=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_flat_layout_views_alias_theta_and_init_keeps_its_draws(models, dims, bias, seed):
+    """For one network (models = 0) or a stack of 1-5: the views alias theta, also after a pickle round trip, and
+    init_params holds default_rng(seed)'s draws of w2, b2, w3, b3 in that order (no bias draws without bias)."""
+    d = NetworkDims(*dims)
+    i, hd, o = dims
+    rng = np.random.default_rng(seed)
+    draws = [rng.standard_normal((hd, i)), rng.standard_normal(hd) if bias else np.zeros(hd),
+             rng.standard_normal((o, hd)), rng.standard_normal(o) if bias else np.zeros(o)]
+    nets = [init_params(d, seed + k, bias=bias) for k in range(max(models, 1))]
+    one = nets[0]
+    assert [a.tobytes() for a in one] == [a.tobytes() for a in draws]
+    w2, b2, w3, b3 = draws  # the row: each hidden unit's w2 row and its bias, then w3, then b3
+    assert one.theta.tobytes() == np.concatenate([np.hstack([w2, b2[:, None]]).ravel(), w3.ravel(), b3]).tobytes()
+    assert np.array_equal(one.views()[0], np.hstack([w2, b2[:, None]]))
+    p = NetworkParams(np.stack([n.theta for n in nets]), d) if models else one
+    lead, bias_lead = ((models,), (models, 1)) if models else ((), ())
+    assert [v.shape for v in p.views()] == [lead + (hd, i + 1), lead + (hd, i), bias_lead + (hd,), lead + (o, hd),
+                                            bias_lead + (o,)]
+    for k, net in enumerate(nets[:models]):
+        assert all(np.array_equal(a[k].reshape(b.shape), b) for a, b in zip(p, net))
+    copy = pickle.loads(pickle.dumps(p))
+    assert aliases(p) and aliases(copy) and not np.shares_memory(copy.theta, p.theta)
+    assert np.array_equal(copy.theta, p.theta) and copy.dims == d
 
 
 def test_relu_monotone_smoke():

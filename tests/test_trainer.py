@@ -1,13 +1,12 @@
 """Tests for the structured objective, specialized backprop, and training loop."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
+from kernel import loss_and_grads
 
 from htsreg.evaluate import DEFAULT_LAMBDA_GRID, _bottom_weights, tune_lambda
 from htsreg.hierarchy import aggregate_bottom, build_hierarchy, structure_matrix
-from htsreg.neuralnet import NetworkDims, init_params
+from htsreg.neuralnet import NetworkDims, NetworkParams, init_params
 from htsreg.panel import SeriesPanel, lagged_design, standardize
 from htsreg.synthgen import generate_dataset, preset_hierarchy
 from htsreg.trainer import (
@@ -15,7 +14,6 @@ from htsreg.trainer import (
     TrainingDiverged,
     forecast_timepoints,
     forward,
-    loss_and_grads,
     predict,
     train_batch,
     training_timepoints,
@@ -35,7 +33,8 @@ def h_matrix(tree):
 
 
 def loss(params, x, y, lam, h_matrix, kind="sigmoid"):
-    """loss_and_grads on observation rows y = (upper | bottom), one row per input row, at lam = (root, mid) weights."""
+    """The kernel's loss_and_grads on observation rows y = (upper | bottom), one row per input row, at lam = (root,
+    mid) weights."""
     x, y = np.atleast_2d(x), np.atleast_2d(y)
     n_upper = h_matrix.shape[0]
     vec = np.array([lam[0]] + [lam[1]] * (n_upper - 1))
@@ -211,7 +210,7 @@ def grad_check(params, x, y, reg, h_matrix, kind="sigmoid", eps=1e-6,
                rel_tol=1e-5, abs_tol=1e-8):
     """Worst deviation between analytic and central-difference gradients.
 
-    Both come from loss_and_grads, the function training runs. Each entry
+    Both come from _Workspace.loss_and_grads, the method training runs. Each entry
     must satisfy |analytic - fd| <= max(rel_tol * |fd|, abs_tol); the
     return value is the largest ratio against that bound (< 1 passes).
     """
@@ -270,7 +269,8 @@ def test_gradient_symmetry_under_bottom_permutation(tree, h_matrix):
     _, g = loss(params, x, y, reg, h_matrix)
 
     perm = np.array([2, 0, 3, 1])
-    params_p = replace(params, w2=params.w2[:, perm], w3=params.w3[perm, :], b3=params.b3[perm])
+    params_p = NetworkParams(params.theta.copy(), params.dims)
+    params_p.w2[:], params_p.w3[:], params_p.b3[:] = params.w2[:, perm], params.w3[perm, :], params.b3[perm]
     y_p = np.concatenate([y[:3], y[3:][perm]])
     _, g_p = loss(params_p, x[perm], y_p, reg, h_matrix[:, perm])
 
@@ -294,10 +294,8 @@ def test_zero_epoch_budget_returns_initial_params(tree):
     cfg = TrainConfig(max_epochs=0, lag=2)
     result = train_bottom(panel, tree, (0.0, 0.0), 5, cfg)
     fresh = init_params(NetworkDims(8, 16, 4), 5)
-    assert np.array_equal(result.params.w2, fresh.w2)
-    assert np.array_equal(result.params.w3, fresh.w3)
+    assert np.array_equal(result.params.theta, fresh.theta)
     assert result.epochs == 0
-    assert result.objective.size == 0
     assert result.reason == "max_epochs"
 
 
@@ -319,7 +317,6 @@ def test_lambda_zero_training_is_bitwise_identical(tree):
     snaps_a, snaps_b = [], []
     ra = train_bottom(panel, tree, (0.0, 0.0), 11, cfg, capture_hook(snaps_a, x))
     rb = train_bottom(panel, tree, (0.0, 0.0), 11, cfg, capture_hook(snaps_b, x))
-    assert np.array_equal(ra.objective, rb.objective)
     assert len(snaps_a) == len(snaps_b) == ra.epochs == 30
     for sa, sb in zip(snaps_a, snaps_b):
         assert np.array_equal(sa, sb)
@@ -344,11 +341,30 @@ def test_first_update_equals_sum_of_pointwise_gradients(tree, h_matrix):
 
 
 def test_objective_monotone_on_preset_panel():
-    """At the default step size the objective never rises before termination."""
+    """At the default step size the objective never rises before termination.
+
+    The hook watches the training rows themselves, so each epoch's
+    forecasts give that epoch's objective.
+    """
     panel = standardize(generate_dataset("NgtvC", seed=3))
     h = preset_hierarchy()
-    result = train_bottom(panel, h, (0.0, 2.1), 1, TrainConfig(max_epochs=300))
-    diffs = np.diff(result.objective)
+    cfg = TrainConfig(max_epochs=300)
+    tps = training_timepoints(panel, cfg.lag)
+    y = panel.values[:, [t - 1 for t in tps]].T
+    lam = np.array([0.0] + [2.1] * len(h.mid_ids))
+    H = structure_matrix(h)
+    objective = []
+
+    def hook(forecasts):
+        for u3 in forecasts[:, 0]:
+            upper = lam * (y[:, :len(H)] - u3 @ H.T)
+            objective.append(0.5 * np.sum((y[:, len(H):] - u3) ** 2) + 0.5 * np.sum(upper ** 2))
+        return np.zeros(forecasts.shape[:2])
+
+    hook.x = lagged_design(panel.bottom_values, cfg.lag, tps)
+    result = train_bottom(panel, h, (0.0, 2.1), 1, cfg, hook)
+    assert len(objective) == result.epochs == 300
+    diffs = np.diff(objective)
     assert np.all(diffs[:-1] <= 0)
 
 
@@ -376,8 +392,8 @@ def test_training_is_deterministic(tree):
     cfg = TrainConfig(max_epochs=40)
     a = train_bottom(panel, tree, (0.3, 0.9), 21, cfg)
     b = train_bottom(panel, tree, (0.3, 0.9), 21, cfg)
-    assert np.array_equal(a.params.w2, b.params.w2)
-    assert np.array_equal(a.objective, b.objective)
+    assert np.array_equal(a.params.theta, b.params.theta)
+    assert a.epochs == b.epochs
 
 
 def test_all_node_base_network_trains(tree):
@@ -387,7 +403,11 @@ def test_all_node_base_network_trains(tree):
     result = train_batch(panel, np.zeros((0, 7)), np.zeros((1, 0)), [3], cfg)[0]
     assert result.params.dims.input_dim == cfg.lag * 7
     assert result.params.dims.output_dim == 7
-    assert result.objective[-1] < result.objective[0]
+    tps = training_timepoints(panel, cfg.lag)
+    x, y = lagged_design(panel.values, cfg.lag, tps), panel.values[:, [t - 1 for t in tps]].T
+    no_upper = (y[:, :0], np.zeros((0, 7)), np.zeros(0), cfg.activation)
+    start = loss_and_grads(init_params(result.params.dims, 3), x, y, *no_upper)[0]
+    assert loss_and_grads(result.params, x, y, *no_upper)[0] < start
 
 
 def test_predict_bottom_matches_single_forward(tree):
