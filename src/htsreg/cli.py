@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -16,11 +17,11 @@ import numpy as np
 from . import __version__
 from .evaluate import (
     SWEEP_MODES,
-    BenchmarkResult,
     EvalReport,
     MethodSpec,
     reg_sweep,
     run_benchmark,
+    summarize_trials,
 )
 from .hierarchy import (
     LEVELS,
@@ -256,11 +257,13 @@ def _panel_from_config(cfg: dict, base_dir: Path) -> tuple[SeriesPanel, Hierarch
     return panel, h
 
 
-def _write_table(result: BenchmarkResult, h: HierarchySpec, path: Path) -> None:
+def _write_table(columns: dict[str, list[EvalReport]], h: HierarchySpec, path: Path) -> None:
+    summaries = {label: summarize_trials(reports) for label, reports in columns.items() if len(reports) >= 2}
+
     def cell(label: str, node=None, level=None) -> str:
-        summary = result.summaries.get(label)
+        summary = summaries.get(label)
         if summary is None:
-            rep = result.reports[label][0]
+            rep = columns[label][0]
             val = rep.per_node[node] if node is not None else rep.levels[level]
             return f"{val:.2f}"
         mean, hw = summary.per_node[node] if node is not None else summary.levels[level]
@@ -268,50 +271,48 @@ def _write_table(result: BenchmarkResult, h: HierarchySpec, path: Path) -> None:
 
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["node"] + result.labels)
-        writer.writerow(["Root"] + [cell(lb, node=h.root) for lb in result.labels])
+        writer.writerow(["node", *columns])
+        writer.writerow(["Root"] + [cell(lb, node=h.root) for lb in columns])
         for m in h.mid_ids:
-            writer.writerow([str(m)] + [cell(lb, node=m) for lb in result.labels])
-        writer.writerow(["Mid-level"] + [cell(lb, level="mid") for lb in result.labels])
+            writer.writerow([str(m)] + [cell(lb, node=m) for lb in columns])
+        writer.writerow(["Mid-level"] + [cell(lb, level="mid") for lb in columns])
         for b in h.bottom_ids:
-            writer.writerow([str(b)] + [cell(lb, node=b) for lb in result.labels])
-        writer.writerow(["Bottom-level"] + [cell(lb, level="bottom") for lb in result.labels])
-        writer.writerow(["Average"] + [cell(lb, level="average") for lb in result.labels])
+            writer.writerow([str(b)] + [cell(lb, node=b) for lb in columns])
+        writer.writerow(["Bottom-level"] + [cell(lb, level="bottom") for lb in columns])
+        writer.writerow(["Average"] + [cell(lb, level="average") for lb in columns])
 
 
-def _write_trials(result: BenchmarkResult, h: HierarchySpec, path: Path) -> None:
-    def trial(label: str, rep: EvalReport) -> dict:
-        fit = result.fits.get(label, {}).get(rep.params.get("seed"))  # None for a baseline
+def _write_trials(columns: dict[str, list[EvalReport]], seeds: list[int], h: HierarchySpec, path: Path) -> None:
+    def trial(rep: EvalReport) -> dict:
         return {
             "seed": rep.params.get("seed"),
             "params": rep.params,
             "per_node": {str(n): v for n, v in rep.per_node.items()},
             **{key: rep.levels[lvl] for key, lvl in zip(("root", "mid_mean", "bottom_mean", "all_mean"), LEVELS)},
-            **({} if fit is None else {"epochs": fit.epochs, "reason": fit.reason}),
-            **result.mint.get(label, {}).get(rep.params.get("seed"), {}),  # NN+MinT's gamma and w_condition
+            **({} if rep.fit is None else {"epochs": rep.fit.epochs, "reason": rep.fit.reason}),
+            **rep.extra,
         }
 
     _write_json(path, {
         "node_order": list(h.node_ids),
-        "seeds": result.seeds,
-        "methods": {label: {"trials": [trial(label, rep) for rep in result.reports[label]]}
-                    for label in result.labels},
+        "seeds": seeds,
+        "methods": {label: {"trials": [trial(rep) for rep in reports]} for label, reports in columns.items()},
     })
 
 
-def _write_traces(result: BenchmarkResult, path: Path) -> None:
-    """``epoch_trace.csv``: one row per fit, epoch and level, in the csv module's excel dialect."""
+def _write_traces(columns: dict[str, list[EvalReport]], path: Path) -> None:
+    """``epoch_trace.csv``: one row per fit, epoch and level, in the csv module's excel dialect, by ascending seed."""
     with open(path, "w", encoding="utf-8", newline="") as f:
         csv.writer(f).writerow(["method", "trial_seed", "epoch", "level", "rmse"])
-        for label in result.labels:
-            for seed, fit in sorted(result.fits.get(label, {}).items()):
-                if fit.epoch_eval is not None:
+        for label, reports in columns.items():
+            for rep in sorted(reports, key=lambda rep: rep.params.get("seed", 0)):  # a baseline's has no seed
+                if rep.fit is not None and rep.fit.epoch_eval is not None:
                     buf = io.StringIO()
-                    csv.writer(buf, lineterminator=",").writerow([label, seed])  # quotes the label as needed
+                    csv.writer(buf, lineterminator=",").writerow([label, rep.params["seed"]])  # quotes as needed
                     head = buf.getvalue().replace("%", "%%")
                     template = "".join(f"{head}%d,{level},%.17g\r\n" for level in LEVELS)  # one epoch
                     f.writelines(template % (e, root, e, mid, e, bottom, e, average)  # streamed: no whole-fit string
-                                 for e, (root, mid, bottom, average) in enumerate(fit.epoch_eval.tolist(), 1))
+                                 for e, (root, mid, bottom, average) in enumerate(rep.fit.epoch_eval.tolist(), 1))
 
 
 def _slug(label: str) -> str:
@@ -320,19 +321,24 @@ def _slug(label: str) -> str:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg, methods, panel, h, config = _load_config(args.config, _RUN)
-    result = run_benchmark(panel, h, methods, cfg["trial_seeds"], config,
-                           collect_traces=cfg.get("epoch_trace", True), jobs=args.jobs)
+    out_dir = Path(args.out_dir)  # checked first: it, or else its nearest existing ancestor, must be a writable dir
+    existing = next(p for p in (out_dir, *out_dir.parents) if os.path.lexists(p))
+    if not existing.is_dir() or not os.access(existing, os.W_OK | os.X_OK):
+        raise OSError(f"--out-dir {out_dir}: {existing} is not a writable directory")
+    columns = run_benchmark(panel, h, methods, cfg["trial_seeds"], config,
+                            collect_traces=cfg.get("epoch_trace", True), jobs=args.jobs)
 
-    out_dir = Path(args.out_dir)  # made only now, so a run that fails leaves none behind
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_table(result, h, out_dir / "table.csv")
-    _write_trials(result, h, out_dir / "trials.json")
-    _write_traces(result, out_dir / "epoch_trace.csv")
+    out_dir.mkdir(parents=True, exist_ok=True)  # made only now, so a run that fails leaves none behind
+    _write_table(columns, h, out_dir / "table.csv")
+    _write_trials(columns, cfg["trial_seeds"], h, out_dir / "trials.json")
+    _write_traces(columns, out_dir / "epoch_trace.csv")
     ckpt_dir = out_dir / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
-    for label, by_seed in result.fits.items():
-        for seed, fit in by_seed.items():
-            save_checkpoint(fit.params, ckpt_dir / f"{_slug(label)}_seed{seed}.json", seed=seed)
+    for label, reports in columns.items():
+        for rep in reports:
+            if rep.fit is not None:
+                seed = rep.params["seed"]
+                save_checkpoint(rep.fit.params, ckpt_dir / f"{_slug(label)}_seed{seed}.json", seed=seed)
     _write_json(out_dir / "manifest.json", {
         "artifact_version": __version__,
         "command": "run",

@@ -27,20 +27,27 @@ DEFAULT_LAMBDA_GRID: tuple[float, ...] = tuple(round(0.1 * i, 1) for i in range(
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Per-node RMSEs of one method run plus their level means, keyed by ``LEVELS``."""
+    """Per-node RMSEs of one method run plus their level means, keyed by ``LEVELS``.
+
+    A network trial's report also carries its fit and ``extra``, the fields
+    its method adds to the trial's ``trials.json`` entry (NN+MinT's
+    ``gamma`` and ``w_condition``).
+    """
 
     method: str
     params: dict
     per_node: dict[int, float]
     levels: dict[str, float]
+    fit: TrainResult | None = None
+    extra: dict = field(default_factory=dict)
 
 
-def node_report(h: HierarchySpec, actual: np.ndarray, forecast: np.ndarray,
-                method: str, params: dict | None = None) -> EvalReport:
+def node_report(h: HierarchySpec, actual: np.ndarray, forecast: np.ndarray, method: str,
+                params: dict | None = None, fit: TrainResult | None = None, extra: dict | None = None) -> EvalReport:
     """Score |N| x T forecast rows against actuals."""
     per_node = rmse(actual, forecast)
     return EvalReport(method=method, params=dict(params or {}), per_node=dict(zip(h.node_ids, per_node.tolist())),
-                      levels=dict(zip(LEVELS, level_means(h, per_node).tolist())))
+                      levels=dict(zip(LEVELS, level_means(h, per_node).tolist())), fit=fit, extra=dict(extra or {}))
 
 
 @dataclass(frozen=True)
@@ -221,18 +228,6 @@ class MethodSpec:
         return lag + 1
 
 
-@dataclass
-class BenchmarkResult:
-    labels: list[str]
-    seeds: list[int]
-    reports: dict[str, list[EvalReport]]
-    summaries: dict[str, TrialSummary | None]
-    # Network trials by label and seed: parameters, stop and epoch trace ((epochs, 4) or None).
-    fits: dict[str, dict[int, TrainResult]] = field(default_factory=dict)
-    # NN+MinT trials by label and seed: the ridge factor and cond(W_c) of their reconciliation.
-    mint: dict[str, dict[int, dict[str, float]]] = field(default_factory=dict)
-
-
 def _sr_label(lam: tuple[float, float]) -> str:
     """``NN+SR(l1, lM)``: each weight with one decimal where that is exact, else in ``%g`` form."""
     return "NN+SR({}, {})".format(*(f"{v:.1f}" if abs(v * 10 - round(v * 10)) < 1e-9 else f"{v:g}" for v in lam))
@@ -250,48 +245,50 @@ def _check_columns(columns: list[str]) -> None:
 
 def _nn_trials(panel: SeriesPanel, h: HierarchySpec, config: TrainConfig,
                trials: list[tuple[str, str, tuple[float, float], int]], collect_traces: bool) -> list:
-    """Train network trials (label, kind, lam, seed): the bottom networks in one set of stacks, MinT's bases in another.
+    """Train and score network trials (label, kind, lam, seed): bottom networks in one set of stacks, MinT's in another.
 
-    Returns a (coherent test forecast, fit, MinT's {gamma, w_condition} or
-    None) triple per trial. The bottom networks share one epoch hook. A
-    diverged stack leaves its trials None and puts its error at the trial
+    Returns each trial's report. The bottom networks share one epoch hook.
+    A diverged stack leaves its trials None and puts its error at the trial
     it names, so the first error in trial order is the one a trial-by-trial
     run would raise.
     """
     out: list = [None] * len(trials)
-    sr = [i for i, t in enumerate(trials) if t[1] == "sr"]
-    mint = [i for i, t in enumerate(trials) if t[1] == "mint"]
+    actual = panel.values[:, panel.train_len:]
     test_tps, fit_tps = forecast_timepoints(panel), training_timepoints(panel, config.lag)
-    if sr:
-        hook = make_epoch_hook(panel, h, config) if collect_traces else None
+    for kind in ("sr", "mint"):
+        idx = [i for i, t in enumerate(trials) if t[1] == kind]
+        if not idx:
+            continue
+        if kind == "sr":
+            hook = make_epoch_hook(panel, h, config) if collect_traces else None
+            design = _bottom_weights(panel, h, [trials[i][2] for i in idx])
+        else:
+            hook, design = None, (np.zeros((0, panel.n_nodes)), np.zeros((len(idx), 0)))
         try:
-            fits = train_batch(panel, *_bottom_weights(panel, h, [trials[i][2] for i in sr]),
-                               [trials[i][3] for i in sr], config, hook)
+            fits = train_batch(panel, *design, [trials[i][3] for i in idx], config, hook)
         except TrainingDiverged as exc:
-            out[sr[exc.model]], fits = exc, []
-        for i, fit in zip(sr, fits):
-            out[i] = aggregate_bottom(h, predict(fit.params, panel.bottom_values, config, test_tps)), fit, None
-    if mint:
-        try:
-            fits = train_batch(panel, np.zeros((0, panel.n_nodes)), np.zeros((len(mint), 0)),
-                               [trials[i][3] for i in mint], config)
-        except TrainingDiverged as exc:
-            out[mint[exc.model]], fits = exc, []
-        for i, fit in zip(mint, fits):
-            base_fit = predict(fit.params, panel.values, config, fit_tps)
-            w = estimate_w_sample(base_fit, panel.values[:, [t - 1 for t in fit_tps]])
-            coherent, gamma, w_condition = mint_reconcile(h, predict(fit.params, panel.values, config, test_tps), w)
-            out[i] = coherent, fit, {"gamma": gamma, "w_condition": w_condition}
+            out[idx[exc.model]], fits = exc, []
+        for i, fit in zip(idx, fits):
+            if kind == "sr":
+                coherent, extra = aggregate_bottom(h, predict(fit.params, panel.bottom_values, config, test_tps)), {}
+            else:
+                base_fit = predict(fit.params, panel.values, config, fit_tps)
+                w = estimate_w_sample(base_fit, panel.values[:, [t - 1 for t in fit_tps]])
+                coherent, gamma, w_condition = mint_reconcile(h, predict(fit.params, panel.values, config, test_tps), w)
+                extra = {"gamma": gamma, "w_condition": w_condition}
+            out[i] = node_report(h, actual, coherent, trials[i][0], {"seed": trials[i][3]}, fit, extra)
     return out
 
 
 def run_benchmark(panel: SeriesPanel, h: HierarchySpec, methods: list[MethodSpec],
                   seeds: list[int], config: TrainConfig,
-                  collect_traces: bool = True, jobs: int = 1) -> BenchmarkResult:
+                  collect_traces: bool = True, jobs: int = 1) -> dict[str, list[EvalReport]]:
     """Evaluate every requested method on the panel's test period.
 
-    Baselines are deterministic and produce a single report; network
-    methods produce one report per seed plus a trial summary. Every
+    Returns the table's columns, each label with its reports: the
+    baselines first, then the network methods, each in config order. A
+    baseline is deterministic and has one report; a network method has one
+    per seed, in seed-list order, each carrying its fit. Every
     network trains in a stack with the others of its kind (see
     :func:`_nn_trials`); ``jobs`` > 1 splits the seeds into that many
     contiguous shards trained as their own stacks in parallel processes.
@@ -299,7 +296,6 @@ def run_benchmark(panel: SeriesPanel, h: HierarchySpec, methods: list[MethodSpec
     """
     if len(set(seeds)) != len(seeds):
         raise ValueError("trial seeds must be distinct")
-    result = BenchmarkResult(labels=[], seeds=list(seeds), reports={}, summaries={})
     actual = panel.values[:, panel.train_len:]
 
     # The column each method fills, checked for repeats before any network trains. A tuned NN+SR is
@@ -326,49 +322,30 @@ def run_benchmark(panel: SeriesPanel, h: HierarchySpec, methods: list[MethodSpec
             columns[i] = _sr_label(lams[i])
             _check_columns(columns)
 
-    nn_tasks: list[tuple[str, str, tuple[float, float]]] = []
-    for i, (spec, label) in enumerate(zip(methods, columns)):
-        if i in choices:
-            report = node_report(h, actual, choices[i].forecast(panel.values)[:, panel.train_len: panel.n_time],
-                                 label, params={"param": choices[i].param})
-            result.labels.append(label)
-            result.reports[label] = [report]
-            result.summaries[label] = None
-        else:
-            nn_tasks.append((label, "mint" if spec.name == "NN+MinT" else "sr", lams.get(i, (0.0, 0.0))))
-
-    trials = [(label, kind, lam, seed) for label, kind, lam in nn_tasks for seed in seeds]
-    shards = min(jobs, len(seeds)) if trials else 1
-    if shards > 1:  # contiguous seed ranges, each trained as its own stacks
+    trials = [(label, "mint" if spec.name == "NN+MinT" else "sr", lams.get(i, (0.0, 0.0)), seed)
+              for i, (spec, label) in enumerate(zip(methods, columns)) if i not in choices for seed in seeds]
+    shards = min(jobs, len(seeds)) if trials else 0
+    # Contiguous seed ranges, each trained as its own stacks.
+    parts = [[i for i in range(len(trials)) if shards * (i % len(seeds)) // len(seeds) == s] for s in range(shards)]
+    run = partial(_nn_trials, panel, h, config, collect_traces=collect_traces)
+    shard_trials = [[trials[i] for i in part] for part in parts]
+    if shards > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        parts = [[i for i in range(len(trials)) if shards * (i % len(seeds)) // len(seeds) == s]
-                 for s in range(shards)]
-        outcomes: list = [None] * len(trials)
         with ProcessPoolExecutor(max_workers=shards) as ex:
-            done = ex.map(partial(_nn_trials, panel, h, config, collect_traces=collect_traces),
-                          [[trials[i] for i in part] for part in parts])
-            for part, part_out in zip(parts, done):
-                for i, outcome in zip(part, part_out):
-                    outcomes[i] = outcome
+            done = list(ex.map(run, shard_trials))
     else:
-        outcomes = _nn_trials(panel, h, config, trials, collect_traces)
-    diverged = next((o for o in outcomes if isinstance(o, TrainingDiverged)), None)
+        done = list(map(run, shard_trials))
+    reports: list = [None] * len(trials)
+    for part, part_reports in zip(parts, done):
+        for i, report in zip(part, part_reports):
+            reports[i] = report
+    diverged = next((r for r in reports if isinstance(r, TrainingDiverged)), None)
     if diverged is not None:
         raise diverged
 
-    for (label, _, _, seed), (coherent, fit, mint) in zip(trials, outcomes):
-        if label not in result.reports:
-            result.labels.append(label)
-            result.reports[label] = []
-            result.fits[label] = {}
-        result.reports[label].append(node_report(h, actual, coherent, label, params={"seed": seed}))
-        result.fits[label][seed] = fit
-        if mint is not None:
-            result.mint.setdefault(label, {})[seed] = mint
-    for label, *_ in nn_tasks:
-        result.summaries[label] = (
-            summarize_trials(result.reports[label]) if len(result.reports[label]) >= 2 else None
-        )
-    return result
-
+    table = {columns[i]: [node_report(h, actual, choice.forecast(panel.values)[:, panel.train_len: panel.n_time],
+                                      columns[i], params={"param": choice.param})] for i, choice in choices.items()}
+    for (label, *_), report in zip(trials, reports):
+        table.setdefault(label, []).append(report)
+    return table

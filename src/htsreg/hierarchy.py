@@ -8,6 +8,7 @@ the sum of the series of its descendant bottom nodes.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -201,17 +202,24 @@ def check_coherence(h: HierarchySpec, panel: np.ndarray) -> float:
 
 
 def load_hierarchy_json(path: str | Path) -> HierarchySpec:
-    """Load a ``{"nodes": [...], "parent": {child: parent}}`` file."""
+    """Load a ``{"nodes": [...], "parent": {child: parent}}`` file whose node ids are integers or integer strings."""
     with open(path, encoding="utf-8") as f:
         raw = json.load(f)
-    if not isinstance(raw, dict) or "nodes" not in raw or "parent" not in raw:
-        raise ValueError(f"{path}: expected an object with 'nodes' and 'parent' keys")
-    parent = {int(c): int(p) for c, p in raw["parent"].items()}
+    if not (isinstance(raw, dict) and isinstance(raw.get("nodes"), list) and isinstance(raw.get("parent"), dict)):
+        raise ValueError(f"{path}: expected an object with a 'nodes' list and a 'parent' object")
+
+    def node_id(value: object) -> int:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+            return int(value)
+        raise ValueError(f"{path}: node ids must be integers, got {value!r}")
+
+    parent = {node_id(c): node_id(p) for c, p in raw["parent"].items()}
+    declared = sorted(node_id(n) for n in raw["nodes"])
     h = build_hierarchy(parent)
-    declared = sorted(int(n) for n in raw["nodes"])
     if declared != sorted(h.node_ids):
         raise ValueError(
             f"{path}: 'nodes' {declared} does not match nodes derived from 'parent'"
         )
     return h
-

@@ -17,7 +17,7 @@ from scipy import stats
 
 from htsreg.baselines import es_forecast, ma_forecast, select_param
 from htsreg.cli import _write_table, main
-from htsreg.evaluate import MethodSpec, _bottom_weights, make_epoch_hook, run_benchmark
+from htsreg.evaluate import MethodSpec, _bottom_weights, make_epoch_hook, run_benchmark, summarize_trials
 from htsreg.hierarchy import (
     LEVELS,
     aggregate_bottom,
@@ -68,17 +68,17 @@ def paired_trials(ngtvc_panel):
 
     They run through the benchmark runner, which trains all 60 networks
     as one stack with the epoch-trace hook on, as ``htsreg run`` does.
-    Besides the fits by method, ``summaries`` holds the runner's trial
-    summaries, which fill the network columns of ``table.csv``.
+    Besides the fits by method, ``summaries`` holds the trial summaries
+    that fill the network columns of ``table.csv``.
     """
     methods = [MethodSpec(name="NN+SR", lambda1=0.0, lambdaM=2.1), MethodSpec(name="NN+BU")]
     t0 = time.perf_counter()
     result = run_benchmark(ngtvc_panel, preset_hierarchy(), methods, TRIAL_SEEDS, PUBLISHED)
     elapsed = time.perf_counter() - t0
     print(f"[paired trials] 30 seeds x 2 methods in {elapsed:.0f}s")
-    return {**{key: [result.fits[label][seed] for seed in TRIAL_SEEDS]
-               for key, label in (("sr", "NN+SR(0.0, 2.1)"), ("bu", "NN+BU"))},
-            "summaries": result.summaries}
+    assert all([rep.params["seed"] for rep in reports] == TRIAL_SEEDS for reports in result.values())
+    return {**{key: [rep.fit for rep in result[label]] for key, label in (("sr", "NN+SR(0.0, 2.1)"), ("bu", "NN+BU"))},
+            "summaries": {label: summarize_trials(reports) for label, reports in result.items()}}
 
 
 def test_criterion_01_gradient_correctness():
@@ -277,7 +277,7 @@ def test_readme_table_baseline_columns_match_a_baselines_run(ngtvc_panel, tmp_pa
     written = [line.split(",") for line in (tmp_path / "table.csv").read_text(encoding="utf-8").splitlines()]
     written = {row[0]: dict(zip(written[0][1:], row[1:])) for row in written[1:]}
     labels, table = readme_table()
-    assert result.labels == labels[:2] == ["MA(17)", "ES(0.29)"]
+    assert list(result) == labels[:2] == ["MA(17)", "ES(0.29)"]
     for label in labels[:2]:
         assert {row: table[row][label] for row in README_LEVELS} == {row: written[row][label] for row in README_LEVELS}
 

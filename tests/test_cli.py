@@ -14,7 +14,7 @@ import pytest
 
 import htsreg
 from htsreg.cli import _write_traces, main
-from htsreg.evaluate import BenchmarkResult, _bottom_weights
+from htsreg.evaluate import EvalReport, _bottom_weights
 from htsreg.hierarchy import LEVELS, build_hierarchy
 from htsreg.panel import load_panel_csv, standardize
 from htsreg.synthgen import preset_hierarchy
@@ -157,6 +157,16 @@ def test_reconcile_rejects_bad_base_file(tmp_path, small_setup, capsys, edit, me
                  "--base", str(bad_base(tmp_path, pcsv, edit)), "--out", str(out)])
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reconcile_rejects_a_fractional_node_id_in_the_hierarchy_file(tmp_path, small_setup, capsys):
+    """A fractional parent id ends with exit 2 naming the hierarchy file; it was once truncated to a node."""
+    _, hier, pcsv = small_setup
+    hier.write_text(json.dumps({"nodes": [1, 2, 3, 4, 5, 6, 7], "parent": {**SMALL_PARENTS, 4: 2.5}}))
+    out = tmp_path / "coherent.csv"
+    assert main(["reconcile", "--method", "bu", "--hierarchy", str(hier), "--base", str(pcsv), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {hier}: node ids must be integers, got 2.5\n"
     assert not out.exists()
 
 
@@ -350,12 +360,25 @@ def run_files(out_dir):
 
 
 def test_run_parallel_jobs_match_serial(tmp_path):
-    """Seeds split into two shards give the bytes of one process, checkpoints and traces included."""
-    cfg = run_config(tmp_path, methods=ALL_METHODS, trial_seeds=[1, 2, 3], train={"max_epochs": 40})
-    d1, d2 = tmp_path / "o1", tmp_path / "o2"
-    assert main(["run", "--config", str(cfg), "--out-dir", str(d1)]) == 0
-    assert main(["run", "--config", str(cfg), "--out-dir", str(d2), "--jobs", "2"]) == 0
-    assert run_files(d1) == run_files(d2)
+    """Seeds split into two shards give the bytes of one process, checkpoints and traces included.
+
+    Sorted and unsorted seed lists alike: ``trials.json`` lists each method's trials in config seed order,
+    ``epoch_trace.csv`` by ascending seed.
+    """
+    networks = ["NN+BU", "NN+MinT", "NN+SR(0.0, 2.1)"]
+    for seeds in ([1, 2, 3], [3, 1, 2]):
+        cfg = run_config(tmp_path, methods=ALL_METHODS, trial_seeds=seeds, train={"max_epochs": 40})
+        d1, d2 = tmp_path / f"{seeds}_jobs1", tmp_path / f"{seeds}_jobs2"
+        assert main(["run", "--config", str(cfg), "--out-dir", str(d1)]) == 0
+        assert main(["run", "--config", str(cfg), "--out-dir", str(d2), "--jobs", "2"]) == 0
+        assert run_files(d1) == run_files(d2)
+        trials = json.loads((d1 / "trials.json").read_text())
+        assert trials["seeds"] == seeds and list(trials["methods"])[1:] == networks
+        for label in networks:
+            assert [t["seed"] for t in trials["methods"][label]["trials"]] == seeds
+        with open(d1 / "epoch_trace.csv", newline="") as f:
+            traced = [(row["method"], int(row["trial_seed"])) for row in csv.DictReader(f)]
+        assert list(dict.fromkeys(traced)) == [(label, seed) for label in ("NN+BU", "NN+SR(0.0, 2.1)") for seed in (1, 2, 3)]
 
 
 def test_run_is_byte_identical_across_blas_threads(tmp_path):
@@ -671,29 +694,36 @@ def test_write_traces_matches_csv_writer(tmp_path):
     special = np.array([[np.nan, np.inf, -0.0, 5e-324], [1e-300, 0.1, 2.0, 1e17]])
     traces = {"NN+SR(0.0, 2.1)": {2: np.vstack([special, rng.random((3, 4))]), 1: rng.random((2, 4))},
               'NN "BU"': {1: rng.random((1, 4))}, "NN 50%": {3: rng.random((2, 4))}, "NN+MinT": {1: None}}
-    result = BenchmarkResult(labels=["MA(3)", *traces], seeds=[1, 2], reports={}, summaries={},
-                             fits={label: {seed: TrainResult(params=None, epochs=0, reason="max_epochs",
-                                                             epoch_eval=trace)
-                                           for seed, trace in by_seed.items()}
-                                   for label, by_seed in traces.items()})
-    _write_traces(result, tmp_path / "trace.csv")
+    columns = {"MA(3)": [EvalReport(method="MA(3)", params={"param": 3}, per_node={}, levels={})]}
+    columns.update({label: [EvalReport(method=label, params={"seed": seed}, per_node={}, levels={},
+                                       fit=TrainResult(params=None, epochs=0, reason="max_epochs", epoch_eval=trace))
+                            for seed, trace in by_seed.items()]
+                    for label, by_seed in traces.items()})
+    _write_traces(columns, tmp_path / "trace.csv")
     with open(tmp_path / "oracle.csv", "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["method", "trial_seed", "epoch", "level", "rmse"])
-        for label in result.labels:
-            for seed, fit in sorted(result.fits.get(label, {}).items()):
-                if fit.epoch_eval is not None:
+        for label, by_seed in traces.items():
+            for seed, trace in sorted(by_seed.items()):
+                if trace is not None:
                     writer.writerows([label, seed, epoch, level, f"{value:.17g}"]
-                                     for epoch, row in enumerate(fit.epoch_eval.tolist(), start=1)
+                                     for epoch, row in enumerate(trace.tolist(), start=1)
                                      for level, value in zip(LEVELS, row))
     assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
     assert b'"NN+SR(0.0, 2.1)",1,1,root,' in (tmp_path / "trace.csv").read_bytes()
 
 
-def test_run_out_dir_below_a_regular_file_exits_4(tmp_path):
+def test_run_out_dir_below_a_regular_file_exits_4(tmp_path, monkeypatch, capsys):
+    """An --out-dir that cannot be made exits 4 before any network trains, and nothing is created."""
+    monkeypatch.setattr("htsreg.cli.run_benchmark", _no_training)
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory\n")
-    assert main(["run", "--config", str(run_config(tmp_path)), "--out-dir", str(blocker / "out")]) == 4
+    cfg = run_config(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    for out_dir in (blocker / "out", blocker / "a" / "b", blocker):
+        assert main(["run", "--config", str(cfg), "--out-dir", str(out_dir)]) == 4
+        assert capsys.readouterr().err == f"i/o error: --out-dir {out_dir}: {blocker} is not a writable directory\n"
+    assert sorted(tmp_path.rglob("*")) == before and blocker.read_text() == "not a directory\n"
 
 
 @pytest.mark.parametrize("key,value", [("seed", 1.7), ("seed", True), ("seed", "3"), ("train_len", 69.9),

@@ -190,9 +190,9 @@ def test_sweep_rejects_a_negative_grid_value(tree, panel, monkeypatch):
 
 def small_benchmark(panel, tree, seeds, jobs=1):
     methods = [
+        MethodSpec(name="NN+BU"),
         MethodSpec(name="MA", grid=(1, 2, 3)),
         MethodSpec(name="ES", grid=(0.2, 0.8)),
-        MethodSpec(name="NN+BU"),
         MethodSpec(name="NN+MinT"),
         MethodSpec(name="NN+SR", lambda1=0.0, lambdaM=1.0),
     ]
@@ -200,26 +200,30 @@ def small_benchmark(panel, tree, seeds, jobs=1):
 
 
 def test_benchmark_shapes_and_labels(tree, panel):
-    result = small_benchmark(panel, tree, [1, 2])
-    assert len(result.labels) == 5
-    ma_label = result.labels[0]
-    assert ma_label.startswith("MA(")
-    assert result.summaries[ma_label] is None           # deterministic, no CI
-    assert len(result.reports[ma_label]) == 1
-    for label in result.labels[2:]:
-        assert len(result.reports[label]) == 2          # one per seed
-        assert result.summaries[label] is not None
-    assert "NN+SR(0.0, 1.0)" in result.labels
-    assert list(result.mint) == ["NN+MinT"] and list(result.mint["NN+MinT"]) == [1, 2]
-    for info in result.mint["NN+MinT"].values():  # MinT's first ridge rung, on a well-conditioned W
-        assert info["gamma"] == 1e-8 and 1 <= info["w_condition"] < 1e8
+    """The baseline columns come first, then the network columns in config order, each in seed-list order."""
+    result = small_benchmark(panel, tree, [2, 1])
+    labels = list(result)
+    assert len(labels) == 5
+    assert labels[0].startswith("MA(") and labels[1].startswith("ES(")
+    assert labels[2:] == ["NN+BU", "NN+MinT", "NN+SR(0.0, 1.0)"]
+    for label in labels[:2]:  # deterministic: one report, no fit
+        (report,) = result[label]
+        assert report.fit is None and report.extra == {} and "seed" not in report.params
+    for label in labels[2:]:
+        assert [rep.params["seed"] for rep in result[label]] == [2, 1]  # one per seed
+        assert all(rep.method == label and rep.fit is not None for rep in result[label])
+        assert all(rep.extra == {} for rep in result[label]) == (label != "NN+MinT")
+    for rep in result["NN+MinT"]:  # MinT's first ridge rung, on a well-conditioned W
+        assert set(rep.extra) == {"gamma", "w_condition"}
+        assert rep.extra["gamma"] == 1e-8 and 1 <= rep.extra["w_condition"] < 1e8
 
 
 def test_benchmark_deterministic_end_to_end(tree, panel):
     a = small_benchmark(panel, tree, [5])
     b = small_benchmark(panel, tree, [5])
-    for label in a.labels:
-        for ra, rb in zip(a.reports[label], b.reports[label]):
+    assert list(a) == list(b)
+    for label in a:
+        for ra, rb in zip(a[label], b[label], strict=True):
             assert ra.per_node == rb.per_node
 
 
@@ -227,16 +231,17 @@ def test_benchmark_zero_lambda_equals_bottom_up_rows(tree, panel):
     """NN+SR(0, 0) reproduces NN+BU per seed, value for value."""
     methods = [MethodSpec(name="NN+BU"), MethodSpec(name="NN+SR", lambda1=0.0, lambdaM=0.0)]
     result = run_benchmark(panel, tree, methods, [3, 4], TrainConfig(max_epochs=10))
-    for rep_bu, rep_sr in zip(result.reports["NN+BU"], result.reports["NN+SR(0.0, 0.0)"]):
+    for rep_bu, rep_sr in zip(result["NN+BU"], result["NN+SR(0.0, 0.0)"], strict=True):
         assert rep_bu.per_node == rep_sr.per_node
 
 
 def test_benchmark_parallel_matches_serial(tree, panel):
     a = small_benchmark(panel, tree, [1, 2])
     b = small_benchmark(panel, tree, [1, 2], jobs=2)
-    for label in a.labels:
-        for ra, rb in zip(a.reports[label], b.reports[label]):
-            assert ra.per_node == rb.per_node
+    assert list(a) == list(b)
+    for label in a:
+        for ra, rb in zip(a[label], b[label], strict=True):
+            assert (ra.params, ra.per_node, ra.extra) == (rb.params, rb.per_node, rb.extra)
 
 
 def test_benchmark_stacks_match_trial_by_trial_runs(tree, panel, monkeypatch):
@@ -250,10 +255,11 @@ def test_benchmark_stacks_match_trial_by_trial_runs(tree, panel, monkeypatch):
     lams = {"NN+SR(1.0, 0.0)": (1.0, 0.0), "NN+BU": (0.0, 0.0), "NN+SR(0.0, 3.0)": (0.0, 3.0)}
     for jobs in (1, 2):
         result = run_benchmark(panel, tree, methods, seeds, cfg, jobs=jobs)
-        assert result.labels == ["NN+SR(1.0, 0.0)", "NN+MinT", "NN+BU", "NN+SR(0.0, 3.0)"]
-        for label in result.labels:
-            assert [rep.params["seed"] for rep in result.reports[label]] == seeds
-            for seed, fit in result.fits[label].items():
+        assert list(result) == ["NN+SR(1.0, 0.0)", "NN+MinT", "NN+BU", "NN+SR(0.0, 3.0)"]
+        for label, reports in result.items():
+            assert [rep.params["seed"] for rep in reports] == seeds
+            for rep in reports:
+                seed, fit = rep.params["seed"], rep.fit
                 if label == "NN+MinT":
                     alone = train_batch(panel, np.zeros((0, 7)), np.zeros((1, 0)), [seed], cfg)[0]
                     assert fit.epoch_eval is None
@@ -262,7 +268,7 @@ def test_benchmark_stacks_match_trial_by_trial_runs(tree, panel, monkeypatch):
                     assert np.array_equal(fit.epoch_eval, alone.epoch_eval)
                 assert (fit.epochs, fit.reason) == (alone.epochs, alone.reason)
                 assert all(np.array_equal(a, b) for a, b in zip(fit.params, alone.params))
-    assert len({fit.epochs for fits in result.fits.values() for fit in fits.values()}) > 2
+    assert len({rep.fit.epochs for reports in result.values() for rep in reports}) > 2
 
 
 def test_benchmark_rejects_duplicate_seeds(tree, panel):
@@ -275,7 +281,7 @@ def test_baseline_forecast_matrix_alignment(tree, panel):
     from htsreg.baselines import ma_forecast
 
     result = run_benchmark(panel, tree, [MethodSpec(name="MA", grid=[2])], [1], TrainConfig(max_epochs=1))
-    report = result.reports["MA(2)"][0]
+    (report,) = result["MA(2)"]
     t, n = panel.train_len, panel.n_time
     for node, row in zip(tree.node_ids, panel.values):
         assert report.per_node[node] == float(rmse(row[t:], ma_forecast(row, 2)[t:n]))

@@ -1,6 +1,7 @@
 """Tests for the hierarchy module."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -187,10 +188,25 @@ def test_hierarchy_json_round_trip(tmp_path):
 
 
 def test_hierarchy_json_rejects_node_mismatch(tmp_path):
+    """A file whose nodes or ids are malformed, or whose 'nodes' disagree with 'parent', raises naming the file."""
     path = tmp_path / "h.json"
-    path.write_text(json.dumps({"nodes": [1, 2, 3, 4, 99], "parent": {"2": 1, "3": 2, "4": 2}}))
-    with pytest.raises(ValueError, match="does not match"):
-        load_hierarchy_json(path)
+    parent = {"2": 1, "3": 2, "4": 2}
+    for raw, message in [
+        ({"nodes": [1, 2, 3, 4, 99], "parent": parent}, "'nodes' [1, 2, 3, 4, 99] does not match"),
+        ({"nodes": [1, 2, 3, 4], "parent": [[2, 1], [3, 2], [4, 2]]}, "expected an object with a 'nodes' list"),
+        ({"nodes": 5, "parent": parent}, "expected an object with a 'nodes' list"),
+        ({"nodes": [1, 2, 3, 4], "parent": {**parent, "2": None}}, "node ids must be integers, got None"),
+        ({"nodes": [[1], 2, 3, 4], "parent": parent}, "node ids must be integers, got [1]"),
+        ({"nodes": [1, 2, 3, 4], "parent": {**parent, "2": 1.5}}, "node ids must be integers, got 1.5"),
+        ({"nodes": [1, 2, 3, 4], "parent": {**parent, "4": 2.0}}, "node ids must be integers, got 2.0"),
+        ({"nodes": [True, 2, 3, 4], "parent": parent}, "node ids must be integers, got True"),
+        ({"nodes": [1, 2, 3, 4], "parent": {**parent, "4.0": 2}}, "node ids must be integers, got '4.0'"),
+    ]:
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}")):
+            load_hierarchy_json(path)
+    path.write_text(json.dumps({"nodes": ["1", 2, 3, 4], "parent": parent}))  # integer strings pass, as keys do
+    assert load_hierarchy_json(path) == build_hierarchy({2: 1, 3: 2, 4: 2})
 
 
 def test_coherence_violated_by_independent_standardization():
