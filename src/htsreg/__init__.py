@@ -11,5 +11,5 @@ __version__ = "0.1.0"
 from .evaluate import make_epoch_hook, node_report
 from .hierarchy import aggregate_bottom, structure_matrix
 from .panel import standardize
-from .synthgen import generate_dataset, preset_hierarchy
+from .synthgen import generate_dataset
 from .trainer import TrainConfig, forecast_timepoints, predict, train_batch

@@ -39,7 +39,7 @@ from .reconcile import (
     mint_reconcile,
     top_down,
 )
-from .synthgen import PRESET_NAMES, PRNG_IDENTITY, generate_dataset, preset_hierarchy
+from .synthgen import BURN_IN, PRESET_NAMES, PRNG_IDENTITY, generate_dataset
 from .trainer import TrainConfig, TrainingDiverged, _is_int
 
 EXIT_OK = 0
@@ -75,7 +75,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         "preset": args.preset,
         "seed": args.seed,
         "prng": PRNG_IDENTITY,
-        "burn_in": 50,
+        "burn_in": BURN_IN,
         "timepoints": panel.n_time,
         "train_len": panel.train_len,
     }, indent=2)
@@ -185,8 +185,8 @@ def _checked(obj: dict, table: dict, prefix: str, what: str) -> dict:
     return obj
 
 
-def _load_config(path: str, table: dict) -> tuple[dict, list[MethodSpec], SeriesPanel, HierarchySpec, TrainConfig]:
-    """A run or sweep config (or a run manifest) checked against ``table``; its methods, panel, tree and TrainConfig."""
+def _load_config(path: str, table: dict) -> tuple[dict, list[MethodSpec], SeriesPanel, TrainConfig]:
+    """A run or sweep config (or a run manifest) checked against ``table``; its methods, panel and TrainConfig."""
     try:
         with open(path, encoding="utf-8") as f:
             cfg = json.load(f)
@@ -216,7 +216,7 @@ def _load_config(path: str, table: dict) -> tuple[dict, list[MethodSpec], Series
         kind = "tuned NN+SR" if methods[-1].name == "NN+SR" and methods[-1].tune else methods[-1].name
         for key in m:
             _need(key == "name" or key in _METHOD_READS[kind], f"methods[{i}].{key}", f"has no effect on {kind}")
-    panel, h = _panel_from_config(cfg, Path(path).resolve().parent)
+    panel = _panel_from_config(cfg, Path(path).resolve().parent)
     needs = [(f"methods[{i}] ({spec.name}), which needs", spec) for i, spec in enumerate(methods)]
     if table is _SWEEP:  # a sweep trains NN+SR networks
         needs = [("the sweep's NN+SR networks, which need", MethodSpec(name="NN+SR", lambda1=0.0, lambdaM=0.0))]
@@ -224,18 +224,17 @@ def _load_config(path: str, table: dict) -> tuple[dict, list[MethodSpec], Series
         need = spec.min_train_len(panel.n_nodes, config.lag)
         _need(panel.train_len >= need, "panel.train_len",
               f"{panel.train_len} is too short for {what} {need} at lag {config.lag}")
-    return cfg, methods, panel, h, config
+    return cfg, methods, panel, config
 
 
-def _panel_from_config(cfg: dict, base_dir: Path) -> tuple[SeriesPanel, HierarchySpec]:
-    """The panel and tree of a checked config: a preset, or a csv file with its hierarchy file."""
+def _panel_from_config(cfg: dict, base_dir: Path) -> SeriesPanel:
+    """The panel of a checked config: a preset, or a csv file with its hierarchy file."""
     pc = cfg["panel"]
     if "preset" in pc:
         _need("csv" not in pc, "panel.csv", "a panel takes either 'preset' or 'csv', not both")
         _need("hierarchy" not in cfg, "hierarchy", "only a csv panel takes a hierarchy file")
         _need(pc["preset"] in PRESET_NAMES, "panel.preset", f"unknown preset; choose from {PRESET_NAMES}")
         _need(pc.get("seed", 0) >= 0, "panel.seed", f"must be nonnegative, got {pc.get('seed')}")
-        h = preset_hierarchy()
         panel = generate_dataset(pc["preset"], seed=pc.get("seed", 0))
     elif "csv" in pc:
         _need("seed" not in pc, "panel.seed", "only a preset panel takes a seed")
@@ -254,7 +253,7 @@ def _panel_from_config(cfg: dict, base_dir: Path) -> tuple[SeriesPanel, Hierarch
             raise ConfigError(f"panel.train_len: {exc}") from exc
     if cfg.get("standardize", True):
         panel = standardize(panel)
-    return panel, h
+    return panel
 
 
 def _write_table(columns: dict[str, list[EvalReport]], h: HierarchySpec, path: Path) -> None:
@@ -320,17 +319,17 @@ def _slug(label: str) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg, methods, panel, h, config = _load_config(args.config, _RUN)
+    cfg, methods, panel, config = _load_config(args.config, _RUN)
     out_dir = Path(args.out_dir)  # checked first: it, or else its nearest existing ancestor, must be a writable dir
     existing = next(p for p in (out_dir, *out_dir.parents) if os.path.lexists(p))
     if not existing.is_dir() or not os.access(existing, os.W_OK | os.X_OK):
         raise OSError(f"--out-dir {out_dir}: {existing} is not a writable directory")
-    columns = run_benchmark(panel, h, methods, cfg["trial_seeds"], config,
+    columns = run_benchmark(panel, methods, cfg["trial_seeds"], config,
                             collect_traces=cfg.get("epoch_trace", True), jobs=args.jobs)
 
     out_dir.mkdir(parents=True, exist_ok=True)  # made only now, so a run that fails leaves none behind
-    _write_table(columns, h, out_dir / "table.csv")
-    _write_trials(columns, cfg["trial_seeds"], h, out_dir / "trials.json")
+    _write_table(columns, panel.tree, out_dir / "table.csv")
+    _write_trials(columns, cfg["trial_seeds"], panel.tree, out_dir / "trials.json")
     _write_traces(columns, out_dir / "epoch_trace.csv")
     ckpt_dir = out_dir / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
@@ -351,11 +350,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg, _, panel, h, config = _load_config(args.config, _SWEEP)
+    cfg, _, panel, config = _load_config(args.config, _SWEEP)
     xs = sorted(float(x) for x in cfg["x_grid"])
     modes = cfg.get("modes", list(SWEEP_MODES))
     try:
-        curves = reg_sweep(panel, h, xs, cfg["trial_seeds"], config, modes=modes)
+        curves = reg_sweep(panel, xs, cfg["trial_seeds"], config, modes=modes)
     except ValueError as exc:
         raise ConfigError(f"sweep: {exc}") from exc
     with open(args.out, "w", encoding="utf-8", newline="") as f:

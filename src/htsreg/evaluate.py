@@ -78,7 +78,7 @@ def summarize_trials(reports: list[EvalReport]) -> TrialSummary:
     return TrialSummary(n_trials=len(reports), per_node=per_node, levels=levels)
 
 
-def make_epoch_hook(panel: SeriesPanel, h: HierarchySpec, config: TrainConfig):
+def make_epoch_hook(panel: SeriesPanel, config: TrainConfig):
     """Stack hook for training: per-level test RMSE of bottom-up forecasts.
 
     ``hook.x`` holds the lagged inputs of the test period. Training forwards
@@ -87,7 +87,7 @@ def make_epoch_hook(panel: SeriesPanel, h: HierarchySpec, config: TrainConfig):
     (epochs, models, test timepoints, |B|). The hook returns their level means,
     shaped (epochs, models, 4) in :data:`LEVELS` order.
     """
-    actual = panel.values[:, panel.train_len:]
+    h, actual = panel.tree, panel.values[:, panel.train_len:]
 
     def hook(forecasts: np.ndarray) -> np.ndarray:
         return level_means(h, rmse(actual, aggregate_bottom(h, np.swapaxes(forecasts, -1, -2))))
@@ -96,26 +96,23 @@ def make_epoch_hook(panel: SeriesPanel, h: HierarchySpec, config: TrainConfig):
     return hook
 
 
-def _bottom_weights(panel: SeriesPanel, h: HierarchySpec, lams: list[tuple[float, float]]
-                    ) -> tuple[np.ndarray, np.ndarray]:
+def _bottom_weights(h: HierarchySpec, lams: list[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
     """H and the weight rows (root, then each mid) of bottom networks, one per (lambda_root, lambda_mid)."""
-    if panel.node_ids != h.node_ids:
-        raise ValueError("panel node order does not match hierarchy")
     return structure_matrix(h), np.array([[l_root] + [l_mid] * len(h.mid_ids) for l_root, l_mid in lams])
 
 
-def _held_out_levels(panel: SeriesPanel, h: HierarchySpec, lams: list[tuple[float, float]], seeds: list[int],
+def _held_out_levels(panel: SeriesPanel, lams: list[tuple[float, float]], seeds: list[int],
                      config: TrainConfig) -> np.ndarray:
     """Test RMSEs per level, (K, 4), of a bottom network per weight pair and seed, scored by the epoch hook."""
-    hook = make_epoch_hook(panel, h, config)
-    fits = train_batch(panel, *_bottom_weights(panel, h, lams), seeds, config)
+    hook = make_epoch_hook(panel, config)
+    fits = train_batch(panel, *_bottom_weights(panel.tree, lams), seeds, config)
     return hook(np.stack([forward(fit.params, hook.x, config.activation)[1] for fit in fits])[None])[0]
 
 
 SWEEP_MODES = ("(x,0)", "(0,x)", "(x,x)")
 
 
-def reg_sweep(panel: SeriesPanel, h: HierarchySpec, x_grid: tuple | list,
+def reg_sweep(panel: SeriesPanel, x_grid: tuple | list,
               seeds: list[int], config: TrainConfig,
               modes: tuple[str, ...] = SWEEP_MODES) -> dict[str, dict[str, np.ndarray]]:
     """Relative test RMSE versus the unregularized run, trial-averaged.
@@ -140,7 +137,7 @@ def reg_sweep(panel: SeriesPanel, h: HierarchySpec, x_grid: tuple | list,
               for mode in modes for x_idx, x in enumerate(xs) if x != 0.0]
     lams = [(0.0, 0.0)] + [lam for *_, lam in points]
     # Seed-major: the (0, 0) run and every grid point of a seed share its initialization.
-    scores = _held_out_levels(panel, h, lams * len(seeds), [s for s in seeds for _ in lams], config)
+    scores = _held_out_levels(panel, lams * len(seeds), [s for s in seeds for _ in lams], config)
     scores = scores.reshape(len(seeds), len(lams), len(LEVELS))
     rel = scores[:, 1:] - scores[:, :1]  # x = 0 stays exactly zero: no self-subtraction
     diffs = {mode: {lvl: np.zeros((len(seeds), len(xs))) for lvl in LEVELS} for mode in modes}
@@ -155,7 +152,7 @@ def _fit_len(train_len: int) -> int:
     return int(0.75 * train_len)
 
 
-def tune_lambda(panel: SeriesPanel, h: HierarchySpec, grid_root: tuple | list, grid_mid: tuple | list,
+def tune_lambda(panel: SeriesPanel, grid_root: tuple | list, grid_mid: tuple | list,
                 config: TrainConfig, seed: int) -> tuple[float, float]:
     """Hold-out selection of (lambda_root, lambda_mid).
 
@@ -171,8 +168,8 @@ def tune_lambda(panel: SeriesPanel, h: HierarchySpec, grid_root: tuple | list, g
         raise ValueError(f"training period of {panel.train_len} timepoints cannot be split for hold-out validation")
     grid = list(product(sorted(grid_root), sorted(grid_mid)))
     # A panel whose test period is exactly the validation window.
-    val = SeriesPanel(panel.node_ids, panel.values[:, :panel.train_len], fit_len, panel.n_bottom)
-    scores = _held_out_levels(val, h, grid, [seed] * len(grid), config)
+    val = SeriesPanel(panel.tree, panel.values[:, :panel.train_len], fit_len)
+    scores = _held_out_levels(val, grid, [seed] * len(grid), config)
     best = min((float(score), l_root + l_mid, l_root, l_mid)
                for (l_root, l_mid), score in zip(grid, scores[:, LEVELS.index("average")]))
     return best[2], best[3]
@@ -243,7 +240,7 @@ def _check_columns(columns: list[str]) -> None:
         first[column] = i
 
 
-def _nn_trials(panel: SeriesPanel, h: HierarchySpec, config: TrainConfig,
+def _nn_trials(panel: SeriesPanel, config: TrainConfig,
                trials: list[tuple[str, str, tuple[float, float], int]], collect_traces: bool) -> list:
     """Train and score network trials (label, kind, lam, seed): bottom networks in one set of stacks, MinT's in another.
 
@@ -253,15 +250,15 @@ def _nn_trials(panel: SeriesPanel, h: HierarchySpec, config: TrainConfig,
     run would raise.
     """
     out: list = [None] * len(trials)
-    actual = panel.values[:, panel.train_len:]
+    h, actual = panel.tree, panel.values[:, panel.train_len:]
     test_tps, fit_tps = forecast_timepoints(panel), training_timepoints(panel, config.lag)
     for kind in ("sr", "mint"):
         idx = [i for i, t in enumerate(trials) if t[1] == kind]
         if not idx:
             continue
         if kind == "sr":
-            hook = make_epoch_hook(panel, h, config) if collect_traces else None
-            design = _bottom_weights(panel, h, [trials[i][2] for i in idx])
+            hook = make_epoch_hook(panel, config) if collect_traces else None
+            design = _bottom_weights(h, [trials[i][2] for i in idx])
         else:
             hook, design = None, (np.zeros((0, panel.n_nodes)), np.zeros((len(idx), 0)))
         try:
@@ -280,7 +277,7 @@ def _nn_trials(panel: SeriesPanel, h: HierarchySpec, config: TrainConfig,
     return out
 
 
-def run_benchmark(panel: SeriesPanel, h: HierarchySpec, methods: list[MethodSpec],
+def run_benchmark(panel: SeriesPanel, methods: list[MethodSpec],
                   seeds: list[int], config: TrainConfig,
                   collect_traces: bool = True, jobs: int = 1) -> dict[str, list[EvalReport]]:
     """Evaluate every requested method on the panel's test period.
@@ -296,7 +293,7 @@ def run_benchmark(panel: SeriesPanel, h: HierarchySpec, methods: list[MethodSpec
     """
     if len(set(seeds)) != len(seeds):
         raise ValueError("trial seeds must be distinct")
-    actual = panel.values[:, panel.train_len:]
+    h, actual = panel.tree, panel.values[:, panel.train_len:]
 
     # The column each method fills, checked for repeats before any network trains. A tuned NN+SR is
     # known by its grids until it is tuned; its pick is checked against the other columns after.
@@ -318,7 +315,7 @@ def run_benchmark(panel: SeriesPanel, h: HierarchySpec, methods: list[MethodSpec
     _check_columns(columns)
     for i, spec in enumerate(methods):
         if spec.name == "NN+SR" and i not in lams:
-            lams[i] = tune_lambda(panel, h, spec.tune_grid1, spec.tune_gridM, config, seeds[0])
+            lams[i] = tune_lambda(panel, spec.tune_grid1, spec.tune_gridM, config, seeds[0])
             columns[i] = _sr_label(lams[i])
             _check_columns(columns)
 
@@ -327,7 +324,7 @@ def run_benchmark(panel: SeriesPanel, h: HierarchySpec, methods: list[MethodSpec
     shards = min(jobs, len(seeds)) if trials else 0
     # Contiguous seed ranges, each trained as its own stacks.
     parts = [[i for i in range(len(trials)) if shards * (i % len(seeds)) // len(seeds) == s] for s in range(shards)]
-    run = partial(_nn_trials, panel, h, config, collect_traces=collect_traces)
+    run = partial(_nn_trials, panel, config, collect_traces=collect_traces)
     shard_trials = [[trials[i] for i in part] for part in parts]
     if shards > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -204,7 +204,10 @@ def check_coherence(h: HierarchySpec, panel: np.ndarray) -> float:
 def load_hierarchy_json(path: str | Path) -> HierarchySpec:
     """Load a ``{"nodes": [...], "parent": {child: parent}}`` file whose node ids are integers or integer strings."""
     with open(path, encoding="utf-8") as f:
-        raw = json.load(f)
+        try:
+            raw = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON ({exc})") from exc
     if not (isinstance(raw, dict) and isinstance(raw.get("nodes"), list) and isinstance(raw.get("parent"), dict)):
         raise ValueError(f"{path}: expected an object with a 'nodes' list and a 'parent' object")
 
@@ -217,7 +220,10 @@ def load_hierarchy_json(path: str | Path) -> HierarchySpec:
 
     parent = {node_id(c): node_id(p) for c, p in raw["parent"].items()}
     declared = sorted(node_id(n) for n in raw["nodes"])
-    h = build_hierarchy(parent)
+    try:
+        h = build_hierarchy(parent)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if declared != sorted(h.node_ids):
         raise ValueError(
             f"{path}: 'nodes' {declared} does not match nodes derived from 'parent'"

@@ -14,23 +14,21 @@ from .hierarchy import HierarchySpec, _ordered_sum
 
 @dataclass(frozen=True)
 class SeriesPanel:
-    """Node-by-time observation matrix with a train/test boundary.
+    """Node-by-time observation matrix of a tree with a train/test boundary.
 
-    Rows follow the canonical hierarchy order (root, mids, bottoms);
-    ``n_bottom`` identifies the trailing bottom-level block. Values are
-    float64 and frozen after construction.
+    Rows follow the tree's canonical order (root, mids, bottoms). Values
+    are float64 and frozen after construction.
     """
 
-    node_ids: tuple[int, ...]
+    tree: HierarchySpec
     values: np.ndarray
     train_len: int
-    n_bottom: int
 
     def __post_init__(self) -> None:
         vals = np.array(self.values, dtype=np.float64)
-        if vals.ndim != 2 or vals.shape[0] != len(self.node_ids):
+        if vals.ndim != 2 or vals.shape[0] != self.n_nodes:
             raise ValueError(
-                f"values must be a {len(self.node_ids)} x T matrix, got shape {vals.shape}"
+                f"values must be a {self.n_nodes} x T matrix, got shape {vals.shape}"
             )
         if vals.shape[1] < 2:
             raise ValueError("panel needs at least 2 timepoints")
@@ -40,24 +38,16 @@ class SeriesPanel:
             raise ValueError(
                 f"train_len {self.train_len} outside [1, {vals.shape[1] - 1}]"
             )
-        if not 1 <= self.n_bottom <= len(self.node_ids):
-            raise ValueError(f"invalid bottom-node count {self.n_bottom}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "node_ids", tuple(int(n) for n in self.node_ids))
 
-    @classmethod
-    def from_values(cls, h: HierarchySpec, values: np.ndarray, train_len: int) -> "SeriesPanel":
-        return cls(
-            node_ids=h.node_ids,
-            values=values,
-            train_len=train_len,
-            n_bottom=h.n_bottom,
-        )
+    @property
+    def node_ids(self) -> tuple[int, ...]:
+        return self.tree.node_ids
 
     @property
     def n_nodes(self) -> int:
-        return len(self.node_ids)
+        return self.tree.n_nodes
 
     @property
     def n_time(self) -> int:
@@ -65,10 +55,10 @@ class SeriesPanel:
 
     @property
     def bottom_values(self) -> np.ndarray:
-        return self.values[self.n_nodes - self.n_bottom:]
+        return self.values[self.n_nodes - self.tree.n_bottom:]
 
     def with_train_len(self, train_len: int) -> "SeriesPanel":
-        return SeriesPanel(self.node_ids, self.values, train_len, self.n_bottom)
+        return SeriesPanel(self.tree, self.values, train_len)
 
 
 def default_train_len(n_time: int) -> int:
@@ -92,7 +82,7 @@ def standardize(panel: SeriesPanel) -> SeriesPanel:
         if s == 0.0:
             raise ValueError(f"node {node} has zero training variance")
     vals = (panel.values - mean[:, None]) / sd[:, None]
-    return SeriesPanel(panel.node_ids, vals, panel.train_len, panel.n_bottom)
+    return SeriesPanel(panel.tree, vals, panel.train_len)
 
 
 def lagged_design(rows: np.ndarray, lag: int, timepoints: range | list[int]) -> np.ndarray:
@@ -201,7 +191,7 @@ def load_panel_csv(path: str | Path, h: HierarchySpec) -> SeriesPanel:
         # Only the upper rows the file lacks are summed, in aggregate_bottom's order.
         values[r] = data[col_pos[node]] if node in col_pos else _ordered_sum(bottom, idx)
 
-    return SeriesPanel.from_values(h, values, default_train_len(values.shape[1]))
+    return SeriesPanel(h, values, default_train_len(values.shape[1]))
 
 
 def write_panel_csv(panel: SeriesPanel, path: str | Path) -> None:

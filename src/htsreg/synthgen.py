@@ -40,6 +40,9 @@ _PRESET_LOADINGS: dict[str, dict[int, tuple[float, float]]] = {
 
 PRESET_NAMES = tuple(_PRESET_LOADINGS)
 
+# Steps of each AR(1) path discarded before the kept series start.
+BURN_IN = 50
+
 _FACTOR_ROLE = 0
 _BOTTOM_ROLE = 1
 
@@ -57,7 +60,7 @@ class SynthParams:
     rho: Mapping[int, float]
     theta: Mapping[int, float]
     t_total: int = 100
-    burn_in: int = 50
+    burn_in: int = BURN_IN
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -70,7 +73,7 @@ class SynthParams:
             raise ValueError("burn_in must be >= 0")
 
 
-def preset_params(name: str, *, t_total: int = 100, burn_in: int = 50, seed: int = 0) -> SynthParams:
+def preset_params(name: str, *, t_total: int = 100, burn_in: int = BURN_IN, seed: int = 0) -> SynthParams:
     """Parameter set for one of the named presets."""
     if name not in _PRESET_LOADINGS:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
@@ -156,4 +159,4 @@ def generate_dataset(preset: str, seed: int = 0) -> SeriesPanel:
     """
     params, h = preset_params(preset, seed=seed), preset_hierarchy()
     values = aggregate_bottom(h, generate_bottom(params, generate_factors(params, h), h))
-    return SeriesPanel.from_values(h, values, default_train_len(params.t_total))
+    return SeriesPanel(h, values, default_train_len(params.t_total))

@@ -29,4 +29,4 @@ def small_panel(small_tree):
     bottoms = rng.standard_normal((4, 12)) + np.arange(1, 5)[:, None]
     from htsreg.hierarchy import aggregate_bottom
 
-    return SeriesPanel.from_values(small_tree, aggregate_bottom(small_tree, bottoms), train_len=8)
+    return SeriesPanel(small_tree, aggregate_bottom(small_tree, bottoms), train_len=8)

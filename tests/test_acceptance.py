@@ -73,7 +73,7 @@ def paired_trials(ngtvc_panel):
     """
     methods = [MethodSpec(name="NN+SR", lambda1=0.0, lambdaM=2.1), MethodSpec(name="NN+BU")]
     t0 = time.perf_counter()
-    result = run_benchmark(ngtvc_panel, preset_hierarchy(), methods, TRIAL_SEEDS, PUBLISHED)
+    result = run_benchmark(ngtvc_panel, methods, TRIAL_SEEDS, PUBLISHED)
     elapsed = time.perf_counter() - t0
     print(f"[paired trials] 30 seeds x 2 methods in {elapsed:.0f}s")
     assert all([rep.params["seed"] for rep in reports] == TRIAL_SEEDS for reports in result.values())
@@ -132,12 +132,12 @@ def test_criterion_02_zero_lambda_reduction(ngtvc_panel):
     tps = training_timepoints(ngtvc_panel, cfg.lag)
     x = lagged_design(ngtvc_panel.bottom_values, cfg.lag, tps)
     yb = ngtvc_panel.bottom_values[:, [t - 1 for t in tps]].T
-    hook = make_epoch_hook(ngtvc_panel, h, cfg)
+    hook = make_epoch_hook(ngtvc_panel, cfg)
     plain = _fit(x, yb, yb[:, :0], np.zeros((0, 9)), np.zeros((1, 0)), [init_params(NetworkDims(18, 36, 9), 12)], cfg,
                  hook)[0]
 
     def equals_plain(lam):
-        res = train_batch(ngtvc_panel, *_bottom_weights(ngtvc_panel, h, [lam]), [12], cfg, hook)[0]
+        res = train_batch(ngtvc_panel, *_bottom_weights(h, [lam]), [12], cfg, hook)[0]
         return (res.epochs == plain.epochs == 100 and np.array_equal(res.params.theta, plain.params.theta)
                 and np.array_equal(res.epoch_eval, plain.epoch_eval))
 
@@ -272,7 +272,7 @@ def test_readme_table_baseline_columns_match_a_baselines_run(ngtvc_panel, tmp_pa
     """The README's first two columns, MA(17) and ES(0.29), label and level cells: a baselines-only run of the
     published panel, as table.csv writes it."""
     h = preset_hierarchy()
-    result = run_benchmark(ngtvc_panel, h, [MethodSpec(name="MA"), MethodSpec(name="ES")], TRIAL_SEEDS, TrainConfig())
+    result = run_benchmark(ngtvc_panel, [MethodSpec(name="MA"), MethodSpec(name="ES")], TRIAL_SEEDS, TrainConfig())
     _write_table(result, h, tmp_path / "table.csv")
     written = [line.split(",") for line in (tmp_path / "table.csv").read_text(encoding="utf-8").splitlines()]
     written = {row[0]: dict(zip(written[0][1:], row[1:])) for row in written[1:]}
@@ -297,7 +297,7 @@ def test_criterion_08_baseline_identities():
     h = build_hierarchy(SMALL_PARENTS)
     ramp = np.arange(1.0, 25.0)
     bottoms = np.vstack([ramp, 2 * ramp, ramp + 3, 0.5 * ramp])
-    panel = SeriesPanel.from_values(h, aggregate_bottom(h, bottoms), train_len=18)
+    panel = SeriesPanel(h, aggregate_bottom(h, bottoms), train_len=18)
     select_ok = (select_param(panel, "MA").param == 1
                  and select_param(panel, "ES").param == 1.0)
 

@@ -24,7 +24,7 @@ SMALL_PARENTS = {2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 3}
 
 def panel_from_bottom(bottoms, train_len):
     h = build_hierarchy(SMALL_PARENTS)
-    return SeriesPanel.from_values(h, aggregate_bottom(h, np.asarray(bottoms, dtype=float)), train_len)
+    return SeriesPanel(h, aggregate_bottom(h, np.asarray(bottoms, dtype=float)), train_len)
 
 
 def test_ma_next_step_mean():

@@ -47,13 +47,13 @@ def tree():
 def std_panel(tree, seed=0, n_time=30, train_len=20):
     rng = np.random.default_rng(seed)
     bottoms = rng.standard_normal((4, n_time)).cumsum(axis=1) * 0.3 + rng.standard_normal((4, n_time))
-    panel = SeriesPanel.from_values(tree, aggregate_bottom(tree, bottoms), train_len)
+    panel = SeriesPanel(tree, aggregate_bottom(tree, bottoms), train_len)
     return standardize(panel)
 
 
-def train_bottom(panel, tree, lambdas, seeds, cfg, hook=None):
+def train_bottom(panel, lambdas, seeds, cfg, hook=None):
     """Bottom networks, one per (lambda_root, lambda_mid) pair and seed, as one batch."""
-    return train_batch(panel, *_bottom_weights(panel, tree, lambdas), seeds, cfg, hook)
+    return train_batch(panel, *_bottom_weights(panel.tree, lambdas), seeds, cfg, hook)
 
 
 def bits(a):
@@ -66,9 +66,9 @@ def assert_same_result(batched, single):
     assert np.array_equal(bits(batched.params.theta), bits(single.params.theta))
 
 
-def assert_batch_matches_single_runs(panel, tree, cfg, seed, lambdas=LAMBDAS):
-    batch = train_bottom(panel, tree, lambdas, [seed] * len(lambdas), cfg)
-    singles = [train_bottom(panel, tree, [lam], [seed], cfg)[0] for lam in lambdas]
+def assert_batch_matches_single_runs(panel, cfg, seed, lambdas=LAMBDAS):
+    batch = train_bottom(panel, lambdas, [seed] * len(lambdas), cfg)
+    singles = [train_bottom(panel, [lam], [seed], cfg)[0] for lam in lambdas]
     for b, s in zip(batch, singles):
         assert_same_result(b, s)
     return singles
@@ -78,7 +78,7 @@ def test_batch_with_staggered_stops_matches_single_runs(tree):
     """Models leave the stack at different epochs; the rest carry on unchanged."""
     panel = std_panel(tree, seed=3)
     cfg = TrainConfig(eta=5e-4, eps=3e-3, max_epochs=300)
-    singles = assert_batch_matches_single_runs(panel, tree, cfg, 4)
+    singles = assert_batch_matches_single_runs(panel, cfg, 4)
     assert [(r.epochs, r.reason) for r in singles] == [
         (243, "converged"), (236, "converged"), (208, "converged"), (300, "max_epochs"), (300, "max_epochs")]
 
@@ -86,22 +86,22 @@ def test_batch_with_staggered_stops_matches_single_runs(tree):
 def test_batch_larger_than_stack_limit_runs_in_consecutive_stacks(tree, monkeypatch):
     monkeypatch.setattr(trainer, "STACK_LIMIT", 2)
     panel = std_panel(tree, seed=3)
-    assert_batch_matches_single_runs(panel, tree, TrainConfig(eta=5e-4, eps=3e-3, max_epochs=300), 4)
+    assert_batch_matches_single_runs(panel, TrainConfig(eta=5e-4, eps=3e-3, max_epochs=300), 4)
 
 
 def test_batch_matches_single_runs_without_bias(tree):
     panel = std_panel(tree, seed=5)
-    assert_batch_matches_single_runs(panel, tree, TrainConfig(eta=3e-4, max_epochs=60, bias=False), 2)
+    assert_batch_matches_single_runs(panel, TrainConfig(eta=3e-4, max_epochs=60, bias=False), 2)
 
 
 def test_batch_matches_single_runs_with_relu(tree):
     panel = std_panel(tree, seed=6)
-    assert_batch_matches_single_runs(panel, tree, TrainConfig(eta=5e-5, max_epochs=60, activation="relu"), 3)
+    assert_batch_matches_single_runs(panel, TrainConfig(eta=5e-5, max_epochs=60, activation="relu"), 3)
 
 
 def test_zero_epoch_batch_matches_single_runs(tree):
     panel = std_panel(tree, seed=7)
-    assert_batch_matches_single_runs(panel, tree, TrainConfig(max_epochs=0), 1)
+    assert_batch_matches_single_runs(panel, TrainConfig(max_epochs=0), 1)
 
 
 def test_stacked_all_node_models_match_single_runs(tree):
@@ -119,8 +119,8 @@ def test_batch_with_per_model_seeds_matches_single_runs(tree):
     panel = std_panel(tree, seed=3)
     cfg = TrainConfig(eta=5e-4, eps=3e-3, max_epochs=300)
     seeds = [4, 9, 1, 7, 2]
-    for b, lam, seed in zip(train_bottom(panel, tree, LAMBDAS, seeds, cfg), LAMBDAS, seeds):
-        assert_same_result(b, train_bottom(panel, tree, [lam], [seed], cfg)[0])
+    for b, lam, seed in zip(train_bottom(panel, LAMBDAS, seeds, cfg), LAMBDAS, seeds):
+        assert_same_result(b, train_bottom(panel, [lam], [seed], cfg)[0])
 
 
 def watch_design(panel, cfg):
@@ -157,11 +157,11 @@ def test_per_model_hooks_see_single_run_params(tree, monkeypatch):
     for trace_rows in (trainer.TRACE_ROWS, 7, 1):
         monkeypatch.setattr(trainer, "TRACE_ROWS", trace_rows)
         calls = []
-        batch = train_bottom(panel, tree, LAMBDAS, seeds, cfg, forecast_hook(calls, x))
+        batch = train_bottom(panel, LAMBDAS, seeds, cfg, forecast_hook(calls, x))
         assert all(e * k <= max(trace_rows, k) for _, e, k in calls)
         assert sum(e * k for _, e, k in calls) == sum(b.epochs for b in batch)
         for lam, b in zip(LAMBDAS, batch):
-            single = train_bottom(panel, tree, [lam], [4], cfg, forecast_hook([], x))[0]
+            single = train_bottom(panel, [lam], [4], cfg, forecast_hook([], x))[0]
             assert_same_result(b, single)
             assert np.array_equal(b.epoch_eval[:, 0], np.arange(1, b.epochs + 1))
             assert np.array_equal(bits(b.epoch_eval), bits(single.epoch_eval))
@@ -181,7 +181,7 @@ def test_hook_sees_no_diverged_weights(tree):
 
     hook.x = watch_design(panel, DIVERGING)
     with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as err:
-        train_bottom(panel, tree, DIVERGING_LAMBDAS, [1] * 3, DIVERGING, hook)
+        train_bottom(panel, DIVERGING_LAMBDAS, [1] * 3, DIVERGING, hook)
     assert err.value.epoch == 2 and err.value.model == 0
     assert calls == [((1, 1), True)]  # epoch 1 of the (0, 0) model, the only one still finite
 
@@ -255,11 +255,10 @@ def test_watch_rows_leave_training_unchanged(kind, bias):
     58 fitted and 40 watch rows of the 13-node preset: at these sizes one
     product over all 98 rows would round some fitted rows differently.
     """
-    tree = preset_hierarchy()
     panel = standardize(generate_dataset("WeakC", seed=2).with_train_len(60))
     cfg = TrainConfig(eta=1e-5, max_epochs=30, activation=kind, bias=bias)
-    hooked = train_bottom(panel, tree, LAMBDAS[:3], [1, 2, 3], cfg, forecast_hook([], watch_design(panel, cfg)))
-    for with_hook, plain in zip(hooked, train_bottom(panel, tree, LAMBDAS[:3], [1, 2, 3], cfg)):
+    hooked = train_bottom(panel, LAMBDAS[:3], [1, 2, 3], cfg, forecast_hook([], watch_design(panel, cfg)))
+    for with_hook, plain in zip(hooked, train_bottom(panel, LAMBDAS[:3], [1, 2, 3], cfg)):
         assert_same_result(with_hook, plain)
         assert with_hook.epoch_eval.shape == (30, 1 + 40 * 9) and plain.epoch_eval is None
 
@@ -294,12 +293,12 @@ BLAS_SCRIPT = """
 import hashlib, numpy as np
 from htsreg.evaluate import _bottom_weights, make_epoch_hook
 from htsreg.panel import standardize
-from htsreg.synthgen import generate_dataset, preset_hierarchy
+from htsreg.synthgen import generate_dataset
 from htsreg.trainer import TrainConfig, train_batch
-tree, panel = preset_hierarchy(), standardize(generate_dataset("NgtvC", seed=7))
+panel = standardize(generate_dataset("NgtvC", seed=7))
 cfg = TrainConfig(max_epochs=20)
-bottom = train_batch(panel, *_bottom_weights(panel, tree, [(0.0, 2.1)] * 60), range(1, 61), cfg,
-                     make_epoch_hook(panel, tree, cfg))
+bottom = train_batch(panel, *_bottom_weights(panel.tree, [(0.0, 2.1)] * 60), range(1, 61), cfg,
+                     make_epoch_hook(panel, cfg))
 bases = train_batch(panel, np.zeros((0, 13)), np.zeros((30, 0)), range(1, 31), cfg)
 digest = hashlib.sha256()
 for fit in bottom + bases:
@@ -328,9 +327,9 @@ DIVERGING = TrainConfig(eta=1e150, max_epochs=50)  # trained from seed 1
 DIVERGING_LAMBDAS = [(0.0, 0.0), (1.5, 1.5), (3.0, 3.0)]
 
 
-def diverged_epoch(panel, tree, lam):
+def diverged_epoch(panel, lam):
     with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as err:
-        train_bottom(panel, tree, [lam], [1], DIVERGING)
+        train_bottom(panel, [lam], [1], DIVERGING)
     return err.value.epoch
 
 
@@ -339,10 +338,10 @@ def test_batch_divergence_reports_lowest_index_model(tree, monkeypatch, stack_li
     """The error names the epoch a model-by-model run would report, not the first in time."""
     monkeypatch.setattr(trainer, "STACK_LIMIT", stack_limit)
     panel = std_panel(tree, seed=10)
-    epochs = [diverged_epoch(panel, tree, lam) for lam in DIVERGING_LAMBDAS]
+    epochs = [diverged_epoch(panel, lam) for lam in DIVERGING_LAMBDAS]
     assert epochs == [2, 1, 1]
     with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as err:
-        train_bottom(panel, tree, DIVERGING_LAMBDAS, [1] * 3, DIVERGING)
+        train_bottom(panel, DIVERGING_LAMBDAS, [1] * 3, DIVERGING)
     assert err.value.epoch == epochs[0]
 
 
@@ -408,7 +407,7 @@ def test_epoch_hook_matches_predict_bottom_formula(tree):
     """The stack hook's rows equal the per-model, per-epoch prediction formula bit for bit."""
     panel = std_panel(tree, seed=11)
     cfg = TrainConfig(eta=1e-3, max_epochs=40)
-    hook = make_epoch_hook(panel, tree, cfg)
+    hook = make_epoch_hook(panel, cfg)
     tps = forecast_timepoints(panel)
     actual = panel.values[:, panel.train_len:]
 
@@ -425,14 +424,14 @@ def test_epoch_hook_matches_predict_bottom_formula(tree):
 
     recording.x = hook.x
     lams, seeds = LAMBDAS[:3], [2, 3, 4]
-    batch = train_bottom(panel, tree, lams, seeds, cfg, recording)
+    batch = train_bottom(panel, lams, seeds, cfg, recording)
     assert [b.epoch_eval.shape for b in batch] == [(40, 4)] * 3
     assert sum(len(forecasts) for forecasts in seen) == 40
     first_epoch = 1  # blocks arrive in epoch order
     for forecasts in seen:
         for e, k in np.ndindex(forecasts.shape[:2]):
             epoch = first_epoch + e  # the weights after this epoch, from a run stopped there
-            params = train_bottom(panel, tree, [lams[k]], [seeds[k]], replace(cfg, max_epochs=epoch))[0].params
+            params = train_bottom(panel, [lams[k]], [seeds[k]], replace(cfg, max_epochs=epoch))[0].params
             assert np.array_equal(bits(forecasts[e, k]), bits(predict(params, panel.bottom_values, cfg, tps).T))
             assert np.array_equal(bits(batch[k].epoch_eval[epoch - 1]), bits(reference(params)))
         first_epoch += len(forecasts)

@@ -36,7 +36,7 @@ def small_setup(tmp_path):
     from htsreg.hierarchy import aggregate_bottom
     from htsreg.panel import SeriesPanel, write_panel_csv
 
-    panel = SeriesPanel.from_values(h, aggregate_bottom(h, bottoms), train_len=20)
+    panel = SeriesPanel(h, aggregate_bottom(h, bottoms), train_len=20)
     pcsv = tmp_path / "p.csv"
     write_panel_csv(panel, pcsv)
     return h, hier, pcsv
@@ -161,13 +161,22 @@ def test_reconcile_rejects_bad_base_file(tmp_path, small_setup, capsys, edit, me
 
 
 def test_reconcile_rejects_a_fractional_node_id_in_the_hierarchy_file(tmp_path, small_setup, capsys):
-    """A fractional parent id ends with exit 2 naming the hierarchy file; it was once truncated to a node."""
+    """A fractional parent id ends with exit 2 naming the hierarchy file; it was once truncated to a node. So do
+    a file that is not JSON, a depth-1 tree and a tree without a root."""
     _, hier, pcsv = small_setup
-    hier.write_text(json.dumps({"nodes": [1, 2, 3, 4, 5, 6, 7], "parent": {**SMALL_PARENTS, 4: 2.5}}))
     out = tmp_path / "coherent.csv"
-    assert main(["reconcile", "--method", "bu", "--hierarchy", str(hier), "--base", str(pcsv), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"config error: {hier}: node ids must be integers, got 2.5\n"
-    assert not out.exists()
+    for text, message in [
+        (json.dumps({"nodes": [1, 2, 3, 4, 5, 6, 7], "parent": {**SMALL_PARENTS, 4: 2.5}}),
+         "node ids must be integers, got 2.5\n"),
+        ('{"nodes": [1,', "invalid JSON (Expecting value"),
+        (json.dumps({"nodes": [1, 2, 3], "parent": {"2": 1, "3": 1}}), "tree depth is 1, expected exactly 2\n"),
+        (json.dumps({"nodes": [1, 2], "parent": {"1": 2, "2": 1}}), "cycle detected: every node has a parent\n"),
+    ]:
+        hier.write_text(text)
+        assert main(["reconcile", "--method", "bu", "--hierarchy", str(hier), "--base", str(pcsv),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {hier}: {message}")
+        assert not out.exists()
 
 
 def test_reconcile_mint_identity_weights(tmp_path, small_setup):
@@ -269,7 +278,7 @@ def test_one_seed_run_checkpoint_equals_train_batch(tmp_path, small_setup, train
     out_dir = tmp_path / "o"
     assert main(["run", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
     panel = standardize(load_panel_csv(pcsv, h).with_train_len(20))
-    want = train_batch(panel, *_bottom_weights(panel, h, [(0.4, 1.5)]), [3], TrainConfig(**train))[0]
+    want = train_batch(panel, *_bottom_weights(h, [(0.4, 1.5)]), [3], TrainConfig(**train))[0]
     ckpt, = (out_dir / "checkpoints").iterdir()
     saved = json.loads(ckpt.read_text())
     assert saved["seed"] == 3
@@ -580,6 +589,8 @@ CONFIG_LOADING = {
     "csv_without_hierarchy": ("run", {"panel": {"csv": "p.csv"}}, "hierarchy: a csv panel needs a hierarchy file"),
     "hierarchy_file_missing": ("run", {"panel": {"csv": "p.csv"}, "hierarchy": "nope.json"},
                                "hierarchy: file not found: {dir}/nope.json"),
+    "hierarchy_file_not_json": ("run", {"panel": {"csv": "p.csv"}, "hierarchy": "p.csv"},
+                                "{dir}/p.csv: invalid JSON (Expecting value: line 1 column 1 (char 0))"),
     "csv_file_missing": ("run", {"panel": {"csv": "nope.csv"}, "hierarchy": "h.json"},
                          "panel.csv: file not found: {dir}/nope.csv"),
     "train_not_an_object": ("run", {"train": 5}, "train: must be an object, got 5"),

@@ -26,16 +26,16 @@ def tree():
     return build_hierarchy(SMALL_PARENTS)
 
 
-def train_bottom(panel, tree, lam, seed, cfg, hook=None):
+def train_bottom(panel, lam, seed, cfg, hook=None):
     """The bottom network of weights lam = (root, mid) trained from seed."""
-    return train_batch(panel, *_bottom_weights(panel, tree, [lam]), [seed], cfg, hook)[0]
+    return train_batch(panel, *_bottom_weights(panel.tree, [lam]), [seed], cfg, hook)[0]
 
 
 @pytest.fixture
 def panel(tree):
     rng = np.random.default_rng(0)
     bottoms = rng.standard_normal((4, 40)).cumsum(axis=1) * 0.2 + rng.standard_normal((4, 40))
-    raw = SeriesPanel.from_values(tree, aggregate_bottom(tree, bottoms), train_len=28)
+    raw = SeriesPanel(tree, aggregate_bottom(tree, bottoms), train_len=28)
     return standardize(raw)
 
 
@@ -123,36 +123,36 @@ def test_summary_needs_two_reports(tree):
 
 # ------------------------------------------------------------- epoch traces
 
-def test_epoch_trace_length_matches_epochs(tree, panel):
+def test_epoch_trace_length_matches_epochs(panel):
     cfg = TrainConfig(max_epochs=17)
-    result = train_bottom(panel, tree, (0.0, 0.0), 1, cfg, make_epoch_hook(panel, tree, cfg))
+    result = train_bottom(panel, (0.0, 0.0), 1, cfg, make_epoch_hook(panel, cfg))
     assert result.epoch_eval.shape == (result.epochs, 4)  # one column per LEVELS entry
 
 
-def test_epoch_trace_zero_reg_equals_bottom_up_run(tree, panel):
+def test_epoch_trace_zero_reg_equals_bottom_up_run(panel):
     cfg = TrainConfig(max_epochs=12)
-    a = train_bottom(panel, tree, (0.0, 0.0), 2, cfg, make_epoch_hook(panel, tree, cfg))
-    b = train_bottom(panel, tree, (0.0, 0.0), 2, cfg, make_epoch_hook(panel, tree, cfg))
+    a = train_bottom(panel, (0.0, 0.0), 2, cfg, make_epoch_hook(panel, cfg))
+    b = train_bottom(panel, (0.0, 0.0), 2, cfg, make_epoch_hook(panel, cfg))
     assert np.array_equal(a.epoch_eval, b.epoch_eval)
 
 
-def test_epoch_trace_emitted_for_single_epoch(tree, panel):
+def test_epoch_trace_emitted_for_single_epoch(panel):
     cfg = TrainConfig(max_epochs=1)
-    result = train_bottom(panel, tree, (0.0, 0.0), 3, cfg, make_epoch_hook(panel, tree, cfg))
+    result = train_bottom(panel, (0.0, 0.0), 3, cfg, make_epoch_hook(panel, cfg))
     assert len(result.epoch_eval) == 1
 
 
-def test_epoch_trace_requires_hook(tree, panel):
+def test_epoch_trace_requires_hook(panel):
     """Without a hook a run records no epoch evaluations."""
-    result = train_bottom(panel, tree, (0.0, 0.0), 4, TrainConfig(max_epochs=2))
+    result = train_bottom(panel, (0.0, 0.0), 4, TrainConfig(max_epochs=2))
     assert result.epochs == 2 and result.epoch_eval is None
 
 
 # ------------------------------------------------------------- sweeps
 
-def test_sweep_zero_point_is_exactly_zero(tree, panel):
+def test_sweep_zero_point_is_exactly_zero(panel):
     cfg = TrainConfig(max_epochs=6)
-    curves = reg_sweep(panel, tree, [0.0, 0.5], [1, 2], cfg)
+    curves = reg_sweep(panel, [0.0, 0.5], [1, 2], cfg)
     for mode in curves:
         for level in curves[mode]:
             assert curves[mode][level][0] == 0.0
@@ -160,35 +160,35 @@ def test_sweep_zero_point_is_exactly_zero(tree, panel):
 
 def test_sweep_modes_agree_at_zero_and_single_trial_is_raw_diff(tree, panel):
     cfg = TrainConfig(max_epochs=6)
-    curves = reg_sweep(panel, tree, [0.0, 0.4], [7], cfg)
+    curves = reg_sweep(panel, [0.0, 0.4], [7], cfg)
     for mode in ("(x,0)", "(0,x)", "(x,x)"):
         assert curves[mode]["average"][0] == 0.0
     # single trial: curves equal the raw per-seed differences of separate runs
     from htsreg.trainer import forecast_timepoints, predict
 
     def average_rmse(lam):
-        result = train_bottom(panel, tree, lam, 7, cfg)
+        result = train_bottom(panel, lam, 7, cfg)
         coherent = aggregate_bottom(tree, predict(result.params, panel.bottom_values, cfg, forecast_timepoints(panel)))
         return float(np.sqrt(np.mean((panel.values[:, panel.train_len:] - coherent) ** 2, axis=1)).mean())
 
     assert curves["(x,0)"]["average"][1] == average_rmse((0.4, 0.0)) - average_rmse((0.0, 0.0))
 
 
-def test_sweep_requires_zero_in_grid(tree, panel):
+def test_sweep_requires_zero_in_grid(panel):
     with pytest.raises(ValueError, match="include 0"):
-        reg_sweep(panel, tree, [0.5, 1.0], [1], TrainConfig(max_epochs=2))
+        reg_sweep(panel, [0.5, 1.0], [1], TrainConfig(max_epochs=2))
 
 
-def test_sweep_rejects_a_negative_grid_value(tree, panel, monkeypatch):
+def test_sweep_rejects_a_negative_grid_value(panel, monkeypatch):
     """The sweep's own check names x_grid, before any network trains."""
     monkeypatch.setattr("htsreg.evaluate.train_batch", None)
     with pytest.raises(ValueError, match=r"x_grid values must not be negative, got \[-1.0, 0.0\]"):
-        reg_sweep(panel, tree, [-1.0, 0.0], [1], TrainConfig(max_epochs=2))
+        reg_sweep(panel, [-1.0, 0.0], [1], TrainConfig(max_epochs=2))
 
 
 # ------------------------------------------------------------- benchmark
 
-def small_benchmark(panel, tree, seeds, jobs=1):
+def small_benchmark(panel, seeds, jobs=1):
     methods = [
         MethodSpec(name="NN+BU"),
         MethodSpec(name="MA", grid=(1, 2, 3)),
@@ -196,12 +196,12 @@ def small_benchmark(panel, tree, seeds, jobs=1):
         MethodSpec(name="NN+MinT"),
         MethodSpec(name="NN+SR", lambda1=0.0, lambdaM=1.0),
     ]
-    return run_benchmark(panel, tree, methods, seeds, TrainConfig(max_epochs=8), jobs=jobs)
+    return run_benchmark(panel, methods, seeds, TrainConfig(max_epochs=8), jobs=jobs)
 
 
 def test_benchmark_shapes_and_labels(tree, panel):
     """The baseline columns come first, then the network columns in config order, each in seed-list order."""
-    result = small_benchmark(panel, tree, [2, 1])
+    result = small_benchmark(panel, [2, 1])
     labels = list(result)
     assert len(labels) == 5
     assert labels[0].startswith("MA(") and labels[1].startswith("ES(")
@@ -219,32 +219,32 @@ def test_benchmark_shapes_and_labels(tree, panel):
 
 
 def test_benchmark_deterministic_end_to_end(tree, panel):
-    a = small_benchmark(panel, tree, [5])
-    b = small_benchmark(panel, tree, [5])
+    a = small_benchmark(panel, [5])
+    b = small_benchmark(panel, [5])
     assert list(a) == list(b)
     for label in a:
         for ra, rb in zip(a[label], b[label], strict=True):
             assert ra.per_node == rb.per_node
 
 
-def test_benchmark_zero_lambda_equals_bottom_up_rows(tree, panel):
+def test_benchmark_zero_lambda_equals_bottom_up_rows(panel):
     """NN+SR(0, 0) reproduces NN+BU per seed, value for value."""
     methods = [MethodSpec(name="NN+BU"), MethodSpec(name="NN+SR", lambda1=0.0, lambdaM=0.0)]
-    result = run_benchmark(panel, tree, methods, [3, 4], TrainConfig(max_epochs=10))
+    result = run_benchmark(panel, methods, [3, 4], TrainConfig(max_epochs=10))
     for rep_bu, rep_sr in zip(result["NN+BU"], result["NN+SR(0.0, 0.0)"], strict=True):
         assert rep_bu.per_node == rep_sr.per_node
 
 
 def test_benchmark_parallel_matches_serial(tree, panel):
-    a = small_benchmark(panel, tree, [1, 2])
-    b = small_benchmark(panel, tree, [1, 2], jobs=2)
+    a = small_benchmark(panel, [1, 2])
+    b = small_benchmark(panel, [1, 2], jobs=2)
     assert list(a) == list(b)
     for label in a:
         for ra, rb in zip(a[label], b[label], strict=True):
             assert (ra.params, ra.per_node, ra.extra) == (rb.params, rb.per_node, rb.extra)
 
 
-def test_benchmark_stacks_match_trial_by_trial_runs(tree, panel, monkeypatch):
+def test_benchmark_stacks_match_trial_by_trial_runs(panel, monkeypatch):
     """Stacked training (several stacks, blocks of hook rows, shards) equals one single-model run per trial."""
     monkeypatch.setattr(trainer, "STACK_LIMIT", 4)
     monkeypatch.setattr(trainer, "TRACE_ROWS", 5)
@@ -254,7 +254,7 @@ def test_benchmark_stacks_match_trial_by_trial_runs(tree, panel, monkeypatch):
                MethodSpec(name="NN+BU"), MethodSpec(name="NN+SR", lambda1=0.0, lambdaM=3.0)]
     lams = {"NN+SR(1.0, 0.0)": (1.0, 0.0), "NN+BU": (0.0, 0.0), "NN+SR(0.0, 3.0)": (0.0, 3.0)}
     for jobs in (1, 2):
-        result = run_benchmark(panel, tree, methods, seeds, cfg, jobs=jobs)
+        result = run_benchmark(panel, methods, seeds, cfg, jobs=jobs)
         assert list(result) == ["NN+SR(1.0, 0.0)", "NN+MinT", "NN+BU", "NN+SR(0.0, 3.0)"]
         for label, reports in result.items():
             assert [rep.params["seed"] for rep in reports] == seeds
@@ -264,23 +264,23 @@ def test_benchmark_stacks_match_trial_by_trial_runs(tree, panel, monkeypatch):
                     alone = train_batch(panel, np.zeros((0, 7)), np.zeros((1, 0)), [seed], cfg)[0]
                     assert fit.epoch_eval is None
                 else:
-                    alone = train_bottom(panel, tree, lams[label], seed, cfg, make_epoch_hook(panel, tree, cfg))
+                    alone = train_bottom(panel, lams[label], seed, cfg, make_epoch_hook(panel, cfg))
                     assert np.array_equal(fit.epoch_eval, alone.epoch_eval)
                 assert (fit.epochs, fit.reason) == (alone.epochs, alone.reason)
                 assert all(np.array_equal(a, b) for a, b in zip(fit.params, alone.params))
     assert len({rep.fit.epochs for reports in result.values() for rep in reports}) > 2
 
 
-def test_benchmark_rejects_duplicate_seeds(tree, panel):
+def test_benchmark_rejects_duplicate_seeds(panel):
     with pytest.raises(ValueError, match="distinct"):
-        run_benchmark(panel, tree, [MethodSpec(name="NN+BU")], [1, 1], TrainConfig(max_epochs=2))
+        run_benchmark(panel, [MethodSpec(name="NN+BU")], [1, 1], TrainConfig(max_epochs=2))
 
 
 def test_baseline_forecast_matrix_alignment(tree, panel):
     """A baseline's report scores the test slice of each row's forecast vector."""
     from htsreg.baselines import ma_forecast
 
-    result = run_benchmark(panel, tree, [MethodSpec(name="MA", grid=[2])], [1], TrainConfig(max_epochs=1))
+    result = run_benchmark(panel, [MethodSpec(name="MA", grid=[2])], [1], TrainConfig(max_epochs=1))
     (report,) = result["MA(2)"]
     t, n = panel.train_len, panel.n_time
     for node, row in zip(tree.node_ids, panel.values):

@@ -2,11 +2,14 @@
 
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from htsreg.hierarchy import (
     LEVELS,
@@ -19,6 +22,7 @@ from htsreg.hierarchy import (
     structure_matrix,
     summing_matrix,
 )
+from htsreg.panel import SeriesPanel, load_panel_csv, write_panel_csv
 
 SMALL_PARENTS = {2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 3}
 WIDE_PARENTS = {2: 1, 3: 1, 4: 1, 5: 2, 6: 2, 7: 2, 8: 3, 9: 3, 10: 3, 11: 4, 12: 4, 13: 4}
@@ -179,16 +183,9 @@ def test_coherence_flags_perturbed_root():
     assert check_coherence(h, panel) == 0.5
 
 
-def test_hierarchy_json_round_trip(tmp_path):
-    """A spec written in the file format loads back to an equal spec."""
-    h = build_hierarchy(WIDE_PARENTS)
-    path = tmp_path / "h.json"
-    path.write_text(json.dumps({"nodes": list(h.node_ids), "parent": {str(c): p for c, p in h.parent.items()}}))
-    assert load_hierarchy_json(path) == h
-
-
 def test_hierarchy_json_rejects_node_mismatch(tmp_path):
-    """A file whose nodes or ids are malformed, or whose 'nodes' disagree with 'parent', raises naming the file."""
+    """A file that is not JSON, whose nodes or ids are malformed, whose tree is not a depth-2 tree, or whose
+    'nodes' disagree with 'parent', raises naming the file."""
     path = tmp_path / "h.json"
     parent = {"2": 1, "3": 2, "4": 2}
     for raw, message in [
@@ -201,8 +198,11 @@ def test_hierarchy_json_rejects_node_mismatch(tmp_path):
         ({"nodes": [1, 2, 3, 4], "parent": {**parent, "4": 2.0}}, "node ids must be integers, got 2.0"),
         ({"nodes": [True, 2, 3, 4], "parent": parent}, "node ids must be integers, got True"),
         ({"nodes": [1, 2, 3, 4], "parent": {**parent, "4.0": 2}}, "node ids must be integers, got '4.0'"),
+        ('{"nodes": [1,', "invalid JSON (Expecting value"),
+        ({"nodes": [1, 2, 3], "parent": {"2": 1, "3": 1}}, "tree depth is 1, expected exactly 2"),
+        ({"nodes": [1, 2], "parent": {"1": 2, "2": 1}}, "cycle detected: every node has a parent"),
     ]:
-        path.write_text(json.dumps(raw))
+        path.write_text(raw if isinstance(raw, str) else json.dumps(raw))
         with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}")):
             load_hierarchy_json(path)
     path.write_text(json.dumps({"nodes": ["1", 2, 3, 4], "parent": parent}))  # integer strings pass, as keys do
@@ -211,12 +211,12 @@ def test_hierarchy_json_rejects_node_mismatch(tmp_path):
 
 def test_coherence_violated_by_independent_standardization():
     """Per-node standardization breaks coherence of the observed uppers."""
-    from htsreg.panel import SeriesPanel, standardize
+    from htsreg.panel import standardize
 
     h = build_hierarchy(WIDE_PARENTS)
     rng = np.random.default_rng(21)
     bottoms = rng.standard_normal((9, 40)) * np.linspace(0.5, 3.0, 9)[:, None]
-    raw = SeriesPanel.from_values(h, aggregate_bottom(h, bottoms), train_len=28)
+    raw = SeriesPanel(h, aggregate_bottom(h, bottoms), train_len=28)
     std = standardize(raw)
     assert check_coherence(h, std.values) > 0.1
 
@@ -232,6 +232,25 @@ def depth_two_trees(draw):
     for m, k in zip(mids, sizes):
         parents.update({next(bottoms): m for _ in range(k)})
     return parents
+
+
+@settings(max_examples=40, deadline=None)
+@given(depth_two_trees(), st.data())
+def test_hierarchy_json_round_trip(parents, data):
+    """A random tree written in the file format loads back to an equal spec, and a coherent panel on it written
+    as a wide CSV loads back on the loaded tree bit for bit."""
+    h = build_hierarchy(parents)
+    n_time = data.draw(st.integers(2, 6))
+    yb = data.draw(arrays(np.float64, (h.n_bottom, n_time), elements=st.floats(-1e300, 1e300)))
+    panel = SeriesPanel(h, aggregate_bottom(h, yb), data.draw(st.integers(1, n_time - 1)))
+    with tempfile.TemporaryDirectory() as tmp:
+        hier, csv_path = Path(tmp) / "h.json", Path(tmp) / "p.csv"
+        hier.write_text(json.dumps({"nodes": list(h.node_ids), "parent": {str(c): p for c, p in h.parent.items()}}))
+        assert load_hierarchy_json(hier) == h
+        write_panel_csv(panel, csv_path)
+        back = load_panel_csv(csv_path, load_hierarchy_json(hier))
+    assert back.values.tobytes() == panel.values.tobytes()
+    assert back.tree == h
 
 
 @settings(max_examples=60, deadline=None)

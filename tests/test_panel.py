@@ -90,7 +90,7 @@ def test_load_rejects_duplicate_timestamp(tmp_path, small_tree):
 def test_standardize_round_trip(small_tree):
     """Row (1,2,3 | 4) with train_len 3: mean 2, sd 1; sd * z + mean restores every row."""
     base = np.array([[1.0, 2.0, 3.0, 4.0]] * 4)
-    panel = SeriesPanel.from_values(small_tree, aggregate_bottom(small_tree, base), train_len=3)
+    panel = SeriesPanel(small_tree, aggregate_bottom(small_tree, base), train_len=3)
     std = standardize(panel)
     row = std.values[small_tree.node_ids.index(4)]
     assert np.allclose(row, [-1.0, 0.0, 1.0, 2.0])
@@ -105,14 +105,14 @@ def test_standardize_is_identity_on_normalized_rows(small_tree):
     vals = rng.standard_normal((7, 10))
     train = vals[:, :6]
     vals = (vals - train.mean(axis=1, keepdims=True)) / train.std(axis=1, ddof=1, keepdims=True)
-    panel = SeriesPanel(tuple(range(1, 8)), vals, train_len=6, n_bottom=4)
+    panel = SeriesPanel(small_tree, vals, train_len=6)
     std = standardize(panel)
     assert np.allclose(std.values, panel.values, atol=1e-12)
 
 
 def test_standardize_rejects_constant_training_row(small_tree):
     vals = np.vstack([np.ones((1, 6)), np.random.default_rng(0).standard_normal((6, 6))])
-    panel = SeriesPanel(tuple(range(1, 8)), vals, train_len=4, n_bottom=4)
+    panel = SeriesPanel(small_tree, vals, train_len=4)
     with pytest.raises(ValueError, match="node 1"):
         standardize(panel)
 
@@ -134,7 +134,7 @@ def test_lagged_input_single_lag(small_panel):
 def test_lagged_input_two_lags_ordering(small_tree):
     """L=2 concatenates oldest lag first: (a_{t-2}, b_{t-2}, ..., a_{t-1}, b_{t-1})."""
     bottoms = np.arange(12.0).reshape(4, 3)
-    panel = SeriesPanel.from_values(small_tree, aggregate_bottom(small_tree, bottoms), train_len=2)
+    panel = SeriesPanel(small_tree, aggregate_bottom(small_tree, bottoms), train_len=2)
     got = lagged_design(panel.bottom_values, 2, [3, 4])
     assert np.array_equal(got, [[0, 3, 6, 9, 1, 4, 7, 10], [1, 4, 7, 10, 2, 5, 8, 11]])
 
@@ -151,8 +151,8 @@ def test_lagged_input_reads_only_the_window(small_tree):
     b = a.copy()
     b[:, :3] += 100.0
     b[:, 6:] -= 50.0
-    pa = SeriesPanel.from_values(small_tree, aggregate_bottom(small_tree, a), train_len=6)
-    pb = SeriesPanel.from_values(small_tree, aggregate_bottom(small_tree, b), train_len=6)
+    pa = SeriesPanel(small_tree, aggregate_bottom(small_tree, a), train_len=6)
+    pb = SeriesPanel(small_tree, aggregate_bottom(small_tree, b), train_len=6)
     assert np.array_equal(lagged_design(pa.bottom_values, 2, [6]), lagged_design(pb.bottom_values, 2, [6]))
 
 
@@ -194,13 +194,13 @@ SPECIAL = [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, -1.79
 def test_write_then_load_is_bitwise_for_any_finite_values(values, data):
     """Every finite float64, -0.0, subnormals and +-max included, survives write_panel_csv and load_panel_csv."""
     values = np.hstack([values, np.array(SPECIAL)[:, None]])
-    panel = SeriesPanel(tuple(range(1, 8)), values, data.draw(st.integers(1, values.shape[1] - 1)), 4)
+    panel = SeriesPanel(build_hierarchy(SMALL_PARENTS), values, data.draw(st.integers(1, values.shape[1] - 1)))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "p.csv"
         write_panel_csv(panel, path)
-        back = load_panel_csv(path, build_hierarchy(SMALL_PARENTS)).with_train_len(panel.train_len)
+        back = load_panel_csv(path, panel.tree).with_train_len(panel.train_len)
     assert back.values.tobytes() == panel.values.tobytes()
-    assert (back.node_ids, back.train_len, back.n_bottom) == (panel.node_ids, panel.train_len, panel.n_bottom)
+    assert (back.tree, back.train_len) == (panel.tree, panel.train_len)
 
 
 @settings(max_examples=60, deadline=None)
@@ -232,19 +232,19 @@ def test_written_file_has_node_columns(tmp_path, small_panel):
 def test_panel_rejects_bad_train_len(small_tree):
     vals = np.ones((7, 4)) * np.arange(4)
     with pytest.raises(ValueError, match="train_len"):
-        SeriesPanel.from_values(small_tree, vals, train_len=4)
+        SeriesPanel(small_tree, vals, train_len=4)
 
 
 def test_panel_rejects_missing_values(small_tree):
     vals = np.ones((7, 4))
     vals[2, 1] = np.nan
     with pytest.raises(ValueError, match="missing or non-finite"):
-        SeriesPanel.from_values(small_tree, vals, train_len=2)
+        SeriesPanel(small_tree, vals, train_len=2)
 
 
 def test_panel_rejects_single_timepoint(small_tree):
     with pytest.raises(ValueError, match="at least 2 timepoints"):
-        SeriesPanel.from_values(small_tree, np.ones((7, 1)), train_len=1)
+        SeriesPanel(small_tree, np.ones((7, 1)), train_len=1)
 
 
 def test_load_default_train_len_is_seventy_percent(tmp_path, small_tree):

@@ -42,7 +42,7 @@ def random_w(n, seed, scale=1.0):
 # ------------------------------------------------------------- top-down
 
 def coherent_panel(tree, bottoms, train_len):
-    return SeriesPanel.from_values(tree, aggregate_bottom(tree, bottoms), train_len)
+    return SeriesPanel(tree, aggregate_bottom(tree, bottoms), train_len)
 
 
 def test_proportions_sum_to_one_on_coherent_panel(tree):

@@ -8,7 +8,7 @@ from htsreg.evaluate import DEFAULT_LAMBDA_GRID, _bottom_weights, tune_lambda
 from htsreg.hierarchy import aggregate_bottom, build_hierarchy, structure_matrix
 from htsreg.neuralnet import NetworkDims, NetworkParams, init_params
 from htsreg.panel import SeriesPanel, lagged_design, standardize
-from htsreg.synthgen import generate_dataset, preset_hierarchy
+from htsreg.synthgen import generate_dataset
 from htsreg.trainer import (
     TrainConfig,
     TrainingDiverged,
@@ -41,9 +41,9 @@ def loss(params, x, y, lam, h_matrix, kind="sigmoid"):
     return loss_and_grads(params, x, y[:, n_upper:], y[:, :n_upper], h_matrix, vec, kind)
 
 
-def train_bottom(panel, tree, lam, seed, cfg, hook=None):
+def train_bottom(panel, lam, seed, cfg, hook=None):
     """The bottom network of weights lam = (root, mid) trained from seed."""
-    return train_batch(panel, *_bottom_weights(panel, tree, [lam]), [seed], cfg, hook)[0]
+    return train_batch(panel, *_bottom_weights(panel.tree, [lam]), [seed], cfg, hook)[0]
 
 
 def fixed_output(u3):
@@ -58,8 +58,7 @@ def fixed_output(u3):
 
 def test_reg_weights_assignment(tree):
     """A (lambda_root, lambda_mid) pair gives the root's weight, then one per mid node, over H's rows."""
-    panel = std_panel(tree)
-    H, lams = _bottom_weights(panel, tree, [(0.4, 1.5), (0.0, 2.0)])
+    H, lams = _bottom_weights(tree, [(0.4, 1.5), (0.0, 2.0)])
     assert np.array_equal(H, structure_matrix(tree))
     assert lams.dtype == np.float64 and np.array_equal(lams, [[0.4, 1.5, 1.5], [0.0, 2.0, 2.0]])
 
@@ -67,14 +66,14 @@ def test_reg_weights_assignment(tree):
 def test_reg_weights_reject_negative(tree):
     panel = std_panel(tree)
     with pytest.raises(ValueError, match="nonnegative"):
-        train_bottom(panel, tree, (-0.1, 0.0), 0, TrainConfig(max_epochs=1))
+        train_bottom(panel, (-0.1, 0.0), 0, TrainConfig(max_epochs=1))
 
 
 @pytest.mark.parametrize("lam", [(float("nan"), 0.0), (0.0, float("inf")), (float("-inf"), 1.0)])
 def test_reg_weights_reject_non_finite(tree, lam):
     panel = std_panel(tree)
     with pytest.raises(ValueError, match="finite"):
-        train_bottom(panel, tree, lam, 0, TrainConfig(max_epochs=1))
+        train_bottom(panel, lam, 0, TrainConfig(max_epochs=1))
 
 
 @pytest.mark.parametrize("upper, lams", [(4, np.zeros((1, 4))), (2, np.zeros((1, 2))), (0, np.zeros((1, 0)))],
@@ -88,7 +87,7 @@ def test_train_batch_rejects_h_that_does_not_fit_the_panel(tree, upper, lams):
 
 def test_train_batch_rejects_a_weight_row_per_seed_mismatch(tree):
     panel = std_panel(tree)
-    H, lams = _bottom_weights(panel, tree, [(0.0, 0.0)])
+    H, lams = _bottom_weights(tree, [(0.0, 0.0)])
     with pytest.raises(ValueError, match="weight row of length 3 per seed"):
         train_batch(panel, H, lams, [0, 1], TrainConfig(max_epochs=1))
     with pytest.raises(ValueError, match="weight row of length 3 per seed"):
@@ -285,14 +284,14 @@ def test_gradient_symmetry_under_bottom_permutation(tree, h_matrix):
 def std_panel(tree, seed=0, n_time=30, train_len=20):
     rng = np.random.default_rng(seed)
     bottoms = rng.standard_normal((4, n_time)).cumsum(axis=1) * 0.3 + rng.standard_normal((4, n_time))
-    panel = SeriesPanel.from_values(tree, aggregate_bottom(tree, bottoms), train_len)
+    panel = SeriesPanel(tree, aggregate_bottom(tree, bottoms), train_len)
     return standardize(panel)
 
 
 def test_zero_epoch_budget_returns_initial_params(tree):
     panel = std_panel(tree)
     cfg = TrainConfig(max_epochs=0, lag=2)
-    result = train_bottom(panel, tree, (0.0, 0.0), 5, cfg)
+    result = train_bottom(panel, (0.0, 0.0), 5, cfg)
     fresh = init_params(NetworkDims(8, 16, 4), 5)
     assert np.array_equal(result.params.theta, fresh.theta)
     assert result.epochs == 0
@@ -315,8 +314,8 @@ def test_lambda_zero_training_is_bitwise_identical(tree):
     cfg = TrainConfig(max_epochs=30)
     x = lagged_design(panel.bottom_values, cfg.lag, forecast_timepoints(panel))
     snaps_a, snaps_b = [], []
-    ra = train_bottom(panel, tree, (0.0, 0.0), 11, cfg, capture_hook(snaps_a, x))
-    rb = train_bottom(panel, tree, (0.0, 0.0), 11, cfg, capture_hook(snaps_b, x))
+    ra = train_bottom(panel, (0.0, 0.0), 11, cfg, capture_hook(snaps_a, x))
+    rb = train_bottom(panel, (0.0, 0.0), 11, cfg, capture_hook(snaps_b, x))
     assert len(snaps_a) == len(snaps_b) == ra.epochs == 30
     for sa, sb in zip(snaps_a, snaps_b):
         assert np.array_equal(sa, sb)
@@ -329,7 +328,7 @@ def test_first_update_equals_sum_of_pointwise_gradients(tree, h_matrix):
     panel = std_panel(tree, seed=2)
     cfg = TrainConfig(max_epochs=1, eta=1e-4, lag=2)
     reg = (0.5, 1.5)
-    result = train_bottom(panel, tree, reg, 13, cfg)
+    result = train_bottom(panel, reg, 13, cfg)
 
     params0 = init_params(NetworkDims(8, 16, 4), 13)
     grads = [loss(params0, lagged_design(panel.bottom_values, cfg.lag, [t]), panel.values[:, t - 1], reg, h_matrix)[1]
@@ -347,7 +346,7 @@ def test_objective_monotone_on_preset_panel():
     forecasts give that epoch's objective.
     """
     panel = standardize(generate_dataset("NgtvC", seed=3))
-    h = preset_hierarchy()
+    h = panel.tree
     cfg = TrainConfig(max_epochs=300)
     tps = training_timepoints(panel, cfg.lag)
     y = panel.values[:, [t - 1 for t in tps]].T
@@ -362,7 +361,7 @@ def test_objective_monotone_on_preset_panel():
         return np.zeros(forecasts.shape[:2])
 
     hook.x = lagged_design(panel.bottom_values, cfg.lag, tps)
-    result = train_bottom(panel, h, (0.0, 2.1), 1, cfg, hook)
+    result = train_bottom(panel, (0.0, 2.1), 1, cfg, hook)
     assert len(objective) == result.epochs == 300
     diffs = np.diff(objective)
     assert np.all(diffs[:-1] <= 0)
@@ -374,7 +373,7 @@ def test_divergence_raises_with_epoch(tree):
     cfg = TrainConfig(eta=1e160, max_epochs=200)
     with np.errstate(all="ignore"):
         with pytest.raises(TrainingDiverged) as err:
-            train_bottom(panel, tree, (0.0, 0.0), 1, cfg)
+            train_bottom(panel, (0.0, 0.0), 1, cfg)
     assert err.value.epoch >= 1
 
 
@@ -382,7 +381,7 @@ def test_training_always_halts(tree):
     """The epoch cap guarantees termination even with a tiny threshold."""
     panel = std_panel(tree, seed=5)
     cfg = TrainConfig(eps=1e-300, max_epochs=25)
-    result = train_bottom(panel, tree, (0.0, 0.0), 2, cfg)
+    result = train_bottom(panel, (0.0, 0.0), 2, cfg)
     assert result.epochs == 25
     assert result.reason == "max_epochs"
 
@@ -390,8 +389,8 @@ def test_training_always_halts(tree):
 def test_training_is_deterministic(tree):
     panel = std_panel(tree, seed=6)
     cfg = TrainConfig(max_epochs=40)
-    a = train_bottom(panel, tree, (0.3, 0.9), 21, cfg)
-    b = train_bottom(panel, tree, (0.3, 0.9), 21, cfg)
+    a = train_bottom(panel, (0.3, 0.9), 21, cfg)
+    b = train_bottom(panel, (0.3, 0.9), 21, cfg)
     assert np.array_equal(a.params.theta, b.params.theta)
     assert a.epochs == b.epochs
 
@@ -413,7 +412,7 @@ def test_all_node_base_network_trains(tree):
 def test_predict_bottom_matches_single_forward(tree):
     panel = std_panel(tree, seed=8)
     cfg = TrainConfig(max_epochs=5)
-    result = train_bottom(panel, tree, (0.0, 0.0), 4, cfg)
+    result = train_bottom(panel, (0.0, 0.0), 4, cfg)
 
     fc = predict(result.params, panel.bottom_values, cfg, [10, 11])
     one = forward(result.params, lagged_design(panel.bottom_values, cfg.lag, [10]), cfg.activation)[1][0]
@@ -425,13 +424,13 @@ def test_predict_bottom_matches_single_forward(tree):
 def test_tune_lambda_degenerate_grid(tree):
     panel = std_panel(tree, seed=9, n_time=40, train_len=28)
     cfg = TrainConfig(max_epochs=10)
-    assert tune_lambda(panel, tree, [0.0], [0.0], cfg, 5) == (0.0, 0.0)
+    assert tune_lambda(panel, [0.0], [0.0], cfg, 5) == (0.0, 0.0)
 
 
 def test_tune_lambda_rejects_empty_grid(tree):
     panel = std_panel(tree, seed=9, n_time=40, train_len=28)
     with pytest.raises(ValueError, match="nonempty"):
-        tune_lambda(panel, tree, [], [0.0], TrainConfig(max_epochs=5), 0)
+        tune_lambda(panel, [], [0.0], TrainConfig(max_epochs=5), 0)
 
 
 def test_tune_lambda_matches_reevaluation_oracle(tree):
@@ -439,7 +438,7 @@ def test_tune_lambda_matches_reevaluation_oracle(tree):
     panel = std_panel(tree, seed=10, n_time=48, train_len=32)
     cfg = TrainConfig(max_epochs=15)
     grid1, grid_m = [0.0, 1.0], [0.0, 0.8, 1.6]
-    chosen = tune_lambda(panel, tree, grid1, grid_m, cfg, 6)
+    chosen = tune_lambda(panel, grid1, grid_m, cfg, 6)
 
     fit_len = int(0.75 * panel.train_len)
     fit_panel = panel.with_train_len(fit_len)
@@ -447,7 +446,7 @@ def test_tune_lambda_matches_reevaluation_oracle(tree):
     actual = panel.values[:, [t - 1 for t in val_tps]]
 
     def score(l1, lm):
-        res = train_bottom(fit_panel, tree, (l1, lm), 6, cfg)
+        res = train_bottom(fit_panel, (l1, lm), 6, cfg)
         coherent = aggregate_bottom(tree, predict(res.params, fit_panel.bottom_values, cfg, val_tps))
         return float(np.mean(np.sqrt(np.mean((actual - coherent) ** 2, axis=1))))
 
@@ -464,11 +463,3 @@ def test_default_lambda_grid_contents():
     assert len(DEFAULT_LAMBDA_GRID) == 31
     for v in (0.4, 1.2, 1.5, 2.1, 2.4):
         assert v in DEFAULT_LAMBDA_GRID
-
-
-def test_train_rejects_mismatched_panel(tree):
-    """Panels must carry the hierarchy's canonical node order."""
-    panel = std_panel(tree, seed=11)
-    other = build_hierarchy({20: 10, 30: 10, 40: 20, 50: 20, 60: 30, 70: 30})
-    with pytest.raises(ValueError, match="node order"):
-        _bottom_weights(panel, other, [(0.0, 0.0)])
