@@ -133,18 +133,16 @@ def reg_sweep(panel: SeriesPanel, x_grid: tuple | list,
     if len(set(modes)) != len(modes):
         raise ValueError(f"modes must not repeat, got {list(modes)!r}")
 
-    points = [(mode, x_idx, {"(x,0)": (x, 0.0), "(0,x)": (0.0, x), "(x,x)": (x, x)}[mode])
-              for mode in modes for x_idx, x in enumerate(xs) if x != 0.0]
-    lams = [(0.0, 0.0)] + [lam for *_, lam in points]
+    # xs[0] is 0: the (0, 0) run, then each mode's points at xs[1:].
+    lams = [(0.0, 0.0)] + [{"(x,0)": (x, 0.0), "(0,x)": (0.0, x), "(x,x)": (x, x)}[mode]
+                           for mode in modes for x in xs[1:]]
     # Seed-major: the (0, 0) run and every grid point of a seed share its initialization.
     scores = _held_out_levels(panel, lams * len(seeds), [s for s in seeds for _ in lams], config)
     scores = scores.reshape(len(seeds), len(lams), len(LEVELS))
-    rel = scores[:, 1:] - scores[:, :1]  # x = 0 stays exactly zero: no self-subtraction
-    diffs = {mode: {lvl: np.zeros((len(seeds), len(xs))) for lvl in LEVELS} for mode in modes}
-    for p, (mode, x_idx, _) in enumerate(points):
-        for j, lvl in enumerate(LEVELS):
-            diffs[mode][lvl][:, x_idx] = rel[:, p, j]
-    return {mode: {lvl: diffs[mode][lvl].mean(axis=0) for lvl in LEVELS} for mode in modes}
+    rel = (scores[:, 1:] - scores[:, :1]).mean(axis=0).reshape(len(modes), len(xs) - 1, len(LEVELS))
+    # x = 0 is an exact zero, not a self-subtraction.
+    return {mode: {lvl: np.concatenate(([0.0], rel[m, :, j])) for j, lvl in enumerate(LEVELS)}
+            for m, mode in enumerate(modes)}
 
 
 def _fit_len(train_len: int) -> int:

@@ -1,14 +1,12 @@
-"""Synthetic benchmark generators: AR(1) common factors driving bottom series.
+"""Synthetic benchmark generator: AR(1) common factors driving bottom series.
 
 Three presets (NgtvC, WeakC, PstvC) share one 13-node tree and differ only
 in how strongly the factor loadings correlate the bottom series: negatively,
-weakly, or positively.
+weakly, or positively. The module is the preset table below and one code
+path, :func:`_series`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -27,7 +25,7 @@ PRESET_PARENTS: dict[int, int] = {
     11: 4, 12: 4, 13: 4,
 }
 
-# (rho_i, theta_i) per bottom node; phi_i = sigma_i = 0.3 for every node.
+# (rho_i, theta_i) per bottom node: its loadings on the root factor and on its mid's factor.
 _PRESET_LOADINGS: dict[str, dict[int, tuple[float, float]]] = {
     "NgtvC": {
         5: (0.1, 1.0), 6: (-0.1, -1.0), 7: (1.0, 0.1),
@@ -40,54 +38,13 @@ _PRESET_LOADINGS: dict[str, dict[int, tuple[float, float]]] = {
 
 PRESET_NAMES = tuple(_PRESET_LOADINGS)
 
+# AR coefficient and noise sd of every node, and the kept length of each series.
+PHI = SIGMA = 0.3
+T_TOTAL = 100
 # Steps of each AR(1) path discarded before the kept series start.
 BURN_IN = 50
 
-_FACTOR_ROLE = 0
-_BOTTOM_ROLE = 1
-
-
-@dataclass(frozen=True)
-class SynthParams:
-    """Generator parameters: AR coefficients, noise sds, factor loadings.
-
-    ``phi`` and ``sigma`` cover every node; ``rho`` (root-factor loading)
-    and ``theta`` (mid-factor loading) cover bottom nodes only.
-    """
-
-    phi: Mapping[int, float]
-    sigma: Mapping[int, float]
-    rho: Mapping[int, float]
-    theta: Mapping[int, float]
-    t_total: int = 100
-    burn_in: int = BURN_IN
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        for node, s in self.sigma.items():
-            if s < 0:
-                raise ValueError(f"sigma must be nonnegative, got {s} for node {node}")
-        if self.t_total < 1:
-            raise ValueError("t_total must be >= 1")
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be >= 0")
-
-
-def preset_params(name: str, *, t_total: int = 100, burn_in: int = BURN_IN, seed: int = 0) -> SynthParams:
-    """Parameter set for one of the named presets."""
-    if name not in _PRESET_LOADINGS:
-        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    loadings = _PRESET_LOADINGS[name]
-    nodes = [1, 2, 3, 4] + sorted(loadings)
-    return SynthParams(
-        phi={n: 0.3 for n in nodes},
-        sigma={n: 0.3 for n in nodes},
-        rho={n: loadings[n][0] for n in sorted(loadings)},
-        theta={n: loadings[n][1] for n in sorted(loadings)},
-        t_total=t_total,
-        burn_in=burn_in,
-        seed=seed,
-    )
+_FACTOR_ROLE, _BOTTOM_ROLE = 0, 1
 
 
 def preset_hierarchy() -> HierarchySpec:
@@ -95,60 +52,37 @@ def preset_hierarchy() -> HierarchySpec:
     return build_hierarchy(PRESET_PARENTS)
 
 
-def _node_stream(seed: int, role: int, node: int) -> np.random.Generator:
-    # One substream per (role, node) so adding nodes never perturbs the
-    # noise consumed by existing ones.
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(role, node))))
-
-
-def _ar1_path(phi: float, shocks: np.ndarray) -> np.ndarray:
+def _ar1_path(seed: int, role: int, node: int, drive: float | np.ndarray = 0.0,
+              n_steps: int = BURN_IN + T_TOTAL) -> np.ndarray:
+    """AR(1) path from zero on ``drive + SIGMA * normals``. The normals come from the
+    node's own substream, so they depend only on the seed, the role and the node."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(role, node))))
+    shocks = drive + SIGMA * rng.standard_normal(n_steps)
     path = np.empty_like(shocks)
     prev = 0.0
-    for k in range(shocks.shape[0]):
-        prev = phi * prev + shocks[k]
+    for k in range(n_steps):
+        prev = PHI * prev + shocks[k]
         path[k] = prev
     return path
 
 
-def generate_factors(params: SynthParams, h: HierarchySpec) -> np.ndarray:
-    """AR(1) common-factor paths, one row per upper node of ``h`` (root, then mids).
+def _series(preset: str, seed: int, t_total: int = T_TOTAL) -> tuple[np.ndarray, np.ndarray]:
+    """Factor paths (root, then mids; burn-in kept) and bottom series (burn-in dropped) of a preset.
 
-    Paths start from zero and run for burn_in + t_total steps; the burn-in
-    prefix is kept, as :func:`generate_bottom` reads it.
+    Bottom node i under mid r is driven by ``rho_i * psi_0 + theta_i * psi_r``.
+    Rows follow the preset tree's ``upper_ids`` and ``bottom_ids``.
     """
-    n_steps = params.burn_in + params.t_total
-    rows = []
-    for node in h.upper_ids:
-        rng = _node_stream(params.seed, _FACTOR_ROLE, node)
-        shocks = params.sigma[node] * rng.standard_normal(n_steps)
-        rows.append(_ar1_path(params.phi[node], shocks))
-    return np.vstack(rows)
-
-
-def generate_bottom(params: SynthParams, psi: np.ndarray, h: HierarchySpec) -> np.ndarray:
-    """Bottom-level series driven by the root factor, their mid's factor, and AR noise.
-
-    ``psi`` holds the factor paths of :func:`generate_factors`: row 0
-    drives every bottom node, row r the children of mid r. The burn-in prefix of the output is discarded.
-    Rows follow ``h.bottom_ids``.
-    """
-    n_steps = params.burn_in + params.t_total
-    if psi.shape != (len(h.upper_rows), n_steps):
-        raise ValueError(
-            f"factor paths must be {len(h.upper_rows)} rows over burn_in + t_total = {n_steps} steps, "
-            f"got shape {psi.shape}"
-        )
-    if set(params.rho) != set(h.bottom_ids):
-        raise ValueError("loadings must cover exactly the bottom nodes of the hierarchy")
-    out = np.empty((h.n_bottom, params.t_total), dtype=np.float64)
+    if preset not in _PRESET_LOADINGS:
+        raise ValueError(f"unknown preset {preset!r}; choose from {PRESET_NAMES}")
+    h, n_steps = preset_hierarchy(), BURN_IN + t_total
+    psi = np.vstack([_ar1_path(seed, _FACTOR_ROLE, node, n_steps=n_steps) for node in h.upper_ids])
+    bottom = np.empty((h.n_bottom, t_total))
     for r, rows in enumerate(h.upper_rows[1:], start=1):
         for i in rows:
             node = h.bottom_ids[i]
-            rng = _node_stream(params.seed, _BOTTOM_ROLE, node)
-            noise = params.sigma[node] * rng.standard_normal(n_steps)
-            drive = params.rho[node] * psi[0] + params.theta[node] * psi[r] + noise
-            out[i] = _ar1_path(params.phi[node], drive)[params.burn_in:]
-    return out
+            rho, theta = _PRESET_LOADINGS[preset][node]
+            bottom[i] = _ar1_path(seed, _BOTTOM_ROLE, node, rho * psi[0] + theta * psi[r], n_steps)[BURN_IN:]
+    return psi, bottom
 
 
 def generate_dataset(preset: str, seed: int = 0) -> SeriesPanel:
@@ -157,6 +91,5 @@ def generate_dataset(preset: str, seed: int = 0) -> SeriesPanel:
     Upper-level rows come from exact aggregation, so the raw panel is
     coherent to the bit. Output is byte-identical for identical (preset, seed).
     """
-    params, h = preset_params(preset, seed=seed), preset_hierarchy()
-    values = aggregate_bottom(h, generate_bottom(params, generate_factors(params, h), h))
-    return SeriesPanel(h, values, default_train_len(params.t_total))
+    h = preset_hierarchy()
+    return SeriesPanel(h, aggregate_bottom(h, _series(preset, seed)[1]), default_train_len(T_TOTAL))

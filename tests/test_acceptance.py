@@ -1,7 +1,8 @@
 """Acceptance suite: one test per exit criterion, each printing a verdict line.
 
 Criteria 6 and 7 share a 30-trial experiment on a fixed synthetic panel,
-trained as one stack of 60 networks, and dominate the runtime (under a
+trained as one stack of 60 networks (and a stack of 30 NN+MinT base
+networks for the README's table), and dominate the runtime (under a
 minute on two cores); everything else is fast. Run with
 ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 """
@@ -33,7 +34,7 @@ from htsreg.reconcile import (
     estimate_w_sample,
     mint_reconcile,
 )
-from htsreg.synthgen import generate_bottom, generate_dataset, generate_factors, preset_hierarchy, preset_params
+from htsreg.synthgen import BURN_IN, _series, generate_dataset, preset_hierarchy
 from htsreg.trainer import (
     _fit,
     TrainConfig,
@@ -64,18 +65,20 @@ PUBLISHED = TrainConfig(eta=1e-5, eps=5e-5, max_epochs=10_000, activation="sigmo
 
 @pytest.fixture(scope="module")
 def paired_trials(ngtvc_panel):
-    """30 paired NN+SR(0.0, 2.1) / NN+BU runs at the published settings.
+    """30 paired NN+SR(0.0, 2.1) / NN+BU runs at the published settings, and 30 NN+MinT trials.
 
-    They run through the benchmark runner, which trains all 60 networks
-    as one stack with the epoch-trace hook on, as ``htsreg run`` does.
-    Besides the fits by method, ``summaries`` holds the trial summaries
-    that fill the network columns of ``table.csv``.
+    They run through the benchmark runner, which trains the 60 bottom
+    networks as one stack with the epoch-trace hook on, as ``htsreg run``
+    does; NN+MinT's 30 base networks form a second stack, so the bottom
+    stack's bits do not depend on them. Besides the fits of the paired
+    methods, ``summaries`` holds the trial summaries that fill the network
+    columns of ``table.csv``.
     """
-    methods = [MethodSpec(name="NN+SR", lambda1=0.0, lambdaM=2.1), MethodSpec(name="NN+BU")]
+    methods = [MethodSpec(name="NN+SR", lambda1=0.0, lambdaM=2.1), MethodSpec(name="NN+BU"), MethodSpec(name="NN+MinT")]
     t0 = time.perf_counter()
     result = run_benchmark(ngtvc_panel, methods, TRIAL_SEEDS, PUBLISHED)
     elapsed = time.perf_counter() - t0
-    print(f"[paired trials] 30 seeds x 2 methods in {elapsed:.0f}s")
+    print(f"[paired trials] 30 seeds x 3 methods in {elapsed:.0f}s")
     assert all([rep.params["seed"] for rep in reports] == TRIAL_SEEDS for reports in result.values())
     return {**{key: [rep.fit for rep in result[label]] for key, label in (("sr", "NN+SR(0.0, 2.1)"), ("bu", "NN+BU"))},
             "summaries": {label: summarize_trials(reports) for label, reports in result.items()}}
@@ -193,19 +196,15 @@ def test_criterion_04_mint_algebra():
 def test_criterion_05_generator_statistics():
     """AR(1) variance, negative sibling correlation, positive correlations."""
     t0 = time.perf_counter()
-    h = preset_hierarchy()
 
-    params = preset_params("WeakC", t_total=100_000, seed=3)
-    psi = generate_factors(params, h)[:, params.burn_in:]
+    psi = _series("WeakC", 3, t_total=100_000)[0][:, BURN_IN:]
     target = 0.09 / (1 - 0.09)
     var_ok = abs(psi[0].var() - target) / target < 0.05
 
-    ngtvc = preset_params("NgtvC", t_total=10_000, seed=4)
-    yb_n = generate_bottom(ngtvc, generate_factors(ngtvc, h), h)
+    yb_n = _series("NgtvC", 4, t_total=10_000)[1]
     neg_ok = np.corrcoef(yb_n[0], yb_n[1])[0, 1] < 0.0  # nodes 5 and 6
 
-    pstvc = preset_params("PstvC", t_total=10_000, seed=5)
-    yb_p = generate_bottom(pstvc, generate_factors(pstvc, h), h)
+    yb_p = _series("PstvC", 5, t_total=10_000)[1]
     corr = np.corrcoef(yb_p)
     pos_ok = np.min(corr[~np.eye(9, dtype=bool)]) > 0.0
 
@@ -260,9 +259,10 @@ def readme_table():
 
 
 def test_readme_table_matches_the_paired_trials(paired_trials):
-    """The README's NN+BU and NN+SR(0.0, 2.1) level cells: the paired trials' summaries, as table.csv writes them."""
+    """The README's NN+BU, NN+MinT and NN+SR(0.0, 2.1) level cells: the paired trials' summaries, as table.csv
+    writes them."""
     table = readme_table()[1]
-    for label in ("NN+BU", "NN+SR(0.0, 2.1)"):
+    for label in ("NN+BU", "NN+MinT", "NN+SR(0.0, 2.1)"):
         summary = paired_trials["summaries"][label]
         want = {row: "{:.2f}±{:.2f}".format(*summary.levels[level]) for row, level in README_LEVELS.items()}
         assert {row: table[row][label] for row in README_LEVELS} == want, label

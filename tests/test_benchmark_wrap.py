@@ -56,3 +56,12 @@ def test_benchmark_tracers_wrap_run_and_sweep(tmp_path, tracing, traced):
     if traced:
         assert tracer.stats[tracing.HOOK].calls > 0
         assert tracer.stats["reconcile.cho_factor"].calls > 0
+
+
+def test_traced_generate_counts_its_generate_dataset_call(tmp_path, tracing):
+    """The benchmark's per-layer ``synthgen.generate_dataset.busy_s`` reads the tracer's wrapper of that
+    public function: it stays traced, and one ``generate`` counts one call through ``cli``'s import."""
+    assert "synthgen.generate_dataset" in tracing.traced_functions()
+    with tracing.Tracer() as tracer:
+        assert main(["generate", "--preset", "NgtvC", "--seed", "7", "--out", str(tmp_path / "p.csv")]) == 0
+    assert tracer.stats["synthgen.generate_dataset"].calls == 1

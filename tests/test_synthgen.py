@@ -1,16 +1,19 @@
-"""Tests for the synthetic benchmark generators."""
+"""Tests for the synthetic benchmark generator."""
 
 import numpy as np
 import pytest
 
 from htsreg.hierarchy import check_coherence
 from htsreg.synthgen import (
-    SynthParams,
-    generate_bottom,
+    _PRESET_LOADINGS,
+    BURN_IN,
+    PHI,
+    PRNG_IDENTITY,
+    SIGMA,
+    T_TOTAL,
+    _series,
     generate_dataset,
-    generate_factors,
     preset_hierarchy,
-    preset_params,
 )
 
 # Independent copy of the preset parameter table, kept literal on purpose.
@@ -25,89 +28,32 @@ EXPECTED_LOADINGS = {
 }
 
 
-def long_params(name, t_total, seed=0):
-    return preset_params(name, t_total=t_total, seed=seed)
-
-
-def test_zero_noise_gives_zero_factors(wide_tree):
-    """sigma = 0 with zero start stays at zero over burn_in + t_total steps."""
-    params = preset_params("WeakC")
-    params = SynthParams(
-        phi=params.phi, sigma={n: 0.0 for n in params.sigma},
-        rho=params.rho, theta=params.theta, t_total=50, seed=1,
-    )
-    psi = generate_factors(params, wide_tree)
-    assert np.array_equal(psi, np.zeros((4, 100)))
-
-
-def test_iid_factor_matches_noise_sd(wide_tree):
-    """phi = 0 makes the path i.i.d.; sample sd approaches sigma."""
-    params = preset_params("WeakC", t_total=100_000, seed=3)
-    params = SynthParams(
-        phi={n: 0.0 for n in params.phi}, sigma=params.sigma,
-        rho=params.rho, theta=params.theta, t_total=100_000, seed=3,
-    )
-    sd = generate_factors(params, wide_tree)[0, params.burn_in:].std()
-    assert abs(sd - 0.3) / 0.3 < 0.05
-
-
-def test_ar_factor_matches_stationary_variance(wide_tree):
+def test_ar_factor_matches_stationary_variance():
     """phi=0.3, sigma=0.3: long-run variance near sigma^2/(1-phi^2)."""
-    params = long_params("WeakC", t_total=100_000, seed=5)
-    psi = generate_factors(params, wide_tree)[:, params.burn_in:]
+    psi = _series("WeakC", 5, t_total=100_000)[0][:, BURN_IN:]
     target = 0.3 ** 2 / (1 - 0.3 ** 2)
     for row in psi:
         assert abs(row.var() - target) / target < 0.05
 
 
-def test_unloaded_bottoms_are_uncorrelated(wide_tree):
-    """rho = theta = 0 leaves bottoms as independent AR(1) rows."""
-    base = long_params("WeakC", t_total=10_000, seed=7)
-    params = SynthParams(
-        phi=base.phi, sigma=base.sigma,
-        rho={n: 0.0 for n in base.rho}, theta={n: 0.0 for n in base.theta},
-        t_total=10_000, seed=7,
-    )
-    yb = generate_bottom(params, generate_factors(params, wide_tree), wide_tree)
-    corr = np.corrcoef(yb)
-    off = corr[~np.eye(9, dtype=bool)]
-    assert np.max(np.abs(off)) < 0.05
-
-
-def test_pstvc_bottoms_positively_correlated(wide_tree):
+def test_pstvc_bottoms_positively_correlated():
     """Unit loadings on shared factors push pairwise correlations above 0.3."""
-    params = long_params("PstvC", t_total=10_000, seed=11)
-    yb = generate_bottom(params, generate_factors(params, wide_tree), wide_tree)
+    yb = _series("PstvC", 11, t_total=10_000)[1]
     corr = np.corrcoef(yb)
     off = corr[~np.eye(9, dtype=bool)]
     assert np.min(off) > 0.3
 
 
-def test_ngtvc_sibling_pair_negatively_correlated(wide_tree):
+def test_ngtvc_sibling_pair_negatively_correlated():
     """Nodes 5 and 6 share a mid factor with opposite unit loadings."""
-    params = long_params("NgtvC", t_total=10_000, seed=13)
-    yb = generate_bottom(params, generate_factors(params, wide_tree), wide_tree)
+    yb = _series("NgtvC", 13, t_total=10_000)[1]
     corr = np.corrcoef(yb[0], yb[1])[0, 1]  # rows for nodes 5 and 6
     assert corr < -0.1
 
 
-def test_generate_bottom_needs_untrimmed_factors(wide_tree):
-    """Factor paths must cover burn_in + t_total steps."""
-    params = preset_params("WeakC", t_total=60, seed=1)
-    trimmed = generate_factors(params, wide_tree)[:, params.burn_in:]
-    with pytest.raises(ValueError, match="burn_in"):
-        generate_bottom(params, trimmed, wide_tree)
-
-
-def test_generate_bottom_rejects_loadings_off_the_tree(wide_tree, small_tree):
-    """Loadings must name exactly the tree's bottom nodes: none missing, none extra."""
-    params = preset_params("WeakC", t_total=60, seed=1)
-    rho = {n: v for n, v in params.rho.items() if n != 9}
-    missing = SynthParams(phi=params.phi, sigma=params.sigma, rho=rho, theta=params.theta, t_total=60, seed=1)
-    with pytest.raises(ValueError, match="loadings"):
-        generate_bottom(missing, generate_factors(missing, wide_tree), wide_tree)
-    with pytest.raises(ValueError, match="loadings"):  # the 13-node loadings on the 7-node tree
-        generate_bottom(params, generate_factors(params, small_tree), small_tree)
+def test_unknown_preset_is_rejected():
+    with pytest.raises(ValueError, match="unknown preset 'Nope'"):
+        generate_dataset("Nope", seed=1)
 
 
 def test_dataset_is_deterministic():
@@ -127,16 +73,9 @@ def test_dataset_differs_across_seeds():
 
 @pytest.mark.parametrize("name", ["NgtvC", "WeakC", "PstvC"])
 def test_preset_table_values(name):
-    """Preset parameters match the literal table copy field for field."""
-    params = preset_params(name)
-    for node in range(1, 14):
-        assert params.phi[node] == 0.3
-        assert params.sigma[node] == 0.3
-    for node, (rho, theta) in EXPECTED_LOADINGS[name].items():
-        assert params.rho[node] == rho
-        assert params.theta[node] == theta
-    assert params.t_total == 100
-    assert params.burn_in == 50
+    """The preset table matches its literal copy: phi = sigma = 0.3 everywhere, 100 kept steps after 50."""
+    assert (PHI, SIGMA, T_TOTAL, BURN_IN) == (0.3, 0.3, 100, 50)
+    assert _PRESET_LOADINGS[name] == EXPECTED_LOADINGS[name]
 
 
 def test_generated_panel_is_coherent():
@@ -145,14 +84,29 @@ def test_generated_panel_is_coherent():
     assert check_coherence(preset_hierarchy(), panel.values) == 0.0
 
 
-def test_adding_nodes_preserves_existing_streams(wide_tree):
-    """Per-node substreams: node 5's series ignores other nodes' parameters."""
-    a = preset_params("NgtvC", t_total=80, seed=29)
-    b_rho = dict(a.rho)
-    b_theta = dict(a.theta)
-    b_rho[13] = 0.77  # perturb a different node
-    b = SynthParams(phi=a.phi, sigma=a.sigma, rho=b_rho, theta=b_theta, t_total=80, seed=29)
-    ya = generate_bottom(a, generate_factors(a, wide_tree), wide_tree)
-    yb = generate_bottom(b, generate_factors(b, wide_tree), wide_tree)
-    assert np.array_equal(ya[0], yb[0])      # node 5 untouched
-    assert not np.array_equal(ya[8], yb[8])  # node 13 changed
+def test_every_series_is_an_ar1_on_its_own_substream():
+    """Exact oracle: each factor (role 0) and bottom (role 1) series is the AR(1) recursion on
+    normals drawn from SeedSequence(seed, spawn_key=(role, node)) alone, so no node's series
+    depends on another node's draws."""
+    assert "SeedSequence(seed, spawn_key=(role, node))" in PRNG_IDENTITY
+    seed, t_total, n_steps = 29, 80, 50 + 80
+
+    def normals(role, node):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(role, node))))
+        return rng.standard_normal(n_steps)
+
+    def ar1(shocks):
+        path, prev = np.empty(n_steps), 0.0
+        for k in range(n_steps):
+            prev = 0.3 * prev + shocks[k]
+            path[k] = prev
+        return path
+
+    psi, yb = _series("NgtvC", seed, t_total)
+    factors = {node: ar1(0.3 * normals(0, node)) for node in (1, 2, 3, 4)}
+    assert np.array_equal(psi, np.vstack([factors[node] for node in (1, 2, 3, 4)]))
+    for row, node in enumerate(range(5, 14)):
+        rho, theta = EXPECTED_LOADINGS["NgtvC"][node]
+        mid = 2 + (node - 5) // 3
+        drive = rho * factors[1] + theta * factors[mid] + 0.3 * normals(1, node)
+        assert np.array_equal(yb[row], ar1(drive)[50:])
