@@ -12,4 +12,4 @@ from .evaluate import make_epoch_hook, node_report
 from .hierarchy import aggregate_bottom, structure_matrix
 from .panel import standardize
 from .synthgen import generate_dataset
-from .trainer import TrainConfig, forecast_timepoints, predict, train_batch
+from .trainer import TrainConfig, predict, train_batch

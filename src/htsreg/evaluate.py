@@ -10,18 +10,9 @@ import numpy as np
 
 from .baselines import BaselineChoice, select_param
 from .hierarchy import LEVELS, HierarchySpec, aggregate_bottom, level_means, rmse, structure_matrix
-from .panel import SeriesPanel, lagged_design
+from .panel import SeriesPanel
 from .reconcile import estimate_w_sample, mint_reconcile
-from .trainer import (
-    TrainConfig,
-    TrainingDiverged,
-    TrainResult,
-    forecast_timepoints,
-    forward,
-    predict,
-    train_batch,
-    training_timepoints,
-)
+from .trainer import TrainConfig, TrainingDiverged, TrainResult, predict, train_batch
 
 DEFAULT_LAMBDA_GRID: tuple[float, ...] = tuple(round(0.1 * i, 1) for i in range(31))
 
@@ -78,21 +69,19 @@ def summarize_trials(reports: list[EvalReport]) -> TrialSummary:
     return TrialSummary(n_trials=len(reports), per_node=per_node, levels=levels)
 
 
-def make_epoch_hook(panel: SeriesPanel, config: TrainConfig):
+def make_epoch_hook(panel: SeriesPanel):
     """Stack hook for training: per-level test RMSE of bottom-up forecasts.
 
-    ``hook.x`` holds the lagged inputs of the test period. Training forwards
-    them with its own rows each epoch (see ``trainer._fit``) and calls
-    ``hook(forecasts)`` with their bottom forecasts, shaped
-    (epochs, models, test timepoints, |B|). The hook returns their level means,
-    shaped (epochs, models, 4) in :data:`LEVELS` order.
+    Training calls ``hook(forecasts)`` with the bottom forecasts of the test
+    period, shaped (epochs, models, test columns, |B|) (see
+    ``trainer._fit``). The hook returns their level means, shaped
+    (epochs, models, 4) in :data:`LEVELS` order.
     """
     h, actual = panel.tree, panel.values[:, panel.train_len:]
 
     def hook(forecasts: np.ndarray) -> np.ndarray:
         return level_means(h, rmse(actual, aggregate_bottom(h, np.swapaxes(forecasts, -1, -2))))
 
-    hook.x = lagged_design(panel.bottom_values, config.lag, forecast_timepoints(panel))
     return hook
 
 
@@ -104,9 +93,9 @@ def _bottom_weights(h: HierarchySpec, lams: list[tuple[float, float]]) -> tuple[
 def _held_out_levels(panel: SeriesPanel, lams: list[tuple[float, float]], seeds: list[int],
                      config: TrainConfig) -> np.ndarray:
     """Test RMSEs per level, (K, 4), of a bottom network per weight pair and seed, scored by the epoch hook."""
-    hook = make_epoch_hook(panel, config)
     fits = train_batch(panel, *_bottom_weights(panel.tree, lams), seeds, config)
-    return hook(np.stack([forward(fit.params, hook.x, config.activation)[1] for fit in fits])[None])[0]
+    forecasts = [predict(fit.params, panel, config, panel.train_len, panel.n_time).T for fit in fits]
+    return make_epoch_hook(panel)(np.stack(forecasts)[None])[0]
 
 
 SWEEP_MODES = ("(x,0)", "(0,x)", "(x,x)")
@@ -126,6 +115,8 @@ def reg_sweep(panel: SeriesPanel, x_grid: tuple | list,
         raise ValueError("x_grid must include 0")
     if xs[0] < 0:
         raise ValueError(f"x_grid values must not be negative, got {list(x_grid)!r}")
+    if xs[-1] == 0:  # the (0, 0) runs alone would give only exact zeros
+        raise ValueError(f"x_grid needs a value above 0, got {list(x_grid)!r}")
     if len(set(xs)) != len(xs):
         raise ValueError(f"x_grid values must not repeat, got {list(x_grid)!r}")
     if not modes or any(mode not in SWEEP_MODES for mode in modes):
@@ -249,13 +240,13 @@ def _nn_trials(panel: SeriesPanel, config: TrainConfig,
     """
     out: list = [None] * len(trials)
     h, actual = panel.tree, panel.values[:, panel.train_len:]
-    test_tps, fit_tps = forecast_timepoints(panel), training_timepoints(panel, config.lag)
+    fit_cols, test_cols = (config.lag, panel.train_len), (panel.train_len, panel.n_time)
     for kind in ("sr", "mint"):
         idx = [i for i, t in enumerate(trials) if t[1] == kind]
         if not idx:
             continue
         if kind == "sr":
-            hook = make_epoch_hook(panel, config) if collect_traces else None
+            hook = make_epoch_hook(panel) if collect_traces else None
             design = _bottom_weights(h, [trials[i][2] for i in idx])
         else:
             hook, design = None, (np.zeros((0, panel.n_nodes)), np.zeros((len(idx), 0)))
@@ -265,11 +256,10 @@ def _nn_trials(panel: SeriesPanel, config: TrainConfig,
             out[idx[exc.model]], fits = exc, []
         for i, fit in zip(idx, fits):
             if kind == "sr":
-                coherent, extra = aggregate_bottom(h, predict(fit.params, panel.bottom_values, config, test_tps)), {}
+                coherent, extra = aggregate_bottom(h, predict(fit.params, panel, config, *test_cols)), {}
             else:
-                base_fit = predict(fit.params, panel.values, config, fit_tps)
-                w = estimate_w_sample(base_fit, panel.values[:, [t - 1 for t in fit_tps]])
-                coherent, gamma, w_condition = mint_reconcile(h, predict(fit.params, panel.values, config, test_tps), w)
+                w = estimate_w_sample(predict(fit.params, panel, config, *fit_cols), panel.values[:, slice(*fit_cols)])
+                coherent, gamma, w_condition = mint_reconcile(h, predict(fit.params, panel, config, *test_cols), w)
                 extra = {"gamma": gamma, "w_condition": w_condition}
             out[i] = node_report(h, actual, coherent, trials[i][0], {"seed": trials[i][3]}, fit, extra)
     return out

@@ -85,24 +85,19 @@ def standardize(panel: SeriesPanel) -> SeriesPanel:
     return SeriesPanel(panel.tree, vals, panel.train_len)
 
 
-def lagged_design(rows: np.ndarray, lag: int, timepoints: range | list[int]) -> np.ndarray:
-    """One input row (y_{t-lag}, ..., y_{t-1}) of the series ``rows`` per timepoint t.
+def lagged_design(rows: np.ndarray, lag: int, start: int, stop: int) -> np.ndarray:
+    """One input row (y_{t-lag}, ..., y_{t-1}) of the series ``rows`` per 0-based column t in [start, stop).
 
-    ``rows`` is a series-by-time matrix and ``t`` a 1-based timepoint;
-    t = n_time + 1 addresses the first point past the data. Oldest lag
-    first, series in row order within each lag block.
+    ``rows`` is a series-by-time matrix; t = n_time addresses the first
+    point past the data. Oldest lag first, series in row order within each
+    lag block.
     """
-    if lag < 1:
-        raise ValueError("lag must be >= 1")
-    tps = np.asarray(timepoints, dtype=np.intp)
-    n_time = rows.shape[1]
-    if tps.size and tps.min() <= lag:
-        raise ValueError(f"timepoint {tps.min()} has fewer than {lag} preceding observations")
-    if tps.size and tps.max() > n_time + 1:
-        raise ValueError(f"timepoint {tps.max()} beyond panel horizon {n_time + 1}")
-    # windows[:, s] holds columns s .. s + lag - 1, the lags of timepoint s + lag + 1.
+    if not 1 <= lag <= start < stop <= rows.shape[1] + 1:
+        raise ValueError(f"columns [{start}, {stop}) at lag {lag} of {rows.shape[1]} points: "
+                         f"need 1 <= lag <= start < stop <= {rows.shape[1] + 1}")
+    # windows[:, s] holds columns s .. s + lag - 1, the lags of column s + lag.
     windows = np.lib.stride_tricks.sliding_window_view(rows, lag, axis=1)
-    return windows[:, tps - 1 - lag].transpose(1, 2, 0).reshape(len(tps), -1)
+    return windows[:, start - lag: stop - lag].transpose(1, 2, 0).reshape(stop - start, -1)
 
 
 def _read_wide_csv(path: str | Path, h: HierarchySpec) -> tuple[list[int], np.ndarray]:

@@ -63,10 +63,11 @@ def estimate_w_sample(base: np.ndarray, actual: np.ndarray) -> np.ndarray:
     """Sample covariance (denominator n) of in-sample base-forecast residuals.
 
     ``base`` and ``actual`` are |N| x k matrices over the same training
-    timepoints; at least |N| + 1 residual vectors are required.
+    timepoints; at least |N| + 1 residual vectors are required. Both are
+    read in column-major order, so W's bits do not depend on their layout.
     """
-    b = np.asarray(base, dtype=np.float64)
-    a = np.asarray(actual, dtype=np.float64)
+    b = np.asarray(base, dtype=np.float64, order="F")
+    a = np.asarray(actual, dtype=np.float64, order="F")
     if b.shape != a.shape or b.ndim != 2:
         raise ValueError(f"base {b.shape} and actual {a.shape} must be matching 2-D matrices")
     n_nodes, k = b.shape

@@ -87,15 +87,6 @@ class TrainingDiverged(RuntimeError):
         return (TrainingDiverged, (self.epoch, self.model, self.rose))
 
 
-def training_timepoints(panel: SeriesPanel, lag: int) -> range:
-    """1-based timepoints with enough history inside the training period."""
-    return range(lag + 1, panel.train_len + 1)
-
-
-def forecast_timepoints(panel: SeriesPanel) -> range:
-    return range(panel.train_len + 1, panel.n_time + 1)
-
-
 def _with_ones(x: np.ndarray) -> np.ndarray:
     """The rows of x with a ones column appended, the input of layer 1's [w2 | b2] (see ``NetworkParams``)."""
     return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
@@ -212,7 +203,7 @@ class _Workspace:
 
 def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lams: np.ndarray,
          params: list[NetworkParams], config: TrainConfig,
-         hook: Callable[[np.ndarray], np.ndarray] | None = None) -> list[TrainResult]:
+         hook: Callable[[np.ndarray], np.ndarray] | None = None, xw: np.ndarray | None = None) -> list[TrainResult]:
     """Full-batch descent of K models on the shared rows of (x, yb, yu).
 
     Model k starts from ``params[k]`` (updated in place) under the weight
@@ -224,12 +215,11 @@ def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lams: np.
     divergence; if models diverge, the error is the one a model-by-model
     run would raise: that of the lowest-index one.
 
-    A hook, if given, scores the models after each epoch. Its input rows
-    ``hook.x`` are the workspace's watch rows, forwarded by every epoch's
-    objective evaluation, and their bottom outputs are buffered, about
-    ``TRACE_ROWS`` model-epochs at a time, then scored in
-    one call ``hook(forecasts)``. The forecasts are shaped
-    (E, K_live, len(hook.x), |B|): E consecutive epochs of the models in the
+    A hook, if given, scores the models after each epoch on the watch rows
+    ``xw``, which every epoch's objective evaluation forwards; their
+    outputs are buffered, about ``TRACE_ROWS`` model-epochs at a time, then
+    scored in one call ``hook(forecasts)``. The forecasts are shaped
+    (E, K_live, len(xw), outputs): E consecutive epochs of the models in the
     stack, in stack order, as a view of a reused buffer; the blocks follow
     one another in epoch order from epoch 1. The hook returns
     one row per epoch and model, (E, K_live, ...), and model k's rows form
@@ -239,7 +229,7 @@ def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lams: np.
     eta, keep_rate = config.eta, 1.0 - config.eps
     ws = _Workspace(np.stack([p.theta for p in params]), params[0].dims, _with_ones(x), yb, yu, H,
                     np.asarray(lams, dtype=np.float64).reshape(len(params), 1, -1), config.activation,
-                    None if hook is None else _with_ones(hook.x))
+                    None if hook is None else _with_ones(xw))
     live = list(range(len(params)))  # original index of each stacked model
     e_prev = [np.inf] * len(params)
     results: list[TrainResult | None] = [None] * len(params)
@@ -321,14 +311,15 @@ def train_batch(panel: SeriesPanel, H: np.ndarray, lams: np.ndarray, seeds: list
     """Train network k from ``init_params(seeds[k])`` under the weight row ``lams[k]``.
 
     Each network forecasts the trailing ``H.shape[1]`` rows of the
-    (standardized) panel from their own lags; H maps its outputs to the
-    leading ``H.shape[0]`` rows, whose errors ``lams[k]`` weighs. A
+    (standardized) panel from their own lags, fitted on the panel columns
+    [lag, train_len); H maps its outputs to the leading ``H.shape[0]``
+    rows, whose errors ``lams[k]`` weighs. A
     bottom-level network passes ``structure_matrix(h)``. An all-node base
     network for trace-minimization reconciliation passes an H with no rows
     and empty weight rows: plain squared error over all nodes. Networks
     share each epoch's numpy calls, up to ``STACK_LIMIT`` at a time, and
     result k is bit-identical to training it alone. ``hook`` is the stack
-    hook of :func:`_fit`.
+    hook of :func:`_fit`, watching the test columns [train_len, n_time).
     """
     H, lams = np.asarray(H, dtype=np.float64), np.asarray(lams, dtype=np.float64)
     n_upper, n_out = H.shape
@@ -338,28 +329,30 @@ def train_batch(panel: SeriesPanel, H: np.ndarray, lams: np.ndarray, seeds: list
         raise ValueError(f"need a weight row of length {n_upper} per seed, got {lams.shape} for {len(seeds)} seeds")
     if not np.all(np.isfinite(lams) & (lams >= 0)):
         raise ValueError(f"regularization weights must be finite and nonnegative, got {lams.tolist()}")
-    tps = training_timepoints(panel, config.lag)
-    if len(tps) == 0:
-        raise ValueError(f"training period of length {panel.train_len} leaves no usable timepoints at lag {config.lag}")
-    targets = panel.values[:, [t - 1 for t in tps]].T
-    input_dim = config.lag * n_out
+    lag, rows = config.lag, panel.values[n_upper:]
+    if panel.train_len <= lag:
+        raise ValueError(f"training period of length {panel.train_len} leaves no usable timepoints at lag {lag}")
+    targets = panel.values[:, lag:panel.train_len].T.copy()
+    input_dim = lag * n_out
     dims = NetworkDims(input_dim, 2 * input_dim if config.hidden_dim is None else config.hidden_dim, n_out)
-    x, yb, yu = lagged_design(panel.values[n_upper:], config.lag, tps), targets[:, n_upper:], targets[:, :n_upper]
+    x, yb, yu = lagged_design(rows, lag, lag, panel.train_len), targets[:, n_upper:], targets[:, :n_upper]
+    xw = None if hook is None else lagged_design(rows, lag, panel.train_len, panel.n_time)
     results: list[TrainResult] = []
     for start in range(0, len(seeds), STACK_LIMIT):
         params = [init_params(dims, seed, bias=config.bias) for seed in seeds[start: start + STACK_LIMIT]]
         try:
-            results += _fit(x, yb, yu, H, lams[start: start + STACK_LIMIT], params, config, hook)
+            results += _fit(x, yb, yu, H, lams[start: start + STACK_LIMIT], params, config, hook, xw)
         except TrainingDiverged as exc:  # later stacks hold higher indices only
             raise TrainingDiverged(exc.epoch, start + exc.model, exc.rose) from None
     return results
 
 
-def predict(params: NetworkParams, rows: np.ndarray, config: TrainConfig, timepoints: range | list[int]) -> np.ndarray:
-    """One-step forecasts (series x len) of the network whose inputs are lags of ``rows``.
+def predict(params: NetworkParams, panel: SeriesPanel, config: TrainConfig, start: int, stop: int) -> np.ndarray:
+    """One-step forecasts (series x columns) of panel columns [start, stop) from the network's own lags.
 
-    ``rows`` are the actual series the network reads, which are also the
-    series it forecasts: ``panel.bottom_values`` for a bottom-level network,
-    ``panel.values`` for an all-node base network.
+    A network reads and forecasts the panel's trailing ``output_dim`` rows,
+    as :func:`train_batch` trains it: the bottom rows for a bottom-level
+    network, every row for an all-node base network.
     """
-    return forward(params, lagged_design(rows, config.lag, timepoints), config.activation)[1].T
+    rows = panel.values[panel.n_nodes - params.dims.output_dim:]
+    return forward(params, lagged_design(rows, config.lag, start, stop), config.activation)[1].T

@@ -35,14 +35,7 @@ from htsreg.reconcile import (
     mint_reconcile,
 )
 from htsreg.synthgen import BURN_IN, _series, generate_dataset, preset_hierarchy
-from htsreg.trainer import (
-    _fit,
-    TrainConfig,
-    predict,
-    forecast_timepoints,
-    train_batch,
-    training_timepoints,
-)
+from htsreg.trainer import _fit, TrainConfig, predict, train_batch
 
 SMALL_PARENTS = {2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 3}
 PANEL_SEED = 7
@@ -132,12 +125,12 @@ def test_criterion_02_zero_lambda_reduction(ngtvc_panel):
     t0 = time.perf_counter()
     h = preset_hierarchy()
     cfg = TrainConfig(max_epochs=100)
-    tps = training_timepoints(ngtvc_panel, cfg.lag)
-    x = lagged_design(ngtvc_panel.bottom_values, cfg.lag, tps)
-    yb = ngtvc_panel.bottom_values[:, [t - 1 for t in tps]].T
-    hook = make_epoch_hook(ngtvc_panel, cfg)
+    rows, train_len = ngtvc_panel.bottom_values, ngtvc_panel.train_len
+    x, xw = (lagged_design(rows, cfg.lag, *cols) for cols in ((cfg.lag, train_len), (train_len, ngtvc_panel.n_time)))
+    yb = rows[:, cfg.lag:train_len].T
+    hook = make_epoch_hook(ngtvc_panel)
     plain = _fit(x, yb, yb[:, :0], np.zeros((0, 9)), np.zeros((1, 0)), [init_params(NetworkDims(18, 36, 9), 12)], cfg,
-                 hook)[0]
+                 hook, xw)[0]
 
     def equals_plain(lam):
         res = train_batch(ngtvc_panel, *_bottom_weights(h, [lam]), [12], cfg, hook)[0]
@@ -158,10 +151,10 @@ def test_criterion_03_coherence(ngtvc_panel):
 
     cfg = TrainConfig(max_epochs=50)
     base_run = train_batch(ngtvc_panel, np.zeros((0, 13)), np.zeros((1, 0)), [2], cfg)[0]  # the all-node MinT base
-    fit_tps = training_timepoints(ngtvc_panel, cfg.lag)
-    base_fit = predict(base_run.params, ngtvc_panel.values, cfg, fit_tps)
-    w = estimate_w_sample(base_fit, ngtvc_panel.values[:, [t - 1 for t in fit_tps]])
-    base_test = predict(base_run.params, ngtvc_panel.values, cfg, forecast_timepoints(ngtvc_panel))
+    train_len = ngtvc_panel.train_len
+    base_fit = predict(base_run.params, ngtvc_panel, cfg, cfg.lag, train_len)
+    w = estimate_w_sample(base_fit, ngtvc_panel.values[:, cfg.lag:train_len])
+    base_test = predict(base_run.params, ngtvc_panel, cfg, train_len, ngtvc_panel.n_time)
     coherent = mint_reconcile(h, base_test, w)[0]
     p = mint_reconcile(h, np.eye(h.n_nodes), w)[0][len(h.upper_ids):]  # P: the bottom block of S P I
     sps = check_unbiasedness(p, summing_matrix(h))

@@ -24,16 +24,9 @@ from htsreg.cli import main
 from htsreg.evaluate import _bottom_weights, make_epoch_hook
 from htsreg.hierarchy import aggregate_bottom, build_hierarchy, structure_matrix
 from htsreg.neuralnet import NetworkDims, NetworkParams, activation, init_params
-from htsreg.panel import SeriesPanel, lagged_design, standardize
+from htsreg.panel import SeriesPanel, standardize
 from htsreg.synthgen import generate_dataset, preset_hierarchy
-from htsreg.trainer import (
-    TrainConfig,
-    TrainingDiverged,
-    forecast_timepoints,
-    forward,
-    predict,
-    train_batch,
-)
+from htsreg.trainer import TrainConfig, TrainingDiverged, predict, train_batch
 
 SMALL_PARENTS = {2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 3}
 LAMBDAS = [(0.0, 0.0), (0.6, 0.0), (0.0, 1.4), (2.0, 2.0), (3.0, 0.5)]
@@ -123,12 +116,8 @@ def test_batch_with_per_model_seeds_matches_single_runs(tree):
         assert_same_result(b, train_bottom(panel, [lam], [seed], cfg)[0])
 
 
-def watch_design(panel, cfg):
-    return lagged_design(panel.bottom_values, cfg.lag, forecast_timepoints(panel))
-
-
-def forecast_hook(calls, x):
-    """Stack hook on the rows of x whose row for a model and epoch is the epoch and the model's forecasts.
+def forecast_hook(calls):
+    """Stack hook whose row for a model and epoch is the epoch and the model's forecasts of the watch rows.
 
     Blocks arrive in epoch order, so a block's first epoch follows the
     epochs of the blocks before it; ``calls`` logs (first epoch, epochs,
@@ -140,7 +129,6 @@ def forecast_hook(calls, x):
         calls.append((first_epoch, e, k))
         epochs = np.broadcast_to(np.arange(first_epoch, first_epoch + e, dtype=np.float64)[:, None, None], (e, k, 1))
         return np.concatenate([epochs, forecasts.reshape(e, k, -1)], axis=-1)
-    hook.x = x
     return hook
 
 
@@ -153,20 +141,20 @@ def test_per_model_hooks_see_single_run_params(tree, monkeypatch):
     panel = std_panel(tree, seed=3)
     cfg = TrainConfig(eta=5e-4, eps=3e-3, max_epochs=300)
     seeds = [4] * len(LAMBDAS)
-    x = watch_design(panel, cfg)
     for trace_rows in (trainer.TRACE_ROWS, 7, 1):
         monkeypatch.setattr(trainer, "TRACE_ROWS", trace_rows)
         calls = []
-        batch = train_bottom(panel, LAMBDAS, seeds, cfg, forecast_hook(calls, x))
+        batch = train_bottom(panel, LAMBDAS, seeds, cfg, forecast_hook(calls))
         assert all(e * k <= max(trace_rows, k) for _, e, k in calls)
         assert sum(e * k for _, e, k in calls) == sum(b.epochs for b in batch)
         for lam, b in zip(LAMBDAS, batch):
-            single = train_bottom(panel, [lam], [4], cfg, forecast_hook([], x))[0]
+            single = train_bottom(panel, [lam], [4], cfg, forecast_hook([]))[0]
             assert_same_result(b, single)
             assert np.array_equal(b.epoch_eval[:, 0], np.arange(1, b.epochs + 1))
             assert np.array_equal(bits(b.epoch_eval), bits(single.epoch_eval))
             # the last row holds the forecasts of the returned parameters
-            assert np.array_equal(bits(b.epoch_eval[-1, 1:]), bits(forward(b.params, x, cfg.activation)[1].ravel()))
+            test = predict(b.params, panel, cfg, panel.train_len, panel.n_time)
+            assert np.array_equal(bits(b.epoch_eval[-1, 1:]), bits(test.T.ravel()))
     assert len({b.epochs for b in batch}) > 2
 
 
@@ -179,7 +167,6 @@ def test_hook_sees_no_diverged_weights(tree):
         calls.append((forecasts.shape[:2], bool(np.isfinite(forecasts).all())))
         return np.zeros(forecasts.shape[:2])
 
-    hook.x = watch_design(panel, DIVERGING)
     with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as err:
         train_bottom(panel, DIVERGING_LAMBDAS, [1] * 3, DIVERGING, hook)
     assert err.value.epoch == 2 and err.value.model == 0
@@ -257,7 +244,7 @@ def test_watch_rows_leave_training_unchanged(kind, bias):
     """
     panel = standardize(generate_dataset("WeakC", seed=2).with_train_len(60))
     cfg = TrainConfig(eta=1e-5, max_epochs=30, activation=kind, bias=bias)
-    hooked = train_bottom(panel, LAMBDAS[:3], [1, 2, 3], cfg, forecast_hook([], watch_design(panel, cfg)))
+    hooked = train_bottom(panel, LAMBDAS[:3], [1, 2, 3], cfg, forecast_hook([]))
     for with_hook, plain in zip(hooked, train_bottom(panel, LAMBDAS[:3], [1, 2, 3], cfg)):
         assert_same_result(with_hook, plain)
         assert with_hook.epoch_eval.shape == (30, 1 + 40 * 9) and plain.epoch_eval is None
@@ -279,10 +266,10 @@ def test_every_stack_of_up_to_70_published_size_models_equals_batches_of_one(row
 
     def fit(k):
         params = [init_params(NetworkDims(18, 36, 9), seed) for seed in range(k)]
-        return trainer._fit(x, yb, yu, H, lams[:k], params, cfg, forecast_hook([], watch))
+        return trainer._fit(x, yb, yu, H, lams[:k], params, cfg, forecast_hook([]), watch)
 
     singles = [trainer._fit(x, yb, yu, H, lams[m:m + 1], [init_params(NetworkDims(18, 36, 9), m)], cfg,
-                            forecast_hook([], watch))[0] for m in range(70)]
+                            forecast_hook([]), watch)[0] for m in range(70)]
     for k in range(1, 71):
         for got, want in zip(fit(k), singles):
             assert_same_result(got, want)
@@ -298,7 +285,7 @@ from htsreg.trainer import TrainConfig, train_batch
 panel = standardize(generate_dataset("NgtvC", seed=7))
 cfg = TrainConfig(max_epochs=20)
 bottom = train_batch(panel, *_bottom_weights(panel.tree, [(0.0, 2.1)] * 60), range(1, 61), cfg,
-                     make_epoch_hook(panel, cfg))
+                     make_epoch_hook(panel))
 bases = train_batch(panel, np.zeros((0, 13)), np.zeros((30, 0)), range(1, 31), cfg)
 digest = hashlib.sha256()
 for fit in bottom + bases:
@@ -407,12 +394,12 @@ def test_epoch_hook_matches_predict_bottom_formula(tree):
     """The stack hook's rows equal the per-model, per-epoch prediction formula bit for bit."""
     panel = std_panel(tree, seed=11)
     cfg = TrainConfig(eta=1e-3, max_epochs=40)
-    hook = make_epoch_hook(panel, cfg)
-    tps = forecast_timepoints(panel)
+    hook = make_epoch_hook(panel)
+    test = (panel.train_len, panel.n_time)
     actual = panel.values[:, panel.train_len:]
 
     def reference(params):
-        coherent = aggregate_bottom(tree, predict(params, panel.bottom_values, cfg, tps))
+        coherent = aggregate_bottom(tree, predict(params, panel, cfg, *test))
         per_node = np.sqrt(np.mean((actual - coherent) ** 2, axis=1))
         return [per_node[0], per_node[1:3].mean(), per_node[3:].mean(), per_node.mean()]
 
@@ -422,7 +409,6 @@ def test_epoch_hook_matches_predict_bottom_formula(tree):
         seen.append(forecasts.copy())
         return hook(forecasts)
 
-    recording.x = hook.x
     lams, seeds = LAMBDAS[:3], [2, 3, 4]
     batch = train_bottom(panel, lams, seeds, cfg, recording)
     assert [b.epoch_eval.shape for b in batch] == [(40, 4)] * 3
@@ -432,7 +418,7 @@ def test_epoch_hook_matches_predict_bottom_formula(tree):
         for e, k in np.ndindex(forecasts.shape[:2]):
             epoch = first_epoch + e  # the weights after this epoch, from a run stopped there
             params = train_bottom(panel, [lams[k]], [seeds[k]], replace(cfg, max_epochs=epoch))[0].params
-            assert np.array_equal(bits(forecasts[e, k]), bits(predict(params, panel.bottom_values, cfg, tps).T))
+            assert np.array_equal(bits(forecasts[e, k]), bits(predict(params, panel, cfg, *test).T))
             assert np.array_equal(bits(batch[k].epoch_eval[epoch - 1]), bits(reference(params)))
         first_epoch += len(forecasts)
 

@@ -609,6 +609,7 @@ CONFIG_LOADING = {
     "sweep_panel_missing": ("sweep", {"panel": DROP}, "panel: missing key"),
     "sweep_seeds_missing": ("sweep", {"trial_seeds": DROP}, "trial_seeds: missing key"),
     "sweep_x_grid_missing": ("sweep", {"x_grid": DROP}, "x_grid: missing key"),
+    "sweep_x_grid_only_zero": ("sweep", {"x_grid": [0]}, "sweep: x_grid needs a value above 0, got [0.0]"),
     "sweep_train_len_too_short": ("sweep", {"panel": {"preset": "NgtvC", "seed": 3, "train_len": 2}},
                                   "panel.train_len: 2 is too short for the sweep's NN+SR networks, which need 3 at lag 2"),
     "sweep_train_len_at_bound": ("sweep", {"panel": {"preset": "NgtvC", "seed": 3, "train_len": 3}}, ""),

@@ -125,20 +125,20 @@ def test_summary_needs_two_reports(tree):
 
 def test_epoch_trace_length_matches_epochs(panel):
     cfg = TrainConfig(max_epochs=17)
-    result = train_bottom(panel, (0.0, 0.0), 1, cfg, make_epoch_hook(panel, cfg))
+    result = train_bottom(panel, (0.0, 0.0), 1, cfg, make_epoch_hook(panel))
     assert result.epoch_eval.shape == (result.epochs, 4)  # one column per LEVELS entry
 
 
 def test_epoch_trace_zero_reg_equals_bottom_up_run(panel):
     cfg = TrainConfig(max_epochs=12)
-    a = train_bottom(panel, (0.0, 0.0), 2, cfg, make_epoch_hook(panel, cfg))
-    b = train_bottom(panel, (0.0, 0.0), 2, cfg, make_epoch_hook(panel, cfg))
+    a = train_bottom(panel, (0.0, 0.0), 2, cfg, make_epoch_hook(panel))
+    b = train_bottom(panel, (0.0, 0.0), 2, cfg, make_epoch_hook(panel))
     assert np.array_equal(a.epoch_eval, b.epoch_eval)
 
 
 def test_epoch_trace_emitted_for_single_epoch(panel):
     cfg = TrainConfig(max_epochs=1)
-    result = train_bottom(panel, (0.0, 0.0), 3, cfg, make_epoch_hook(panel, cfg))
+    result = train_bottom(panel, (0.0, 0.0), 3, cfg, make_epoch_hook(panel))
     assert len(result.epoch_eval) == 1
 
 
@@ -164,11 +164,11 @@ def test_sweep_modes_agree_at_zero_and_single_trial_is_raw_diff(tree, panel):
     for mode in ("(x,0)", "(0,x)", "(x,x)"):
         assert curves[mode]["average"][0] == 0.0
     # single trial: curves equal the raw per-seed differences of separate runs
-    from htsreg.trainer import forecast_timepoints, predict
+    from htsreg.trainer import predict
 
     def average_rmse(lam):
         result = train_bottom(panel, lam, 7, cfg)
-        coherent = aggregate_bottom(tree, predict(result.params, panel.bottom_values, cfg, forecast_timepoints(panel)))
+        coherent = aggregate_bottom(tree, predict(result.params, panel, cfg, panel.train_len, panel.n_time))
         return float(np.sqrt(np.mean((panel.values[:, panel.train_len:] - coherent) ** 2, axis=1)).mean())
 
     assert curves["(x,0)"]["average"][1] == average_rmse((0.4, 0.0)) - average_rmse((0.0, 0.0))
@@ -264,7 +264,7 @@ def test_benchmark_stacks_match_trial_by_trial_runs(panel, monkeypatch):
                     alone = train_batch(panel, np.zeros((0, 7)), np.zeros((1, 0)), [seed], cfg)[0]
                     assert fit.epoch_eval is None
                 else:
-                    alone = train_bottom(panel, lams[label], seed, cfg, make_epoch_hook(panel, cfg))
+                    alone = train_bottom(panel, lams[label], seed, cfg, make_epoch_hook(panel))
                     assert np.array_equal(fit.epoch_eval, alone.epoch_eval)
                 assert (fit.epochs, fit.reason) == (alone.epochs, alone.reason)
                 assert all(np.array_equal(a, b) for a, b in zip(fit.params, alone.params))

@@ -127,7 +127,7 @@ def test_standardized_training_moments(small_panel):
 
 def test_lagged_input_single_lag(small_panel):
     """L=1 returns exactly the previous bottom observations."""
-    got = lagged_design(small_panel.bottom_values, 1, [5])
+    got = lagged_design(small_panel.bottom_values, 1, 4, 5)
     assert np.array_equal(got, small_panel.bottom_values[None, :, 3])
 
 
@@ -135,13 +135,13 @@ def test_lagged_input_two_lags_ordering(small_tree):
     """L=2 concatenates oldest lag first: (a_{t-2}, b_{t-2}, ..., a_{t-1}, b_{t-1})."""
     bottoms = np.arange(12.0).reshape(4, 3)
     panel = SeriesPanel(small_tree, aggregate_bottom(small_tree, bottoms), train_len=2)
-    got = lagged_design(panel.bottom_values, 2, [3, 4])
+    got = lagged_design(panel.bottom_values, 2, 2, 4)
     assert np.array_equal(got, [[0, 3, 6, 9, 1, 4, 7, 10], [1, 4, 7, 10, 2, 5, 8, 11]])
 
 
 def test_lagged_input_rejects_early_timepoint(small_panel):
-    with pytest.raises(ValueError, match="fewer than 2 preceding"):
-        lagged_design(small_panel.bottom_values, 2, [3, 2])
+    with pytest.raises(ValueError, match=r"columns \[1, 3\) at lag 2 of 12 points"):
+        lagged_design(small_panel.bottom_values, 2, 1, 3)
 
 
 def test_lagged_input_reads_only_the_window(small_tree):
@@ -153,26 +153,26 @@ def test_lagged_input_reads_only_the_window(small_tree):
     b[:, 6:] -= 50.0
     pa = SeriesPanel(small_tree, aggregate_bottom(small_tree, a), train_len=6)
     pb = SeriesPanel(small_tree, aggregate_bottom(small_tree, b), train_len=6)
-    assert np.array_equal(lagged_design(pa.bottom_values, 2, [6]), lagged_design(pb.bottom_values, 2, [6]))
+    assert np.array_equal(lagged_design(pa.bottom_values, 2, 5, 6), lagged_design(pb.bottom_values, 2, 5, 6))
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_lagged_design_equals_per_timepoint_slices(data):
-    """Row t is rows[:, t-1-L : t-1] flattened oldest lag first, up to t = T + 1; t <= L and t > T + 1 raise."""
+    """Row t - start is rows[:, t-L : t] flattened oldest lag first, for each column t in [start, stop) up to
+    t = T; start < L, start >= stop, stop > T + 1 and L = 0 raise."""
     n_rows, n_time = data.draw(st.integers(1, 5)), data.draw(st.integers(2, 12))
     lag = data.draw(st.integers(1, n_time))
     rows = data.draw(arrays(np.float64, (n_rows, n_time)))
-    tps = data.draw(st.lists(st.integers(lag + 1, n_time + 1), max_size=8)) + [n_time + 1]
-    naive = np.stack([rows[:, t - 1 - lag: t - 1].T.reshape(-1) for t in tps])
-    got = lagged_design(rows, lag, tps)
+    start = data.draw(st.integers(lag, n_time))
+    stop = data.draw(st.integers(start + 1, n_time + 1))
+    naive = np.stack([rows[:, t - lag: t].T.reshape(-1) for t in range(start, stop)])
+    got = lagged_design(rows, lag, start, stop)
     assert got.shape == naive.shape and got.tobytes() == naive.tobytes()
-    with pytest.raises(ValueError, match="fewer than"):
-        lagged_design(rows, lag, tps + [lag])
-    with pytest.raises(ValueError, match="beyond panel horizon"):
-        lagged_design(rows, lag, tps + [n_time + 2])
-    with pytest.raises(ValueError, match="lag must be"):
-        lagged_design(rows, 0, tps)
+    for bad in ((lag, lag - 1, stop), (lag, start, start), (lag, stop, start), (lag, start, n_time + 2),
+                (0, start, stop)):
+        with pytest.raises(ValueError, match="need 1 <= lag <= start < stop"):
+            lagged_design(rows, *bad)
 
 
 def test_write_then_load_is_bitwise(tmp_path, small_panel, small_tree):

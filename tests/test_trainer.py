@@ -9,15 +9,7 @@ from htsreg.hierarchy import aggregate_bottom, build_hierarchy, structure_matrix
 from htsreg.neuralnet import NetworkDims, NetworkParams, init_params
 from htsreg.panel import SeriesPanel, lagged_design, standardize
 from htsreg.synthgen import generate_dataset
-from htsreg.trainer import (
-    TrainConfig,
-    TrainingDiverged,
-    forecast_timepoints,
-    forward,
-    predict,
-    train_batch,
-    training_timepoints,
-)
+from htsreg.trainer import TrainConfig, TrainingDiverged, _fit, forward, predict, train_batch
 
 SMALL_PARENTS = {2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 3}
 
@@ -298,13 +290,12 @@ def test_zero_epoch_budget_returns_initial_params(tree):
     assert result.reason == "max_epochs"
 
 
-def capture_hook(store, x):
-    """Stack hook on the rows of x keeping a copy of the one model's forecasts after every epoch."""
+def capture_hook(store):
+    """Stack hook keeping a copy of the one model's test-period forecasts after every epoch."""
     def hook(forecasts):
         store.extend(forecasts[:, 0].copy())
         return np.zeros(forecasts.shape[:2])
 
-    hook.x = x
     return hook
 
 
@@ -312,10 +303,9 @@ def test_lambda_zero_training_is_bitwise_identical(tree):
     """Two zero-weight runs with the same seed share every parameter and forecast bit."""
     panel = std_panel(tree, seed=1)
     cfg = TrainConfig(max_epochs=30)
-    x = lagged_design(panel.bottom_values, cfg.lag, forecast_timepoints(panel))
     snaps_a, snaps_b = [], []
-    ra = train_bottom(panel, (0.0, 0.0), 11, cfg, capture_hook(snaps_a, x))
-    rb = train_bottom(panel, (0.0, 0.0), 11, cfg, capture_hook(snaps_b, x))
+    ra = train_bottom(panel, (0.0, 0.0), 11, cfg, capture_hook(snaps_a))
+    rb = train_bottom(panel, (0.0, 0.0), 11, cfg, capture_hook(snaps_b))
     assert len(snaps_a) == len(snaps_b) == ra.epochs == 30
     for sa, sb in zip(snaps_a, snaps_b):
         assert np.array_equal(sa, sb)
@@ -331,8 +321,8 @@ def test_first_update_equals_sum_of_pointwise_gradients(tree, h_matrix):
     result = train_bottom(panel, reg, 13, cfg)
 
     params0 = init_params(NetworkDims(8, 16, 4), 13)
-    grads = [loss(params0, lagged_design(panel.bottom_values, cfg.lag, [t]), panel.values[:, t - 1], reg, h_matrix)[1]
-             for t in training_timepoints(panel, cfg.lag)]
+    grads = [loss(params0, lagged_design(panel.bottom_values, cfg.lag, t, t + 1), panel.values[:, t], reg, h_matrix)[1]
+             for t in range(cfg.lag, panel.train_len)]
     for name in ("w2", "b2", "w3", "b3"):
         total = sum(getattr(g, name) for g in grads)
         want = getattr(params0, name) - cfg.eta * total
@@ -348,8 +338,8 @@ def test_objective_monotone_on_preset_panel():
     panel = standardize(generate_dataset("NgtvC", seed=3))
     h = panel.tree
     cfg = TrainConfig(max_epochs=300)
-    tps = training_timepoints(panel, cfg.lag)
-    y = panel.values[:, [t - 1 for t in tps]].T
+    x = lagged_design(panel.bottom_values, cfg.lag, cfg.lag, panel.train_len)
+    y = panel.values[:, cfg.lag:panel.train_len].T
     lam = np.array([0.0] + [2.1] * len(h.mid_ids))
     H = structure_matrix(h)
     objective = []
@@ -360,8 +350,8 @@ def test_objective_monotone_on_preset_panel():
             objective.append(0.5 * np.sum((y[:, len(H):] - u3) ** 2) + 0.5 * np.sum(upper ** 2))
         return np.zeros(forecasts.shape[:2])
 
-    hook.x = lagged_design(panel.bottom_values, cfg.lag, tps)
-    result = train_bottom(panel, (0.0, 2.1), 1, cfg, hook)
+    params = [init_params(NetworkDims(x.shape[1], 2 * x.shape[1], H.shape[1]), 1)]
+    result = _fit(x, y[:, len(H):], y[:, :len(H)], H, lam[None], params, cfg, hook, x)[0]
     assert len(objective) == result.epochs == 300
     diffs = np.diff(objective)
     assert np.all(diffs[:-1] <= 0)
@@ -402,8 +392,7 @@ def test_all_node_base_network_trains(tree):
     result = train_batch(panel, np.zeros((0, 7)), np.zeros((1, 0)), [3], cfg)[0]
     assert result.params.dims.input_dim == cfg.lag * 7
     assert result.params.dims.output_dim == 7
-    tps = training_timepoints(panel, cfg.lag)
-    x, y = lagged_design(panel.values, cfg.lag, tps), panel.values[:, [t - 1 for t in tps]].T
+    x, y = lagged_design(panel.values, cfg.lag, cfg.lag, panel.train_len), panel.values[:, cfg.lag:panel.train_len].T
     no_upper = (y[:, :0], np.zeros((0, 7)), np.zeros(0), cfg.activation)
     start = loss_and_grads(init_params(result.params.dims, 3), x, y, *no_upper)[0]
     assert loss_and_grads(result.params, x, y, *no_upper)[0] < start
@@ -414,9 +403,24 @@ def test_predict_bottom_matches_single_forward(tree):
     cfg = TrainConfig(max_epochs=5)
     result = train_bottom(panel, (0.0, 0.0), 4, cfg)
 
-    fc = predict(result.params, panel.bottom_values, cfg, [10, 11])
-    one = forward(result.params, lagged_design(panel.bottom_values, cfg.lag, [10]), cfg.activation)[1][0]
+    fc = predict(result.params, panel, cfg, 9, 11)
+    one = forward(result.params, lagged_design(panel.bottom_values, cfg.lag, 9, 10), cfg.activation)[1][0]
     assert np.allclose(fc[:, 0], one, rtol=1e-13)
+
+
+def test_predict_reads_the_rows_its_network_trained_on(tree):
+    """predict of a bottom network and of an all-node base network has the bits of forward on lagged_design of
+    the bottom rows and of every row, over the test columns and over the training columns."""
+    panel = std_panel(tree, seed=8)
+    cfg = TrainConfig(max_epochs=5)
+    bottom = train_bottom(panel, (0.0, 2.1), 4, cfg)
+    base = train_batch(panel, np.zeros((0, 7)), np.zeros((1, 0)), [4], cfg)[0]
+    for fit, rows in ((bottom, panel.bottom_values), (base, panel.values)):
+        for start, stop in ((panel.train_len, panel.n_time), (cfg.lag, panel.train_len)):
+            want = forward(fit.params, lagged_design(rows, cfg.lag, start, stop), cfg.activation)[1].T
+            got = predict(fit.params, panel, cfg, start, stop)
+            assert got.shape == (len(rows), stop - start)
+            assert got.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------------- lambda tuning
@@ -442,12 +446,11 @@ def test_tune_lambda_matches_reevaluation_oracle(tree):
 
     fit_len = int(0.75 * panel.train_len)
     fit_panel = panel.with_train_len(fit_len)
-    val_tps = range(fit_len + 1, panel.train_len + 1)
-    actual = panel.values[:, [t - 1 for t in val_tps]]
+    actual = panel.values[:, fit_len:panel.train_len]
 
     def score(l1, lm):
         res = train_bottom(fit_panel, (l1, lm), 6, cfg)
-        coherent = aggregate_bottom(tree, predict(res.params, fit_panel.bottom_values, cfg, val_tps))
+        coherent = aggregate_bottom(tree, predict(res.params, fit_panel, cfg, fit_len, panel.train_len))
         return float(np.mean(np.sqrt(np.mean((actual - coherent) ** 2, axis=1))))
 
     scored = {(l1, lm): score(l1, lm) for l1 in grid1 for lm in grid_m}
