@@ -30,8 +30,10 @@ from .panel import SeriesPanel, lagged_design
 # about 128 models and grows beyond (the stack outgrows the cache), so large
 # grids run as consecutive stacks, which also bounds memory.
 STACK_LIMIT = 64
-# Model-epochs of weights _fit buffers before its hook scores them in one call:
-# fewer, larger hook calls, with the buffer bounded whatever the stack size.
+# Model-epochs of weights _fit buffers before it forwards them in one call and
+# its hook scores them in one call: fewer, larger calls, with the buffer bounded
+# whatever the stack size. Blocks of 16 were no faster than one forward per
+# epoch at K = 2, and blocks of 128 or 256 no faster than 64.
 TRACE_ROWS = 64
 
 
@@ -92,12 +94,12 @@ def _with_ones(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
 
 
-def _forward(w1: np.ndarray, w3: np.ndarray, b3: np.ndarray, x1: np.ndarray, kind: str,
+def _forward(w1T: np.ndarray, w3T: np.ndarray, b3: np.ndarray, x1: np.ndarray, kind: str,
              out: tuple[np.ndarray | None, np.ndarray | None] = (None, None)) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`forward` on layer 1's [w2 | b2] and rows with their ones column, as training keeps them."""
-    z2 = np.matmul(x1, np.swapaxes(w1, -1, -2), out=out[0])
+    """:func:`forward` on the transposes of layer 1's [w2 | b2] and of w3, and rows with their ones column."""
+    z2 = np.matmul(x1, w1T, out=out[0])
     activation(z2, kind, out=z2)
-    u3 = np.matmul(z2, np.swapaxes(w3, -1, -2), out=out[1])
+    u3 = np.matmul(z2, w3T, out=out[1])
     np.add(u3, b3, out=u3)
     return z2, u3
 
@@ -111,33 +113,32 @@ def forward(params: NetworkParams, x: np.ndarray, kind: str) -> tuple[np.ndarray
     the bits training computes for it.
     """
     w1, _, _, w3, b3 = params.views()
-    return _forward(w1, w3, b3, _with_ones(x), kind)
+    return _forward(np.swapaxes(w1, -1, -2), np.swapaxes(w3, -1, -2), b3, _with_ones(x), kind)
 
 
 class _Workspace:
     """Preallocated buffers of one epoch of K stacked models on shared rows.
 
     ``theta`` and ``grad`` hold a flat row per model (see ``NetworkParams``),
-    and their views are bound once: ``w1``, ``w3`` and ``b3`` of the
-    weights, ``g1``, ``gb2``, ``gw3`` and ``gb3`` of the gradient. The rows
-    ``x1`` are fitted; the watch rows ``xw1``, if any, are only forwarded,
-    into ``u3w``, in products of their own, as BLAS can round a row
-    differently in a product with more rows. Both carry the ones column of
-    :func:`_with_ones`.
+    and their views are bound once: ``w1T``, ``w3``, ``w3T`` and ``b3`` of
+    the weights, ``g1``, ``gb2``, ``gw3`` and ``gb3`` of the gradient. The
+    rows ``x1`` carry the ones column of :func:`_with_ones`. The targets and
+    weight rows are tiled to one copy per model, as numpy's elementwise
+    calls cost about 1 µs more with an operand to broadcast.
     """
 
     def __init__(self, theta: np.ndarray, dims: NetworkDims, x1: np.ndarray, yb: np.ndarray, yu: np.ndarray,
-                 H: np.ndarray, lam: np.ndarray, kind: str, xw1: np.ndarray | None = None):
-        k, n, hd, out, n_upper = len(theta), len(yb), dims.hidden_dim, dims.output_dim, H.shape[0]
+                 H: np.ndarray, lam: np.ndarray, kind: str):
+        k, n, hd, out, n_upper = len(theta), yb.shape[-2], dims.hidden_dim, dims.output_dim, H.shape[0]
         self.dims, self.theta, self.grad = dims, theta, np.empty_like(theta)
-        self.w1, _, _, self.w3, self.b3 = NetworkParams(theta, dims).views()
+        w1, _, _, self.w3, self.b3 = NetworkParams(theta, dims).views()
+        self.w1T, self.w3T = np.swapaxes(w1, 1, 2), np.swapaxes(self.w3, 1, 2)
         self.g1, _, self.gb2, self.gw3, self.gb3 = NetworkParams(self.grad, dims).views()
-        self.x1, self.xw1, self.yb, self.yu, self.H, self.HT, self.kind = x1, xw1, yb, yu, H, H.T, kind
+        self.x1, self.H, self.HT, self.kind = x1, H, H.T, kind
+        self.yb, self.yu, self.lam = (np.broadcast_to(a, (k, n, a.shape[-1])).copy() for a in (yb, yu, lam))
+        self.lam2 = self.lam * self.lam  # lam * lam, not lam applied twice, which rounds differently
         self.ones = np.ones((1, n))
-        self.lam, self.lam2 = lam, lam * lam  # lam * lam, not lam applied twice, which rounds differently
         self.z2, self.u3 = np.empty((k, n, hd)), np.empty((k, n, out))
-        if xw1 is not None:
-            self.z2w, self.u3w = np.empty((k, len(xw1), hd)), np.empty((k, len(xw1), out))
         self.res_b, self.sq, self.fp, self.d2 = (np.empty((k, n, m)) for m in (out, out, hd, hd))
         self.res_u, self.upper = np.empty((k, n, n_upper)), np.empty((k, n, n_upper))
         self.d3 = np.empty((k, n, out)) if n_upper else self.res_b  # an empty upper block adds exact zeros
@@ -148,16 +149,13 @@ class _Workspace:
         """The objective sum_t E_t of each model at ``theta`` (a reused buffer); its gradient goes to ``grad``.
 
         Each model's objective and gradient have the bits of a workspace of
-        that model alone, and the watch rows leave both unchanged. The
-        gradient comes from the closed-form deltas
+        that model alone. The gradient comes from the closed-form deltas
 
             d3 = (u3 - y^B) - Lambda^2 (y^U - H u3) H,   d2 = (d3 W3) * f'(u2),
 
         summed over the fitted rows as outer products with each layer's input.
         """
-        z2, u3 = _forward(self.w1, self.w3, self.b3, self.x1, self.kind, out=(self.z2, self.u3))
-        if self.xw1 is not None:
-            _forward(self.w1, self.w3, self.b3, self.xw1, self.kind, out=(self.z2w, self.u3w))
+        z2, u3 = _forward(self.w1T, self.w3T, self.b3, self.x1, self.kind, out=(self.z2, self.u3))
         np.subtract(u3, self.yb, out=self.res_b)
         np.multiply(self.res_b, self.res_b, out=self.sq)
         objective = np.add.reduce(self.sq, axis=(1, 2), out=self.objective)
@@ -188,8 +186,8 @@ class _Workspace:
 
     def keep(self, models: list[int]) -> "_Workspace":
         """A workspace of the given models only, carrying over their weights and gradients."""
-        ws = _Workspace(self.theta[models], self.dims, self.x1, self.yb, self.yu, self.H, self.lam[models],
-                        self.kind, self.xw1)
+        ws = _Workspace(self.theta[models], self.dims, self.x1, self.yb[models], self.yu[models], self.H,
+                        self.lam[models], self.kind)
         ws.grad[...] = self.grad[models]
         return ws
 
@@ -199,6 +197,54 @@ class _Workspace:
             self.gb2[...] = self.gb3[...] = 0.0
         np.multiply(self.grad, eta, out=self.grad)
         np.subtract(self.theta, self.grad, out=self.theta)
+
+
+class _Trace:
+    """A stack's epoch trace: the hook's rows, (epoch, model, ...), from the weights of each epoch.
+
+    :meth:`record` copies an epoch's weights of the K models in the stack
+    into a block of E = max(1, ``TRACE_ROWS`` // K) epochs. A full block, or
+    one whose models differ from the next epoch's, is forwarded over the
+    watch rows ``xw`` in one :func:`forward` call on its E K weight rows,
+    each in products of its own (the bits of a model alone), and its
+    forecasts, (E, K, len(xw), outputs), go to one call ``hook(forecasts)``,
+    in epoch order. The hook returns one row per epoch and model, (E, K, ...).
+    """
+
+    def __init__(self, hook: Callable[[np.ndarray], np.ndarray], xw: np.ndarray, dims: NetworkDims,
+                 config: TrainConfig, n_models: int):
+        self.hook, self.xw, self.dims, self.config, self.n_models = hook, xw, dims, config, n_models
+        self.block, self.models, self.filled, self.first = None, [], 0, 0  # (E, K, P) weights of epochs first..
+        self.rows: np.ndarray | None = None
+
+    def record(self, epoch: int, theta: np.ndarray, models: list[int]) -> None:
+        """Buffer the weights ``theta`` (K, P) of the given models (original indices) after epoch ``epoch``."""
+        if self.filled and models != self.models:
+            self.flush()
+        if self.block is None or self.block.shape[1] != len(models):
+            self.block = np.empty((max(1, TRACE_ROWS // len(models)),) + theta.shape)
+        if not self.filled:
+            self.first, self.models = epoch, models
+        self.block[self.filled] = theta
+        self.filled += 1
+        if self.filled == len(self.block):
+            self.flush()
+
+    def flush(self) -> None:
+        """Score the buffered epochs into ``rows``."""
+        e, k = self.filled, len(self.models)
+        if not e:
+            return
+        u3 = forward(NetworkParams(self.block[:e].reshape(e * k, -1), self.dims), self.xw, self.config.activation)[1]
+        scores = self.hook(u3.reshape((e, k) + u3.shape[1:]))
+        end = self.first - 1 + e
+        if self.rows is None or end > len(self.rows):  # doubling
+            grown = np.empty((min(self.config.max_epochs, max(2 * end, 256)), self.n_models) + scores.shape[2:])
+            if self.rows is not None:
+                grown[:len(self.rows)] = self.rows
+            self.rows = grown
+        self.rows[self.first - 1:end, self.models] = scores
+        self.filled = 0
 
 
 def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lams: np.ndarray,
@@ -215,58 +261,24 @@ def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lams: np.
     divergence; if models diverge, the error is the one a model-by-model
     run would raise: that of the lowest-index one.
 
-    A hook, if given, scores the models after each epoch on the watch rows
-    ``xw``, which every epoch's objective evaluation forwards; their
-    outputs are buffered, about ``TRACE_ROWS`` model-epochs at a time, then
-    scored in one call ``hook(forecasts)``. The forecasts are shaped
-    (E, K_live, len(xw), outputs): E consecutive epochs of the models in the
-    stack, in stack order, as a view of a reused buffer; the blocks follow
-    one another in epoch order from epoch 1. The hook returns
-    one row per epoch and model, (E, K_live, ...), and model k's rows form
-    its ``epoch_eval``. A model that diverges leaves before its last epoch
-    is buffered.
+    A hook, if given, scores each epoch's models on the watch rows ``xw``
+    through a :class:`_Trace`, at the weights that epoch's objective was
+    evaluated at, and model k's rows form its ``epoch_eval``. A model that
+    diverges leaves before its last epoch is recorded.
     """
     eta, keep_rate = config.eta, 1.0 - config.eps
     ws = _Workspace(np.stack([p.theta for p in params]), params[0].dims, _with_ones(x), yb, yu, H,
-                    np.asarray(lams, dtype=np.float64).reshape(len(params), 1, -1), config.activation,
-                    None if hook is None else _with_ones(xw))
+                    np.asarray(lams, dtype=np.float64).reshape(len(params), 1, -1), config.activation)
+    trace = None if hook is None else _Trace(hook, xw, params[0].dims, config, len(params))
     live = list(range(len(params)))  # original index of each stacked model
     e_prev = [np.inf] * len(params)
     results: list[TrainResult | None] = [None] * len(params)
     diverged: tuple[int, int, bool] | None = None  # (epoch, model, rose) of the lowest-index divergence
-    block, block_models, filled, first = None, [], 0, 0  # buffered forecasts of epochs first.. for the hook
-    trace: np.ndarray | None = None  # hook rows, (epoch, original model index, ...)
-
-    def flush() -> None:
-        nonlocal filled, trace
-        if not filled:
-            return
-        scores = hook(block[:filled])
-        end = first - 1 + filled
-        if trace is None or end > len(trace):  # grow to the epoch cap at most, doubling
-            grown = np.empty((min(config.max_epochs, max(2 * end, 256)), len(params)) + scores.shape[2:])
-            if trace is not None:
-                grown[:len(trace)] = trace
-            trace = grown
-        trace[first - 1:end, block_models] = scores
-        filled = 0
-
-    def record(epoch: int, forecasts: np.ndarray) -> None:
-        nonlocal block, block_models, filled, first
-        if block is None or block.shape[1] != len(forecasts):
-            block = np.empty((max(1, TRACE_ROWS // len(forecasts)),) + forecasts.shape)
-        if not filled:
-            first, block_models = epoch, live[:len(forecasts)]
-        block[filled] = forecasts
-        filled += 1
-        if filled == len(block):
-            flush()
 
     def finish(pos: int, epochs: int, reason: str) -> None:
         k = live[pos]
         params[k].theta[...] = ws.theta[pos]
-        results[k] = TrainResult(params=params[k], epochs=epochs, reason=reason,
-                                 epoch_eval=None if trace is None else trace[:epochs, k].copy())
+        results[k] = TrainResult(params=params[k], epochs=epochs, reason=reason)
 
     ws.loss_and_grads()
     epoch = 0
@@ -280,17 +292,14 @@ def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lams: np.
             # A model-by-model run never reaches the models after a diverged one,
             # so they leave before this epoch is recorded.
             diverged = (epoch, live[bad], math.isfinite(e_list[bad]))
-            flush()
         stopping = []
         for pos, e in enumerate(e_list[:bad]):
             k = live[pos]
             if e > keep_rate * e_prev[k]:
                 stopping.append(pos)
             e_prev[k] = e
-        if hook is not None and bad:
-            record(epoch, ws.u3w[:bad])
-            if stopping:
-                flush()
+        if trace is not None and bad:
+            trace.record(epoch, ws.theta[:bad], live[:bad])
         for pos in stopping:
             finish(pos, epoch, "converged")
         if stopping or bad < len(live):
@@ -298,11 +307,15 @@ def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lams: np.
             live = [live[pos] for pos in keep]
             ws = ws.keep(keep)
 
-    flush()
     for pos in range(len(live)):
         finish(pos, epoch, "max_epochs")
+    if trace is not None:
+        trace.flush()
     if diverged is not None:
         raise TrainingDiverged(*diverged)
+    if trace is not None and trace.rows is not None:
+        for k, result in enumerate(results):
+            result.epoch_eval = trace.rows[:result.epochs, k].copy()
     return results
 
 

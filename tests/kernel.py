@@ -10,16 +10,13 @@ def loss_and_grads(params, x, yb, yu, H, lam, kind):
     """Objective sum_t E_t over the fitted rows of (x, yb, yu) and its gradient, from ``_Workspace.loss_and_grads``.
 
     Row t holds a network input and its bottom and upper targets; ``lam``
-    is the weight vector. Rows of ``x`` past ``len(yb)`` are watch rows,
-    forwarded but not fitted. For a stack of K networks (``params.theta``
+    is the weight vector. For a stack of K networks (``params.theta``
     of shape (K, P)) ``lam`` holds one weight row per network and the
     objective is one value per network. The gradient is a
     ``NetworkParams`` of the layout of ``params``.
     """
     theta = params.theta if params.theta.ndim == 2 else params.theta[None]
-    n, x1 = len(yb), _with_ones(x)
-    ws = _Workspace(theta, params.dims, x1[:n], yb, yu, H, np.reshape(lam, (len(theta), 1, -1)), kind,
-                    x1[n:] if len(x) > n else None)
+    ws = _Workspace(theta, params.dims, _with_ones(x), yb, yu, H, np.reshape(lam, (len(theta), 1, -1)), kind)
     objective = ws.loss_and_grads()
     if params.theta.ndim == 2:
         return objective, NetworkParams(ws.grad, params.dims)

@@ -148,7 +148,7 @@ def test_forward_into_buffers_is_bit_equal_to_a_fresh_call(models, rows, dims, k
     z2, u3 = np.full(lead + (rows, hidden), np.nan), np.full(lead + (rows, output), np.nan)
     fresh = forward(p, x, kind)
     w1, _, _, w3, b3 = p.views()
-    got = _forward(w1, w3, b3, _with_ones(x), kind, out=(z2, u3))
+    got = _forward(np.swapaxes(w1, -1, -2), np.swapaxes(w3, -1, -2), b3, _with_ones(x), kind, out=(z2, u3))
     assert got[0] is z2 and got[1] is u3
     for a, b in zip(fresh, got):
         assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
