@@ -74,7 +74,7 @@ def make_epoch_hook(panel: SeriesPanel):
 
     Training calls ``hook(forecasts)`` with the bottom forecasts of the test
     period, shaped (epochs, models, test columns, |B|) (see
-    ``trainer._fit``). The hook returns their level means, shaped
+    ``trainer._Trace``). The hook returns their level means, shaped
     (epochs, models, 4) in :data:`LEVELS` order.
     """
     h, actual = panel.tree, panel.values[:, panel.train_len:]

@@ -32,8 +32,8 @@ from .panel import SeriesPanel, lagged_design
 STACK_LIMIT = 64
 # Model-epochs of weights _fit buffers before it forwards them in one call and
 # its hook scores them in one call: fewer, larger calls, with the buffer bounded
-# whatever the stack size. Blocks of 16 were no faster than one forward per
-# epoch at K = 2, and blocks of 128 or 256 no faster than 64.
+# whatever the stack size. Larger blocks were at most slightly faster at K = 2,
+# and each doubling adds about 1 MB to peak memory.
 TRACE_ROWS = 64
 
 
@@ -238,7 +238,7 @@ class _Trace:
         u3 = forward(NetworkParams(self.block[:e].reshape(e * k, -1), self.dims), self.xw, self.config.activation)[1]
         scores = self.hook(u3.reshape((e, k) + u3.shape[1:]))
         end = self.first - 1 + e
-        if self.rows is None or end > len(self.rows):  # doubling
+        if self.rows is None or end > len(self.rows):  # grow to the epoch cap at most, doubling
             grown = np.empty((min(self.config.max_epochs, max(2 * end, 256)), self.n_models) + scores.shape[2:])
             if self.rows is not None:
                 grown[:len(self.rows)] = self.rows
@@ -332,7 +332,8 @@ def train_batch(panel: SeriesPanel, H: np.ndarray, lams: np.ndarray, seeds: list
     and empty weight rows: plain squared error over all nodes. Networks
     share each epoch's numpy calls, up to ``STACK_LIMIT`` at a time, and
     result k is bit-identical to training it alone. ``hook`` is the stack
-    hook of :func:`_fit`, watching the test columns [train_len, n_time).
+    hook of :func:`_fit`: it scores each epoch's weights on the test
+    columns [train_len, n_time), a block of epochs per call (see :class:`_Trace`).
     """
     H, lams = np.asarray(H, dtype=np.float64), np.asarray(lams, dtype=np.float64)
     n_upper, n_out = H.shape
