@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -95,10 +96,11 @@ def cmd_reconcile(args: argparse.Namespace) -> int:
               f"only --method {method} reads it, not --method {args.method}")
     h = load_hierarchy_json(args.hierarchy)
     nodes, data = _read_wide_csv(args.base, h)  # only the columns a method needs must be present
+    _need(data.shape[1] > 0, args.base, "need at least one data row")
     base = dict(zip(nodes, data))
     n_upper = len(h.upper_ids)
 
-    # Each method maps the |N| x T base rows (node order; columns it does not read are zeros) to
+    # Each method maps |N| rows in node order (a base column it does not read is zeros) to
     # (coherent rows, gamma, cond(W_c)).
     if args.method == "bu":
         for b in h.bottom_ids:
@@ -118,12 +120,20 @@ def cmd_reconcile(args: argparse.Namespace) -> int:
     else:  # mint
         for node in h.node_ids:
             _need(node in base, "base", f"mint needs a column for every node (missing {node})")
-        w = np.eye(h.n_nodes) if args.weights is None else np.loadtxt(args.weights, delimiter=",")
-        reconcile = lambda y: mint_reconcile(h, y, w)
+        reconcile = lambda y: mint_reconcile(h, y, np.eye(h.n_nodes) if args.weights is None
+                                             else np.loadtxt(args.weights, delimiter=","))
 
-    coherent, gamma, w_cond = reconcile(np.vstack([base.get(n, np.zeros(data.shape[1])) for n in h.node_ids]))
-    # Every method is linear, y -> S P y, so P is the bottom block of its output on the identity.
-    p = reconcile(np.eye(h.n_nodes))[0][n_upper:]
+    # Every method is linear, y -> S P y, and maps each column alone: one call on [base | I] gives the coherent
+    # forecasts in its first T columns and S P in the rest, so P is that block's bottom rows.
+    t = data.shape[1]
+    y = np.hstack([np.vstack([base.get(n, np.zeros(t)) for n in h.node_ids]), np.eye(h.n_nodes)])
+    try:
+        out, gamma, w_cond = reconcile(y)
+    except (OSError, ValueError) as exc:  # with --weights only mint runs, and each of its faults involves W
+        if args.weights is None:
+            raise
+        raise (OSError if isinstance(exc, OSError) else ConfigError)(f"--weights {args.weights}: {exc}") from exc
+    coherent, p = out[:, :t], out[n_upper:, t:]
     _write_wide_csv(args.out, h.node_ids, coherent)
     diag_path = args.diagnostics or str(Path(args.out).with_suffix(".diag.json"))
     _write_json(diag_path, {
@@ -377,6 +387,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache  # built on the first main() call, once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="htsreg",
@@ -388,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--preset", required=True, choices=PRESET_NAMES)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
-    g.set_defaults(func=cmd_generate)
 
     r = sub.add_parser("reconcile", help="turn base forecasts into coherent forecasts")
     r.add_argument("--method", required=True, choices=("bu", "td", "mint"))
@@ -399,26 +409,23 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--train-len", type=int, default=None)
     r.add_argument("--diagnostics", default=None)
     r.add_argument("--out", required=True)
-    r.set_defaults(func=cmd_reconcile)
 
     ru = sub.add_parser("run", help="run a full benchmark from a JSON config")
     ru.add_argument("--config", required=True)
     ru.add_argument("--out-dir", required=True)
     ru.add_argument("--jobs", type=_positive_int, default=1)
-    ru.set_defaults(func=cmd_run)
 
     sw = sub.add_parser("sweep", help="relative-RMSE regularization sweep")
     sw.add_argument("--config", required=True)
     sw.add_argument("--out", required=True)
-    sw.set_defaults(func=cmd_sweep)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
+    try:  # the cmd_* function this module holds now, so one wrapped after the parser was built still runs
+        return globals()[f"cmd_{args.command}"](args)
     except TrainingDiverged as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED

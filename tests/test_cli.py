@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 import htsreg
+from htsreg import cli
 from htsreg.cli import _write_traces, main
 from htsreg.evaluate import EvalReport, _bottom_weights
-from htsreg.hierarchy import LEVELS, build_hierarchy
-from htsreg.panel import load_panel_csv, standardize
+from htsreg.hierarchy import LEVELS, aggregate_bottom, build_hierarchy, check_coherence
+from htsreg.panel import _read_wide_csv, _write_wide_csv, load_panel_csv, standardize
+from htsreg.reconcile import check_unbiasedness, historical_proportions, mint_reconcile, top_down
 from htsreg.synthgen import preset_hierarchy
 from htsreg.trainer import TrainConfig, TrainResult, train_batch
 
@@ -939,6 +941,60 @@ def test_reconcile_td_splits_by_the_given_training_period(tmp_path, small_setup)
     values = load_panel_csv(pcsv, h).values
     props = values[3:, :12].sum(axis=1) / values[0, :12].sum()
     assert np.allclose(load_panel_csv(out, h).values[3:], np.outer(props, values[0]), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("method", ["bu", "td", "mint"])
+def test_reconcile_is_one_method_call_with_the_bits_of_two(tmp_path, small_setup, monkeypatch, method):
+    """Reconciling [base | I] in one call writes the bytes of separate calls on the base forecasts and on I."""
+    h, hier, pcsv = small_setup
+    nodes, data = _read_wide_csv(pcsv, h)
+    y = np.vstack([dict(zip(nodes, data))[n] for n in h.node_ids])
+    a = np.random.default_rng(3).standard_normal((7, 12))
+    np.savetxt(tmp_path / "w.csv", a @ a.T / 12 + 0.1 * np.eye(7), fmt="%.17g", delimiter=",")
+    props = historical_proportions(load_panel_csv(pcsv, h).with_train_len(20))
+    separate = {"bu": lambda y: (aggregate_bottom(h, y[3:]), None, None),
+                "td": lambda y: (top_down(h, y[0], props), None, None),
+                "mint": lambda y: mint_reconcile(h, y, np.loadtxt(tmp_path / "w.csv", delimiter=","))}[method]
+    coherent, gamma, w_cond = separate(y)
+    _write_wide_csv(tmp_path / "want.csv", h.node_ids, coherent)
+    want_diag = {"method": method, "sps_max_deviation": check_unbiasedness(separate(np.eye(7))[0][3:], SMALL_S),
+                 "coherence_max_violation": check_coherence(h, coherent), "gamma": gamma, "w_condition": w_cond}
+    calls = []
+    monkeypatch.setattr(cli, "mint_reconcile", lambda *args: calls.append(args) or mint_reconcile(*args))
+    extra = {"td": ["--panel", str(pcsv), "--train-len", "20"], "mint": ["--weights", str(tmp_path / "w.csv")]}
+    assert main(["reconcile", "--method", method, "--hierarchy", str(hier), "--base", str(pcsv), "--out",
+                 str(tmp_path / "c.csv"), "--diagnostics", str(tmp_path / "d.json")] + extra.get(method, [])) == 0
+    assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert (tmp_path / "d.json").read_text() == json.dumps(want_diag, indent=2) + "\n"
+    assert len(calls) == (method == "mint")
+
+
+def test_reconcile_names_an_empty_base_file(tmp_path, small_setup, capsys):
+    """A base file with a header and no rows exits 2 naming the file: reconciling the identity alone is no output."""
+    _, hier, pcsv = small_setup
+    base, out = tmp_path / "base.csv", tmp_path / "c.csv"
+    base.write_text(pcsv.read_text().splitlines()[0] + "\n")
+    for method, extra in [("bu", []), ("td", ["--panel", str(pcsv)]), ("mint", [])]:
+        assert main(["reconcile", "--method", method, "--hierarchy", str(hier), "--base", str(base),
+                     "--out", str(out)] + extra) == 2
+        assert capsys.readouterr().err == f"config error: {base}: need at least one data row\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("text, code, message", [
+    ("1,2\n3,x\n", 2, "config error: --weights {w}: could not convert string 'x' to float64 at row 1, column 2.\n"),
+    ("1,0\n0,1\n", 2, "config error: --weights {w}: W must be 7 x 7, got (2, 2)\n"),
+    (None, 4, "i/o error: --weights {w}: {w} not found.\n"),
+], ids=["non_numeric", "wrong_shape", "missing"])
+def test_reconcile_weights_errors_name_the_option_and_the_file(tmp_path, small_setup, capsys, text, code, message):
+    _, hier, pcsv = small_setup
+    w, out = tmp_path / "w.csv", tmp_path / "c.csv"
+    if text is not None:
+        w.write_text(text)
+    assert main(["reconcile", "--method", "mint", "--hierarchy", str(hier), "--base", str(pcsv), "--weights", str(w),
+                 "--out", str(out)]) == code
+    assert capsys.readouterr().err == message.format(w=w)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

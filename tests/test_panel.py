@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from htsreg.hierarchy import aggregate_bottom, build_hierarchy
-from htsreg.panel import SeriesPanel, _write_wide_csv, lagged_design, load_panel_csv, standardize, write_panel_csv
+from htsreg.panel import (SeriesPanel, _read_wide_csv, _write_wide_csv, lagged_design, load_panel_csv, standardize,
+                          write_panel_csv)
 
 SMALL_PARENTS = {2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 3}
 
@@ -85,6 +86,59 @@ def test_load_rejects_duplicate_timestamp(tmp_path, small_tree):
     write_csv(path, ["t", "4", "5", "6", "7"], [[1, 1, 2, 3, 4], [1, 2, 3, 4, 5]])
     with pytest.raises(ValueError, match="duplicate timestamp"):
         load_panel_csv(path, small_tree)
+
+
+READER_ROWS = [[1, 1, 2, 3, 4], [2, 5, 6, 7, 8], [3, 9, 10, 11, 12]]
+
+
+def edited(row: int, col: int, value) -> list:
+    """READER_ROWS with data row ``row`` (0-based), field ``col`` set to ``value``; None drops the field."""
+    rows = [list(r) for r in READER_ROWS]
+    rows[row][col: col + 1] = [] if value is None else [value]
+    return rows
+
+
+# Each rejection of the wide-CSV reader: (header, data rows, the message after "{path}: "). File row 2 is data row 0.
+READER_FAULTS = {
+    "header_not_t": (["time", "4", "5", "6", "7"], READER_ROWS, "first column must be 't'"),
+    "no_header": ([], [], "first column must be 't'"),
+    "non_integer_header": (["t", "4", "x", "6", "7"], READER_ROWS,
+                           "non-integer column name in header: invalid literal for int() with base 10: 'x'"),
+    "duplicate_column": (["t", "4", "5", "6", "4"], READER_ROWS, "duplicate node column"),
+    "foreign_column": (["t", "4", "5", "6", "99"], READER_ROWS, "column 99 is not a node of the hierarchy"),
+    "field_count": (["t", "4", "5", "6", "7"], edited(1, 3, None), "row 3 has 4 fields, expected 5"),
+    "field_count_in_every_row": (["t", "4", "5", "6", "7"], [r + [0] for r in READER_ROWS],
+                                 "row 2 has 6 fields, expected 5"),
+    "non_integer_timestamp": (["t", "4", "5", "6", "7"], edited(1, 0, "2.0"), "non-integer timestamp '2.0' in row 3"),
+    "duplicate_timestamp": (["t", "4", "5", "6", "7"], edited(1, 0, 1), "duplicate timestamp 1"),
+    "decreasing_timestamps": (["t", "4", "5", "6", "7"], edited(2, 0, 0), "timestamps must be strictly increasing"),
+    "non_numeric_cell": (["t", "4", "5", "6", "7"], edited(2, 3, "x"), "non-numeric cell 'x' in row 4, column 6"),
+    "nan_cell": (["t", "4", "5", "6", "7"], edited(1, 2, "nan"), "non-finite cell 'nan' in row 3, column 5"),
+    "overflowing_cell": (["t", "4", "5", "6", "7"], edited(0, 4, "1e400"),
+                         "non-finite cell '1e400' in row 2, column 7"),
+    # Faults in two rows: the first in file order is named.
+    "first_fault_named": (["t", "4", "5", "6", "7"], [[1, 1, 2, 3, 4], [2, "inf", 6, 7, 8], ["x", 9, 10, 11, 12]],
+                          "non-finite cell 'inf' in row 3, column 4"),
+}
+
+
+@pytest.mark.parametrize("header, rows, message", READER_FAULTS.values(), ids=READER_FAULTS)
+def test_wide_csv_reader_names_each_fault(tmp_path, small_tree, header, rows, message):
+    path = tmp_path / "p.csv"
+    write_csv(path, header, rows)
+    with pytest.raises(ValueError) as exc:
+        _read_wide_csv(path, small_tree)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+def test_wide_csv_reader_parses_cells_as_float_does(tmp_path, small_tree):
+    """Cells are read as float() reads them, padded, with underscores or in other digits; int() reads the times."""
+    cells = [" 1.5 ", "1_000", "\t-2e-3", "\u0661\u0662", "1e-400", "-0", ".5", "4.9e-324"]
+    path = tmp_path / "p.csv"
+    write_csv(path, ["t", "4", "5", "6", "7"], [[" 1", *cells[:4]], ["1_0", *cells[4:]]])
+    nodes, data = _read_wide_csv(path, small_tree)
+    assert nodes == [4, 5, 6, 7]
+    assert data.tobytes() == np.array([float(c) for c in cells]).reshape(2, 4).T.copy().tobytes()
 
 
 def test_standardize_round_trip(small_tree):

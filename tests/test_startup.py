@@ -6,6 +6,7 @@ Cholesky factorization is numpy's. Each case runs in a fresh interpreter,
 since this one may have loaded them already.
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -109,15 +110,21 @@ def test_mint_reconcile_calls_the_module_cho_factor(monkeypatch, wide_tree):
     assert got.tobytes() == want.tobytes()
 
 
-def test_main_builds_its_parser_on_every_call(monkeypatch, tmp_path):
-    """main() runs the command function the module holds at call time.
+def test_main_runs_the_command_function_the_module_holds_at_call_time(monkeypatch, tmp_path, capsys):
+    """main() runs the command function the module holds at call time, from a parser built once per process.
 
-    ``set_defaults(func=cmd_run)`` binds the function when the parser is
-    built, and the benchmark wraps ``cli.cmd_run`` anew on every pass to time
-    ``cli.artifacts.busy_s``. A parser built once per process would keep the
-    function it bound first and skip that wrapper, so the parser is not cached.
+    The benchmark wraps ``cli.cmd_run`` anew on every pass to time
+    ``cli.artifacts.busy_s``, after its first pass has built the parser, so
+    main looks the command up by name on every call.
     """
+    cli.build_parser.cache_clear()
+    built, init = [], argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda *a, **k: built.append(1) or init(*a, **k))
+    assert cli.main(["generate", "--preset", "WeakC", "--seed", "-1", "--out", str(tmp_path / "p.csv")]) == 2
+    one_parser = len(built)  # the command parser and its subparsers
+    assert one_parser > 0 and capsys.readouterr().err == "config error: --seed: must be >= 0, got -1\n"
     seen = []
     monkeypatch.setattr(cli, "cmd_generate", lambda args: seen.append(args.preset) or 0)
     assert cli.main(["generate", "--preset", "WeakC", "--out", str(tmp_path / "p.csv")]) == 0
     assert seen == ["WeakC"] and not (tmp_path / "p.csv").exists()
+    assert len(built) == one_parser  # two main calls, one parser
