@@ -73,9 +73,9 @@ def make_epoch_hook(panel: SeriesPanel):
     """Stack hook for training: per-level test RMSE of bottom-up forecasts.
 
     Training calls ``hook(forecasts)`` with the bottom forecasts of the test
-    period, shaped (epochs, models, test columns, |B|) (see
+    period, one per weight row, shaped (rows, test columns, |B|) (see
     ``trainer._Trace``). The hook returns their level means, shaped
-    (epochs, models, 4) in :data:`LEVELS` order.
+    (rows, 4) in :data:`LEVELS` order.
     """
     h, actual = panel.tree, panel.values[:, panel.train_len:]
 
@@ -95,7 +95,7 @@ def _held_out_levels(panel: SeriesPanel, lams: list[tuple[float, float]], seeds:
     """Test RMSEs per level, (K, 4), of a bottom network per weight pair and seed, scored by the epoch hook."""
     fits = train_batch(panel, *_bottom_weights(panel.tree, lams), seeds, config)
     forecasts = [predict(fit.params, panel, config, panel.train_len, panel.n_time).T for fit in fits]
-    return make_epoch_hook(panel)(np.stack(forecasts)[None])[0]
+    return make_epoch_hook(panel)(np.stack(forecasts))
 
 
 SWEEP_MODES = ("(x,0)", "(0,x)", "(x,x)")
@@ -229,39 +229,41 @@ def _check_columns(columns: list[str]) -> None:
         first[column] = i
 
 
-def _nn_trials(panel: SeriesPanel, config: TrainConfig,
-               trials: list[tuple[str, str, tuple[float, float], int]], collect_traces: bool) -> list:
-    """Train and score network trials (label, kind, lam, seed): bottom networks in one set of stacks, MinT's in another.
+def _nn_trials(panel: SeriesPanel, config: TrainConfig, nets: list[tuple[str, tuple[float, float] | None]],
+               seeds: list[int], collect_traces: bool) -> dict[str, list]:
+    """Train and score each network column (label, weight pair, or None for NN+MinT) at each seed.
 
-    Returns each trial's report. The bottom networks share one epoch hook.
-    A diverged stack leaves its trials None and puts its error at the trial
-    it names, so the first error in trial order is the one a trial-by-trial
-    run would raise.
+    Returns each label's reports in seed order. The bottom networks train in
+    one set of stacks, sharing one epoch hook, and MinT's in another. A
+    diverged stack leaves its trials None and puts its error in the slot of
+    the trial it names, so the first error in column-then-seed order is the
+    one a trial-by-trial run would raise.
     """
-    out: list = [None] * len(trials)
+    out: dict[str, list] = {label: [None] * len(seeds) for label, _ in nets}
     h, actual = panel.tree, panel.values[:, panel.train_len:]
     fit_cols, test_cols = (config.lag, panel.train_len), (panel.train_len, panel.n_time)
-    for kind in ("sr", "mint"):
-        idx = [i for i, t in enumerate(trials) if t[1] == kind]
-        if not idx:
+    for mint in (False, True):
+        labels = [label for label, lam in nets if (lam is None) == mint]
+        if not labels:
             continue
-        if kind == "sr":
-            hook = make_epoch_hook(panel) if collect_traces else None
-            design = _bottom_weights(h, [trials[i][2] for i in idx])
+        if mint:
+            hook, design = None, (np.zeros((0, panel.n_nodes)), np.zeros((len(labels) * len(seeds), 0)))
         else:
-            hook, design = None, (np.zeros((0, panel.n_nodes)), np.zeros((len(idx), 0)))
+            hook = make_epoch_hook(panel) if collect_traces else None
+            design = _bottom_weights(h, [lam for _, lam in nets if lam is not None for _ in seeds])
         try:
-            fits = train_batch(panel, *design, [trials[i][3] for i in idx], config, hook)
+            fits = train_batch(panel, *design, seeds * len(labels), config, hook)
         except TrainingDiverged as exc:
-            out[idx[exc.model]], fits = exc, []
-        for i, fit in zip(idx, fits):
-            if kind == "sr":
+            column, trial = divmod(exc.model, len(seeds))
+            out[labels[column]][trial], fits = exc, []
+        for (label, (trial, seed)), fit in zip(product(labels, enumerate(seeds)), fits):
+            if not mint:
                 coherent, extra = aggregate_bottom(h, predict(fit.params, panel, config, *test_cols)), {}
             else:
                 w = estimate_w_sample(predict(fit.params, panel, config, *fit_cols), panel.values[:, slice(*fit_cols)])
                 coherent, gamma, w_condition = mint_reconcile(h, predict(fit.params, panel, config, *test_cols), w)
                 extra = {"gamma": gamma, "w_condition": w_condition}
-            out[i] = node_report(h, actual, coherent, trials[i][0], {"seed": trials[i][3]}, fit, extra)
+            out[label][trial] = node_report(h, actual, coherent, label, {"seed": seed}, fit, extra)
     return out
 
 
@@ -275,8 +277,8 @@ def run_benchmark(panel: SeriesPanel, methods: list[MethodSpec],
     baseline is deterministic and has one report; a network method has one
     per seed, in seed-list order, each carrying its fit. Every
     network trains in a stack with the others of its kind (see
-    :func:`_nn_trials`); ``jobs`` > 1 splits the seeds into that many
-    contiguous shards trained as their own stacks in parallel processes.
+    :func:`_nn_trials`); ``jobs`` > 1 splits the seed list into that many
+    contiguous ranges, each trained as its own stacks in a parallel process.
     Fully deterministic given the seed list, whatever ``jobs``.
     """
     if len(set(seeds)) != len(seeds):
@@ -307,30 +309,23 @@ def run_benchmark(panel: SeriesPanel, methods: list[MethodSpec],
             columns[i] = _sr_label(lams[i])
             _check_columns(columns)
 
-    trials = [(label, "mint" if spec.name == "NN+MinT" else "sr", lams.get(i, (0.0, 0.0)), seed)
-              for i, (spec, label) in enumerate(zip(methods, columns)) if i not in choices for seed in seeds]
-    shards = min(jobs, len(seeds)) if trials else 0
-    # Contiguous seed ranges, each trained as its own stacks.
-    parts = [[i for i in range(len(trials)) if shards * (i % len(seeds)) // len(seeds) == s] for s in range(shards)]
-    run = partial(_nn_trials, panel, config, collect_traces=collect_traces)
-    shard_trials = [[trials[i] for i in part] for part in parts]
+    nets = [(label, None if spec.name == "NN+MinT" else lams.get(i, (0.0, 0.0)))
+            for i, (spec, label) in enumerate(zip(methods, columns)) if i not in choices]
+    n, shards = len(seeds), min(jobs, len(seeds)) if nets else 0
+    run = partial(_nn_trials, panel, config, nets, collect_traces=collect_traces)
+    seed_ranges = [seeds[n * s // shards: n * (s + 1) // shards] for s in range(shards)]
     if shards > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=shards) as ex:
-            done = list(ex.map(run, shard_trials))
+            done = list(ex.map(run, seed_ranges))
     else:
-        done = list(map(run, shard_trials))
-    reports: list = [None] * len(trials)
-    for part, part_reports in zip(parts, done):
-        for i, report in zip(part, part_reports):
-            reports[i] = report
-    diverged = next((r for r in reports if isinstance(r, TrainingDiverged)), None)
+        done = list(map(run, seed_ranges))
+    trials = {label: [r for shard in done for r in shard[label]] for label, _ in nets}
+    diverged = next((r for reports in trials.values() for r in reports if isinstance(r, TrainingDiverged)), None)
     if diverged is not None:
         raise diverged
 
     table = {columns[i]: [node_report(h, actual, choice.forecast(panel.values)[:, panel.train_len: panel.n_time],
                                       columns[i], params={"param": choice.param})] for i, choice in choices.items()}
-    for (label, *_), report in zip(trials, reports):
-        table.setdefault(label, []).append(report)
-    return table
+    return table | trials

@@ -76,25 +76,19 @@ def build_hierarchy(parent_map: Mapping[int, int]) -> HierarchySpec:
         raise ValueError(f"multiple roots: {roots}")
     root = roots[0]
 
-    depth: dict[int, int] = {}
-    for node in nodes:
-        seen = {node}
-        d = 0
-        cur = node
-        while cur != root:
-            cur = parent[cur]
-            d += 1
-            if cur in seen:
-                raise ValueError(f"cycle detected at node {cur}")
-            seen.add(cur)
-        depth[node] = d
+    children: dict[int, list[int]] = {}
+    for c, p in parent.items():
+        children.setdefault(p, []).append(c)
+    levels = [children[root]]  # the nodes at depth 1, 2, ...; a node no level reaches is on or below a cycle
+    while deeper := [c for n in levels[-1] for c in children.get(n, ())]:
+        levels.append(deeper)
+    unreached = nodes - {root}.union(*levels)
+    if unreached:
+        raise ValueError(f"cycle detected at node {min(unreached)}")
+    if len(levels) != 2:
+        raise ValueError(f"tree depth is {len(levels)}, expected exactly 2")
 
-    max_depth = max(depth.values())
-    if max_depth != 2:
-        raise ValueError(f"tree depth is {max_depth}, expected exactly 2")
-
-    mids = tuple(sorted(n for n in nodes if depth[n] == 1))
-    bottoms = tuple(sorted(n for n in nodes if depth[n] == 2))
+    mids, bottoms = tuple(sorted(levels[0])), tuple(sorted(levels[1]))
     parents_of_bottoms = {parent[b] for b in bottoms}
     for m in mids:
         if m not in parents_of_bottoms:

@@ -130,29 +130,29 @@ def _read_wide_csv(path: str | Path, h: HierarchySpec) -> tuple[list[int], np.nd
             return col_nodes, cells[:, 1:].T.copy()
     except ValueError:
         pass
-    times = []  # a fault: this scan names the first in file order
-    for j, row in enumerate(body):
+    prev = None  # a fault: this scan names the first in file order, each row by its line (one a record)
+    for j, row in enumerate(rows[1:], 2):
+        if not row:
+            continue
         if len(row) != len(header):
-            raise ValueError(f"{path}: row {j + 2} has {len(row)} fields, expected {len(header)}")
+            raise ValueError(f"{path}: row {j} has {len(row)} fields, expected {len(header)}")
         try:
             tval = int(row[0])
         except ValueError as exc:
-            raise ValueError(f"{path}: non-integer timestamp {row[0]!r} in row {j + 2}") from exc
-        if times:
-            if tval == times[-1]:
-                raise ValueError(f"{path}: duplicate timestamp {tval}")
-            if tval < times[-1]:
-                raise ValueError(f"{path}: timestamps must be strictly increasing")
-        times.append(tval)
+            raise ValueError(f"{path}: non-integer timestamp {row[0]!r} in row {j}") from exc
+        if prev is not None and tval <= prev:
+            raise ValueError(f"{path}: duplicate timestamp {tval} in row {j}" if tval == prev else
+                             f"{path}: timestamps must be strictly increasing: row {j} has {tval} after {prev}")
+        prev = tval
         for i, cell in enumerate(row[1:]):
             try:
                 value = float(cell)
             except ValueError as exc:
                 raise ValueError(
-                    f"{path}: non-numeric cell {cell!r} in row {j + 2}, column {header[i + 1]}"
+                    f"{path}: non-numeric cell {cell!r} in row {j}, column {header[i + 1]}"
                 ) from exc
             if not math.isfinite(value):
-                raise ValueError(f"{path}: non-finite cell {cell!r} in row {j + 2}, column {header[i + 1]}")
+                raise ValueError(f"{path}: non-finite cell {cell!r} in row {j}, column {header[i + 1]}")
     raise AssertionError(f"{path}: the scan found no fault the conversion did")
 
 

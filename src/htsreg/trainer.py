@@ -30,10 +30,10 @@ from .panel import SeriesPanel, lagged_design
 # about 128 models and grows beyond (the stack outgrows the cache), so large
 # grids run as consecutive stacks, which also bounds memory.
 STACK_LIMIT = 64
-# Model-epochs of weights _fit buffers before it forwards them in one call and
-# its hook scores them in one call: fewer, larger calls, with the buffer bounded
-# whatever the stack size. Larger blocks were at most slightly faster at K = 2,
-# and each doubling adds about 1 MB to peak memory.
+# Weight rows (model-epochs) _fit buffers, or one epoch of a larger stack, before
+# it forwards them in one call and its hook scores them in one call: fewer, larger
+# calls, with the buffer bounded whatever the stack size. Larger buffers were at
+# most slightly faster at K = 2, and each doubling adds about 1 MB to peak memory.
 TRACE_ROWS = 64
 
 
@@ -200,51 +200,40 @@ class _Workspace:
 
 
 class _Trace:
-    """A stack's epoch trace: the hook's rows, (epoch, model, ...), from the weights of each epoch.
+    """A stack's epoch trace: a flat buffer of weight rows, each tagged with its model, and the hook's rows.
 
-    :meth:`record` copies an epoch's weights of the K models in the stack
-    into a block of E = max(1, ``TRACE_ROWS`` // K) epochs. A full block, or
-    one whose models differ from the next epoch's, is forwarded over the
-    watch rows ``xw`` in one :func:`forward` call on its E K weight rows,
-    each in products of its own (the bits of a model alone), and its
-    forecasts, (E, K, len(xw), outputs), go to one call ``hook(forecasts)``,
-    in epoch order. The hook returns one row per epoch and model, (E, K, ...).
+    :meth:`record` appends an epoch's weights of the models in the stack to
+    a buffer of max(``TRACE_ROWS``, K) rows, flushing first if they would
+    not fit. A flush forwards the buffered rows over the watch rows ``xw``
+    in one :func:`forward` call, each row in products of its own (the bits
+    of a model alone), and passes the forecasts, (rows, len(xw), outputs),
+    to one call ``hook(forecasts)``, which returns a row of scores per
+    weight row. Each model's scores, in the order its rows were recorded,
+    form its ``epoch_eval``.
     """
 
-    def __init__(self, hook: Callable[[np.ndarray], np.ndarray], xw: np.ndarray, dims: NetworkDims,
-                 config: TrainConfig, n_models: int):
-        self.hook, self.xw, self.dims, self.config, self.n_models = hook, xw, dims, config, n_models
-        self.block, self.models, self.filled, self.first = None, [], 0, 0  # (E, K, P) weights of epochs first..
-        self.rows: np.ndarray | None = None
+    def __init__(self, hook: Callable[[np.ndarray], np.ndarray], xw: np.ndarray, theta: np.ndarray,
+                 dims: NetworkDims, kind: str):
+        self.hook, self.xw, self.dims, self.kind = hook, xw, dims, kind
+        self.weights = np.empty((max(TRACE_ROWS, len(theta)), theta.shape[1]))
+        self.owners: list[int] = []  # the model of each buffered row
+        self.scores: list[np.ndarray] = []  # the hook's rows of each flush
+        self.models: list[np.ndarray] = []  # and their models
 
-    def record(self, epoch: int, theta: np.ndarray, models: list[int]) -> None:
-        """Buffer the weights ``theta`` (K, P) of the given models (original indices) after epoch ``epoch``."""
-        if self.filled and models != self.models:
+    def record(self, theta: np.ndarray, models: list[int]) -> None:
+        """Buffer the weights ``theta`` (K, P) of the given models (original indices) after an epoch."""
+        if len(self.owners) + len(models) > len(self.weights):
             self.flush()
-        if self.block is None or self.block.shape[1] != len(models):
-            self.block = np.empty((max(1, TRACE_ROWS // len(models)),) + theta.shape)
-        if not self.filled:
-            self.first, self.models = epoch, models
-        self.block[self.filled] = theta
-        self.filled += 1
-        if self.filled == len(self.block):
-            self.flush()
+        self.weights[len(self.owners):len(self.owners) + len(models)] = theta
+        self.owners += models
 
     def flush(self) -> None:
-        """Score the buffered epochs into ``rows``."""
-        e, k = self.filled, len(self.models)
-        if not e:
-            return
-        u3 = forward(NetworkParams(self.block[:e].reshape(e * k, -1), self.dims), self.xw, self.config.activation)[1]
-        scores = self.hook(u3.reshape((e, k) + u3.shape[1:]))
-        end = self.first - 1 + e
-        if self.rows is None or end > len(self.rows):  # grow to the epoch cap at most, doubling
-            grown = np.empty((min(self.config.max_epochs, max(2 * end, 256)), self.n_models) + scores.shape[2:])
-            if self.rows is not None:
-                grown[:len(self.rows)] = self.rows
-            self.rows = grown
-        self.rows[self.first - 1:end, self.models] = scores
-        self.filled = 0
+        """Score the buffered rows."""
+        if self.owners:
+            u3 = forward(NetworkParams(self.weights[:len(self.owners)], self.dims), self.xw, self.kind)[1]
+            self.scores.append(self.hook(u3))
+            self.models.append(np.array(self.owners))
+            self.owners = []
 
 
 def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lams: np.ndarray,
@@ -269,7 +258,7 @@ def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lams: np.
     eta, keep_rate = config.eta, 1.0 - config.eps
     ws = _Workspace(np.stack([p.theta for p in params]), params[0].dims, _with_ones(x), yb, yu, H,
                     np.asarray(lams, dtype=np.float64).reshape(len(params), 1, -1), config.activation)
-    trace = None if hook is None else _Trace(hook, xw, params[0].dims, config, len(params))
+    trace = None if hook is None else _Trace(hook, xw, ws.theta, params[0].dims, config.activation)
     live = list(range(len(params)))  # original index of each stacked model
     e_prev = [np.inf] * len(params)
     results: list[TrainResult | None] = [None] * len(params)
@@ -299,7 +288,7 @@ def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lams: np.
                 stopping.append(pos)
             e_prev[k] = e
         if trace is not None and bad:
-            trace.record(epoch, ws.theta[:bad], live[:bad])
+            trace.record(ws.theta[:bad], live[:bad])
         for pos in stopping:
             finish(pos, epoch, "converged")
         if stopping or bad < len(live):
@@ -313,9 +302,10 @@ def _fit(x: np.ndarray, yb: np.ndarray, yu: np.ndarray, H: np.ndarray, lams: np.
         trace.flush()
     if diverged is not None:
         raise TrainingDiverged(*diverged)
-    if trace is not None and trace.rows is not None:
+    if trace is not None and trace.scores:
+        scores, models = np.concatenate(trace.scores), np.concatenate(trace.models)
         for k, result in enumerate(results):
-            result.epoch_eval = trace.rows[:result.epochs, k].copy()
+            result.epoch_eval = scores[models == k]
     return results
 
 
@@ -333,7 +323,7 @@ def train_batch(panel: SeriesPanel, H: np.ndarray, lams: np.ndarray, seeds: list
     share each epoch's numpy calls, up to ``STACK_LIMIT`` at a time, and
     result k is bit-identical to training it alone. ``hook`` is the stack
     hook of :func:`_fit`: it scores each epoch's weights on the test
-    columns [train_len, n_time), a block of epochs per call (see :class:`_Trace`).
+    columns [train_len, n_time), many weight rows per call (see :class:`_Trace`).
     """
     H, lams = np.asarray(H, dtype=np.float64), np.asarray(lams, dtype=np.float64)
     n_upper, n_out = H.shape

@@ -117,26 +117,28 @@ def test_batch_with_per_model_seeds_matches_single_runs(tree):
 
 
 def forecast_hook(calls):
-    """Stack hook whose row for a model and epoch is the epoch and the model's forecasts of the watch rows.
+    """Stack hook whose row for a weight row is its place among all rows the hook saw, then its watch-row forecasts.
 
-    Blocks arrive in epoch order, so a block's first epoch follows the
-    epochs of the blocks before it; ``calls`` logs (first epoch, epochs,
-    models) per block.
+    ``calls`` logs the number of rows of each call.
     """
     def hook(forecasts):
-        e, k = forecasts.shape[:2]
-        first_epoch = 1 + sum(n for _, n, _ in calls)
-        calls.append((first_epoch, e, k))
-        epochs = np.broadcast_to(np.arange(first_epoch, first_epoch + e, dtype=np.float64)[:, None, None], (e, k, 1))
-        return np.concatenate([epochs, forecasts.reshape(e, k, -1)], axis=-1)
+        n, first = len(forecasts), sum(calls)
+        calls.append(n)
+        return np.concatenate([np.arange(first, first + n, dtype=np.float64)[:, None], forecasts.reshape(n, -1)],
+                              axis=-1)
     return hook
+
+
+def assert_rows_in_epoch_order(fit):
+    """A model's hook rows reached the hook in epoch order, one per epoch."""
+    assert len(fit.epoch_eval) == fit.epochs and np.all(np.diff(fit.epoch_eval[:, 0]) > 0)
 
 
 def test_per_model_hooks_see_single_run_params(tree, monkeypatch):
     """The stack hook's rows for a model of a batch are that model's own run, epoch by epoch.
 
-    Models stop at staggered epochs, and blocks of at most TRACE_ROWS
-    model-epochs (one epoch when the stack is larger) are scored at once.
+    Models stop at staggered epochs, and each call scores at most
+    max(TRACE_ROWS, K) weight rows.
     """
     panel = std_panel(tree, seed=3)
     cfg = TrainConfig(eta=5e-4, eps=3e-3, max_epochs=300)
@@ -145,13 +147,13 @@ def test_per_model_hooks_see_single_run_params(tree, monkeypatch):
         monkeypatch.setattr(trainer, "TRACE_ROWS", trace_rows)
         calls = []
         batch = train_bottom(panel, LAMBDAS, seeds, cfg, forecast_hook(calls))
-        assert all(e * k <= max(trace_rows, k) for _, e, k in calls)
-        assert sum(e * k for _, e, k in calls) == sum(b.epochs for b in batch)
+        assert all(n <= max(trace_rows, len(LAMBDAS)) for n in calls)
+        assert sum(calls) == sum(b.epochs for b in batch)
         for lam, b in zip(LAMBDAS, batch):
             single = train_bottom(panel, [lam], [4], cfg, forecast_hook([]))[0]
             assert_same_result(b, single)
-            assert np.array_equal(b.epoch_eval[:, 0], np.arange(1, b.epochs + 1))
-            assert np.array_equal(bits(b.epoch_eval), bits(single.epoch_eval))
+            assert_rows_in_epoch_order(b)
+            assert np.array_equal(bits(b.epoch_eval[:, 1:]), bits(single.epoch_eval[:, 1:]))
             # the last row holds the forecasts of the returned parameters
             test = predict(b.params, panel, cfg, panel.train_len, panel.n_time)
             assert np.array_equal(bits(b.epoch_eval[-1, 1:]), bits(test.T.ravel()))
@@ -161,8 +163,8 @@ def test_per_model_hooks_see_single_run_params(tree, monkeypatch):
 def test_each_trace_row_is_the_forecast_of_that_epochs_weights(tree, monkeypatch):
     """Trace row e of a stacked model is the test forecast of a batch of one trained for e epochs.
 
-    The three models stop at epochs 6, 10 and 12, so a block of weights
-    ends early whenever one leaves the stack.
+    The three models stop at epochs 6, 10 and 12, so the stack's models
+    change while rows are buffered.
     """
     panel = std_panel(tree, seed=3)
     cfg = TrainConfig(eta=2e-3, eps=5e-2, max_epochs=12)
@@ -178,12 +180,24 @@ def test_each_trace_row_is_the_forecast_of_that_epochs_weights(tree, monkeypatch
             for lam, seed, stop in zip(LAMBDAS, seeds, stops)]
     for trace_rows in (trainer.TRACE_ROWS, 7, 1):
         monkeypatch.setattr(trainer, "TRACE_ROWS", trace_rows)
-        batch = train_bottom(panel, LAMBDAS[:3], seeds, cfg, forecast_hook([]))
+        calls = []
+        batch = train_bottom(panel, LAMBDAS[:3], seeds, cfg, forecast_hook(calls))
         assert [b.epochs for b in batch] == stops
+        assert all(n <= max(trace_rows, 3) for n in calls)
         for b, rows in zip(batch, want):
-            assert len(b.epoch_eval) == len(rows)
+            assert_rows_in_epoch_order(b)
             for e, row in enumerate(rows, 1):
                 assert np.array_equal(bits(b.epoch_eval[e - 1, 1:]), bits(row)), (trace_rows, e)
+
+
+def test_models_leaving_the_stack_do_not_flush_the_trace(tree):
+    """The stack of 6, 10 and 12 epochs fills 28 of the TRACE_ROWS = 64 rows: one hook call scores them all."""
+    panel = std_panel(tree, seed=3)
+    calls = []
+    batch = train_bottom(panel, LAMBDAS[:3], [4, 5, 6], TrainConfig(eta=2e-3, eps=5e-2, max_epochs=12),
+                         forecast_hook(calls))
+    assert [b.epochs for b in batch] == [6, 10, 12] and trainer.TRACE_ROWS == 64
+    assert calls == [28]
 
 
 def test_hook_sees_no_diverged_weights(tree):
@@ -192,13 +206,13 @@ def test_hook_sees_no_diverged_weights(tree):
     calls = []
 
     def hook(forecasts):
-        calls.append((forecasts.shape[:2], bool(np.isfinite(forecasts).all())))
-        return np.zeros(forecasts.shape[:2])
+        calls.append((len(forecasts), bool(np.isfinite(forecasts).all())))
+        return np.zeros(len(forecasts))
 
     with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as err:
         train_bottom(panel, DIVERGING_LAMBDAS, [1] * 3, DIVERGING, hook)
     assert err.value.epoch == 2 and err.value.model == 0
-    assert calls == [((1, 1), True)]  # epoch 1 of the (0, 0) model, the only one still finite
+    assert calls == [(1, True)]  # epoch 1 of the (0, 0) model, the only one still finite
 
 
 @settings(max_examples=60, deadline=None)
@@ -291,16 +305,19 @@ def test_every_stack_of_up_to_70_published_size_models_equals_batches_of_one(row
     lams = rng.uniform(0.0, 3.0, (70, 4))
     cfg = TrainConfig(eta=1e-5 if kind == "sigmoid" else 1e-7, max_epochs=3, activation=kind)
 
-    def fit(k):
+    def fit(k, calls):
         params = [init_params(NetworkDims(18, 36, 9), seed) for seed in range(k)]
-        return trainer._fit(x, yb, yu, H, lams[:k], params, cfg, forecast_hook([]), watch)
+        return trainer._fit(x, yb, yu, H, lams[:k], params, cfg, forecast_hook(calls), watch)
 
     singles = [trainer._fit(x, yb, yu, H, lams[m:m + 1], [init_params(NetworkDims(18, 36, 9), m)], cfg,
                             forecast_hook([]), watch)[0] for m in range(70)]
     for k in range(1, 71):
-        for got, want in zip(fit(k), singles):
+        calls = []
+        for got, want in zip(fit(k, calls), singles):
             assert_same_result(got, want)
-            assert np.array_equal(bits(got.epoch_eval), bits(want.epoch_eval))
+            assert_rows_in_epoch_order(got)
+            assert np.array_equal(bits(got.epoch_eval[:, 1:]), bits(want.epoch_eval[:, 1:]))
+        assert all(n <= max(trainer.TRACE_ROWS, k) for n in calls) and sum(calls) == 3 * k
 
 
 BLAS_SCRIPT = """
@@ -439,15 +456,13 @@ def test_epoch_hook_matches_predict_bottom_formula(tree):
     lams, seeds = LAMBDAS[:3], [2, 3, 4]
     batch = train_bottom(panel, lams, seeds, cfg, recording)
     assert [b.epoch_eval.shape for b in batch] == [(40, 4)] * 3
-    assert sum(len(forecasts) for forecasts in seen) == 40
-    first_epoch = 1  # blocks arrive in epoch order
-    for forecasts in seen:
-        for e, k in np.ndindex(forecasts.shape[:2]):
-            epoch = first_epoch + e  # the weights after this epoch, from a run stopped there
-            params = train_bottom(panel, [lams[k]], [seeds[k]], replace(cfg, max_epochs=epoch))[0].params
-            assert np.array_equal(bits(forecasts[e, k]), bits(predict(params, panel, cfg, *test).T))
-            assert np.array_equal(bits(batch[k].epoch_eval[epoch - 1]), bits(reference(params)))
-        first_epoch += len(forecasts)
+    assert all(len(forecasts) <= trainer.TRACE_ROWS for forecasts in seen)
+    # No model stops early, so the rows arrive epoch by epoch, each epoch's models in stack order.
+    for row, forecast in enumerate(np.concatenate(seen)):
+        epoch, k = row // 3 + 1, row % 3  # the weights after this epoch, from a run stopped there
+        params = train_bottom(panel, [lams[k]], [seeds[k]], replace(cfg, max_epochs=epoch))[0].params
+        assert np.array_equal(bits(forecast), bits(predict(params, panel, cfg, *test).T))
+        assert np.array_equal(bits(batch[k].epoch_eval[epoch - 1]), bits(reference(params)))
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -236,16 +236,21 @@ def test_benchmark_zero_lambda_equals_bottom_up_rows(panel):
 
 
 def test_benchmark_parallel_matches_serial(tree, panel):
-    a = small_benchmark(panel, [1, 2])
-    b = small_benchmark(panel, [1, 2], jobs=2)
-    assert list(a) == list(b)
-    for label in a:
-        for ra, rb in zip(a[label], b[label], strict=True):
-            assert (ra.params, ra.per_node, ra.extra) == (rb.params, rb.per_node, rb.extra)
+    """Even and uneven seed ranges, and more jobs than seeds, give the reports of one process."""
+    for seeds, jobs in (([1, 2], 2), ([4, 1, 5], 4), ([4, 1, 5, 2, 3], 2), ([4, 1, 5, 2, 3], 3)):
+        a = small_benchmark(panel, seeds)
+        b = small_benchmark(panel, seeds, jobs=jobs)
+        assert list(a) == list(b)
+        for label in a:
+            for ra, rb in zip(a[label], b[label], strict=True):
+                assert (ra.params, ra.per_node, ra.extra) == (rb.params, rb.per_node, rb.extra)
+                if ra.fit is not None:
+                    assert ra.fit.epochs == rb.fit.epochs
+                    assert np.array_equal(ra.fit.epoch_eval, rb.fit.epoch_eval)
 
 
 def test_benchmark_stacks_match_trial_by_trial_runs(panel, monkeypatch):
-    """Stacked training (several stacks, blocks of hook rows, shards) equals one single-model run per trial."""
+    """Stacked training (several stacks, a small trace buffer, seed ranges) equals one single-model run per trial."""
     monkeypatch.setattr(trainer, "STACK_LIMIT", 4)
     monkeypatch.setattr(trainer, "TRACE_ROWS", 5)
     cfg = TrainConfig(eta=5e-4, eps=5e-3, max_epochs=150)

@@ -76,6 +76,16 @@ def test_build_rejects_cycle():
         build_hierarchy({1: 2, 2: 1})
 
 
+def test_build_names_smallest_node_of_a_cycle_beside_a_rooted_tree():
+    with pytest.raises(ValueError, match="^cycle detected at node 5$"):
+        build_hierarchy({2: 1, 3: 2, 4: 2, 5: 6, 6: 5})
+
+
+def test_build_reports_depth_of_a_chain():
+    with pytest.raises(ValueError, match="^tree depth is 4, expected exactly 2$"):
+        build_hierarchy({2: 1, 3: 2, 4: 3, 5: 4})
+
+
 def test_build_rejects_childless_mid():
     """A direct child of the root with no children of its own is invalid."""
     with pytest.raises(ValueError, match="no children"):

@@ -110,8 +110,9 @@ READER_FAULTS = {
     "field_count_in_every_row": (["t", "4", "5", "6", "7"], [r + [0] for r in READER_ROWS],
                                  "row 2 has 6 fields, expected 5"),
     "non_integer_timestamp": (["t", "4", "5", "6", "7"], edited(1, 0, "2.0"), "non-integer timestamp '2.0' in row 3"),
-    "duplicate_timestamp": (["t", "4", "5", "6", "7"], edited(1, 0, 1), "duplicate timestamp 1"),
-    "decreasing_timestamps": (["t", "4", "5", "6", "7"], edited(2, 0, 0), "timestamps must be strictly increasing"),
+    "duplicate_timestamp": (["t", "4", "5", "6", "7"], edited(1, 0, 1), "duplicate timestamp 1 in row 3"),
+    "decreasing_timestamps": (["t", "4", "5", "6", "7"], edited(2, 0, 0),
+                              "timestamps must be strictly increasing: row 4 has 0 after 2"),
     "non_numeric_cell": (["t", "4", "5", "6", "7"], edited(2, 3, "x"), "non-numeric cell 'x' in row 4, column 6"),
     "nan_cell": (["t", "4", "5", "6", "7"], edited(1, 2, "nan"), "non-finite cell 'nan' in row 3, column 5"),
     "overflowing_cell": (["t", "4", "5", "6", "7"], edited(0, 4, "1e400"),
@@ -119,6 +120,13 @@ READER_FAULTS = {
     # Faults in two rows: the first in file order is named.
     "first_fault_named": (["t", "4", "5", "6", "7"], [[1, 1, 2, 3, 4], [2, "inf", 6, 7, 8], ["x", 9, 10, 11, 12]],
                           "non-finite cell 'inf' in row 3, column 4"),
+    # A blank line is a row of the file: the x on line 4 is in row 4.
+    "row_after_blank_line": (["t", "4", "5", "6", "7"], [[], [1, 1, 2, 3, 4], [2, 1, "x", 3, 4]],
+                             "non-numeric cell 'x' in row 4, column 5"),
+    "duplicate_timestamp_after_blank_line": (["t", "4", "5", "6", "7"], [[1, 1, 2, 3, 4], [], [1, 1, 2, 3, 4]],
+                                             "duplicate timestamp 1 in row 4"),
+    "decreasing_timestamps_after_blank_line": (["t", "4", "5", "6", "7"], [[2, 1, 2, 3, 4], [], [1, 1, 2, 3, 4]],
+                                               "timestamps must be strictly increasing: row 4 has 1 after 2"),
 }
 
 

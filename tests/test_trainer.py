@@ -293,8 +293,8 @@ def test_zero_epoch_budget_returns_initial_params(tree):
 def capture_hook(store):
     """Stack hook keeping a copy of the one model's test-period forecasts after every epoch."""
     def hook(forecasts):
-        store.extend(forecasts[:, 0].copy())
-        return np.zeros(forecasts.shape[:2])
+        store.extend(forecasts.copy())
+        return np.zeros(len(forecasts))
 
     return hook
 
@@ -345,10 +345,10 @@ def test_objective_monotone_on_preset_panel():
     objective = []
 
     def hook(forecasts):
-        for u3 in forecasts[:, 0]:
+        for u3 in forecasts:
             upper = lam * (y[:, :len(H)] - u3 @ H.T)
             objective.append(0.5 * np.sum((y[:, len(H):] - u3) ** 2) + 0.5 * np.sum(upper ** 2))
-        return np.zeros(forecasts.shape[:2])
+        return np.zeros(len(forecasts))
 
     params = [init_params(NetworkDims(x.shape[1], 2 * x.shape[1], H.shape[1]), 1)]
     result = _fit(x, y[:, len(H):], y[:, :len(H)], H, lam[None], params, cfg, hook, x)[0]
